@@ -11,6 +11,7 @@ Subpackage map:
   moore        the symmetric 5x5 quadric machinery and its syzygies
   probe        finite-field scans, secant/incidence sampling, Cremona inverse
   nslattice    intersection-number ledgers on named divisor bases
+  checks       the named pass/fail check record every verifier returns
   report       claim records, suite orchestration, JSON/markdown rendering
   cli          the `verify` command line tool
 """

@@ -25,7 +25,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .multipoly import MultiPoly, grevlex_key, scalar_matrix_nullspace
+from .multipoly import MultiPoly, grevlex_key, monomials, scalar_matrix_nullspace
 from .scalars import Cyclo, EPS3, cyclo_root_of_unity
 
 _LEVELS = (3, 5, 15)
@@ -169,10 +169,6 @@ class HeisenbergElement:
         return a
 
 
-def act_on_polynomial(g: HeisenbergElement, f: MultiPoly) -> MultiPoly:
-    return g.act(f)
-
-
 def commutator(g: HeisenbergElement, h: HeisenbergElement) -> HeisenbergElement:
     return g * h * g.inverse() * h.inverse()
 
@@ -213,16 +209,6 @@ def commutator_scalar(level: int, twist: int = 1, sigma_power: int = 1,
 # -- character decomposition ------------------------------------------
 
 
-def _monomials(degree: int, nvars: int) -> list[tuple[int, ...]]:
-    if nvars == 1:
-        return [(degree,)]
-    out = []
-    for lead in range(degree, -1, -1):
-        for rest in _monomials(degree - lead, nvars - 1):
-            out.append((lead,) + rest)
-    return out
-
-
 def character_decomposition(degree: int, level: int, twist: int = 1
                             ) -> dict[tuple[int, int], list[MultiPoly]]:
     """Simultaneous eigenbasis of the degree-d monomial space.
@@ -251,7 +237,7 @@ def character_decomposition(degree: int, level: int, twist: int = 1
 
     seen: set[tuple] = set()
     blocks: dict[tuple[int, int], list[MultiPoly]] = {}
-    for mono in _monomials(degree, n):
+    for mono in monomials(degree, n):
         if mono in seen:
             continue
         orbit = []

@@ -41,6 +41,7 @@ from .heisenberg import (
     iota3_on_polynomial,
     projective_normalize,
 )
+from .checks import Checks
 from .multipoly import MultiPoly
 from .scalars import DEFAULT_PRIMES, EPS3, Cyclo, Fp, find_root_of_unity
 
@@ -353,11 +354,6 @@ def _fp_normalize(pt: tuple, p: int) -> tuple:
     raise ValueError("zero vector is not projective")
 
 
-def _fp_on_curve(lam: int, p: int, pt: tuple) -> bool:
-    x, y, z = pt
-    return (x * x * x + y * y * y + z * z * z + lam * x * y * z) % p == 0
-
-
 def _fp_restrict(lam: int, p: int, a: tuple, r: tuple) -> tuple:
     a0, a1, a2 = a
     r0, r1, r2 = r
@@ -660,17 +656,14 @@ def _linear_form(coeffs) -> MultiPoly:
 
 def verify_fermat_identities() -> dict:
     """The four sum-of-cubes identities and the involution pairing."""
-    checks = []
-
-    def record(name, ok, detail=""):
-        checks.append({"name": name, "passed": bool(ok), "detail": detail})
+    checks = Checks()
 
     for label, cubes, note in _fermat_decompositions():
         lhs = character_representative(*label)
         rhs = MultiPoly.zero(VARS3, Cyclo(1))
         for scale, line in cubes:
             rhs = rhs + _linear_form(line) ** 3 * scale
-        record("sum of cubes for character %r" % (label,), lhs == rhs, note)
+        checks.add("sum of cubes for character %r" % (label,), lhs == rhs, note)
     # involution pairing: iota maps the (a,b) eigenpolynomial to a scalar
     # multiple of the (-a,-b) one
     for a in range(3):
@@ -682,20 +675,20 @@ def verify_fermat_identities() -> dict:
             mono, lead = image.leading_term()
             ok = (target.coeff(mono) == Cyclo(1)
                   and image == target * lead)
-            record("involution sends character (%d,%d) to (%d,%d)"
-                   % (a, b, (-a) % 3, (-b) % 3), ok,
-                   "projective factor %s" % lead)
+            checks.add("involution sends character (%d,%d) to (%d,%d)"
+                       % (a, b, (-a) % 3, (-b) % 3), ok,
+                       "projective factor %s" % lead)
     # the involution fixes both pencil generators, hence every member
     one = Cyclo(1)
     cubic_sum = hesse_polynomial(0, one)
     triple = infinity_member_polynomial(one)
-    record("involution fixes the cube-sum generator",
-           iota3_on_polynomial(cubic_sum) == cubic_sum)
-    record("involution fixes the triple-product generator",
-           iota3_on_polynomial(triple) == triple)
+    checks.add("involution fixes the cube-sum generator",
+               iota3_on_polynomial(cubic_sum) == cubic_sum)
+    checks.add("involution fixes the triple-product generator",
+               iota3_on_polynomial(triple) == triple)
     sample = hesse_polynomial(Cyclo(-3) * EPS3, one)
-    record("involution fixes a sample member",
-           iota3_on_polynomial(sample) == sample)
+    checks.add("involution fixes a sample member",
+               iota3_on_polynomial(sample) == sample)
     # point evaluation spot checks on the verified identities
     for pt in ((one, Cyclo(0), Cyclo(0)), (one, one, one),
                (one, EPS3, EPS3 ** 2)):
@@ -705,9 +698,9 @@ def verify_fermat_identities() -> dict:
             rhs_v = sum((( _linear_form(line) ** 3 * scale).eval_at(pt)
                          for scale, line in cubes), Cyclo(0))
             agree = agree and lhs_v == rhs_v
-        record("identities agree at point %s" % (tuple(str(c) for c in pt),),
-               agree)
-    return {"passed": all(c["passed"] for c in checks), "checks": checks}
+        checks.add("identities agree at point %s" % (tuple(str(c) for c in pt),),
+                   agree)
+    return {"passed": checks.passed, "checks": checks.records}
 
 
 def triangle_product(key: tuple[int, int]) -> MultiPoly:
@@ -730,10 +723,7 @@ def verify_triangle_members(primes: Sequence[int] = (31, 61)) -> dict:
     singular locus lam^3 = -27 is certified over prime fields by a full
     singular-point scan for every lambda.
     """
-    checks = []
-
-    def record(name, ok, detail=""):
-        checks.append({"name": name, "passed": bool(ok), "detail": detail})
+    checks = Checks()
 
     one = Cyclo(1)
     discovered: dict[tuple[int, int], Cyclo | None] = {}
@@ -742,40 +732,40 @@ def verify_triangle_members(primes: Sequence[int] = (31, 61)) -> dict:
         if key == (0, 1):
             ok = product == infinity_member_polynomial(one)
             discovered[key] = None
-            record("coordinate triangle is the infinity member", ok)
+            checks.add("coordinate triangle is the infinity member", ok)
             continue
         lam = product.coeff((1, 1, 1))
         ok = product == hesse_polynomial(lam, one)
         discovered[key] = lam
-        record("triangle %r expands to the member at lambda = %s"
-               % (key, lam), ok)
+        checks.add("triangle %r expands to the member at lambda = %s"
+                   % (key, lam), ok)
     lam_set_ok = (set(str(v) for v in discovered.values() if v is not None)
                   == set(str(v) for v in SINGULAR_LAMBDAS))
-    record("discovered lambdas exhaust the finite singular set", lam_set_ok)
+    checks.add("discovered lambdas exhaust the finite singular set", lam_set_ok)
     mismatched = sorted(
         key for key in discovered
         if discovered[key] != RECORDED_TRIANGLE_LAMBDAS[key]
         if not (discovered[key] is None
                 and RECORDED_TRIANGLE_LAMBDAS[key] is None))
-    record("recorded pairing has the two swapped slots",
-           mismatched == [(1, 1), (1, 2)],
-           "slots %r differ from the recorded listing" % (mismatched,))
+    checks.add("recorded pairing has the two swapped slots",
+               mismatched == [(1, 1), (1, 2)],
+               "slots %r differ from the recorded listing" % (mismatched,))
     scans = []
     for p in primes:
         found = sorted(int(v) for v in _fp_singular_lambda_scan(p))
         w = find_root_of_unity(p, 3)
         expected = sorted({(-3) % p, (-3) * w.v % p, (-3) * w.v * w.v % p})
         scans.append({"p": p, "singular": found, "expected": expected})
-        record("singular lambdas over F_%d match the cube roots of -27" % p,
-               found == expected)
-        record("the lambda = 0 member is smooth over F_%d" % p,
-               0 not in found)
+        checks.add("singular lambdas over F_%d match the cube roots of -27" % p,
+                   found == expected)
+        checks.add("the lambda = 0 member is smooth over F_%d" % p,
+                   0 not in found)
         inf = PlaneCubic.infinity_member(Fp(1, p))
-        record("infinity member is singular over F_%d" % p,
-               bool(_fp_singular_points_general(inf)))
+        checks.add("infinity member is singular over F_%d" % p,
+                   bool(_fp_singular_points_general(inf)))
     return {
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
+        "passed": checks.passed,
+        "checks": checks.records,
         "discovered_pairing": {str(k): _render_lambda(v)
                                for k, v in sorted(discovered.items())},
         "recorded_pairing": {str(k): _render_lambda(v)
@@ -814,10 +804,7 @@ def verify_intersection_arithmetic(p: int = 31, lam: int = 1,
     lam_i, _ = curve.fp_params()
     pts = curve.int_points()
     o = _fp_origin(p)
-    checks = []
-
-    def record(name, ok, detail=""):
-        checks.append({"name": name, "passed": bool(ok), "detail": detail})
+    checks = Checks()
 
     def nmul(k, pt):
         return _fp_scalar(lam_i, p, k, pt)
@@ -828,10 +815,10 @@ def verify_intersection_arithmetic(p: int = 31, lam: int = 1,
     # (i) 3r+2q = 0 on the diagonal r = q means exactly 5q = 0
     five_tors = {pt for pt in pts if nmul(5, pt) == o}
     diag = {pt for pt in pts if padd(nmul(3, pt), nmul(2, pt)) == o}
-    record("diagonal of 3r+2q = 0 is the 5-torsion", diag == five_tors,
-           "%d points" % len(diag))
-    record("5-torsion count matches the extracted subgroup",
-           len(five_tors) == len(torsion_points(curve, 5)))
+    checks.add("diagonal of 3r+2q = 0 is the 5-torsion", diag == five_tors,
+               "%d points" % len(diag))
+    checks.add("5-torsion count matches the extracted subgroup",
+               len(five_tors) == len(torsion_points(curve, 5)))
     # (ii) same with every nonzero 3-torsion translate on the right
     three_tors = sorted(pt for pt in pts if nmul(3, pt) == o and pt != o)
     shifted_counts = {}
@@ -842,11 +829,11 @@ def verify_intersection_arithmetic(p: int = 31, lam: int = 1,
         right = {pt for pt in pts if nmul(5, pt) == rhs}
         ok_all = ok_all and left == right
         shifted_counts[tau] = len(left)
-    record("diagonal of 3r+2q = -tau matches 5q = -tau for all 8 taus",
-           ok_all and len(three_tors) == 8)
+    checks.add("diagonal of 3r+2q = -tau matches 5q = -tau for all 8 taus",
+               ok_all and len(three_tors) == 8)
     counts_ok = all(c in (0, len(five_tors)) for c in shifted_counts.values())
-    record("each shifted diagonal is empty or a 5-torsion coset", counts_ok,
-           "counts %r" % sorted(shifted_counts.values()))
+    checks.add("each shifted diagonal is empty or a 5-torsion coset", counts_ok,
+               "counts %r" % sorted(shifted_counts.values()))
     # (iii) on the ruling through p, the unique solution of
     # 3(-e+p)+2e = 0 is e = 3p, and of 3(-e+p)+2e = -tau is e = 3p+tau
     rng = random.Random(seed)
@@ -856,8 +843,8 @@ def verify_intersection_arithmetic(p: int = 31, lam: int = 1,
         sols = [e for e in pts
                 if padd(nmul(3, padd(_fp_neg(e, p), base)), nmul(2, e)) == o]
         ok_unique = ok_unique and sols == [nmul(3, base)]
-    record("ruling meets the kernel curve once, at e = 3p (%d samples)"
-           % samples, ok_unique)
+    checks.add("ruling meets the kernel curve once, at e = 3p (%d samples)"
+               % samples, ok_unique)
     ok_shift = True
     for _ in range(samples // 2):
         base = rng.choice(pts)
@@ -866,11 +853,11 @@ def verify_intersection_arithmetic(p: int = 31, lam: int = 1,
         sols = [e for e in pts
                 if padd(nmul(3, padd(_fp_neg(e, p), base)), nmul(2, e)) == rhs]
         ok_shift = ok_shift and sols == [padd(nmul(3, base), tau)]
-    record("shifted ruling equation has the single solution e = 3p+tau",
-           ok_shift)
+    checks.add("shifted ruling equation has the single solution e = 3p+tau",
+               ok_shift)
     return {
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
+        "passed": checks.passed,
+        "checks": checks.records,
         "p": p, "lam": lam,
         "group": group_structure(curve),
     }
@@ -884,10 +871,7 @@ def verify_translation_action(p: int = 31, lam: int = 1) -> dict:
     pts = curve.int_points()
     o = _fp_origin(p)
     w = find_root_of_unity(p, 3)
-    checks = []
-
-    def record(name, ok, detail=""):
-        checks.append({"name": name, "passed": bool(ok), "detail": detail})
+    checks = Checks()
 
     def shift_map(pt):
         return _fp_normalize((pt[2], pt[0], pt[1]), p)
@@ -899,16 +883,16 @@ def verify_translation_action(p: int = 31, lam: int = 1) -> dict:
     for name, mapping in (("cyclic shift", shift_map),
                           ("diagonal character", character_map)):
         t = mapping(o)
-        record("%s moves the origin to a 3-torsion point" % name,
-               _fp_scalar(lam_i, p, 3, t) == o and t != o)
+        checks.add("%s moves the origin to a 3-torsion point" % name,
+                   _fp_scalar(lam_i, p, 3, t) == o and t != o)
         ok = all(mapping(pt) == _fp_add(lam_i, p, pt, t) for pt in pts)
-        record("%s is translation by a fixed 3-torsion point" % name, ok,
-               "translation point %r" % (t,))
+        checks.add("%s is translation by a fixed 3-torsion point" % name, ok,
+                   "translation point %r" % (t,))
     bases = [pt for pt in pts if 0 in pt]
-    record("the 9 coordinate-plane sections are 3-torsion",
-           len(bases) == 9 and all(_fp_scalar(lam_i, p, 3, pt) == o
-                                   for pt in bases))
-    return {"passed": all(c["passed"] for c in checks), "checks": checks,
+    checks.add("the 9 coordinate-plane sections are 3-torsion",
+               len(bases) == 9 and all(_fp_scalar(lam_i, p, 3, pt) == o
+                                       for pt in bases))
+    return {"passed": checks.passed, "checks": checks.records,
             "p": p, "lam": lam}
 
 
@@ -953,7 +937,9 @@ def find_torsion_witness(primes: Sequence[int] | None = None,
 
     Deterministic, so results are memoized per prime list.  Candidates
     are prefiltered by the cheap 2-torsion root count before any point
-    enumeration.
+    enumeration.  At most `max_candidates` are tried per prime; the
+    trace gives each searched prime's candidate total and says when the
+    cap cut a search short.
     """
     if primes is None:
         primes = tuple(DEFAULT_PRIMES) + WITNESS_PRIMES
@@ -993,12 +979,19 @@ def find_torsion_witness(primes: Sequence[int] | None = None,
             tried.append(entry)
             if c3 == 9 and c5 == 25:
                 result = {"witness": {"p": p, "lam": lam, "order": n},
-                          "trace": trace + [{"p": p, "candidates": tried}]}
+                          "trace": trace + [{"p": p, "candidates": tried,
+                                             "candidate_total": len(cands)}]}
                 break
         if result is not None:
             break
+        if len(cands) > max_candidates:
+            reason = ("search cut short at max_candidates: %d of %d candidate"
+                      " lambdas tried, none passed the torsion counts"
+                      % (len(tried), len(cands)))
+        else:
+            reason = "no candidate lambda passed the torsion counts"
         trace.append({"p": p, "candidates": tried,
-                      "skipped": "no candidate lambda passed the torsion counts"})
+                      "candidate_total": len(cands), "skipped": reason})
     if result is None:
         result = {"witness": None, "trace": trace}
     _WITNESS_CACHE[key] = result
@@ -1017,19 +1010,16 @@ def verify_six_secant_criterion(primes: Sequence[int] | None = None,
     holds exactly when 5*e0 = 0, which has precisely 25 solutions.
     """
     search = find_torsion_witness(primes)
+    checks = Checks()
     if search["witness"] is None:
-        return {"passed": False, "witness": None, "trace": search["trace"],
-                "checks": [{"name": "witness search", "passed": False,
-                            "detail": "no prime in the configured list"}]}
+        checks.add("witness search", False, "no prime in the configured list")
+        return {"passed": checks.passed, "witness": None,
+                "trace": search["trace"], "checks": checks.records}
     p = search["witness"]["p"]
     lam = search["witness"]["lam"]
     curve = PlaneCubic.hesse_member(lam, Fp(1, p))
     pts = curve.int_points()
     o = _fp_origin(p)
-    checks = []
-
-    def record(name, ok, detail=""):
-        checks.append({"name": name, "passed": bool(ok), "detail": detail})
 
     def nmul(k, pt):
         return _fp_scalar(lam, p, k, pt)
@@ -1040,11 +1030,11 @@ def verify_six_secant_criterion(primes: Sequence[int] | None = None,
     two = sorted(pt for pt in pts if nmul(2, pt) == o and pt != o)
     three = sorted(pt for pt in pts if nmul(3, pt) == o and pt != o)
     five = sorted(pt for pt in pts if nmul(5, pt) == o)
-    record("witness torsion counts (2,3,5) = (4,9,25)",
-           len(two) == 3 and len(three) == 8 and len(five) == 25,
-           "order %d" % len(pts))
+    checks.add("witness torsion counts (2,3,5) = (4,9,25)",
+               len(two) == 3 and len(three) == 8 and len(five) == 25,
+               "order %d" % len(pts))
     s2 = padd(padd(two[0], two[1]), two[2])
-    record("the three nonzero 2-torsion points sum to zero", s2 == o)
+    checks.add("the three nonzero 2-torsion points sum to zero", s2 == o)
     reduction_ok = True
     collinear_ok = True
     for e0 in five:
@@ -1053,9 +1043,9 @@ def verify_six_secant_criterion(primes: Sequence[int] | None = None,
             total = padd(padd(padd(trio[0], trio[1]), trio[2]), nmul(2, e0))
             reduction_ok = reduction_ok and total == nmul(5, e0)
             collinear_ok = collinear_ok and total == o
-    record("sum(p_i) + 2*e0 = 5*e0 on all 25 x 8 torsion choices",
-           reduction_ok)
-    record("collinearity holds at every 5-torsion e0", collinear_ok)
+    checks.add("sum(p_i) + 2*e0 = 5*e0 on all 25 x 8 torsion choices",
+               reduction_ok)
+    checks.add("collinearity holds at every 5-torsion e0", collinear_ok)
     rng = random.Random(seed)
     equiv_ok = True
     for _ in range(50):
@@ -1065,15 +1055,15 @@ def verify_six_secant_criterion(primes: Sequence[int] | None = None,
         total = padd(padd(padd(trio[0], trio[1]), trio[2]), nmul(2, e0))
         equiv_ok = equiv_ok and (total == o) == (nmul(5, e0) == o)
         equiv_ok = equiv_ok and total == nmul(5, e0)
-    record("collinearity is equivalent to 5*e0 = 0 on random points",
-           equiv_ok)
-    record("the equation 5*e0 = 0 has exactly 25 solutions",
-           len(five) == 25)
+    checks.add("collinearity is equivalent to 5*e0 = 0 on random points",
+               equiv_ok)
+    checks.add("the equation 5*e0 = 0 has exactly 25 solutions",
+               len(five) == 25)
     gens = group_generators(curve)
     st = group_structure(curve)
     return {
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
+        "passed": checks.passed,
+        "checks": checks.records,
         "witness": {"p": p, "lam": lam, "order": st["order"],
                     "invariants": list(st["invariants"]),
                     "generators": [g.int_coords() for g in gens]},

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .checks import Checks
 from .multipoly import (
     MultiPoly,
     PolyMatrix,
@@ -414,13 +415,10 @@ def verify_matrix_identities(a=None) -> dict:
     mm = build_moore_matrices(a)
     one = mm.one
     zero = one * 0
-    checks = []
+    checks = Checks()
 
-    def add(name: str, ok: bool, detail: str = "") -> None:
-        checks.append({"name": name, "passed": bool(ok), "detail": detail})
-
-    add("structure matrix is symmetric", mm.m.is_symmetric())
-    add("syzygy matrix is antisymmetric", mm.syzygy.is_antisymmetric())
+    checks.add("structure matrix is symmetric", mm.m.is_symmetric())
+    checks.add("syzygy matrix is antisymmetric", mm.syzygy.is_antisymmetric())
 
     bad = []
     for i in range(5):
@@ -440,58 +438,59 @@ def verify_matrix_identities(a=None) -> dict:
         form = MultiPoly(VARS_X, terms, one)
         if form != qs.quadrics[(3 * i) % 5] * 2:
             bad.append(i)
-    add("unit directions recover the doubled quadrics", not bad,
-        "failing directions %r" % (bad,) if bad else "all five directions match")
+    checks.add("unit directions recover the doubled quadrics", not bad,
+               "failing directions %r" % (bad,) if bad else "all five directions match")
 
     bad = []
     for i in range(5):
         for j in range(5):
             if mm.m_prime[i, j] != qs.quadrics[(3 * j) % 5].partial_derivative(VARS_X[i]):
                 bad.append((i, j))
-    add("dual matrix equals the gradient matrix in 3j column order", not bad,
-        "failing slots %r" % (bad,) if bad else "all 25 entries match")
+    checks.add("dual matrix equals the gradient matrix in 3j column order", not bad,
+               "failing slots %r" % (bad,) if bad else "all 25 entries match")
 
     det_m, det_mp = quintic_equations(mm)
-    add("both determinants are homogeneous of degree five",
-        det_m.homogeneous_degree() == 5 and det_mp.homogeneous_degree() == 5)
+    checks.add("both determinants are homogeneous of degree five",
+               det_m.homogeneous_degree() == 5 and det_mp.homogeneous_degree() == 5)
     if is_admissible_modulus(a):
-        add("both determinants are nonzero at an admissible modulus",
-            not det_m.is_zero() and not det_mp.is_zero())
-    add("cyclic index shift fixes both determinants",
-        _shift_substitution(det_m) == det_m and _shift_substitution(det_mp) == det_mp)
-    add("diagonal character twist fixes both determinants",
-        _character_substitution(det_m) == det_m
-        and _character_substitution(det_mp) == det_mp)
+        checks.add("both determinants are nonzero at an admissible modulus",
+                   not det_m.is_zero() and not det_mp.is_zero())
+    checks.add("cyclic index shift fixes both determinants",
+               _shift_substitution(det_m) == det_m
+               and _shift_substitution(det_mp) == det_mp)
+    checks.add("diagonal character twist fixes both determinants",
+               _character_substitution(det_m) == det_m
+               and _character_substitution(det_mp) == det_mp)
 
     if isinstance(one, RatFunc):
         cm = mm.m.map_entries(lambda e: _lift_to_cleared(e, AVARS_Y, 1))
         cmp_ = mm.m_prime.map_entries(lambda e: _lift_to_cleared(e, AVARS_X, 1))
         ok = (det_cofactor(cm) == _lift_to_cleared(det_m, AVARS_Y, 5)
               and det_cofactor(cmp_) == _lift_to_cleared(det_mp, AVARS_X, 5))
-        add("cleared-cofactor and rational-elimination determinants agree", ok)
+        checks.add("cleared-cofactor and rational-elimination determinants agree", ok)
     else:
-        add("cofactor and fraction-free determinant routes agree",
-            det_bareiss(mm.m) == det_m and det_bareiss(mm.m_prime) == det_mp)
+        checks.add("cofactor and fraction-free determinant routes agree",
+                   det_bareiss(mm.m) == det_m and det_bareiss(mm.m_prime) == det_mp)
 
     p0, p1 = reference_curve_points(a)
     values = [q.eval_at(pt) for q in qs.quadrics for pt in (p0, p1)]
-    add("reference points satisfy every quadric",
-        all(v == zero for v in values))
-    add("dual matrix has rank three at the reference points",
-        rank_at_point(mm.m_prime, p0) == 3 and rank_at_point(mm.m_prime, p1) == 3)
+    checks.add("reference points satisfy every quadric",
+               all(v == zero for v in values))
+    checks.add("dual matrix has rank three at the reference points",
+               rank_at_point(mm.m_prime, p0) == 3 and rank_at_point(mm.m_prime, p1) == 3)
 
     if isinstance(one, RatFunc) and isinstance(one.one_coeff, Cyclo):
         v = EPS5 ** 2 + EPS5 ** 3
         dm0 = specialize_modulus(det_m, v)
         dmp0 = specialize_modulus(det_mp, v)
-        add("determinant behaviour at a degenerate modulus (record)", True,
-            "structure determinant vanishes identically: %s; dual: %s"
-            % (dm0.is_zero(), dmp0.is_zero()))
+        checks.add("determinant behaviour at a degenerate modulus (record)", True,
+                   "structure determinant vanishes identically: %s; dual: %s"
+                   % (dm0.is_zero(), dmp0.is_zero()))
 
     return {
-        "passed": all(c["passed"] for c in checks),
+        "passed": checks.passed,
         "modulus": str(a),
-        "checks": checks,
+        "checks": checks.records,
     }
 
 
@@ -507,10 +506,7 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
         raise ValueError("matrix bundle and quadric system use different moduli")
     one = mm.one
     symbolic = isinstance(one, RatFunc)
-    checks = []
-
-    def add(name: str, ok: bool, detail: str = "") -> None:
-        checks.append({"name": name, "passed": bool(ok), "detail": detail})
+    checks = Checks()
 
     product = mm.syzygy @ mm.m_prime.transpose()
 
@@ -536,15 +532,15 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
                 failures.append((i, j))
             elif (i, j) in ((0, 0), (0, 1)):
                 span_vectors["(%d, %d)" % (i, j)] = [str(c) for c in vec]
-    add("all 25 pairing entries lie in the quadric span", not failures,
-        "failing entries %r" % (failures,) if failures else "25 of 25 resolved")
+    checks.add("all 25 pairing entries lie in the quadric span", not failures,
+               "failing entries %r" % (failures,) if failures else "25 of 25 resolved")
 
     xg = MultiPoly.gens(VARS_X, one)
     acc = MultiPoly.zero(VARS_X, one)
     for xi, row_value in zip(xg, mm.syzygy.apply_vector(xg)):
         acc = acc + xi * row_value
-    add("the quadratic form of the syzygy matrix vanishes identically",
-        acc.is_zero())
+    checks.add("the quadratic form of the syzygy matrix vanishes identically",
+               acc.is_zero())
 
     pairings = []
     ring_zero = basis[0] * 0
@@ -554,8 +550,8 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
                        ring_zero).is_zero() for i in range(5)):
                 pairings.append((c, d))
     pairings.sort()
-    add("a cyclic index pairing annihilates every syzygy row", bool(pairings),
-        "affine index maps j -> c j + d with (c, d) in %s" % (pairings,))
+    checks.add("a cyclic index pairing annihilates every syzygy row", bool(pairings),
+               "affine index maps j -> c j + d with (c, d) in %s" % (pairings,))
 
     if pairings:
         c0, d0 = pairings[0]
@@ -568,8 +564,8 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
         qcol = PolyMatrix([[b] for b in basis])
         syzmat = PolyMatrix(syz)
         cert = syzmat @ (cmat @ qcol)
-        add("a constant reindexing matrix certifies the pairing",
-            all(cert[i, 0].is_zero() for i in range(5)))
+        checks.add("a constant reindexing matrix certifies the pairing",
+                   all(cert[i, 0].is_zero() for i in range(5)))
 
         dims = []
         for i in range(5):
@@ -580,13 +576,13 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
                 monos.update(g.terms)
             rows = [[g.coeff(mo) for g in cubics] for mo in sorted(monos)]
             dims.append(len(scalar_matrix_nullspace(rows, one)))
-        add("every syzygy row has a nonzero coefficient kernel",
-            all(d >= 1 for d in dims), "kernel dimensions %s" % (dims,))
+        checks.add("every syzygy row has a nonzero coefficient kernel",
+                   all(d >= 1 for d in dims), "kernel dimensions %s" % (dims,))
 
     return {
-        "passed": all(c["passed"] for c in checks),
+        "passed": checks.passed,
         "modulus": str(mm.a),
         "pairings": pairings,
         "span_vectors": span_vectors,
-        "checks": checks,
+        "checks": checks.records,
     }

@@ -24,6 +24,15 @@ def grevlex_key(mono: Sequence[int]):
     return (-sum(mono), tuple(reversed(mono)))
 
 
+def monomials(degree: int, nvars: int) -> list[tuple[int, ...]]:
+    """Every exponent tuple of total degree `degree` in `nvars` variables,
+    in lexicographically descending order."""
+    if nvars == 1:
+        return [(degree,)]
+    return [(lead,) + rest for lead in range(degree, -1, -1)
+            for rest in monomials(degree - lead, nvars - 1)]
+
+
 class MultiPoly:
     """Immutable sparse polynomial over a duck-typed exact field."""
 
@@ -369,67 +378,53 @@ def scalar_matrix_det(rows: Sequence[Sequence], one):
     return det
 
 
-def scalar_matrix_rank(rows: Sequence[Sequence], one) -> int:
-    a = [list(r) for r in rows]
-    if not a:
-        return 0
+def _rref(a: list[list], one, ncols: int) -> list[int]:
+    """Reduce the rows of `a` in place to reduced row echelon form.
+
+    Pivots are sought in the first `ncols` columns only, while every
+    update runs to the end of the row, so an augmented column is carried
+    along.  Returns the pivot columns.
+    """
     zero = one * 0
-    nrows, ncols = len(a), len(a[0])
-    rank = 0
+    pivots: list[int] = []
     row = 0
     for col in range(ncols):
-        pivot = None
-        for i in range(row, nrows):
-            if a[i][col] != zero:
-                pivot = i
-                break
+        pivot = next((i for i in range(row, len(a)) if a[i][col] != zero), None)
         if pivot is None:
             continue
         a[row], a[pivot] = a[pivot], a[row]
         inv = one / a[row][col]
-        for i in range(row + 1, nrows):
-            if a[i][col] != zero:
-                f = a[i][col] * inv
-                for j in range(col, ncols):
-                    a[i][j] = a[i][j] - f * a[row][j]
-        rank += 1
+        a[row][col:] = [x * inv for x in a[row][col:]]
+        for i in range(len(a)):
+            if i != row and a[i][col] != zero:
+                f = a[i][col]
+                a[i][col:] = [x - f * y for x, y in zip(a[i][col:], a[row][col:])]
+        pivots.append(col)
         row += 1
-        if row == nrows:
+        if row == len(a):
             break
-    return rank
+    return pivots
+
+
+def scalar_matrix_rank(rows: Sequence[Sequence], one) -> int:
+    a = [list(r) for r in rows]
+    if not a:
+        return 0
+    return len(_rref(a, one, len(a[0])))
 
 
 def scalar_matrix_nullspace(rows: Sequence[Sequence], one) -> list[list]:
     """Basis of the right kernel, exact over the coefficient field."""
     a = [list(r) for r in rows]
-    zero = one * 0
     if not a:
         return []
-    nrows, ncols = len(a), len(a[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row, nrows):
-            if a[i][col] != zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = one / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for i in range(nrows):
-            if i != row and a[i][col] != zero:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(a[0])
+    pivots = _rref(a, one, ncols)
+    zero = one * 0
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [zero] * ncols
         v[fc] = one
         for r, pc in enumerate(pivots):
@@ -444,34 +439,13 @@ def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence, one):
     Free variables are set to zero, so the answer is deterministic.
     """
     a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    zero = one * 0
     if not a:
         return []
-    nrows, ncols = len(a), len(a[0]) - 1
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row, nrows):
-            if a[i][col] != zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = one / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for i in range(nrows):
-            if i != row and a[i][col] != zero:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    for i in range(row, nrows):
-        if a[i][ncols] != zero:
-            return None
+    ncols = len(a[0]) - 1
+    pivots = _rref(a, one, ncols)
+    zero = one * 0
+    if any(r[ncols] != zero for r in a[len(pivots):]):
+        return None
     x = [zero] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = a[r][ncols]

@@ -23,6 +23,8 @@ from functools import lru_cache
 from importlib import resources
 from itertools import combinations_with_replacement, permutations
 
+from .checks import Checks
+
 TABLE_RESOURCE = "lattice_tables.txt"
 
 
@@ -351,7 +353,7 @@ def verify_halved_hyperplane_class() -> dict:
     hyperplane = classes["hyperplane"]
     exceptional = classes["exceptional"]
     halved = classes["chordal_hyperplane"]
-    checks = []
+    checks = Checks()
 
     recorded = {
         "hyperplane^3": triple_product(hyperplane, hyperplane, hyperplane),
@@ -365,33 +367,21 @@ def verify_halved_hyperplane_class() -> dict:
         "hyperplane.exceptional^2": -10,
         "exceptional^3": -25,
     }
-    checks.append({
-        "name": "recorded products of the blow-up presentation",
-        "passed": recorded == expected,
-        "detail": ", ".join(f"{k} = {v}" for k, v in recorded.items()),
-    })
+    checks.add("recorded products of the blow-up presentation", recorded == expected,
+               ", ".join(f"{k} = {v}" for k, v in recorded.items()))
 
     cube = triple_product(halved, halved, halved)
-    checks.append({
-        "name": "doubled hyperplane minus exceptional wall cubes to five",
-        "passed": cube == 5,
-        "detail": f"(2*hyperplane - exceptional)^3 = 8*5 - 12*0 + 6*(-10) - (-25) = {cube}",
-    })
+    checks.add("doubled hyperplane minus exceptional wall cubes to five", cube == 5,
+               f"(2*hyperplane - exceptional)^3 = 8*5 - 12*0 + 6*(-10) - (-25) = {cube}")
 
     deficit = 5 - cube
     correction = deficit // 9 if deficit % 9 == 0 else None
-    checks.append({
-        "name": "fiber correction coefficient vanishes",
-        "passed": correction == 0,
-        "detail": f"5 - {cube} = 9 * {correction}",
-    })
+    checks.add("fiber correction coefficient vanishes", correction == 0,
+               f"5 - {cube} = 9 * {correction}")
 
     fiber_squares = [form.product(2, 2, t) for t in range(3)]
-    checks.append({
-        "name": "fiber square annihilates every class",
-        "passed": fiber_squares == [0, 0, 0],
-        "detail": f"fiber.fiber.* = {fiber_squares}",
-    })
+    checks.add("fiber square annihilates every class", fiber_squares == [0, 0, 0],
+               f"fiber.fiber.* = {fiber_squares}")
 
     unknown = form.unknown_slots()
     fenced = unknown == (
@@ -404,13 +394,11 @@ def verify_halved_hyperplane_class() -> dict:
         raised = False
     except ValueError:
         raised = True
-    checks.append({
-        "name": "unrecorded mixed fiber slots stay fenced",
-        "passed": len(unknown) == 3 and raised and fenced,
-        "detail": f"{len(unknown)} slots named but unrecorded; arithmetic on them raises",
-    })
+    checks.add("unrecorded mixed fiber slots stay fenced",
+               len(unknown) == 3 and raised and fenced,
+               f"{len(unknown)} slots named but unrecorded; arithmetic on them raises")
 
-    return {"passed": all(c["passed"] for c in checks), "checks": checks}
+    return {"passed": checks.passed, "checks": checks.records}
 
 
 def verify_double_point_formula() -> dict:
@@ -431,43 +419,33 @@ def verify_double_point_formula() -> dict:
     canonical = classes["canonical"]
     diagonal = classes["diagonal_curve"]
     trace = classes["surface_trace"]
-    checks = []
+    checks = Checks()
 
     hk, ksq, euler = 25, -25, 25
     constant = 5 * hk + ksq - euler
     roots = sorted(d for d in range(-200, 201) if d * d == 10 * d + constant)
     positive = [d for d in roots if d > 0]
-    checks.append({
-        "name": "double point formula forces degree fifteen",
-        "passed": constant == 75 and roots == [-5, 15] and positive == [15],
-        "detail": f"d(d - 10) = {constant}; integer roots {roots}; positive root {positive}",
-    })
+    checks.add("double point formula forces degree fifteen",
+               constant == 75 and roots == [-5, 15] and positive == [15],
+               f"d(d - 10) = {constant}; integer roots {roots}; positive root {positive}")
 
     ksq_scroll = surface_product(canonical, canonical)
-    checks.append({
-        "name": "scroll canonical class squares to zero",
-        "passed": ksq_scroll == 0,
-        "detail": f"(-2*section + ruling)^2 = {ksq_scroll}",
-    })
+    checks.add("scroll canonical class squares to zero", ksq_scroll == 0,
+               f"(-2*section + ruling)^2 = {ksq_scroll}")
 
     ten = surface_product(diagonal, hyperplane)
-    checks.append({
-        "name": "diagonal image meets the hyperplane in ten points",
-        "passed": ten == 10,
-        "detail": f"(4*section - 2*ruling).(section + 2*ruling) = {ten}",
-    })
+    checks.add("diagonal image meets the hyperplane in ten points", ten == 10,
+               f"(4*section - 2*ruling).(section + 2*ruling) = {ten}")
 
     residue = 5 * hyperplane - trace
     anticanonical_double = -2 * canonical
     merged = DivisorClass(scroll_form(), (4, -2))
-    checks.append({
-        "name": "five hyperplanes minus a surface trace give the pencil class",
-        "passed": residue == merged and anticanonical_double == merged,
-        "detail": f"5*(1,2) - (1,12) = {residue.coeffs}; -2*canonical = "
-                  f"{anticanonical_double.coeffs}; both equal (4, -2) with fibers merged",
-    })
+    checks.add("five hyperplanes minus a surface trace give the pencil class",
+               residue == merged and anticanonical_double == merged,
+               f"5*(1,2) - (1,12) = {residue.coeffs}; -2*canonical = "
+               f"{anticanonical_double.coeffs}; both equal (4, -2) with fibers merged")
 
-    return {"passed": all(c["passed"] for c in checks), "checks": checks}
+    return {"passed": checks.passed, "checks": checks.records}
 
 
 def verify_degree15_surfaces() -> dict:
@@ -487,49 +465,33 @@ def verify_degree15_surfaces() -> dict:
     canonical = classes["canonical"]
     adjoint = classes["adjoint_surface"]
     pencil = classes["pencil"]
-    checks = []
+    checks = Checks()
 
     degree = triple_product(hyperplane, hyperplane, hyperplane)
-    checks.append({
-        "name": "hyperplane cubes to the quintic degree",
-        "passed": degree == 5,
-        "detail": f"hyperplane^3 = {degree}",
-    })
+    checks.add("hyperplane cubes to the quintic degree", degree == 5,
+               f"hyperplane^3 = {degree}")
 
     ruled_degree = triple_product(ruled, hyperplane, hyperplane)
-    checks.append({
-        "name": "ruled surface class has degree fifteen",
-        "passed": ruled_degree == 15,
-        "detail": f"(1,-2,6).hyperplane^2 = 5 - 2*4 + 6*3 = {ruled_degree}",
-    })
+    checks.add("ruled surface class has degree fifteen", ruled_degree == 15,
+               f"(1,-2,6).hyperplane^2 = 5 - 2*4 + 6*3 = {ruled_degree}")
 
     derived = -canonical + ruled
-    checks.append({
-        "name": "adjoint class is minus canonical plus ruled surface",
-        "passed": derived == adjoint and adjoint.coeffs == (3, -3, 4),
-        "detail": f"-(-2,1,2) + (1,-2,6) = {derived.coeffs}",
-    })
+    checks.add("adjoint class is minus canonical plus ruled surface",
+               derived == adjoint and adjoint.coeffs == (3, -3, 4),
+               f"-(-2,1,2) + (1,-2,6) = {derived.coeffs}")
 
     adjoint_degree = triple_product(adjoint, hyperplane, hyperplane)
-    checks.append({
-        "name": "adjoint surface class has degree fifteen",
-        "passed": adjoint_degree == 15,
-        "detail": f"(3,-3,4).hyperplane^2 = 3*5 - 3*4 + 4*3 = {adjoint_degree}",
-    })
+    checks.add("adjoint surface class has degree fifteen", adjoint_degree == 15,
+               f"(3,-3,4).hyperplane^2 = 3*5 - 3*4 + 4*3 = {adjoint_degree}")
 
     residual = 5 * hyperplane - (-canonical + adjoint + pencil)
-    checks.append({
-        "name": "five hyperplanes split into canonical, adjoint and pencil parts",
-        "passed": residual.is_zero(),
-        "detail": f"5*hyperplane + canonical - adjoint - pencil = {residual.coeffs}",
-    })
+    checks.add("five hyperplanes split into canonical, adjoint and pencil parts",
+               residual.is_zero(),
+               f"5*hyperplane + canonical - adjoint - pencil = {residual.coeffs}")
 
     balance = 4 * 10 - 25
-    checks.append({
-        "name": "blown-up polarization degree balances",
-        "passed": balance == 15,
-        "detail": "(2*polarization - 25 exceptional lines)^2 "
-                  f"= 4*10 - 25 = {balance} with polarization^2 = 10",
-    })
+    checks.add("blown-up polarization degree balances", balance == 15,
+               "(2*polarization - 25 exceptional lines)^2 "
+               f"= 4*10 - 25 = {balance} with polarization^2 = 10")
 
-    return {"passed": all(c["passed"] for c in checks), "checks": checks}
+    return {"passed": checks.passed, "checks": checks.records}

@@ -25,12 +25,14 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
+from .checks import Checks
 from .moore import excluded_modulus_residues
+from .multipoly import monomials
 from .scalars import DEFAULT_PRIMES, Fp, find_root_of_unity
 
 SEED = 20260824
@@ -141,57 +143,51 @@ def _rank_at_most_three_mask(rows, p: int):
     return mask
 
 
-def _rank_mod_p(rows, p: int) -> int:
-    m = [list(row) for row in rows]
-    rank = 0
-    for c in range(len(m[0])):
-        pivot = next((r for r in range(rank, len(m)) if m[r][c] % p), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][c], p - 2, p)
-        m[rank] = [v * inv % p for v in m[rank]]
-        for r in range(rank + 1, len(m)):
-            f = m[r][c]
-            if f:
-                m[r] = [(v - f * w) % p for v, w in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+def _rref_mod_p(rows, p: int) -> tuple[np.ndarray, list]:
+    """Reduced row echelon form over F_p, and its pivot columns.
 
-
-def _rref_mod_p(m: list, p: int) -> tuple[list, list]:
+    Entries are reduced mod p first and again after every update, so
+    each entry is below p before each outer product and no intermediate
+    value reaches p**2 in magnitude: int64 is exact for every p below
+    3*10**9, and the largest supported prime (241) stays below 58 081.
+    """
+    reduced = np.array(rows, dtype=np.int64) % p
     pivots = []
     row = 0
-    for c in range(len(m[0])):
-        pivot = next((r for r in range(row, len(m)) if m[r][c] % p), None)
-        if pivot is None:
+    for c in range(reduced.shape[1]):
+        nonzero = np.nonzero(reduced[row:, c])[0]
+        if nonzero.size == 0:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][c], p - 2, p)
-        m[row] = [v * inv % p for v in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][c]:
-                f = m[r][c]
-                m[r] = [(v - f * w) % p for v, w in zip(m[r], m[row])]
+        lead = row + int(nonzero[0])
+        if lead != row:
+            reduced[[row, lead]] = reduced[[lead, row]]
+        reduced[row] = reduced[row] * pow(int(reduced[row, c]), p - 2, p) % p
+        column = reduced[:, c].copy()
+        column[row] = 0
+        reduced = (reduced - np.outer(column, reduced[row])) % p
         pivots.append(c)
         row += 1
-    return m, pivots
+        if row == reduced.shape[0]:
+            break
+    return reduced, pivots
+
+
+def _rank_mod_p(rows, p: int) -> int:
+    return len(_rref_mod_p(rows, p)[1])
 
 
 def _nullspace_mod_p(rows, p: int) -> tuple:
     """Deterministic kernel basis: each free column set to one in turn."""
-    m, pivots = _rref_mod_p([list(row) for row in rows], p)
-    ncols = len(rows[0])
-    pivot_set = set(pivots)
+    reduced, pivots = _rref_mod_p(rows, p)
+    ncols = reduced.shape[1]
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
-        vec = [0] * ncols
+        vec = np.zeros(ncols, dtype=np.int64)
         vec[free] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = (-m[r][free]) % p
-        basis.append(tuple(vec))
+        vec[pivots] = -reduced[:len(pivots), free] % p
+        basis.append(tuple(vec.tolist()))
     return tuple(basis)
 
 
@@ -424,24 +420,18 @@ def certify_secant_variety(scan: CurveScan, samples: int = 1000,
     p, a = scan.p, scan.a
     z = _z_residues(p, a)
     rng = random.Random(seed)
-    checks = []
+    checks = Checks()
 
     rank_three = sum(1 for r in scan.jacobian_ranks if r == 3)
-    checks.append({
-        "name": "jacobian rank three at every curve point",
-        "passed": rank_three == len(scan),
-        "detail": f"rank three at {rank_three} of {len(scan)} points",
-    })
+    checks.add("jacobian rank three at every curve point", rank_three == len(scan),
+               f"rank three at {rank_three} of {len(scan)} points")
 
     chords = np.array([_chord_sample(rng, scan.points, p) for _ in range(samples)],
                       dtype=np.int64).T
     dets = _det_staged(_dual_rows(chords, z, p), p)
     vanished = int(np.count_nonzero(dets == 0))
-    checks.append({
-        "name": "dual determinant vanishes on chord samples",
-        "passed": vanished == samples,
-        "detail": f"{vanished}/{samples} chord points have zero dual determinant",
-    })
+    checks.add("dual determinant vanishes on chord samples", vanished == samples,
+               f"{vanished}/{samples} chord points have zero dual determinant")
 
     agree = 0
     for _ in range(duality_samples):
@@ -449,11 +439,9 @@ def certify_secant_variety(scan: CurveScan, samples: int = 1000,
         y = _random_point(rng, p)
         if _apply_structure(y, x, z, p) == _apply_dual(x, y, z, p):
             agree += 1
-    checks.append({
-        "name": "structure and dual evaluations agree on random pairs",
-        "passed": agree == duality_samples,
-        "detail": f"{agree}/{duality_samples} pairs have zero duality residual",
-    })
+    checks.add("structure and dual evaluations agree on random pairs",
+               agree == duality_samples,
+               f"{agree}/{duality_samples} pairs have zero duality residual")
 
     witness = None
     for _ in range(64):
@@ -462,32 +450,27 @@ def certify_secant_variety(scan: CurveScan, samples: int = 1000,
         if value:
             witness = (x, int(value))
             break
-    checks.append({
-        "name": "dual determinant nonzero at a generic point",
-        "passed": witness is not None,
-        "detail": "no nonzero value found in 64 draws" if witness is None
-        else f"determinant {witness[1]} at {witness[0]}",
-    })
+    checks.add("dual determinant nonzero at a generic point", witness is not None,
+               "no nonzero value found in 64 draws" if witness is None
+               else f"determinant {witness[1]} at {witness[0]}")
 
     uniform = np.array([_random_point(rng, p) for _ in range(samples)], dtype=np.int64).T
     zeros = int(np.count_nonzero(_det_staged(_dual_rows(uniform, z, p), p) == 0))
     expected = samples / p
     slack = 5.0 * (samples * (1.0 / p) * (1.0 - 1.0 / p)) ** 0.5 + 1.0
-    checks.append({
-        "name": "vanishing density tracks the hypersurface heuristic",
-        "passed": abs(zeros - expected) <= slack,
-        "soft": True,
-        "detail": f"{zeros} zeros in {samples} uniform samples, expected about {expected:.1f}",
-    })
+    checks.add("vanishing density tracks the hypersurface heuristic",
+               abs(zeros - expected) <= slack,
+               f"{zeros} zeros in {samples} uniform samples, expected about {expected:.1f}",
+               soft=True)
 
     return {
         "p": p,
         "a": a,
         "seed": seed,
         "samples": samples,
-        "passed": all(c["passed"] for c in checks if not c.get("soft")),
-        "soft_passed": all(c["passed"] for c in checks if c.get("soft")),
-        "checks": checks,
+        "passed": checks.passed,
+        "soft_passed": checks.soft_passed,
+        "checks": checks.records,
     }
 
 
@@ -508,7 +491,7 @@ def _independent_pair(rng: random.Random, p: int) -> tuple:
     while True:
         u = _random_point(rng, p)
         v = _random_point(rng, p)
-        if _rank_mod_p([list(u), list(v)], p) == 2:
+        if _rank_mod_p((u, v), p) == 2:
             return u, v
 
 
@@ -527,7 +510,7 @@ def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED,
     p, a = scan.p, scan.a
     z = _z_residues(p, a)
     rng = random.Random(seed)
-    checks = []
+    checks = Checks()
     if full_scan is None:
         full_scan = p == 31
 
@@ -540,17 +523,12 @@ def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED,
         hits = stack[:, dets == 0]
         per_line.append(hits.shape[1])
         incidence_points.extend(map(tuple, hits.T.tolist()))
-    checks.append({
-        "name": "line sections vanish at no more than quintic many points",
-        "passed": all(c <= 5 for c in per_line),
-        "detail": f"zero counts per line: min {min(per_line)}, max {max(per_line)}, "
-                  f"total {sum(per_line)} over {lines} lines",
-    })
-    checks.append({
-        "name": "line slicing finds incidence points",
-        "passed": len(incidence_points) > 0,
-        "detail": f"{len(incidence_points)} intersection points collected",
-    })
+    checks.add("line sections vanish at no more than quintic many points",
+               all(c <= 5 for c in per_line),
+               f"zero counts per line: min {min(per_line)}, max {max(per_line)}, "
+               f"total {sum(per_line)} over {lines} lines")
+    checks.add("line slicing finds incidence points", len(incidence_points) > 0,
+               f"{len(incidence_points)} intersection points collected")
 
     kernel_ok = 0
     dual_ok = 0
@@ -572,28 +550,19 @@ def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED,
                 chordal_ok += 1
             if scan.contains(x):
                 on_curve += 1
-    checks.append({
-        "name": "singular structure matrices have nonzero kernels",
-        "passed": kernel_ok == len(incidence_points),
-        "detail": f"{kernel_ok}/{len(incidence_points)} incidence points have a kernel",
-    })
-    checks.append({
-        "name": "kernel vectors satisfy the dual relation",
-        "passed": dual_ok == kernel_vectors,
-        "detail": f"{dual_ok}/{kernel_vectors} kernel vectors annihilate the dual matrix",
-    })
-    checks.append({
-        "name": "kernel vectors lie on the chordal quintic",
-        "passed": chordal_ok == kernel_vectors,
-        "detail": f"{chordal_ok}/{kernel_vectors} kernel vectors have zero dual determinant",
-    })
+    checks.add("singular structure matrices have nonzero kernels",
+               kernel_ok == len(incidence_points),
+               f"{kernel_ok}/{len(incidence_points)} incidence points have a kernel")
+    checks.add("kernel vectors satisfy the dual relation", dual_ok == kernel_vectors,
+               f"{dual_ok}/{kernel_vectors} kernel vectors annihilate the dual matrix")
+    checks.add("kernel vectors lie on the chordal quintic",
+               chordal_ok == kernel_vectors,
+               f"{chordal_ok}/{kernel_vectors} kernel vectors have zero dual determinant")
     census_text = ", ".join(f"rank {r}: {n}" for r, n in sorted(rank_census.items()))
-    checks.append({
-        "name": "sampled kernel ranks stay in the expected band",
-        "passed": set(rank_census) <= {3, 4},
-        "soft": True,
-        "detail": f"{census_text}; {on_curve} kernel vectors lie on the curve",
-    })
+    checks.add("sampled kernel ranks stay in the expected band",
+               set(rank_census) <= {3, 4},
+               f"{census_text}; {on_curve} kernel vectors lie on the curve",
+               soft=True)
 
     pencil_ok = 0
     pencil_samples_ok = 0
@@ -615,13 +584,11 @@ def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED,
             annihilates = _apply_structure(y, x, z, p) == (0, 0, 0, 0, 0)
             if det_zero and annihilates and scan.contains(x):
                 pencil_samples_ok += 1
-    checks.append({
-        "name": "curve points span pencils of singular directions",
-        "passed": pencil_ok == len(probed) and pencil_samples_ok == pencil_samples,
-        "detail": f"{pencil_ok}/{len(probed)} curve points have a two-dimensional kernel; "
-                  f"{pencil_samples_ok}/{pencil_samples} pencil members are singular with "
-                  "the curve point in their kernel",
-    })
+    checks.add("curve points span pencils of singular directions",
+               pencil_ok == len(probed) and pencil_samples_ok == pencil_samples,
+               f"{pencil_ok}/{len(probed)} curve points have a two-dimensional kernel; "
+               f"{pencil_samples_ok}/{pencil_samples} pencil members are singular with "
+               "the curve point in their kernel")
 
     if full_scan:
         total = 0
@@ -645,21 +612,16 @@ def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED,
         expected = total / p
         # exhaustive counts deviate from the heuristic at Weil scale, not
         # binomial scale, so the envelope is a factor of two either way
-        checks.append({
-            "name": "full scan vanishing density tracks the hypersurface heuristic",
-            "passed": expected / 2 <= zero_count <= 2 * expected,
-            "soft": True,
-            "detail": f"{zero_count} singular directions among {total}, "
-                      f"expected about {expected:.0f} within a factor of two",
-        })
+        checks.add("full scan vanishing density tracks the hypersurface heuristic",
+                   expected / 2 <= zero_count <= 2 * expected,
+                   f"{zero_count} singular directions among {total}, "
+                   f"expected about {expected:.0f} within a factor of two",
+                   soft=True)
         low_text = ", ".join(f"rank {r}: {n}" for r, n in sorted(census.items())) or "none"
-        checks.append({
-            "name": "rank three locus has curve scale",
-            "passed": 1 <= rank_three <= 20 * p,
-            "soft": True,
-            "detail": f"{rank_three} rank-three directions (low-rank census: {low_text}); "
-                      f"envelope [1, {20 * p}]",
-        })
+        checks.add("rank three locus has curve scale", 1 <= rank_three <= 20 * p,
+                   f"{rank_three} rank-three directions (low-rank census: {low_text}); "
+                   f"envelope [1, {20 * p}]",
+                   soft=True)
 
     return {
         "p": p,
@@ -667,25 +629,14 @@ def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED,
         "seed": seed,
         "lines": lines,
         "full_scan": bool(full_scan),
-        "passed": all(c["passed"] for c in checks if not c.get("soft")),
-        "soft_passed": all(c["passed"] for c in checks if c.get("soft")),
-        "checks": checks,
+        "passed": checks.passed,
+        "soft_passed": checks.soft_passed,
+        "checks": checks.records,
     }
 
 
 # ---------------------------------------------------------------------------
 # polynomial dictionaries over F_p for the Cremona interpolation
-
-
-def _monomials(degree: int) -> tuple:
-    out = []
-    for combo in combinations_with_replacement(range(5), degree):
-        exponent = [0, 0, 0, 0, 0]
-        for i in combo:
-            exponent[i] += 1
-        out.append(tuple(exponent))
-    out.sort()
-    return tuple(out)
 
 
 def _poly_mul(left: dict, right: dict, p: int) -> dict:
@@ -801,9 +752,10 @@ def interpolate_cremona_inverse(scan: CurveScan, roundtrip_samples: int = 500,
     p, a = scan.p, scan.a
     rng = random.Random(seed)
     quadrics = _quadric_polys(p, a)
-    cubic_monomials = _monomials(3)
-    quintic_monomials = _monomials(5)
-    sextic_monomials = _monomials(6)
+    # ascending order fixes the column order, hence the kernel vector chosen
+    cubic_monomials = monomials(3, 5)[::-1]
+    quintic_monomials = monomials(5, 5)[::-1]
+    sextic_monomials = monomials(6, 5)[::-1]
     sextic_index = {m: i for i, m in enumerate(sextic_monomials)}
     ncubic = len(cubic_monomials)
     ncols = 5 * ncubic + len(quintic_monomials)
@@ -830,36 +782,9 @@ def interpolate_cremona_inverse(scan: CurveScan, roundtrip_samples: int = 500,
         blocks.append(block)
     system = np.concatenate(blocks, axis=0) % p
 
-    reduced = system.copy()
-    pivots = []
-    row = 0
-    for c in range(ncols):
-        nonzero = np.nonzero(reduced[row:, c])[0]
-        if nonzero.size == 0:
-            continue
-        lead = row + int(nonzero[0])
-        if lead != row:
-            reduced[[row, lead]] = reduced[[lead, row]]
-        reduced[row] = reduced[row] * pow(int(reduced[row, c]), p - 2, p) % p
-        column = reduced[:, c].copy()
-        column[row] = 0
-        reduced = (reduced - np.outer(column, reduced[row])) % p
-        pivots.append(c)
-        row += 1
-        if row == reduced.shape[0]:
-            break
-    free_columns = [c for c in range(ncols) if c not in set(pivots)]
-    dimension = len(free_columns)
-
-    solution = None
-    for free in free_columns:
-        vec = np.zeros(ncols, dtype=np.int64)
-        vec[free] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = (-reduced[r, free]) % p
-        if np.any(vec[5 * ncubic:]):
-            solution = vec
-            break
+    basis = _nullspace_mod_p(system, p)
+    dimension = len(basis)
+    solution = next((vec for vec in basis if any(vec[5 * ncubic:])), None)
     if solution is None:
         raise RuntimeError(
             "interpolation admits no inverse with a nonzero common factor "
@@ -873,16 +798,13 @@ def interpolate_cremona_inverse(scan: CurveScan, roundtrip_samples: int = 500,
     factor = {quintic_monomials[k]: int(solution[5 * ncubic + k])
               for k in range(len(quintic_monomials)) if solution[5 * ncubic + k]}
 
-    checks = [{
-        "name": "interpolation system admits a nonzero solution",
-        "passed": dimension >= 1,
-        "detail": f"solution space dimension {dimension} "
-                  f"({system.shape[0]} equations, {ncols} unknowns)",
-    }, {
-        "name": "common factor is a nonzero quintic",
-        "passed": bool(factor) and all(sum(e) == 5 for e in factor),
-        "detail": f"{len(factor)} monomials",
-    }]
+    checks = Checks()
+    checks.add("interpolation system admits a nonzero solution", dimension >= 1,
+               f"solution space dimension {dimension} "
+               f"({system.shape[0]} equations, {ncols} unknowns)")
+    checks.add("common factor is a nonzero quintic",
+               bool(factor) and all(sum(e) == 5 for e in factor),
+               f"{len(factor)} monomials")
 
     composed_ok = True
     for j in range(5):
@@ -897,11 +819,8 @@ def interpolate_cremona_inverse(scan: CurveScan, roundtrip_samples: int = 500,
         target = _poly_mul(factor, {tuple(shift): 1}, p)
         if acc != target:
             composed_ok = False
-    checks.append({
-        "name": "composition identity holds coefficient-wise",
-        "passed": composed_ok,
-        "detail": "cubics composed with the quadrics equal the factor times each coordinate",
-    })
+    checks.add("composition identity holds coefficient-wise", composed_ok,
+               "cubics composed with the quadrics equal the factor times each coordinate")
 
     dual_det = _dual_determinant_poly(p, a)
     ratio = None
@@ -914,11 +833,8 @@ def interpolate_cremona_inverse(scan: CurveScan, roundtrip_samples: int = 500,
             elif r != ratio:
                 proportional = False
                 break
-    checks.append({
-        "name": "common factor matches the chordal quintic up to scale",
-        "passed": proportional,
-        "detail": f"scale factor {ratio}" if proportional else "monomial supports differ",
-    })
+    checks.add("common factor matches the chordal quintic up to scale", proportional,
+               f"scale factor {ratio}" if proportional else "monomial supports differ")
 
     passes = 0
     skips = 0
@@ -938,12 +854,10 @@ def interpolate_cremona_inverse(scan: CurveScan, roundtrip_samples: int = 500,
         back = tuple(_poly_eval(c, image, p) for c in cubics)
         if back == tuple(g_value * x[i] % p for i in range(5)):
             passes += 1
-    checks.append({
-        "name": "round trip reproduces sample points",
-        "passed": valid == roundtrip_samples and passes == valid,
-        "detail": f"{passes}/{valid} round trips exact; {skips} draws skipped on the "
-                  "vanishing factor (base locus)",
-    })
+    checks.add("round trip reproduces sample points",
+               valid == roundtrip_samples and passes == valid,
+               f"{passes}/{valid} round trips exact; {skips} draws skipped on the "
+               "vanishing factor (base locus)")
 
     z = _z_residues(p, a)
     chord_images = []
@@ -962,21 +876,19 @@ def interpolate_cremona_inverse(scan: CurveScan, roundtrip_samples: int = 500,
     zero_count = sum(
         1 for u in chord_images
         if _det_staged(_structure_rows(u, z, p), p) == 0)
-    checks.append({
-        "name": "structure determinant vanishes on chord images",
-        "passed": zero_count == secant_samples,
-        "detail": f"{zero_count}/{secant_samples} chord images on the determinant "
-                  f"locus; index maps preserving the quintic: {surviving}",
-    })
+    checks.add("structure determinant vanishes on chord images",
+               zero_count == secant_samples,
+               f"{zero_count}/{secant_samples} chord images on the determinant "
+               f"locus; index maps preserving the quintic: {surviving}")
 
     report = {
         "p": p,
         "a": a,
         "seed": seed,
         "samples": roundtrip_samples,
-        "passed": all(c["passed"] for c in checks if not c.get("soft")),
-        "soft_passed": all(c["passed"] for c in checks if c.get("soft")),
-        "checks": checks,
+        "passed": checks.passed,
+        "soft_passed": checks.soft_passed,
+        "checks": checks.records,
     }
     return CremonaWitness(p, a, quadrics, cubics, factor,
                           dimension, roundtrip_samples, report)

@@ -25,6 +25,7 @@ from math import isqrt
 
 from . import __version__, heisenberg, hessepencil, moore, nslattice, probe
 from . import sections as sections_mod
+from .checks import Checks
 from .scalars import DEFAULT_PRIMES, EPS3, Fp
 
 #: canonical execution order; scan precedes the suites that reuse its
@@ -149,6 +150,10 @@ def _claim(suite: str, name: str, passed: bool, witness: str,
             "status": status, "witness": witness}
 
 
+def _error_text(exc: Exception) -> str:
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
 def _claims_from_report(suite: str, report: dict, context: str = "") -> list:
     return [_claim(suite, check["name"], check["passed"],
                    check.get("detail", ""), soft=bool(check.get("soft")),
@@ -163,7 +168,7 @@ def _op_claims(suite: str, op_name: str, thunk, context: str = "") -> list:
         report = thunk()
     except Exception as exc:  # pragma: no cover - exercised via stubs
         return [_claim(suite, op_name + " completes", False,
-                       "%s: %s" % (type(exc).__name__, exc), context=context)]
+                       _error_text(exc), context=context)]
     return _claims_from_report(suite, report, context)
 
 
@@ -205,39 +210,35 @@ _COMMUTATOR_CASES = (
 
 
 def _run_heisenberg(config, pairs, scans):
-    claims = []
+    checks = Checks()
     for name, kwargs, expected in _COMMUTATOR_CASES:
         try:
             value = heisenberg.commutator_scalar(**kwargs)
-            passed = value == expected
-            witness = "computed %s, expected %s" % (value, expected)
         except Exception as exc:
-            passed = False
-            witness = "%s: %s" % (type(exc).__name__, exc)
-        claims.append(_claim("heisenberg", name, passed, witness))
+            checks.add(name, False, _error_text(exc))
+        else:
+            checks.add(name, value == expected,
+                       "computed %s, expected %s" % (value, expected))
 
     try:
         table = heisenberg.validate_character_table()
     except Exception as exc:
-        claims.append(_claim("heisenberg", "character table validates", False,
-                             "%s: %s" % (type(exc).__name__, exc)))
-        return claims
-    dims = table["dims"]
-    dims_ok = (dims.get((0, 0)) == 2 and sum(dims.values()) == 10
-               and all(v == 1 for k, v in dims.items() if k != (0, 0)))
-    claims.append(_claim(
-        "heisenberg", "degree three eigenspace dimensions", dims_ok,
-        "total %d; %s" % (sum(dims.values()),
-                          ", ".join("(%d,%d): %d" % (k[0], k[1], v)
-                                    for k, v in sorted(dims.items())))))
-    labels = [m["label"] for m in table["mismatches"]]
-    flagged = "; ".join("label %s recorded %s, computed %s"
-                        % (m["label"], m["recorded"], m["computed"])
-                        for m in table["mismatches"]) or "none"
-    claims.append(_claim(
-        "heisenberg", "character listing mismatch flagged",
-        labels == [(2, 2)], "mismatched labels %s; %s" % (labels, flagged)))
-    return claims
+        checks.add("character table validates", False, _error_text(exc))
+    else:
+        dims = table["dims"]
+        dims_ok = (dims.get((0, 0)) == 2 and sum(dims.values()) == 10
+                   and all(v == 1 for k, v in dims.items() if k != (0, 0)))
+        checks.add("degree three eigenspace dimensions", dims_ok,
+                   "total %d; %s" % (sum(dims.values()),
+                                     ", ".join("(%d,%d): %d" % (k[0], k[1], v)
+                                               for k, v in sorted(dims.items()))))
+        labels = [m["label"] for m in table["mismatches"]]
+        flagged = "; ".join("label %s recorded %s, computed %s"
+                            % (m["label"], m["recorded"], m["computed"])
+                            for m in table["mismatches"]) or "none"
+        checks.add("character listing mismatch flagged", labels == [(2, 2)],
+                   "mismatched labels %s; %s" % (labels, flagged))
+    return _claims_from_report("heisenberg", {"checks": checks.records})
 
 
 def _run_sections(config, pairs, scans):
@@ -304,8 +305,7 @@ def _run_scan(config, pairs, scans):
         scan = _ensure_scan(scans, p, a, config.cache_dir)
         if not isinstance(scan, probe.CurveScan):
             claims.append(_claim("scan", "curve scan completes", False,
-                                 "%s: %s" % (type(scan).__name__, scan),
-                                 context=tag))
+                                 _error_text(scan), context=tag))
             continue
         n = len(scan.points)
         source = "cache" if scan.from_cache else "fresh scan"
@@ -332,8 +332,7 @@ def _run_scan_consumer(suite, thunk_for, config, pairs, scans):
         scan = _ensure_scan(scans, p, a, config.cache_dir)
         if not isinstance(scan, probe.CurveScan):
             claims.append(_claim(suite, "curve scan available", False,
-                                 "%s: %s" % (type(scan).__name__, scan),
-                                 context=tag))
+                                 _error_text(scan), context=tag))
             continue
         claims += _op_claims(suite, suite + " certification",
                              thunk_for(scan, seed), context=tag)
@@ -410,8 +409,7 @@ def run(config: RunConfig) -> dict:
         try:
             suite_claims = runner(config, pairs, scans)
         except Exception as exc:
-            suite_claims = [_claim(suite, "suite executes", False,
-                                   "%s: %s" % (type(exc).__name__, exc))]
+            suite_claims = [_claim(suite, "suite executes", False, _error_text(exc))]
         elapsed_ms = round((time.monotonic() - start) * 1000.0, 3)
         for claim in suite_claims:
             claim["elapsed_ms"] = elapsed_ms

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
+from .checks import Checks
 from .heisenberg import HeisenbergElement
 from .scalars import Cyclo, EPS5, cyclo_root_of_unity
 
@@ -198,30 +199,26 @@ def verify_section_symmetries() -> dict:
     identity; `passed` is the conjunction.
     """
     s = sections()
-    checks: list[dict] = []
-
-    def record(name: str, ok: bool, detail: str = "") -> None:
-        checks.append({"name": name, "passed": bool(ok), "detail": detail})
-
+    checks = Checks()
     for k in range(5):
-        record("shift-pair invariance of s%d" % k, delta_sigma(s[k]) == s[k])
-        record("character-pair invariance of s%d" % k, delta_tau(s[k]) == s[k])
+        checks.add("shift-pair invariance of s%d" % k, delta_sigma(s[k]) == s[k])
+        checks.add("character-pair invariance of s%d" % k, delta_tau(s[k]) == s[k])
     for k in range(5):
-        record("level-5 shift sends s%d to s%d" % (k, (k - 1) % 5),
-               h5_sigma(s[k]) == s[(k - 1) % 5])
+        checks.add("level-5 shift sends s%d to s%d" % (k, (k - 1) % 5),
+                   h5_sigma(s[k]) == s[(k - 1) % 5])
     for k in range(5):
         expected = s[k].scale(EPS5 ** ((-2 * k) % 5))
-        record("level-5 character scales s%d by eps5^%d" % (k, (-2 * k) % 5),
-               h5_tau(s[k]) == expected)
+        checks.add("level-5 character scales s%d by eps5^%d" % (k, (-2 * k) % 5),
+                   h5_tau(s[k]) == expected)
     # identification note: the uninverted cube scales by the opposite sign
     uninverted_ok = all(
         h5_tau_uninverted(s[k]) == s[k].scale(EPS5 ** ((2 * k) % 5))
         for k in range(5))
-    record("uninverted cube scales s_k by eps5^(+2k) (identification note)",
-           uninverted_ok)
+    checks.add("uninverted cube scales s_k by eps5^(+2k) (identification note)",
+               uninverted_ok)
     for k in range(5):
-        record("involution sends s%d to s%d" % (k, (-k) % 5),
-               involution(s[k]) == s[(-k) % 5])
+        checks.add("involution sends s%d to s%d" % (k, (-k) % 5),
+                   involution(s[k]) == s[(-k) % 5])
     # the section-level commutator matches the twist-2 group law
     comm_ok = True
     for k in range(5):
@@ -231,11 +228,11 @@ def verify_section_symmetries() -> dict:
     law = HeisenbergElement.sigma(5, twist=2) * HeisenbergElement.tau(5, twist=2)
     law = law * (HeisenbergElement.sigma(5, twist=2).inverse()
                  * HeisenbergElement.tau(5, twist=2).inverse())
-    record("commutator on sections is eps5^(-2), matching the twist-2 law",
-           comm_ok and law.central == EPS5 ** 3)
+    checks.add("commutator on sections is eps5^(-2), matching the twist-2 law",
+               comm_ok and law.central == EPS5 ** 3)
     return {
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
+        "passed": checks.passed,
+        "checks": checks.records,
         "sections": [t.render() for t in s],
     }
 

@@ -321,6 +321,13 @@ def test_witness_search_result_frozen():
     assert report["witness"] == {"p": 1801, "lam": 17, "order": 1800}
     skipped = [e["p"] for e in report["trace"] if "skipped" in e]
     assert skipped == [31, 61, 151, 181, 211, 241, 1741]
+    # the cap of 40 candidates stopped the search at 1741, not a failed
+    # exhaustive count, and the trace says so
+    capped = next(e for e in report["trace"] if e["p"] == 1741)
+    assert len(capped["candidates"]) == 40
+    assert capped["candidate_total"] == 90
+    assert "cut short" in capped["skipped"]
+    assert "40 of 90" in capped["skipped"]
 
 
 def test_witness_primes_satisfy_necessary_congruences():

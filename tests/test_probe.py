@@ -20,6 +20,7 @@ from pentangle.moore import (
     quintic_equations,
     reference_curve_points,
 )
+from pentangle.multipoly import scalar_matrix_nullspace, scalar_matrix_rank
 from pentangle.scalars import Fp
 
 SEED = 20260824
@@ -235,18 +236,27 @@ def test_staged_determinant_matches_gaussian_oracle():
 
 
 def test_nullspace_vectors_annihilate():
+    # 241 is the largest supported prime, where the int64 bound of the
+    # numpy row reduction is tightest; the exact elimination over Fp in
+    # multipoly is the independent oracle for rank and kernel basis
     rng = random.Random(SEED)
-    p = 31
-    for _ in range(20):
-        rank = rng.randrange(1, 5)
-        basis_rows = [[rng.randrange(p) for _ in range(5)] for _ in range(rank)]
-        rows = [[sum(rng.randrange(p) * b[c] for b in basis_rows) % p
-                 for c in range(5)] for _ in range(5)]
-        kernel = probe._nullspace_mod_p(rows, p)
-        assert len(kernel) == 5 - probe._rank_mod_p(rows, p)
-        for vec in kernel:
-            for row in rows:
-                assert sum(r * v for r, v in zip(row, vec)) % p == 0
+    for p in (31, 241):
+        one = Fp(1, p)
+        for _ in range(20):
+            rank = rng.randrange(1, 5)
+            basis_rows = [[rng.randrange(p) for _ in range(5)] for _ in range(rank)]
+            rows = [[sum(rng.randrange(p) * b[c] for b in basis_rows) % p
+                     for c in range(5)] for _ in range(5)]
+            kernel = probe._nullspace_mod_p(rows, p)
+            fp_rank = probe._rank_mod_p(rows, p)
+            exact_rows = [[Fp(v, p) for v in row] for row in rows]
+            assert fp_rank == scalar_matrix_rank(exact_rows, one)
+            assert kernel == tuple(tuple(c.v for c in vec)
+                                   for vec in scalar_matrix_nullspace(exact_rows, one))
+            assert len(kernel) == 5 - fp_rank
+            for vec in kernel:
+                for row in rows:
+                    assert sum(r * v for r, v in zip(row, vec)) % p == 0
 
 
 def test_chart_blocks_cover_projective_space():
