@@ -370,7 +370,7 @@ def projective_normalize(vec: Sequence) -> tuple:
     raise ValueError("cannot normalize the zero vector")
 
 
-def _cross(u: Sequence[Cyclo], v: Sequence[Cyclo]) -> tuple[Cyclo, ...]:
+def _cross(u: Sequence, v: Sequence) -> tuple:
     return (u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0])

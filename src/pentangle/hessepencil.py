@@ -36,6 +36,7 @@ import numpy as np
 
 from .heisenberg import (
     TRIANGLE_LINES,
+    _cross,
     character_decomposition,
     iota3_on_point,
     iota3_on_polynomial,
@@ -43,7 +44,8 @@ from .heisenberg import (
 )
 from .checks import Checks
 from .multipoly import MultiPoly
-from .scalars import DEFAULT_PRIMES, EPS3, Cyclo, Fp, find_root_of_unity
+from .scalars import (DEFAULT_PRIMES, EPS3, Cyclo, Fp, _normalize_mod_p,
+                      _prime_factors, find_root_of_unity)
 
 VARS3 = ("x0", "x1", "x2")
 
@@ -81,70 +83,47 @@ def infinity_member_polynomial(one) -> MultiPoly:
 
 
 class PlaneCubic:
-    """A ternary cubic with a designated origin on it."""
+    """A member of the pencil with origin (0,1,-1), which lies on every
+    member; lam None is the member at infinity, x0*x1*x2."""
 
-    __slots__ = ("f", "origin", "one", "lam", "is_hesse", "_points",
-                 "_smooth", "_structure")
+    __slots__ = ("f", "origin", "one", "lam", "_smooth", "_points",
+                 "_structure")
 
-    def __init__(self, f: MultiPoly, origin: Sequence, lam=None,
-                 is_hesse: bool = False):
-        self.f = f
-        self.one = f.one
-        origin = tuple(self.one * c if isinstance(c, int) else c
-                       for c in origin)
-        origin = projective_normalize(origin)
-        if f.eval_at(origin) != f.zero_coeff:
-            raise ValueError("origin %r does not lie on the curve" % (origin,))
-        self.origin = origin
+    def __init__(self, lam, one):
+        self.one = one
         self.lam = lam
-        self.is_hesse = is_hesse
+        if lam is None:
+            # singular; carries no group law, only incidence data
+            self.f = infinity_member_polynomial(one)
+            self._smooth = False
+        else:
+            self.f = hesse_polynomial(lam, one)
+            self._smooth = lam ** 3 + 27 != self.f.zero_coeff
+        self.origin = (one * 0, one, -one)
         self._points = None
-        self._smooth = None
         self._structure = None
 
     @classmethod
     def hesse_member(cls, lam, one) -> "PlaneCubic":
-        lam = one * lam if isinstance(lam, int) else lam
-        return cls(hesse_polynomial(lam, one), (0, 1, -1), lam, True)
+        return cls(one * lam if isinstance(lam, int) else lam, one)
 
     @classmethod
     def infinity_member(cls, one) -> "PlaneCubic":
-        # singular; carries no group law, only incidence data
-        return cls(infinity_member_polynomial(one), (0, 1, -1), None, True)
-
-    def field_char(self) -> int:
-        return self.one.p if isinstance(self.one, Fp) else 0
+        return cls(None, one)
 
     def is_smooth(self) -> bool:
-        if self._smooth is None:
-            if self.is_hesse:
-                if self.lam is None:
-                    self._smooth = False
-                else:
-                    self._smooth = (self.lam ** 3 + 27) != self.f.zero_coeff
-            elif isinstance(self.one, Fp):
-                self._smooth = not _fp_singular_points_general(self)
-            else:
-                raise NotImplementedError(
-                    "smoothness of a general cubic over an exact field")
         return self._smooth
 
     def fp_params(self) -> tuple[int, int]:
-        """(lam, p) as plain integers; only for smooth members over F_p."""
-        if not (self.is_hesse and isinstance(self.one, Fp)
-                and self.lam is not None):
+        """(lam, p) as plain integers; only for finite members over F_p."""
+        if not isinstance(self.one, Fp) or self.lam is None:
             raise ValueError("fast arithmetic needs a pencil member over F_p")
         return self.lam.v, self.one.p
 
     def int_points(self) -> list[tuple[int, int, int]]:
         """Sorted normalized coordinate triples of all F_p points."""
         if self._points is None:
-            if not isinstance(self.one, Fp):
-                raise ValueError("point enumeration needs a finite field")
-            if self.is_hesse and self.lam is not None:
-                self._points = _fp_enumerate_hesse(*self.fp_params())
-            else:
-                self._points = _fp_enumerate_general(self)
+            self._points = _fp_enumerate_hesse(*self.fp_params())
         return self._points
 
     def points(self) -> list["CubicCurvePoint"]:
@@ -235,12 +214,6 @@ def _divide_out_root(coeffs: list, s0, t0, zero) -> list:
     return q
 
 
-def _cross3(u: tuple, v: tuple):
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def _is_zero_vec(v: tuple, zero) -> bool:
     return all(c == zero for c in v)
 
@@ -254,10 +227,10 @@ def _tangent_companion(curve: PlaneCubic, a: tuple) -> tuple:
     basis = ((curve.one, zero, zero), (zero, curve.one, zero),
              (zero, zero, curve.one))
     for e in basis:
-        r = _cross3(grad, e)
+        r = _cross(grad, e)
         if _is_zero_vec(r, zero):
             continue
-        if not _is_zero_vec(_cross3(r, a), zero):
+        if not _is_zero_vec(_cross(r, a), zero):
             return r
     raise ArithmeticError("tangent line at %r could not be spanned" % (a,))
 
@@ -266,7 +239,7 @@ def _generic_third(curve: PlaneCubic, a: tuple, b: tuple) -> tuple:
     """Third intersection of the curve with the line through a and b
     (tangent line when the points coincide)."""
     zero = curve.f.zero_coeff
-    same = _is_zero_vec(_cross3(a, b), zero)
+    same = _is_zero_vec(_cross(a, b), zero)
     r = _tangent_companion(curve, a) if same else b
     coeffs = _restrict_to_line(curve.f, a, r)
     one = curve.one
@@ -283,19 +256,15 @@ def _generic_third(curve: PlaneCubic, a: tuple, b: tuple) -> tuple:
 
 
 def add_points(p: CubicCurvePoint, q: CubicCurvePoint) -> CubicCurvePoint:
-    """Chord-tangent sum with the curve origin as identity."""
-    if p.curve is not q.curve:
-        raise ValueError("points live on different curves")
+    """Chord-tangent sum with the curve origin as identity: the modular
+    fast route on a smooth member over F_p, the generic route otherwise
+    (which also refuses mixed curves and singular members)."""
     curve = p.curve
-    if not curve.is_smooth():
-        raise ValueError("no group law on a singular cubic")
-    if isinstance(curve.one, Fp) and curve.is_hesse:
+    if curve is q.curve and isinstance(curve.one, Fp) and curve.is_smooth():
         lam, pr = curve.fp_params()
         return CubicCurvePoint(
             curve, _fp_add(lam, pr, p.int_coords(), q.int_coords()))
-    t = _generic_third(curve, p.coords, q.coords)
-    return CubicCurvePoint(
-        curve, _generic_third(curve, projective_normalize(t), curve.origin))
+    return add_points_generic(p, q)
 
 
 def add_points_generic(p: CubicCurvePoint, q: CubicCurvePoint) -> CubicCurvePoint:
@@ -314,8 +283,6 @@ def negate_point(p: CubicCurvePoint) -> CubicCurvePoint:
     """Coordinate swap x1 <-> x2; for origin (0,1,-1) on a pencil member
     this is the group negation (validated against the chord route in the
     property suite)."""
-    if not p.curve.is_hesse:
-        return negate_point_via_chord(p)
     return CubicCurvePoint(p.curve, iota3_on_point(p.coords))
 
 
@@ -326,7 +293,7 @@ def negate_point_via_chord(p: CubicCurvePoint) -> CubicCurvePoint:
 
 def scalar_multiple(k: int, p: CubicCurvePoint) -> CubicCurvePoint:
     curve = p.curve
-    if isinstance(curve.one, Fp) and curve.is_hesse:
+    if isinstance(curve.one, Fp):
         lam, pr = curve.fp_params()
         return CubicCurvePoint(curve, _fp_scalar(lam, pr, k, p.int_coords()))
     if k < 0:
@@ -343,15 +310,6 @@ def scalar_multiple(k: int, p: CubicCurvePoint) -> CubicCurvePoint:
 
 
 # -- chord-tangent law, modular fast route -----------------------------
-
-
-def _fp_normalize(pt: tuple, p: int) -> tuple:
-    for i, c in enumerate(pt):
-        c %= p
-        if c:
-            inv = pow(c, p - 2, p)
-            return tuple(x * inv % p for x in pt)
-    raise ValueError("zero vector is not projective")
 
 
 def _fp_restrict(lam: int, p: int, a: tuple, r: tuple) -> tuple:
@@ -408,7 +366,7 @@ def _fp_third(lam: int, p: int, a: tuple, b: tuple) -> tuple:
         s0, t0 = c12, (-c21) % p
     if s0 == 0 and t0 == 0:
         raise ArithmeticError("line lies in the cubic")
-    return _fp_normalize(tuple((s0 * ai + t0 * ri) % p
+    return _normalize_mod_p(tuple((s0 * ai + t0 * ri) % p
                                for ai, ri in zip(a, r)), p)
 
 
@@ -417,7 +375,7 @@ def _fp_origin(p: int) -> tuple:
 
 
 def _fp_neg(pt: tuple, p: int) -> tuple:
-    return _fp_normalize((pt[0], pt[2], pt[1]), p)
+    return _normalize_mod_p((pt[0], pt[2], pt[1]), p)
 
 
 def _fp_add(lam: int, p: int, a: tuple, b: tuple) -> tuple:
@@ -457,23 +415,6 @@ def _fp_enumerate_hesse(lam: int, p: int) -> list[tuple[int, int, int]]:
         pts.extend((1, int(ys[i]), int(ar[j])) for i, j in zip(iy, iz))
     for z in np.nonzero((1 + cubes) % p == 0)[0]:
         pts.append((0, 1, int(z)))
-    return sorted(pts)
-
-
-def _fp_enumerate_general(curve: PlaneCubic) -> list[tuple[int, int, int]]:
-    p = curve.one.p
-    zero = curve.f.zero_coeff
-    one = curve.one
-    pts = []
-    for y in range(p):
-        for z in range(p):
-            if curve.f.eval_at((one, Fp(y, p), Fp(z, p))) == zero:
-                pts.append((1, y, z))
-    for z in range(p):
-        if curve.f.eval_at((Fp(0, p), one, Fp(z, p))) == zero:
-            pts.append((0, 1, z))
-    if curve.f.eval_at((Fp(0, p), Fp(0, p), one)) == zero:
-        pts.append((0, 0, 1))
     return sorted(pts)
 
 
@@ -521,20 +462,6 @@ def _order_of(lam: int, p: int, pt: tuple, group_order: int,
     return m
 
 
-def _prime_factors_of(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def group_structure(curve: PlaneCubic) -> dict:
     """Order, exponent and invariant factors (n1 | n2) of E(F_p)."""
     if curve._structure is not None:
@@ -544,7 +471,7 @@ def group_structure(curve: PlaneCubic) -> dict:
     n = len(pts)
     if not hasse_admits(p, n):
         raise AssertionError("point count %d escapes the Hasse bound" % n)
-    factors = _prime_factors_of(n)
+    factors = _prime_factors(n)
     exponent = 1
     for pt in pts:
         o = _order_of(lam, p, pt, n, factors)
@@ -564,7 +491,7 @@ def group_generators(curve: PlaneCubic) -> list[CubicCurvePoint]:
     pts = curve.int_points()
     st = group_structure(curve)
     n1, n2 = st["invariants"]
-    factors = _prime_factors_of(st["order"])
+    factors = _prime_factors(st["order"])
     gen2 = next(pt for pt in pts
                 if _order_of(lam, p, pt, st["order"], factors) == n2)
     if n1 == 1:
@@ -874,11 +801,11 @@ def verify_translation_action(p: int = 31, lam: int = 1) -> dict:
     checks = Checks()
 
     def shift_map(pt):
-        return _fp_normalize((pt[2], pt[0], pt[1]), p)
+        return _normalize_mod_p((pt[2], pt[0], pt[1]), p)
 
     def character_map(pt):
         w2 = w.v * w.v % p
-        return _fp_normalize((pt[0], pt[1] * w2 % p, pt[2] * w.v % p), p)
+        return _normalize_mod_p((pt[0], pt[1] * w2 % p, pt[2] * w.v % p), p)
 
     for name, mapping in (("cyclic shift", shift_map),
                           ("diagonal character", character_map)):

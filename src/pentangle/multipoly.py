@@ -116,9 +116,6 @@ class MultiPoly:
         degs = {sum(e for i, e in enumerate(m) if i not in skip) for m in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    def is_homogeneous(self, exclude: Sequence[str] = ()) -> bool:
-        return self.is_zero() or self.homogeneous_degree(exclude) is not None
-
     def sorted_terms(self) -> list[tuple[tuple, object]]:
         return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]))
 
@@ -622,15 +619,12 @@ def det_bareiss(m: PolyMatrix) -> MultiPoly:
     return det if sign > 0 else -det
 
 
-def determinant(m: PolyMatrix, strategy: str = "auto") -> MultiPoly:
-    """Exact determinant; `auto` prefers Bareiss for rational-function scalars."""
-    if strategy == "auto":
-        strategy = "bareiss" if isinstance(m.one, RatFunc) else "cofactor"
-    if strategy == "cofactor":
-        return det_cofactor(m)
-    if strategy == "bareiss":
+def determinant(m: PolyMatrix) -> MultiPoly:
+    """Exact determinant: Bareiss for rational-function scalars, cofactor
+    expansion otherwise."""
+    if isinstance(m.one, RatFunc):
         return det_bareiss(m)
-    raise ValueError("unknown strategy %r" % (strategy,))
+    return det_cofactor(m)
 
 
 def rank_at_point(m: PolyMatrix, point: Sequence) -> int:

@@ -33,14 +33,16 @@ import numpy as np
 from .checks import Checks
 from .moore import excluded_modulus_residues
 from .multipoly import monomials
-from .scalars import DEFAULT_PRIMES, Fp, find_root_of_unity
+from .scalars import DEFAULT_PRIMES, Fp, _normalize_mod_p, find_root_of_unity
 
 SEED = 20260824
 CACHE_VERSION = 1
 SUPPORTED_PRIMES = DEFAULT_PRIMES
 
-# chart slabs never exceed this many columns; keeps peak memory modest
-_CHUNK = 1 << 20
+# chart slabs never exceed this many columns; the p=31 full incidence scan
+# holds 25 structure rows plus the staged minors at this width, so it
+# bounds peak memory
+_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -86,18 +88,9 @@ def _dual_rows(x, z, p: int) -> list:
     return [[z[(2 * i - m) % 5] * x[(m - i) % 5] % p for m in range(5)] for i in range(5)]
 
 
-def _apply_structure(y, x, z, p: int) -> tuple:
-    return tuple(
-        sum(z[(i - j) % 5] * y[(i + j) % 5] * x[j] for j in range(5)) % p
-        for i in range(5)
-    )
-
-
-def _apply_dual(x, y, z, p: int) -> tuple:
-    return tuple(
-        sum(z[(2 * i - m) % 5] * x[(m - i) % 5] * y[m] for m in range(5)) % p
-        for i in range(5)
-    )
+def _times(rows, vec, p: int) -> tuple:
+    """Matrix-vector product over F_p, for int rows and an int vector."""
+    return tuple(sum(r * v for r, v in zip(row, vec)) % p for row in rows)
 
 
 def _det_staged(rows, p: int):
@@ -191,14 +184,6 @@ def _nullspace_mod_p(rows, p: int) -> tuple:
     return tuple(basis)
 
 
-def _normalize_point(vec, p: int) -> tuple:
-    for v in vec:
-        if v % p:
-            inv = pow(v % p, p - 2, p)
-            return tuple(x * inv % p for x in vec)
-    raise ValueError("cannot normalise the zero vector")
-
-
 def _random_point(rng: random.Random, p: int) -> tuple:
     while True:
         vec = tuple(rng.randrange(p) for _ in range(5))
@@ -227,7 +212,7 @@ def _chord_sample(rng: random.Random, points, p: int) -> tuple:
 # chart enumeration of projective four-space
 
 
-def _chart_blocks(p: int, chunk: int = _CHUNK):
+def _chart_blocks(p: int):
     """Stacks of projective points with leading coordinate one.
 
     The five charts partition projective space; within a chart the free
@@ -237,8 +222,8 @@ def _chart_blocks(p: int, chunk: int = _CHUNK):
     for lead in range(5):
         free = 4 - lead
         total = p ** free
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
+        for start in range(0, total, _CHUNK):
+            stop = min(start + _CHUNK, total)
             idx = np.arange(start, stop, dtype=np.int64)
             block = np.zeros((5, stop - start), dtype=np.int64)
             block[lead] = 1
@@ -273,7 +258,7 @@ class CurveScan:
         for pt in points:
             if len(pt) != 5:
                 raise ValueError(f"point {pt} does not have five coordinates")
-            if _normalize_point(pt, p) != pt:
+            if _normalize_mod_p(pt, p) != pt:
                 raise ValueError(f"point {pt} is not normalised")
         if list(points) != sorted(set(points)):
             raise ValueError("points must be strictly sorted and duplicate-free")
@@ -286,11 +271,11 @@ class CurveScan:
 
         root = find_root_of_unity(p, 5).v
         member = frozenset(points)
-        rotated = {_normalize_point(pt[1:] + pt[:1], p) for pt in points}
+        rotated = {_normalize_mod_p(pt[1:] + pt[:1], p) for pt in points}
         if rotated != member:
             raise RuntimeError("point set is not stable under the coordinate rotation")
         scaled = {
-            _normalize_point(tuple(pt[i] * pow(root, i, p) % p for i in range(5)), p)
+            _normalize_mod_p(tuple(pt[i] * pow(root, i, p) % p for i in range(5)), p)
             for pt in points
         }
         if scaled != member:
@@ -319,7 +304,7 @@ class CurveScan:
         return f"CurveScan(p={self.p}, a={self.a}, points={len(self.points)})"
 
     def contains(self, vec) -> bool:
-        return _normalize_point(tuple(int(c) % self.p for c in vec), self.p) in self._member
+        return _normalize_mod_p(tuple(int(c) % self.p for c in vec), self.p) in self._member
 
 
 def admissible_moduli(p: int, count: int = 2) -> tuple[int, ...]:
@@ -406,6 +391,32 @@ def scan_curve(p: int, a, cache_dir=None) -> CurveScan:
 # secant certification
 
 
+def _rounded_ratio(num: int, den: int) -> int:
+    """num/den rounded to the nearest integer, for den an odd prime.
+
+    A tie would need 2*num = den*(2k+1), so den would divide num and
+    num/den would be an integer: there are no ties, and rounding half up
+    agrees with the round-half-even of string formatting.
+    """
+    return (2 * num + den) // (2 * den)
+
+
+def _density_within_envelope(zeros: int, samples: int, p: int) -> bool:
+    """Whether zeros lies within 5 binomial deviations plus one of samples/p.
+
+    Multiplied through by p, |zeros - samples/p| <= 5*sqrt(samples*(p-1))/p + 1
+    reads d <= p + 5*sqrt(samples*(p-1)) for d = |zeros*p - samples|, which
+    is decided in integers by squaring the nonnegative side.
+    """
+    d = abs(zeros * p - samples)
+    return d <= p or (d - p) ** 2 <= 25 * samples * (p - 1)
+
+
+def _within_factor_two(count: int, total: int, p: int) -> bool:
+    """Whether total/p / 2 <= count <= 2 * total/p, decided in integers."""
+    return total <= 2 * p * count and p * count <= 2 * total
+
+
 def certify_secant_variety(scan: CurveScan, samples: int = 1000,
                            duality_samples: int = 500, seed: int = SEED) -> dict:
     """Certify the vanishing and rank statements along chords of the curve.
@@ -437,7 +448,7 @@ def certify_secant_variety(scan: CurveScan, samples: int = 1000,
     for _ in range(duality_samples):
         x = _random_point(rng, p)
         y = _random_point(rng, p)
-        if _apply_structure(y, x, z, p) == _apply_dual(x, y, z, p):
+        if _times(_structure_rows(y, z, p), x, p) == _times(_dual_rows(x, z, p), y, p):
             agree += 1
     checks.add("structure and dual evaluations agree on random pairs",
                agree == duality_samples,
@@ -456,11 +467,11 @@ def certify_secant_variety(scan: CurveScan, samples: int = 1000,
 
     uniform = np.array([_random_point(rng, p) for _ in range(samples)], dtype=np.int64).T
     zeros = int(np.count_nonzero(_det_staged(_dual_rows(uniform, z, p), p) == 0))
-    expected = samples / p
-    slack = 5.0 * (samples * (1.0 / p) * (1.0 - 1.0 / p)) ** 0.5 + 1.0
+    tenths = _rounded_ratio(10 * samples, p)
     checks.add("vanishing density tracks the hypersurface heuristic",
-               abs(zeros - expected) <= slack,
-               f"{zeros} zeros in {samples} uniform samples, expected about {expected:.1f}",
+               _density_within_envelope(zeros, samples, p),
+               f"{zeros} zeros in {samples} uniform samples, "
+               f"expected about {tenths // 10}.{tenths % 10}",
                soft=True)
 
     return {
@@ -495,8 +506,7 @@ def _independent_pair(rng: random.Random, p: int) -> tuple:
             return u, v
 
 
-def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED,
-                      full_scan: bool | None = None) -> dict:
+def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED) -> dict:
     """Certify the kernel geometry of the structure matrix by line slicing.
 
     Random lines in the dual space are intersected with the singular
@@ -504,15 +514,14 @@ def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED,
     all points of each line.  Every intersection point must have a nonzero
     kernel whose vectors satisfy the dual relation and land on the chordal
     quintic.  Curve points are checked to span two-dimensional pencils of
-    singular directions.  At p=31 (or on request) the whole dual space is
-    scanned and the rank census on the singular hypersurface is recorded.
+    singular directions.  At p=31 the whole dual space is scanned and the
+    rank census on the singular hypersurface is recorded.
     """
     p, a = scan.p, scan.a
     z = _z_residues(p, a)
     rng = random.Random(seed)
     checks = Checks()
-    if full_scan is None:
-        full_scan = p == 31
+    full_scan = p == 31
 
     incidence_points = []
     per_line = []
@@ -544,7 +553,7 @@ def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED,
         rank_census[rank] = rank_census.get(rank, 0) + 1
         for x in basis:
             kernel_vectors += 1
-            if _apply_dual(x, y, z, p) == (0, 0, 0, 0, 0):
+            if _times(_dual_rows(x, z, p), y, p) == (0, 0, 0, 0, 0):
                 dual_ok += 1
             if _det_staged(_dual_rows(x, z, p), p) == 0:
                 chordal_ok += 1
@@ -581,7 +590,7 @@ def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED,
         for y in mixes:
             pencil_samples += 1
             det_zero = _det_staged(_structure_rows(y, z, p), p) == 0
-            annihilates = _apply_structure(y, x, z, p) == (0, 0, 0, 0, 0)
+            annihilates = _times(_structure_rows(y, z, p), x, p) == (0, 0, 0, 0, 0)
             if det_zero and annihilates and scan.contains(x):
                 pencil_samples_ok += 1
     checks.add("curve points span pencils of singular directions",
@@ -609,13 +618,12 @@ def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED,
             rank = _rank_mod_p(_structure_rows(y, z, p), p)
             census[rank] = census.get(rank, 0) + 1
         rank_three = census.get(3, 0)
-        expected = total / p
-        # exhaustive counts deviate from the heuristic at Weil scale, not
-        # binomial scale, so the envelope is a factor of two either way
+        # exhaustive counts deviate from the heuristic total/p at Weil scale,
+        # not binomial scale, so the envelope is a factor of two either way
         checks.add("full scan vanishing density tracks the hypersurface heuristic",
-                   expected / 2 <= zero_count <= 2 * expected,
+                   _within_factor_two(zero_count, total, p),
                    f"{zero_count} singular directions among {total}, "
-                   f"expected about {expected:.0f} within a factor of two",
+                   f"expected about {_rounded_ratio(total, p)} within a factor of two",
                    soft=True)
         low_text = ", ".join(f"rank {r}: {n}" for r, n in sorted(census.items())) or "none"
         checks.add("rank three locus has curve scale", 1 <= rank_three <= 20 * p,
@@ -628,7 +636,7 @@ def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED,
         "a": a,
         "seed": seed,
         "lines": lines,
-        "full_scan": bool(full_scan),
+        "full_scan": full_scan,
         "passed": checks.passed,
         "soft_passed": checks.soft_passed,
         "checks": checks.records,

@@ -33,9 +33,6 @@ from .scalars import DEFAULT_PRIMES, EPS3, Fp
 SUITE_ORDER = ("hesse", "heisenberg", "sections", "moore", "lattice",
                "scan", "secants", "incidence", "cremona")
 
-#: suites that consume a prime-field curve scan
-_SCAN_CONSUMERS = frozenset({"scan", "secants", "incidence", "cremona"})
-
 #: suites whose claims are instantiated once per (prime, modulus) pair
 _PAIR_SUITES = frozenset({"moore", "scan", "secants", "incidence", "cremona"})
 

@@ -87,11 +87,6 @@ class Cyclo:
     def is_rational(self) -> bool:
         return self._c[1:] == _TAIL0
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational element: %r" % (self,))
-        return self._c[0]
-
     # -- ring structure ------------------------------------------------
 
     def __add__(self, other: object) -> "Cyclo":
@@ -150,17 +145,15 @@ class Cyclo:
             raise ZeroDivisionError("inverse of zero in Q(eps15)")
         if self.is_rational():
             return _raw((1 / self._c[0],) + _TAIL0)
-        r0 = [Fraction(c) for c in PHI15_COEFFS]
-        r1 = _pstrip(list(self._c))
-        t0: list[Fraction] = []
-        t1: list[Fraction] = [_F1]
-        while _pdeg(r1) > 0:
-            q, r = _pdivmod(r0, r1)
+        r0, r1 = UniPoly(PHI15_COEFFS), UniPoly(self._c)
+        t0, t1 = UniPoly(()), UniPoly((_F1,))
+        while r1.degree() > 0:
+            q, r = r0.divmod(r1)
             r0, r1 = r1, r
-            t0, t1 = t1, _psub(t0, _pmul(q, t1))
+            t0, t1 = t1, t0 - q * t1
         # r1 is a nonzero constant (Phi15 is irreducible over Q)
-        lead = r1[0]
-        inv = [c / lead for c in t1]
+        lead = r1.c[0]
+        inv = [c / lead for c in t1.c]
         inv += [_F0] * (_DEG - len(inv))
         return _raw(tuple(inv[:_DEG]))
 
@@ -259,52 +252,6 @@ def _unity_label(k: int, sign: str) -> str:
     power = k * order // 15
     name = {3: "eps3", 5: "eps5", 15: "eps15"}[order]
     return "%s%s" % (sign, name if power == 1 else "%s^%d" % (name, power))
-
-
-# -- dense rational polynomial helpers (internal, for the inverse) -----
-
-
-def _pstrip(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pdeg(c: Sequence[Fraction]) -> int:
-    return len(c) - 1
-
-
-def _pmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _pstrip(out)
-
-def _psub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [_F0] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _pstrip(out)
-
-
-def _pdivmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [_F0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and _pstrip(a):
-        shift = len(a) - len(b)
-        coef = a[-1] * inv_lead
-        q[shift] = coef
-        for i, bi in enumerate(b):
-            a[shift + i] -= coef * bi
-        _pstrip(a)
-    return _pstrip(q), a
 
 
 ZERO = Cyclo(0)
@@ -461,6 +408,16 @@ def fraction_mod_p(x: Rat, p: int) -> int:
     if x.denominator % p == 0:
         raise ZeroDivisionError("denominator of %s vanishes mod %d" % (x, p))
     return x.numerator * pow(x.denominator % p, p - 2, p) % p
+
+
+def _normalize_mod_p(vec: Sequence[int], p: int) -> tuple[int, ...]:
+    """Residues of a nonzero vector scaled so the first nonzero one is 1."""
+    for c in vec:
+        c %= p
+        if c:
+            inv = pow(c, p - 2, p)
+            return tuple(x * inv % p for x in vec)
+    raise ValueError("cannot normalise the zero vector")
 
 
 def embed_cyclo_in_prime_field(x: Cyclo, p: int, witness_root: Fp) -> Fp:

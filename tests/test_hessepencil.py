@@ -125,12 +125,6 @@ def test_smoothness_closed_form_exact_field():
 # -- curve and point types ---------------------------------------------
 
 
-def test_origin_must_lie_on_curve():
-    one = Cyclo(1)
-    with pytest.raises(ValueError):
-        PlaneCubic(hesse_polynomial(0, one), (1, 1, 1))
-
-
 def test_point_must_satisfy_cubic(curve31):
     with pytest.raises(ValueError):
         CubicCurvePoint(curve31, (1, 1, 1))

@@ -8,7 +8,12 @@ elimination, before this module was written.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +26,10 @@ from pentangle.moore import (
     reference_curve_points,
 )
 from pentangle.multipoly import scalar_matrix_nullspace, scalar_matrix_rank
-from pentangle.scalars import Fp
+from pentangle.scalars import Fp, _normalize_mod_p
 
 SEED = 20260824
+ROOT = Path(__file__).resolve().parent.parent
 
 EXCLUDED_31 = frozenset({0, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24})
 EXCLUDED_61 = frozenset({0, 6, 10, 17, 21, 29, 31, 35, 43, 54, 59})
@@ -129,8 +135,8 @@ def test_scan_symmetry_orbits(scan31):
     member = set(scan31.points)
     root = scan31.root
     for pt in scan31.points:
-        rotated = probe._normalize_point(pt[1:] + pt[:1], p)
-        scaled = probe._normalize_point(
+        rotated = _normalize_mod_p(pt[1:] + pt[:1], p)
+        scaled = _normalize_mod_p(
             tuple(pt[i] * pow(root, i, p) % p for i in range(5)), p)
         assert rotated in member and scaled in member
 
@@ -273,8 +279,10 @@ def test_bilinear_evaluations_match_symbolic_route(scan31):
         x = probe._random_point(rng, 31)
         y = probe._random_point(rng, 31)
         shared = incidence_residual([Fp(c, 31) for c in x], [Fp(c, 31) for c in y], mm)
-        assert probe._apply_structure(y, x, z, 31) == tuple(v.v for v in shared)
-        assert probe._apply_dual(x, y, z, 31) == tuple(v.v for v in shared)
+        assert (probe._times(probe._structure_rows(y, z, 31), x, 31)
+                == tuple(v.v for v in shared))
+        assert (probe._times(probe._dual_rows(x, z, 31), y, 31)
+                == tuple(v.v for v in shared))
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +361,6 @@ def test_incidence_skips_full_scan_for_larger_prime(scan61):
     assert report["full_scan"] is False
     names = [c["name"] for c in report["checks"]]
     assert "rank three locus has curve scale" not in names
-
-
-def test_incidence_full_scan_opt_out(scan31):
-    report = probe.certify_incidence(scan31, full_scan=False)
-    assert report["full_scan"] is False
-    assert len(report["checks"]) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -473,3 +475,82 @@ def test_scan_budgets():
     start = time.monotonic()
     probe.scan_curve(61, 3)
     assert time.monotonic() - start < 60.0
+
+
+def test_incidence_full_scan_memory_stays_modest():
+    """One process scans p=31, runs the full incidence scan, then scans
+    p=61; chart slabs bound its peak resident set."""
+    script = (
+        "import resource\n"
+        "from pentangle import probe\n"
+        "report = probe.certify_incidence(probe.scan_curve(31, 2))\n"
+        "probe.scan_curve(61, 1)\n"
+        "for check in report['checks'][-2:]:\n"
+        "    print(check['detail'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    density, census, maxrss_kb = result.stdout.splitlines()
+    assert "25000 singular directions among 954305" in density
+    assert "25 rank-three directions" in census
+    assert int(maxrss_kb) < 150 * 1024
+
+
+# ---------------------------------------------------------------------------
+# soft envelopes, decided in integers
+
+
+def _float_density_reference(zeros, samples, p):
+    expected = samples / p
+    slack = 5.0 * (samples * (1.0 / p) * (1.0 - 1.0 / p)) ** 0.5 + 1.0
+    return abs(zeros - expected) <= slack
+
+
+def _float_full_scan_reference(zero_count, total, p):
+    expected = total / p
+    return expected / 2 <= zero_count <= 2 * expected
+
+
+def test_density_envelope_matches_float_formula():
+    for p in probe.SUPPORTED_PRIMES:
+        for samples in (1, 7, 100, 500, 999, 1000, 4321, 20000):
+            reach = samples // p + 10 * isqrt(samples // p + 1) + 20
+            for zeros in range(0, min(samples, reach) + 1):
+                assert (probe._density_within_envelope(zeros, samples, p)
+                        == _float_density_reference(zeros, samples, p)), (zeros, samples, p)
+            tenths = probe._rounded_ratio(10 * samples, p)
+            assert f"{tenths // 10}.{tenths % 10}" == f"{samples / p:.1f}"
+
+
+def test_density_envelope_is_exact_on_its_edge():
+    # where samples*(p-1) is a square the envelope edge is rational, and a
+    # count can sit exactly on it; the float formula misjudges some of these
+    on_edge = 0
+    for p in probe.SUPPORTED_PRIMES:
+        for k in range(1, 200):
+            samples = (p - 1) * k * k
+            reach = p + 5 * (p - 1) * k        # p + 5*sqrt(samples*(p-1))
+            for sign in (1, -1):
+                if (samples + sign * reach) % p or samples + sign * reach < 0:
+                    continue
+                zeros = (samples + sign * reach) // p
+                assert probe._density_within_envelope(zeros, samples, p)
+                assert not probe._density_within_envelope(zeros + sign, samples, p)
+                on_edge += 1
+    assert on_edge > 0
+
+
+def test_full_scan_envelope_matches_float_formula():
+    for p in probe.SUPPORTED_PRIMES:
+        for total in ((p ** 5 - 1) // (p - 1), p ** 4, 2 * p * 1000, 954305, 123457):
+            edges = (total // (2 * p), -(-total // (2 * p)), 2 * total // p)
+            for edge in edges:
+                for zero_count in range(max(edge - 3, 0), edge + 4):
+                    assert (probe._within_factor_two(zero_count, total, p)
+                            == _float_full_scan_reference(zero_count, total, p))
+            assert str(probe._rounded_ratio(total, p)) == f"{total / p:.0f}"
