@@ -1,9 +1,10 @@
 """Exhaustive prime-field certification: scan the curve cut out by the
 five quadrics, then sample chords of it and slice with random lines.
 
-Nothing here trusts the symbolic route; the scan enumerates all of
-P^4(F_p) in numpy chart blocks and the certificates re-derive every
-matrix value from integer arithmetic mod p.
+Nothing here trusts the symbolic route; the scan solves two of the
+quadrics on every fibre over (x0:x1:x2), keeps the points where all
+five vanish, and the certificates re-derive every matrix value from
+integer arithmetic mod p.
 """
 
 from pentangle import probe

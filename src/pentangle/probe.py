@@ -2,9 +2,11 @@
 
 The symbolic route in :mod:`pentangle.moore` proves the matrix identities
 over cyclotomic scalars.  This module is the independent numeric route: it
-enumerates complete point sets over small prime fields with numpy, checks
-the rank and vanishing statements by exhaustive counting, and interpolates
-the inverse of the Cremona transformation defined by the five quadrics.
+enumerates the complete point set of the curve over each supported prime
+field with numpy, by solving two of the quadrics on the fibres over
+(x0:x1:x2) in O(p**2) work; checks the rank and vanishing statements by
+exhaustive counting and seeded sampling, in batches; and interpolates the
+inverse of the Cremona transformation defined by the five quadrics.
 
 Every sampling operation takes an explicit seed and reports it, so repeated
 runs with the same configuration produce identical reports.  Point sets can
@@ -39,9 +41,10 @@ SEED = 20260824
 CACHE_VERSION = 1
 SUPPORTED_PRIMES = DEFAULT_PRIMES
 
-# chart slabs never exceed this many columns; the p=31 full incidence scan
-# holds 25 structure rows plus the staged minors at this width, so it
-# bounds peak memory
+# chart slabs never exceed this many columns.  Only the p=31 full incidence
+# scan of projective four-space reaches it: that scan holds 25 structure
+# rows plus the staged minors at this width, so it bounds peak memory.  The
+# curve scan's plane charts have at most p**2 < _CHUNK columns.
 _CHUNK = 1 << 16
 
 
@@ -70,14 +73,14 @@ def _z_residues(p: int, a: int) -> tuple[int, int, int, int, int]:
 
 
 def _quadric_values(x, p: int, a: int) -> list:
-    """Values of the five quadrics; works on int tuples and numpy stacks."""
+    """Values of the five quadrics; works on int tuples and numpy stacks.
+
+    For coordinates below p every product is of two residues below p, so
+    no intermediate value reaches 2*p**2 in magnitude.
+    """
     inva = pow(a, p - 2, p)
-    out = []
-    for i in range(5):
-        q = (x[i] * x[i] + a * x[(i + 2) % 5] * x[(i + 3) % 5]
-             - inva * x[(i + 1) % 5] * x[(i + 4) % 5]) % p
-        out.append(q)
-    return out
+    return [(x[i] * x[i] + a * x[(i + 2) % 5] % p * x[(i + 3) % 5]
+             - inva * x[(i + 1) % 5] % p * x[(i + 4) % 5]) % p for i in range(5)]
 
 
 def _structure_rows(y, z, p: int) -> list:
@@ -143,6 +146,10 @@ def _rref_mod_p(rows, p: int) -> tuple[np.ndarray, list]:
     each entry is below p before each outer product and no intermediate
     value reaches p**2 in magnitude: int64 is exact for every p below
     3*10**9, and the largest supported prime (241) stays below 58 081.
+
+    The pivot row is zero left of its pivot column, so only the rows with
+    a nonzero entry in that column change, and only from that column on;
+    the result is the unique reduced echelon form all the same.
     """
     reduced = np.array(rows, dtype=np.int64) % p
     pivots = []
@@ -154,10 +161,11 @@ def _rref_mod_p(rows, p: int) -> tuple[np.ndarray, list]:
         lead = row + int(nonzero[0])
         if lead != row:
             reduced[[row, lead]] = reduced[[lead, row]]
-        reduced[row] = reduced[row] * pow(int(reduced[row, c]), p - 2, p) % p
-        column = reduced[:, c].copy()
-        column[row] = 0
-        reduced = (reduced - np.outer(column, reduced[row])) % p
+        reduced[row, c:] = reduced[row, c:] * pow(int(reduced[row, c]), p - 2, p) % p
+        targets = np.nonzero(reduced[:, c])[0]
+        targets = targets[targets != row]
+        reduced[targets, c:] = (reduced[targets, c:]
+                                - np.outer(reduced[targets, c], reduced[row, c:])) % p
         pivots.append(c)
         row += 1
         if row == reduced.shape[0]:
@@ -209,23 +217,24 @@ def _chord_sample(rng: random.Random, points, p: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# chart enumeration of projective four-space
+# chart enumeration of projective space
 
 
-def _chart_blocks(p: int):
+def _chart_blocks(p: int, coords: int = 5):
     """Stacks of projective points with leading coordinate one.
 
-    The five charts partition projective space; within a chart the free
-    coordinates run through base-``p`` digits of an index range, so the
-    enumeration order is deterministic.
+    The ``coords`` charts partition projective space of dimension
+    ``coords - 1``; within a chart the free coordinates run through
+    base-``p`` digits of an index range, so the enumeration order is
+    deterministic.
     """
-    for lead in range(5):
-        free = 4 - lead
+    for lead in range(coords):
+        free = coords - 1 - lead
         total = p ** free
         for start in range(0, total, _CHUNK):
             stop = min(start + _CHUNK, total)
             idx = np.arange(start, stop, dtype=np.int64)
-            block = np.zeros((5, stop - start), dtype=np.int64)
+            block = np.zeros((coords, stop - start), dtype=np.int64)
             block[lead] = 1
             for t in range(free):
                 block[lead + 1 + t] = (idx // (p ** (free - 1 - t))) % p
@@ -367,20 +376,69 @@ def read_point_cache(p: int, a: int, cache_dir) -> CurveScan | None:
         return None
 
 
+def _fibre_candidates(triples, p: int, a: int) -> np.ndarray:
+    """Points over a stack of plane points (x0:x1:x2) where q0 and q2 vanish.
+
+    On the fibre over (x0:x1:x2), q0 and q2 are linear in (x3, x4) with
+    matrix [[a*x2, -x1/a], [-x1/a, a*x0]] and right-hand side
+    (-x0**2, -x2**2).  Where its determinant is nonzero, Cramer's rule
+    gives the one solution.  On the conic where it vanishes, the
+    candidates are the p solutions of the q2 row with x3 free; that row
+    is zero only when x0 = 0, and then x1 = 0 too, so the triple is
+    (0:0:1), where q2 = x2**2 has no zero.
+
+    Every residue is reduced below p before each product, so no
+    intermediate value reaches 2*p**2 in magnitude: under 1.2*10**5 at
+    p=241, the largest supported prime, far inside int64.
+    """
+    x0, x1, x2 = triples
+    inverse = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int64)
+    m00 = a * x2 % p
+    m01 = (p - pow(a, p - 2, p)) * x1 % p
+    m11 = a * x0 % p
+    r0 = -(x0 * x0) % p
+    r1 = -(x2 * x2) % p
+    det = (m00 * m11 - m01 * m01) % p
+
+    regular = np.nonzero(det)[0]
+    dinv = inverse[det[regular]]
+    x3 = (r0 * m11 - m01 * r1)[regular] % p * dinv % p
+    x4 = (m00 * r1 - m01 * r0)[regular] % p * dinv % p
+    solved = np.stack([x0[regular], x1[regular], x2[regular], x3, x4])
+
+    conic = np.nonzero((det == 0) & (m11 != 0))[0]
+    free = np.arange(p, dtype=np.int64)
+    paired = ((r1[conic, None] - m01[conic, None] * free) % p
+              * inverse[m11[conic]][:, None] % p)
+    fallback = np.stack([np.repeat(x[conic], p) for x in (x0, x1, x2)]
+                        + [np.tile(free, conic.size), paired.ravel()])
+    return np.concatenate([solved, fallback], axis=1)
+
+
 def scan_curve(p: int, a, cache_dir=None) -> CurveScan:
-    """Enumerate the curve over F_p, optionally through an on-disk cache."""
+    """Enumerate the curve over F_p, optionally through an on-disk cache.
+
+    The scan runs over the fibres of the projection to (x0:x1:x2): each
+    normalised plane point yields the candidates of ``_fibre_candidates``,
+    the line x0 = x1 = x2 = 0 is tested point by point, and the candidates
+    where all five quadrics vanish are the curve.  That is O(p**2) work in
+    place of the p**4 points of projective four-space.
+    """
     a = _coerce_residue(p, a)
     if cache_dir is not None:
         cached = read_point_cache(p, a, cache_dir)
         if cached is not None:
             return cached
+    stacks = [_fibre_candidates(triples, p, a) for triples in _chart_blocks(p, 3)]
+    stacks += [np.concatenate([np.zeros((3, tail.shape[1]), dtype=np.int64), tail])
+               for tail in _chart_blocks(p, 2)]
     points = []
-    for block in _chart_blocks(p):
-        values = _quadric_values(block, p, a)
+    for stack in stacks:
+        values = _quadric_values(stack, p, a)
         mask = values[0] == 0
         for q in values[1:]:
             mask &= q == 0
-        points.extend(map(tuple, block[:, mask].T.tolist()))
+        points.extend(map(tuple, stack[:, mask].T.tolist()))
     scan = CurveScan(p, a, sorted(points))
     if cache_dir is not None:
         write_point_cache(scan, cache_dir)
@@ -872,18 +930,13 @@ def interpolate_cremona_inverse(scan: CurveScan, roundtrip_samples: int = 500,
     for _ in range(secant_samples):
         x = _chord_sample(rng, scan.points, p)
         chord_images.append(tuple(_poly_eval(q, x, p) for q in quadrics))
-    surviving = []
-    for c in range(1, 5):
-        for d in range(5):
-            if all(
-                _det_staged(_structure_rows(
-                    tuple(u[(c * i + d) % 5] for i in range(5)), z, p), p) == 0
-                for u in chord_images
-            ):
-                surviving.append((c, d))
-    zero_count = sum(
-        1 for u in chord_images
-        if _det_staged(_structure_rows(u, z, p), p) == 0)
+    stack = np.array(chord_images, dtype=np.int64).T
+    surviving = [
+        (c, d) for c in range(1, 5) for d in range(5)
+        if not np.any(_det_staged(_structure_rows(
+            stack[[(c * i + d) % 5 for i in range(5)]], z, p), p))
+    ]
+    zero_count = int(np.count_nonzero(_det_staged(_structure_rows(stack, z, p), p) == 0))
     checks.add("structure determinant vanishes on chord images",
                zero_count == secant_samples,
                f"{zero_count}/{secant_samples} chord images on the determinant "

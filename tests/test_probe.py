@@ -96,6 +96,32 @@ def test_point_counts_frozen(scan31, scan61):
     assert len(scan61) == 50
     assert len(probe.scan_curve(31, 1)) == 25
     assert len(probe.scan_curve(61, 2)) == 75
+    # 241 is the largest supported prime, where the int64 bound of the
+    # fibre solve is tightest
+    for a in (1, 2):
+        assert len(probe.scan_curve(151, a)) == 150
+        assert len(probe.scan_curve(241, a)) == 250
+
+
+def _exhaustive_points(p, a):
+    """The curve by brute force: every point of P^4(F_p), filtered."""
+    points = []
+    for block in probe._chart_blocks(p):
+        values = probe._quadric_values(block, p, a)
+        mask = values[0] == 0
+        for q in values[1:]:
+            mask &= q == 0
+        points.extend(map(tuple, block[:, mask].T.tolist()))
+    return tuple(sorted(points))
+
+
+@pytest.mark.parametrize("p, moduli", [
+    (31, [a for a in range(31) if a not in EXCLUDED_31]),
+    (61, probe.admissible_moduli(61)),
+])
+def test_fibre_scan_matches_exhaustive_scan(p, moduli):
+    for a in moduli:
+        assert probe.scan_curve(p, a).points == _exhaustive_points(p, a), a
 
 
 def test_counts_sit_in_hasse_window(scan31, scan61):
@@ -241,6 +267,26 @@ def test_staged_determinant_matches_gaussian_oracle():
             assert probe._det_staged(rows, p) == _det_gauss(rows, p)
 
 
+def _low_rank_square(rng, p):
+    rank = rng.randrange(1, 5)
+    basis_rows = [[rng.randrange(p) for _ in range(5)] for _ in range(rank)]
+    return [[sum(rng.randrange(p) * b[c] for b in basis_rows) % p
+             for c in range(5)] for _ in range(5)]
+
+
+def _tall_sparse(rng, p):
+    # 40x12 with about 80 % zeros, two zero columns and repeated rows:
+    # most rows have a zero in most pivot columns, so the row reduction
+    # skips them
+    rows = [[rng.randrange(1, p) if rng.random() < 0.2 else 0 for _ in range(12)]
+            for _ in range(40)]
+    for row in rows:
+        row[3] = row[9] = 0
+    for k in range(0, 40, 8):
+        rows[k + 1] = list(rows[k])
+    return rows
+
+
 def test_nullspace_vectors_annihilate():
     # 241 is the largest supported prime, where the int64 bound of the
     # numpy row reduction is tightest; the exact elimination over Fp in
@@ -248,18 +294,16 @@ def test_nullspace_vectors_annihilate():
     rng = random.Random(SEED)
     for p in (31, 241):
         one = Fp(1, p)
-        for _ in range(20):
-            rank = rng.randrange(1, 5)
-            basis_rows = [[rng.randrange(p) for _ in range(5)] for _ in range(rank)]
-            rows = [[sum(rng.randrange(p) * b[c] for b in basis_rows) % p
-                     for c in range(5)] for _ in range(5)]
+        matrices = ([_low_rank_square(rng, p) for _ in range(20)]
+                    + [_tall_sparse(rng, p) for _ in range(20)])
+        for rows in matrices:
             kernel = probe._nullspace_mod_p(rows, p)
             fp_rank = probe._rank_mod_p(rows, p)
             exact_rows = [[Fp(v, p) for v in row] for row in rows]
             assert fp_rank == scalar_matrix_rank(exact_rows, one)
             assert kernel == tuple(tuple(c.v for c in vec)
                                    for vec in scalar_matrix_nullspace(exact_rows, one))
-            assert len(kernel) == 5 - fp_rank
+            assert len(kernel) == len(rows[0]) - fp_rank
             for vec in kernel:
                 for row in rows:
                     assert sum(r * v for r, v in zip(row, vec)) % p == 0
@@ -453,6 +497,17 @@ def test_witness_deterministic(scan31, witness31):
     assert again.report == witness31.report
     assert again.cubics == witness31.cubics
     assert again.factor == witness31.factor
+
+
+def test_witness_frozen_at_modulus_one():
+    witness = probe.interpolate_cremona_inverse(probe.scan_curve(31, 1))
+    by_name = {c["name"]: c for c in witness.report["checks"]}
+    assert witness.solution_dimension == 1
+    assert (by_name["common factor matches the chordal quintic up to scale"]["detail"]
+            == "scale factor 16")
+    assert (by_name["structure determinant vanishes on chord images"]["detail"]
+            == "200/200 chord images on the determinant locus; "
+            f"index maps preserving the quintic: {DIHEDRAL_MAPS}")
 
 
 def test_witness_on_second_prime(scan61):

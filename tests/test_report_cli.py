@@ -319,6 +319,16 @@ def test_cli_run_report_file_then_rerender(runner, tmp_path):
     assert rerender.output.startswith("# verification report")
 
 
+def test_cli_run_at_largest_prime(runner):
+    result = runner.invoke(cli.main, ["run", "--prime", "241",
+                                      "--suites", "scan,secants,cremona"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["config"]["primes"] == [241]
+    assert report["summary"]["total"] > 0
+    assert all(claim["status"] != "fail" for claim in report["claims"])
+
+
 def test_cli_scan_fresh_then_cached(runner, tmp_path):
     args = ["scan", "--prime", "31", "--a", "2",
             "--cache-dir", str(tmp_path)]
