@@ -10,8 +10,9 @@ Four layers live here:
   * the chord-tangent group law on a smooth member with origin
     (0,1,-1), implemented twice: a field-generic route that restricts
     the cubic to a parametrized line and divides out known roots by
-    explicit polynomial division, and a modular fast route in raw
-    integers used for curve enumeration and torsion counting;
+    explicit polynomial division, and a modular fast route that adds
+    and multiplies whole int64 arrays of points row by row, used for
+    torsion counting and group structure;
   * torsion arithmetic over small prime fields: point enumeration,
     n-torsion extraction, group invariants, and the set identities
     3r+2q = c on the diagonal;
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +45,7 @@ from .heisenberg import (
 )
 from .checks import Checks
 from .multipoly import MultiPoly
-from .scalars import (DEFAULT_PRIMES, EPS3, Cyclo, Fp, _normalize_mod_p,
+from .scalars import (DEFAULT_PRIMES, EPS3, Cyclo, Fp, _inverse_table,
                       _prime_factors, find_root_of_unity)
 
 VARS3 = ("x0", "x1", "x2")
@@ -87,7 +88,7 @@ class PlaneCubic:
     member; lam None is the member at infinity, x0*x1*x2."""
 
     __slots__ = ("f", "origin", "one", "lam", "_smooth", "_points",
-                 "_structure")
+                 "_orders", "_structure")
 
     def __init__(self, lam, one):
         self.one = one
@@ -101,6 +102,7 @@ class PlaneCubic:
             self._smooth = lam ** 3 + 27 != self.f.zero_coeff
         self.origin = (one * 0, one, -one)
         self._points = None
+        self._orders = None
         self._structure = None
 
     @classmethod
@@ -120,11 +122,15 @@ class PlaneCubic:
             raise ValueError("fast arithmetic needs a pencil member over F_p")
         return self.lam.v, self.one.p
 
-    def int_points(self) -> list[tuple[int, int, int]]:
-        """Sorted normalized coordinate triples of all F_p points."""
+    def point_array(self) -> np.ndarray:
+        """All F_p points as sorted rows of a read-only (n, 3) array."""
         if self._points is None:
             self._points = _fp_enumerate_hesse(*self.fp_params())
         return self._points
+
+    def int_points(self) -> list[tuple[int, int, int]]:
+        """Sorted normalized coordinate triples of all F_p points."""
+        return [tuple(row) for row in self.point_array().tolist()]
 
     def points(self) -> list["CubicCurvePoint"]:
         return [CubicCurvePoint(self, pt) for pt in self.int_points()]
@@ -262,8 +268,8 @@ def add_points(p: CubicCurvePoint, q: CubicCurvePoint) -> CubicCurvePoint:
     curve = p.curve
     if curve is q.curve and isinstance(curve.one, Fp) and curve.is_smooth():
         lam, pr = curve.fp_params()
-        return CubicCurvePoint(
-            curve, _fp_add(lam, pr, p.int_coords(), q.int_coords()))
+        row = _fp_add(lam, pr, _rows([p.int_coords()]), _rows([q.int_coords()]))
+        return CubicCurvePoint(curve, row[0].tolist())
     return add_points_generic(p, q)
 
 
@@ -295,7 +301,8 @@ def scalar_multiple(k: int, p: CubicCurvePoint) -> CubicCurvePoint:
     curve = p.curve
     if isinstance(curve.one, Fp):
         lam, pr = curve.fp_params()
-        return CubicCurvePoint(curve, _fp_scalar(lam, pr, k, p.int_coords()))
+        row = _fp_scalar(lam, pr, k, _rows([p.int_coords()]))
+        return CubicCurvePoint(curve, row[0].tolist())
     if k < 0:
         return scalar_multiple(-k, negate_point(p))
     acc = CubicCurvePoint(curve, curve.origin)
@@ -310,11 +317,21 @@ def scalar_multiple(k: int, p: CubicCurvePoint) -> CubicCurvePoint:
 
 
 # -- chord-tangent law, modular fast route -----------------------------
+#
+# Points are rows of (n, 3) int64 arrays of residues in [0, p), each row
+# normalised so its first nonzero coordinate is 1.  Every operation acts
+# row by row, so a batch gives the same rows as its rows one at a time.
 
 
-def _fp_restrict(lam: int, p: int, a: tuple, r: tuple) -> tuple:
-    a0, a1, a2 = a
-    r0, r1, r2 = r
+def _rows(points) -> np.ndarray:
+    """Coordinate triples as an (n, 3) int64 array."""
+    return np.asarray(points, dtype=np.int64).reshape(-1, 3)
+
+
+def _fp_restrict(lam: int, p: int, a: np.ndarray, r: np.ndarray) -> tuple:
+    """Coefficients of the cubic on the lines s*a + t*r, one per row."""
+    a0, a1, a2 = a.T
+    r0, r1, r2 = r.T
     c30 = (a0 ** 3 + a1 ** 3 + a2 ** 3 + lam * a0 * a1 * a2) % p
     c03 = (r0 ** 3 + r1 ** 3 + r2 ** 3 + lam * r0 * r1 * r2) % p
     c21 = (3 * (a0 * a0 * r0 + a1 * a1 * r1 + a2 * a2 * r2)
@@ -324,77 +341,101 @@ def _fp_restrict(lam: int, p: int, a: tuple, r: tuple) -> tuple:
     return c30, c21, c12, c03
 
 
-def _fp_gradient(lam: int, p: int, pt: tuple) -> tuple:
-    x, y, z = pt
-    return ((3 * x * x + lam * y * z) % p,
-            (3 * y * y + lam * x * z) % p,
-            (3 * z * z + lam * x * y) % p)
+def _fp_gradient(lam: int, p: int, pts: np.ndarray) -> np.ndarray:
+    x, y, z = pts.T
+    return np.stack(((3 * x * x + lam * y * z) % p,
+                     (3 * y * y + lam * x * z) % p,
+                     (3 * z * z + lam * x * y) % p), axis=-1)
 
 
-def _fp_cross(u: tuple, v: tuple, p: int) -> tuple:
-    return ((u[1] * v[2] - u[2] * v[1]) % p,
-            (u[2] * v[0] - u[0] * v[2]) % p,
-            (u[0] * v[1] - u[1] * v[0]) % p)
+def _fp_cross(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    return np.stack(((u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1]) % p,
+                     (u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2]) % p,
+                     (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]) % p),
+                    axis=-1)
 
 
-def _fp_third(lam: int, p: int, a: tuple, b: tuple) -> tuple:
-    same = _fp_cross(a, b, p) == (0, 0, 0)
-    if same:
-        grad = _fp_gradient(lam, p, a)
-        if grad == (0, 0, 0):
+def _fp_normalize(v: np.ndarray, p: int) -> np.ndarray:
+    """Rows of residues scaled so the first nonzero one is 1."""
+    lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
+    if not lead.all():
+        raise ValueError("cannot normalise the zero vector")
+    return v * _inverse_table(p)[lead][:, None] % p
+
+
+def _fp_third(lam: int, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Third intersection of the member with the line through a and b,
+    row by row (the tangent line where the rows coincide).  Raises
+    ArithmeticError if any row fails.
+
+    int64 bound: lam and every coordinate are residues below p, so the
+    largest intermediate is in c21/c12 of _fp_restrict, under
+    3*p**4 + 9*p**3; that is under 2*10**14 at the largest witness prime
+    2791, far inside int64 (9.2*10**18).  Every other product stays
+    under p**4.
+    """
+    a, b = np.broadcast_arrays(a, b)
+    same = ~_fp_cross(a, b, p).any(axis=1)
+    r = b.copy()
+    if same.any():
+        at = a[same]
+        grad = _fp_gradient(lam, p, at)
+        if not grad.any(axis=1).all():
             raise ArithmeticError("singular point in fast route")
-        r = None
-        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        companion = np.zeros_like(at)
+        found = np.zeros(len(at), dtype=bool)
+        for e in np.eye(3, dtype=np.int64):
             cand = _fp_cross(grad, e, p)
-            if cand != (0, 0, 0) and _fp_cross(cand, a, p) != (0, 0, 0):
-                r = cand
-                break
-        if r is None:
+            take = (~found & cand.any(axis=1)
+                    & _fp_cross(cand, at, p).any(axis=1))
+            companion[take] = cand[take]
+            found |= take
+        if not found.all():
             raise ArithmeticError("no tangent companion found")
-    else:
-        r = b
+        r[same] = companion
     c30, c21, c12, c03 = _fp_restrict(lam, p, a, r)
-    if c30 != 0:
+    if c30.any():
         raise ArithmeticError("base point not on curve")
-    if same:
-        if c21 != 0:
-            raise ArithmeticError("tangency division has a remainder")
-        s0, t0 = c03, (-c12) % p
-    else:
-        if c03 != 0:
-            raise ArithmeticError("second point not on curve")
-        s0, t0 = c12, (-c21) % p
-    if s0 == 0 and t0 == 0:
+    if c21[same].any():
+        raise ArithmeticError("tangency division has a remainder")
+    if c03[~same].any():
+        raise ArithmeticError("second point not on curve")
+    s0 = np.where(same, c03, c12)
+    t0 = np.where(same, -c12, -c21) % p
+    if not (s0.astype(bool) | t0.astype(bool)).all():
         raise ArithmeticError("line lies in the cubic")
-    return _normalize_mod_p(tuple((s0 * ai + t0 * ri) % p
-                               for ai, ri in zip(a, r)), p)
+    return _fp_normalize((s0[:, None] * a + t0[:, None] * r) % p, p)
 
 
-def _fp_origin(p: int) -> tuple:
-    return (0, 1, p - 1)
+def _fp_origin(p: int) -> np.ndarray:
+    return np.array((0, 1, p - 1), dtype=np.int64)
 
 
-def _fp_neg(pt: tuple, p: int) -> tuple:
-    return _normalize_mod_p((pt[0], pt[2], pt[1]), p)
+def _is_origin(pts: np.ndarray, p: int) -> np.ndarray:
+    return (pts == _fp_origin(p)).all(axis=1)
 
 
-def _fp_add(lam: int, p: int, a: tuple, b: tuple) -> tuple:
-    t = _fp_third(lam, p, a, b)
-    return _fp_third(lam, p, t, _fp_origin(p))
+def _fp_neg(pts: np.ndarray, p: int) -> np.ndarray:
+    return _fp_normalize(pts[:, [0, 2, 1]], p)
 
 
-def _fp_scalar(lam: int, p: int, k: int, a: tuple) -> tuple:
+def _fp_add(lam: int, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _fp_third(lam, p, _fp_third(lam, p, a, b), _fp_origin(p))
+
+
+def _fp_scalar(lam: int, p: int, k: int, pts: np.ndarray) -> np.ndarray:
+    """k * P for every row P; k is shared, so double-and-add runs once."""
     if k < 0:
-        return _fp_scalar(lam, p, -k, _fp_neg(a, p))
-    acc = _fp_origin(p)
-    base = a
+        return _fp_scalar(lam, p, -k, _fp_neg(pts, p))
+    acc = None
+    base = pts
     while k:
         if k & 1:
-            acc = _fp_add(lam, p, acc, base)
+            acc = base if acc is None else _fp_add(lam, p, acc, base)
         if k > 1:
             base = _fp_add(lam, p, base, base)
         k >>= 1
-    return acc
+    return np.tile(_fp_origin(p), (len(pts), 1)) if acc is None else acc
 
 
 # -- enumeration over F_p ----------------------------------------------
@@ -402,20 +443,48 @@ def _fp_scalar(lam: int, p: int, k: int, a: tuple) -> tuple:
 _CHUNK = 256
 
 
-def _fp_enumerate_hesse(lam: int, p: int) -> list[tuple[int, int, int]]:
-    """All points of the member, normalized, sorted; numpy chart scan."""
-    ar = np.arange(p, dtype=np.int64)
+def _lambda_blocks(p: int):
+    """Yield (y0, block) with block[i, j] the lam whose member holds
+    (1, y0 + i, 1 + j), over all y, z in 1..p-1, a slab of rows at a time.
+    On that chart lam = -(1 + y^3 + z^3) / (y*z)."""
+    ar = np.arange(1, p, dtype=np.int64)
     cubes = (ar * ar % p) * ar % p
-    pts = []
-    for start in range(0, p, _CHUNK):
-        ys = ar[start:start + _CHUNK]
-        vals = (1 + cubes[start:start + _CHUNK, None] + cubes[None, :]
-                + lam * (ys[:, None] * ar[None, :] % p)) % p
-        iy, iz = np.nonzero(vals == 0)
-        pts.extend((1, int(ys[i]), int(ar[j])) for i, j in zip(iy, iz))
-    for z in np.nonzero((1 + cubes) % p == 0)[0]:
-        pts.append((0, 1, int(z)))
-    return sorted(pts)
+    inv = _inverse_table(p)[1:]
+    for start in range(0, p - 1, _CHUNK):
+        c = cubes[start:start + _CHUNK, None] + 1
+        i = inv[start:start + _CHUNK, None]
+        # factors below 2p+1, p and p: the product stays under 2*p**3
+        yield start + 1, -(c + cubes[None, :]) * i * inv[None, :] % p
+
+
+def _member_points(p: int, lams: Sequence[int]) -> dict[int, np.ndarray]:
+    """The points of the members at each lam in lams, in no set order:
+    the points with all coordinates nonzero from one pass over the lambda
+    blocks, plus the points with a zero coordinate, which satisfy
+    1 + t^3 = 0 for their other free coordinate t whatever lam is."""
+    wanted = np.zeros(p, dtype=bool)
+    wanted[list(lams)] = True
+    found = []
+    for y0, block in _lambda_blocks(p):
+        iy, iz = np.nonzero(wanted[block])
+        found.append(np.stack([block[iy, iz], np.ones_like(iy), iy + y0,
+                               iz + 1], axis=1))
+    found = np.concatenate(found)
+    roots = np.nonzero((np.arange(p) ** 3 + 1) % p == 0)[0]
+    zero, one = np.zeros_like(roots), np.ones_like(roots)
+    shared = np.concatenate([np.stack(cols, axis=1) for cols in
+                             ((zero, one, roots), (one, zero, roots),
+                              (one, roots, zero))])
+    return {lam: np.concatenate([shared, found[found[:, 0] == lam, 1:]])
+            for lam in lams}
+
+
+def _fp_enumerate_hesse(lam: int, p: int) -> np.ndarray:
+    """All points of the member as sorted rows of a read-only array."""
+    pts = _member_points(p, [lam])[lam]
+    pts = pts[np.lexsort(pts.T[::-1])]
+    pts.flags.writeable = False
+    return pts
 
 
 def _fp_singular_points_general(curve: PlaneCubic) -> list:
@@ -447,19 +516,34 @@ def torsion_points(curve: PlaneCubic, n: int) -> list[CubicCurvePoint]:
     if not curve.is_smooth():
         raise ValueError("torsion of a singular cubic")
     lam, p = curve.fp_params()
-    o = _fp_origin(p)
-    out = [pt for pt in curve.int_points() if _fp_scalar(lam, p, n, pt) == o]
-    return [CubicCurvePoint(curve, pt) for pt in out]
+    pts = curve.point_array()
+    hits = pts[_is_origin(_fp_scalar(lam, p, n, pts), p)]
+    return [CubicCurvePoint(curve, pt) for pt in hits.tolist()]
 
 
-def _order_of(lam: int, p: int, pt: tuple, group_order: int,
-              prime_factors: list[int]) -> int:
-    o = _fp_origin(p)
-    m = group_order
-    for q in prime_factors:
-        while m % q == 0 and _fp_scalar(lam, p, m // q, pt) == o:
-            m //= q
-    return m
+def _orders(lam: int, p: int, pts: np.ndarray, group_order: int) -> np.ndarray:
+    """The order of every row.  For each prime power q^e exactly dividing
+    the group order, the q-part of a row's order is the least q^j with
+    q^j * (group_order / q^e) * P at the origin."""
+    orders = np.ones(len(pts), dtype=np.int64)
+    for q in _prime_factors(group_order):
+        cofactor = group_order
+        while cofactor % q == 0:
+            cofactor //= q
+        acc = _fp_scalar(lam, p, cofactor, pts)
+        while cofactor * q <= group_order:
+            orders[~_is_origin(acc, p)] *= q
+            acc = _fp_scalar(lam, p, q, acc)
+            cofactor *= q
+    return orders
+
+
+def _point_orders(curve: PlaneCubic) -> np.ndarray:
+    if curve._orders is None:
+        lam, p = curve.fp_params()
+        pts = curve.point_array()
+        curve._orders = _orders(lam, p, pts, len(pts))
+    return curve._orders
 
 
 def group_structure(curve: PlaneCubic) -> dict:
@@ -467,17 +551,10 @@ def group_structure(curve: PlaneCubic) -> dict:
     if curve._structure is not None:
         return curve._structure
     lam, p = curve.fp_params()
-    pts = curve.int_points()
-    n = len(pts)
+    n = len(curve.point_array())
     if not hasse_admits(p, n):
         raise AssertionError("point count %d escapes the Hasse bound" % n)
-    factors = _prime_factors(n)
-    exponent = 1
-    for pt in pts:
-        o = _order_of(lam, p, pt, n, factors)
-        exponent = exponent * o // gcd(exponent, o)
-        if exponent == n:
-            break
+    exponent = lcm(*_point_orders(curve).tolist())
     n1, n2 = n // exponent, exponent
     if n1 * n2 != n or n2 % n1 != 0:
         raise AssertionError("group is not of rank <= 2")
@@ -485,31 +562,38 @@ def group_structure(curve: PlaneCubic) -> dict:
     return curve._structure
 
 
+def _keys(pts: np.ndarray, p: int) -> np.ndarray:
+    """One integer per point: its coordinates read in base p."""
+    return (pts[:, 0] * p + pts[:, 1]) * p + pts[:, 2]
+
+
 def group_generators(curve: PlaneCubic) -> list[CubicCurvePoint]:
-    """One or two points generating E(F_p), invariants order (n1, n2)."""
+    """One or two points generating E(F_p), invariants order (n1, n2):
+    the first point of order n2, then the first point P whose least
+    k with k*P in the span of the first is n1."""
     lam, p = curve.fp_params()
-    pts = curve.int_points()
-    st = group_structure(curve)
-    n1, n2 = st["invariants"]
-    factors = _prime_factors(st["order"])
-    gen2 = next(pt for pt in pts
-                if _order_of(lam, p, pt, st["order"], factors) == n2)
+    pts = curve.point_array()
+    n1, n2 = group_structure(curve)["invariants"]
+    gen2 = pts[np.nonzero(_point_orders(curve) == n2)[0][:1]]
     if n1 == 1:
-        return [CubicCurvePoint(curve, gen2)]
-    cyclic = set()
-    acc = _fp_origin(p)
-    for _ in range(n2):
-        cyclic.add(acc)
-        acc = _fp_add(lam, p, acc, gen2)
-    for pt in pts:
-        k = 1
-        acc = pt
-        while acc not in cyclic:
-            acc = _fp_add(lam, p, acc, pt)
-            k += 1
-        if k == n1:
-            return [CubicCurvePoint(curve, pt), CubicCurvePoint(curve, gen2)]
-    raise AssertionError("no complementary generator found")
+        return [CubicCurvePoint(curve, gen2[0].tolist())]
+    cyclic = [_fp_origin(p)[None, :]]
+    for _ in range(n2 - 1):
+        cyclic.append(_fp_add(lam, p, cyclic[-1], gen2))
+    cyclic = _keys(np.concatenate(cyclic), p)
+    k = np.ones(len(pts), dtype=np.int64)
+    acc = pts.copy()
+    outside = ~np.isin(_keys(acc, p), cyclic)
+    while outside.any():
+        idx = np.nonzero(outside)[0]
+        acc[idx] = _fp_add(lam, p, acc[idx], pts[idx])
+        k[idx] += 1
+        outside[idx] = ~np.isin(_keys(acc[idx], p), cyclic)
+    first = np.nonzero(k == n1)[0]
+    if not len(first):
+        raise AssertionError("no complementary generator found")
+    return [CubicCurvePoint(curve, pts[first[0]].tolist()),
+            CubicCurvePoint(curve, gen2[0].tolist())]
 
 
 def base_points(curve: PlaneCubic) -> list[CubicCurvePoint]:
@@ -711,7 +795,7 @@ def _fp_singular_lambda_scan(p: int) -> np.ndarray:
     the other two partials cut the set down.
     """
     ar = np.arange(1, p, dtype=np.int64)
-    inv = np.array([pow(int(v), p - 2, p) for v in ar], dtype=np.int64)
+    inv = _inverse_table(p)[1:]
     lam = (-3 * inv[:, None] * inv[None, :]) % p
     y = ar[:, None]
     z = ar[None, :]
@@ -729,57 +813,69 @@ def verify_intersection_arithmetic(p: int = 31, lam: int = 1,
     """The three diagonal set identities, certified pointwise over F_p."""
     curve = PlaneCubic.hesse_member(lam, Fp(1, p))
     lam_i, _ = curve.fp_params()
-    pts = curve.int_points()
-    o = _fp_origin(p)
+    pts = curve.point_array()
     checks = Checks()
 
-    def nmul(k, pt):
-        return _fp_scalar(lam_i, p, k, pt)
+    def nmul(k, rows):
+        return _fp_scalar(lam_i, p, k, rows)
 
     def padd(a, b):
         return _fp_add(lam_i, p, a, b)
 
+    def rows_equal(a, b):
+        return (a == b).all(axis=1)
+
     # (i) 3r+2q = 0 on the diagonal r = q means exactly 5q = 0
-    five_tors = {pt for pt in pts if nmul(5, pt) == o}
-    diag = {pt for pt in pts if padd(nmul(3, pt), nmul(2, pt)) == o}
-    checks.add("diagonal of 3r+2q = 0 is the 5-torsion", diag == five_tors,
-               "%d points" % len(diag))
+    two_q, three_q, five_q = nmul(2, pts), nmul(3, pts), nmul(5, pts)
+    diagonal = padd(three_q, two_q)
+    five_tors = _is_origin(five_q, p)
+    diag = _is_origin(diagonal, p)
+    checks.add("diagonal of 3r+2q = 0 is the 5-torsion",
+               (diag == five_tors).all(), "%d points" % diag.sum())
     checks.add("5-torsion count matches the extracted subgroup",
-               len(five_tors) == len(torsion_points(curve, 5)))
+               five_tors.sum() == len(torsion_points(curve, 5)))
     # (ii) same with every nonzero 3-torsion translate on the right
-    three_tors = sorted(pt for pt in pts if nmul(3, pt) == o and pt != o)
-    shifted_counts = {}
+    three_tors = pts[_is_origin(three_q, p) & ~_is_origin(pts, p)]
+    shifted_counts = []
     ok_all = True
-    for tau in three_tors:
-        rhs = _fp_neg(tau, p)
-        left = {pt for pt in pts if padd(nmul(3, pt), nmul(2, pt)) == rhs}
-        right = {pt for pt in pts if nmul(5, pt) == rhs}
-        ok_all = ok_all and left == right
-        shifted_counts[tau] = len(left)
+    for rhs in _fp_neg(three_tors, p):
+        left = rows_equal(diagonal, rhs)
+        ok_all = ok_all and (left == rows_equal(five_q, rhs)).all()
+        shifted_counts.append(int(left.sum()))
     checks.add("diagonal of 3r+2q = -tau matches 5q = -tau for all 8 taus",
                ok_all and len(three_tors) == 8)
-    counts_ok = all(c in (0, len(five_tors)) for c in shifted_counts.values())
+    counts_ok = all(c in (0, five_tors.sum()) for c in shifted_counts)
     checks.add("each shifted diagonal is empty or a 5-torsion coset", counts_ok,
-               "counts %r" % sorted(shifted_counts.values()))
+               "counts %r" % sorted(shifted_counts))
     # (iii) on the ruling through p, the unique solution of
     # 3(-e+p)+2e = 0 is e = 3p, and of 3(-e+p)+2e = -tau is e = 3p+tau
     rng = random.Random(seed)
-    ok_unique = True
-    for _ in range(samples):
-        base = rng.choice(pts)
-        sols = [e for e in pts
-                if padd(nmul(3, padd(_fp_neg(e, p), base)), nmul(2, e)) == o]
-        ok_unique = ok_unique and sols == [nmul(3, base)]
+    bases = _rows([rng.choice(pts) for _ in range(samples)])
+    shifted = [(rng.choice(pts), rng.choice(three_tors))
+               for _ in range(samples // 2)]
+    shift_bases = _rows([base for base, _ in shifted])
+    taus = _rows([tau for _, tau in shifted])
+
+    def ruling(base_rows):
+        """3(-e+b)+2e for every point e (axis 1) and base b (axis 0)."""
+        n = len(pts)
+        e_neg = np.tile(_fp_neg(pts, p), (len(base_rows), 1))
+        total = padd(nmul(3, padd(e_neg, np.repeat(base_rows, n, axis=0))),
+                     np.tile(two_q, (len(base_rows), 1)))
+        return total.reshape(len(base_rows), n, 3)
+
+    def single_solution(values, rhs, expected):
+        sols = pts[rows_equal(values, rhs)]
+        return len(sols) == 1 and (sols[0] == expected).all()
+
+    ok_unique = all(single_solution(values, _fp_origin(p), e)
+                    for values, e in zip(ruling(bases), nmul(3, bases)))
     checks.add("ruling meets the kernel curve once, at e = 3p (%d samples)"
                % samples, ok_unique)
-    ok_shift = True
-    for _ in range(samples // 2):
-        base = rng.choice(pts)
-        tau = rng.choice(three_tors)
-        rhs = _fp_neg(tau, p)
-        sols = [e for e in pts
-                if padd(nmul(3, padd(_fp_neg(e, p), base)), nmul(2, e)) == rhs]
-        ok_shift = ok_shift and sols == [padd(nmul(3, base), tau)]
+    expected = padd(nmul(3, shift_bases), taus)
+    ok_shift = all(single_solution(values, rhs, e)
+                   for values, rhs, e in zip(ruling(shift_bases),
+                                             _fp_neg(taus, p), expected))
     checks.add("shifted ruling equation has the single solution e = 3p+tau",
                ok_shift)
     return {
@@ -795,30 +891,31 @@ def verify_translation_action(p: int = 31, lam: int = 1) -> dict:
     3-torsion points."""
     curve = PlaneCubic.hesse_member(lam, Fp(1, p))
     lam_i, _ = curve.fp_params()
-    pts = curve.int_points()
-    o = _fp_origin(p)
-    w = find_root_of_unity(p, 3)
+    pts = curve.point_array()
+    o = _fp_origin(p)[None, :]
+    w = find_root_of_unity(p, 3).v
     checks = Checks()
 
-    def shift_map(pt):
-        return _normalize_mod_p((pt[2], pt[0], pt[1]), p)
+    def shift_map(rows):
+        return _fp_normalize(rows[:, [2, 0, 1]], p)
 
-    def character_map(pt):
-        w2 = w.v * w.v % p
-        return _normalize_mod_p((pt[0], pt[1] * w2 % p, pt[2] * w.v % p), p)
+    def character_map(rows):
+        return _fp_normalize(rows * np.array((1, w * w % p, w)) % p, p)
+
+    def three_torsion(rows):
+        return _is_origin(_fp_scalar(lam_i, p, 3, rows), p)
 
     for name, mapping in (("cyclic shift", shift_map),
                           ("diagonal character", character_map)):
         t = mapping(o)
         checks.add("%s moves the origin to a 3-torsion point" % name,
-                   _fp_scalar(lam_i, p, 3, t) == o and t != o)
-        ok = all(mapping(pt) == _fp_add(lam_i, p, pt, t) for pt in pts)
+                   three_torsion(t)[0] and not _is_origin(t, p)[0])
+        ok = (mapping(pts) == _fp_add(lam_i, p, pts, t)).all()
         checks.add("%s is translation by a fixed 3-torsion point" % name, ok,
-                   "translation point %r" % (t,))
-    bases = [pt for pt in pts if 0 in pt]
+                   "translation point %r" % (tuple(t[0].tolist()),))
+    bases = pts[(pts == 0).any(axis=1)]
     checks.add("the 9 coordinate-plane sections are 3-torsion",
-               len(bases) == 9 and all(_fp_scalar(lam_i, p, 3, pt) == o
-                                       for pt in bases))
+               len(bases) == 9 and three_torsion(bases).all())
     return {"passed": checks.passed, "checks": checks.records,
             "p": p, "lam": lam}
 
@@ -829,20 +926,12 @@ def verify_translation_action(p: int = 31, lam: int = 1) -> dict:
 def _lambda_histogram(p: int) -> np.ndarray:
     """hist[lam] = number of affine points with all coordinates nonzero.
 
-    Every member carries the same 9 coordinate-plane points, so the
-    member at lam has hist[lam] + 9 rational points in total.
+    Every member carries the same 9 coordinate-plane points (p = 1 mod 3
+    here), so the member at lam has hist[lam] + 9 rational points.
     """
-    ar = np.arange(1, p, dtype=np.int64)
-    cubes = (ar * ar % p) * ar % p
-    inv = np.array([pow(int(v), p - 2, p) for v in ar], dtype=np.int64)
     hist = np.zeros(p, dtype=np.int64)
-    for start in range(0, p - 1, _CHUNK):
-        c = cubes[start:start + _CHUNK, None]
-        i = inv[start:start + _CHUNK, None]
-        s = (c + cubes[None, :] + 1) % p
-        b = (i * inv[None, :]) % p
-        lam = (-(s * b)) % p
-        hist += np.bincount(lam.ravel(), minlength=p)
+    for _, block in _lambda_blocks(p):
+        hist += np.bincount(block.ravel(), minlength=p)
     return hist
 
 
@@ -864,9 +953,10 @@ def find_torsion_witness(primes: Sequence[int] | None = None,
 
     Deterministic, so results are memoized per prime list.  Candidates
     are prefiltered by the cheap 2-torsion root count before any point
-    enumeration.  At most `max_candidates` are tried per prime; the
-    trace gives each searched prime's candidate total and says when the
-    cap cut a search short.
+    enumeration, and the points of the survivors at one prime come from
+    a single pass over the lambda grid.  At most `max_candidates` are
+    tried per prime; the trace gives each searched prime's candidate
+    total and says when the cap cut a search short.
     """
     if primes is None:
         primes = tuple(DEFAULT_PRIMES) + WITNESS_PRIMES
@@ -891,17 +981,20 @@ def find_torsion_witness(primes: Sequence[int] | None = None,
                  if (int(hist[lam]) + 9) % 900 == 0
                  and (lam ** 3 + 27) % p != 0]
         tried = []
-        for lam in cands[:max_candidates]:
-            roots = _two_torsion_roots(lam, p)
-            if len(roots) != 3:
-                tried.append({"lam": lam, "two_torsion": len(roots) + 1})
+        searched = cands[:max_candidates]
+        two_torsion = {lam: len(_two_torsion_roots(lam, p)) + 1
+                       for lam in searched}
+        members = _member_points(
+            p, [lam for lam in searched if two_torsion[lam] == 4])
+        for lam in searched:
+            if two_torsion[lam] != 4:
+                tried.append({"lam": lam, "two_torsion": two_torsion[lam]})
                 continue
-            pts = _fp_enumerate_hesse(lam, p)
+            pts = members[lam]
             n = len(pts)
-            o = _fp_origin(p)
-            c3 = sum(1 for pt in pts if _fp_scalar(lam, p, 3, pt) == o)
-            c5 = sum(1 for pt in pts if _fp_scalar(lam, p, 5, pt) == o)
-            entry = {"lam": lam, "order": n, "two_torsion": len(roots) + 1,
+            c3 = int(_is_origin(_fp_scalar(lam, p, 3, pts), p).sum())
+            c5 = int(_is_origin(_fp_scalar(lam, p, 5, pts), p).sum())
+            entry = {"lam": lam, "order": n, "two_torsion": 4,
                      "three_torsion": c3, "five_torsion": c5}
             tried.append(entry)
             if c3 == 9 and c5 == 25:
@@ -945,43 +1038,44 @@ def verify_six_secant_criterion(primes: Sequence[int] | None = None,
     p = search["witness"]["p"]
     lam = search["witness"]["lam"]
     curve = PlaneCubic.hesse_member(lam, Fp(1, p))
-    pts = curve.int_points()
-    o = _fp_origin(p)
+    pts = curve.point_array()
 
-    def nmul(k, pt):
-        return _fp_scalar(lam, p, k, pt)
+    def nmul(k, rows):
+        return _fp_scalar(lam, p, k, rows)
 
     def padd(a, b):
         return _fp_add(lam, p, a, b)
 
-    two = sorted(pt for pt in pts if nmul(2, pt) == o and pt != o)
-    three = sorted(pt for pt in pts if nmul(3, pt) == o and pt != o)
-    five = sorted(pt for pt in pts if nmul(5, pt) == o)
+    nonzero = ~_is_origin(pts, p)
+    two = pts[_is_origin(nmul(2, pts), p) & nonzero]
+    three = pts[_is_origin(nmul(3, pts), p) & nonzero]
+    five = pts[_is_origin(nmul(5, pts), p)]
     checks.add("witness torsion counts (2,3,5) = (4,9,25)",
                len(two) == 3 and len(three) == 8 and len(five) == 25,
                "order %d" % len(pts))
-    s2 = padd(padd(two[0], two[1]), two[2])
-    checks.add("the three nonzero 2-torsion points sum to zero", s2 == o)
-    reduction_ok = True
-    collinear_ok = True
-    for e0 in five:
-        for tau in three:
-            trio = [padd(padd(e0, tau), t) for t in two]
-            total = padd(padd(padd(trio[0], trio[1]), trio[2]), nmul(2, e0))
-            reduction_ok = reduction_ok and total == nmul(5, e0)
-            collinear_ok = collinear_ok and total == o
+    s2 = padd(padd(two[[0]], two[[1]]), two[[2]])
+    checks.add("the three nonzero 2-torsion points sum to zero",
+               _is_origin(s2, p)[0])
+
+    def collinearity_sums(e0, tau):
+        """sum(p_i) + 2*e0 with p_i = e0 + tau + tau_i, row by row."""
+        shifted = padd(e0, tau)
+        trio = [padd(shifted, t) for t in two[:3]]
+        return padd(padd(padd(trio[0], trio[1]), trio[2]), nmul(2, e0))
+
+    e0 = np.repeat(five, len(three), axis=0)
+    total = collinearity_sums(e0, np.tile(three, (len(five), 1)))
     checks.add("sum(p_i) + 2*e0 = 5*e0 on all 25 x 8 torsion choices",
-               reduction_ok)
-    checks.add("collinearity holds at every 5-torsion e0", collinear_ok)
+               (total == nmul(5, e0)).all())
+    checks.add("collinearity holds at every 5-torsion e0",
+               _is_origin(total, p).all())
     rng = random.Random(seed)
-    equiv_ok = True
-    for _ in range(50):
-        e0 = rng.choice(pts)
-        tau = rng.choice(three)
-        trio = [padd(padd(e0, tau), t) for t in two]
-        total = padd(padd(padd(trio[0], trio[1]), trio[2]), nmul(2, e0))
-        equiv_ok = equiv_ok and (total == o) == (nmul(5, e0) == o)
-        equiv_ok = equiv_ok and total == nmul(5, e0)
+    draws = [(rng.choice(pts), rng.choice(three)) for _ in range(50)]
+    e0 = _rows([e for e, _ in draws])
+    total = collinearity_sums(e0, _rows([tau for _, tau in draws]))
+    five_e0 = nmul(5, e0)
+    equiv_ok = ((_is_origin(total, p) == _is_origin(five_e0, p)).all()
+                and (total == five_e0).all())
     checks.add("collinearity is equivalent to 5*e0 = 0 on random points",
                equiv_ok)
     checks.add("the equation 5*e0 = 0 has exactly 25 solutions",

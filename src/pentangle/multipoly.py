@@ -42,7 +42,6 @@ class MultiPoly:
                  one=_F1):
         self.vars = tuple(vars)
         self.one = one
-        zero = one * 0
         clean = {}
         if terms:
             for mono, c in terms.items():
@@ -51,13 +50,13 @@ class MultiPoly:
                 if len(mono) != len(self.vars):
                     raise ValueError("exponent width %d does not match %d variables"
                                      % (len(mono), len(self.vars)))
-                if c == zero:
+                if not c:
                     continue
                 mono = tuple(int(e) for e in mono)
                 if any(e < 0 for e in mono):
                     raise ValueError("negative exponent in %r" % (mono,))
-                clean[mono] = clean.get(mono, zero) + c if mono in clean else c
-                if clean[mono] == zero:
+                clean[mono] = clean[mono] + c if mono in clean else c
+                if not clean[mono]:
                     del clean[mono]
         self.terms = clean
 
@@ -139,7 +138,7 @@ class MultiPoly:
         out = dict(self.terms)
         for mono, c in other.terms.items():
             acc = out.get(mono, zero) + c
-            if acc == zero:
+            if not acc:
                 out.pop(mono, None)
             else:
                 out[mono] = acc
@@ -162,8 +161,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             if isinstance(other, int):
                 other = self.one * other
-            zero = self.zero_coeff
-            if other == zero:
+            if not other:
                 return MultiPoly.zero(self.vars, self.one)
             return _mk(self.vars, {m: c * other for m, c in self.terms.items()}, self.one)
         self._check_compatible(other)
@@ -173,7 +171,7 @@ class MultiPoly:
             for m2, c2 in other.terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
                 acc = out.get(mono, zero) + c1 * c2
-                if acc == zero:
+                if not acc:
                     out.pop(mono, None)
                 else:
                     out[mono] = acc
@@ -212,7 +210,7 @@ class MultiPoly:
             for m2, c2 in g.terms.items():
                 tm = tuple(a + b for a, b in zip(diff, m2))
                 acc = rem.get(tm, zero) - c * c2
-                if acc == zero:
+                if not acc:
                     rem.pop(tm, None)
                 else:
                     rem[tm] = acc
@@ -239,7 +237,7 @@ class MultiPoly:
                 continue
             m2 = mono[:idx] + (e - 1,) + mono[idx + 1:]
             acc = out.get(m2, zero) + c * e
-            if acc == zero:
+            if not acc:
                 out.pop(m2, None)
             else:
                 out[m2] = acc

@@ -35,7 +35,8 @@ import numpy as np
 from .checks import Checks
 from .moore import excluded_modulus_residues
 from .multipoly import monomials
-from .scalars import DEFAULT_PRIMES, Fp, _normalize_mod_p, find_root_of_unity
+from .scalars import (DEFAULT_PRIMES, Fp, _inverse_table, _normalize_mod_p,
+                      find_root_of_unity)
 
 SEED = 20260824
 CACHE_VERSION = 1
@@ -392,7 +393,7 @@ def _fibre_candidates(triples, p: int, a: int) -> np.ndarray:
     p=241, the largest supported prime, far inside int64.
     """
     x0, x1, x2 = triples
-    inverse = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int64)
+    inverse = _inverse_table(p)
     m00 = a * x2 % p
     m01 = (p - pow(a, p - 2, p)) * x1 % p
     m11 = a * x0 % p

@@ -3,21 +3,30 @@
 Three scalar domains, all exact:
 
   * Cyclo   -- the degree-8 cyclotomic field Q(eps15) = Q[t]/Phi15(t),
-               which already contains eps5 = t^3 and eps3 = t^5.
+               which already contains eps5 = t^3 and eps3 = t^5.  An
+               element is 8 integer numerators over one positive common
+               denominator, in lowest terms, so its arithmetic runs on
+               Python ints and equality is tuple equality.
   * Fp      -- prime fields F_p; identities transfer along t -> w where
                w is a primitive 15th root of unity in F_p.
   * RatFunc -- univariate rational functions in a formal parameter over
-               an exact base field (default Fraction).
+               an exact base field (default Fraction); monomial
+               denominators c*a^k are reduced without Euclid.
 
 No floating point anywhere.  Every value type here is immutable after
-construction and therefore safe to share between workers.
+construction and therefore safe to share between workers.  The residue
+helpers at the end of the prime-field section (`_normalize_mod_p`, the
+read-only inverse table `_inverse_table`) serve the numpy routes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 Rat = Union[int, Fraction]
 
@@ -28,64 +37,77 @@ PHI15_COEFFS = (1, -1, 0, 1, -1, 1, 0, -1, 1)
 DEFAULT_PRIMES = (31, 61, 151, 181, 211, 241)
 
 _DEG = 8
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def _reduction_table() -> tuple[tuple[Fraction, ...], ...]:
+def _reduction_table() -> tuple[tuple[int, ...], ...]:
     # t^8 = t^7 - t^5 + t^4 - t^3 + t - 1; rows for t^8 .. t^14
-    top = tuple(Fraction(-c) for c in PHI15_COEFFS[:_DEG])
+    top = tuple(-c for c in PHI15_COEFFS[:_DEG])
     rows = [top]
     for _ in range(_DEG - 2):
         prev = rows[-1]
-        shifted = (_F0,) + prev[:-1]
+        shifted = (0,) + prev[:-1]
         overflow = prev[-1]
         rows.append(tuple(s + overflow * t for s, t in zip(shifted, top)))
     return tuple(rows)
 
 
 _REDUCE = _reduction_table()
-_TAIL0 = (_F0,) * (_DEG - 1)
+_TAIL0 = (0,) * (_DEG - 1)
+#: exponents k > 1 prime to 15: t -> t^k are the nontrivial automorphisms
+_CONJUGATES = (2, 4, 7, 8, 11, 13, 14)
+
+
+def _fold(cs: list[int]) -> list[int]:
+    """Reduce an integer coefficient list of degree <= 14 modulo Phi15."""
+    for k in range(len(cs) - 1, _DEG - 1, -1):
+        c = cs[k]
+        if c:
+            row = _REDUCE[k - _DEG]
+            for idx in range(_DEG):
+                cs[idx] += c * row[idx]
+    return cs[:_DEG]
 
 
 class Cyclo:
     """An element of Q(eps15), stored reduced modulo Phi15.
 
-    Coefficient vectors longer than 8 (up to degree 14, the largest a
-    product can reach) are folded down on construction.
+    The value is sum(n[i] * eps15^i) / d for a tuple n of 8 integers and
+    a positive integer d, kept in lowest terms (gcd(d, *n) == 1, and zero
+    is n = 0, d = 1), so two elements are equal exactly when their
+    (n, d) pairs are.  Coefficient vectors longer than 8 (up to degree
+    14, the largest a product can reach) are folded down on
+    construction.  `coeffs` gives the coefficients as Fractions.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs: Union["Cyclo", Rat, Iterable[Rat]] = 0):
         if isinstance(coeffs, Cyclo):
-            self._c = coeffs._c
+            self._n, self._d = coeffs._n, coeffs._d
             return
         if isinstance(coeffs, (int, Fraction)):
-            self._c = (Fraction(coeffs),) + _TAIL0
+            self._n = (coeffs.numerator,) + _TAIL0
+            self._d = coeffs.denominator
             return
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         if len(cs) > 2 * _DEG - 1:
             raise ValueError("coefficient vector longer than degree 14")
-        while len(cs) < _DEG:
-            cs.append(_F0)
-        while len(cs) > _DEG:
-            c = cs.pop()
-            if c:
-                row = _REDUCE[len(cs) - _DEG]
-                for idx in range(_DEG):
-                    cs[idx] += c * row[idx]
-        self._c = tuple(cs)
+        d = lcm(1, *(c.denominator for c in cs))
+        ns = [c.numerator * (d // c.denominator) for c in cs]
+        ns += [0] * (_DEG - len(ns))
+        self._n, self._d = _lowest(_fold(ns), d)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._c
+        d = self._d
+        return tuple(Fraction(c, d) for c in self._n)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._c)
+        return not any(self._n)
 
     def is_rational(self) -> bool:
-        return self._c[1:] == _TAIL0
+        return self._n[1:] == _TAIL0
 
     # -- ring structure ------------------------------------------------
 
@@ -93,69 +115,72 @@ class Cyclo:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _raw(tuple(a + b for a, b in zip(self._c, other._c)))
+        a, b = self._d, other._d
+        if a == b:
+            return _make(tuple(x + y for x, y in zip(self._n, other._n)), a)
+        g = gcd(a, b)
+        sa, sb = b // g, a // g
+        return _make(tuple(x * sa + y * sb for x, y in zip(self._n, other._n)),
+                     a * sa)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclo":
-        return _raw(tuple(-a for a in self._c))
+        return _raw(tuple(-x for x in self._n), self._d)
 
     def __sub__(self, other: object) -> "Cyclo":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _raw(tuple(a - b for a, b in zip(self._c, other._c)))
+        return self + (-other)
 
     def __rsub__(self, other: object) -> "Cyclo":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other - self
+        return other + (-self)
 
     def __mul__(self, other: object) -> "Cyclo":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._c, other._c
-        if self.is_rational():
+        a, b = self._n, other._n
+        d = self._d * other._d
+        if a[1:] == _TAIL0:
             q = a[0]
-            return _raw(tuple(q * c for c in b))
-        if other.is_rational():
+            return _make(tuple(q * c for c in b), d)
+        if b[1:] == _TAIL0:
             q = b[0]
-            return _raw(tuple(q * c for c in a))
-        prod = [_F0] * (2 * _DEG - 1)
+            return _make(tuple(q * c for c in a), d)
+        prod = [0] * (2 * _DEG - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
-        for k in range(2 * _DEG - 2, _DEG - 1, -1):
-            c = prod[k]
-            if c:
-                row = _REDUCE[k - _DEG]
-                for idx in range(_DEG):
-                    prod[idx] += c * row[idx]
-        return _raw(tuple(prod[:_DEG]))
+        return _make(tuple(_fold(prod)), d)
 
     __rmul__ = __mul__
 
+    def _conjugate(self, k: int) -> "Cyclo":
+        """The Galois conjugate eps15 -> eps15^k."""
+        cs = [0] * 15
+        for i, c in enumerate(self._n):
+            cs[i * k % 15] = c
+        return _raw(tuple(_fold(cs)), self._d)
+
     def inverse(self) -> "Cyclo":
-        """Multiplicative inverse by extended Euclid against Phi15."""
+        """Multiplicative inverse: the product of the seven other Galois
+        conjugates divided by the norm, which is rational and nonzero."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(eps15)")
         if self.is_rational():
-            return _raw((1 / self._c[0],) + _TAIL0)
-        r0, r1 = UniPoly(PHI15_COEFFS), UniPoly(self._c)
-        t0, t1 = UniPoly(()), UniPoly((_F1,))
-        while r1.degree() > 0:
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, t0 - q * t1
-        # r1 is a nonzero constant (Phi15 is irreducible over Q)
-        lead = r1.c[0]
-        inv = [c / lead for c in t1.c]
-        inv += [_F0] * (_DEG - len(inv))
-        return _raw(tuple(inv[:_DEG]))
+            return _make((self._d,) + _TAIL0, self._n[0])
+        others = ONE
+        for k in _CONJUGATES:
+            others = others * self._conjugate(k)
+        norm = self * others
+        return others * Fraction(norm._d, norm._n[0])
 
     def __truediv__(self, other: object) -> "Cyclo":
         other = _coerce(other)
@@ -187,13 +212,13 @@ class Cyclo:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._c == other._c
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        return hash((self._n, self._d))
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self._n)
 
     def multiplicative_order(self, bound: int = 15) -> int | None:
         """Smallest n <= bound with self^n = 1, or None."""
@@ -205,16 +230,16 @@ class Cyclo:
         return None
 
     def __repr__(self) -> str:
-        return "Cyclo(%s)" % (list(self._c),)
+        return "Cyclo(%s)" % (list(self.coeffs),)
 
     def __str__(self) -> str:
         for k in range(15):
-            if self._c == EPS15_POWERS[k]._c:
+            if self == EPS15_POWERS[k]:
                 return _unity_label(k, "")
-            if self._c == (-EPS15_POWERS[k])._c:
+            if self == -EPS15_POWERS[k]:
                 return _unity_label(k, "-")
         terms = []
-        for d, c in enumerate(self._c):
+        for d, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             if d == 0:
@@ -230,17 +255,33 @@ class Cyclo:
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
-def _raw(c: tuple[Fraction, ...]) -> Cyclo:
+def _raw(n: tuple[int, ...], d: int) -> Cyclo:
+    """A Cyclo from numerators and a denominator already in lowest terms."""
     obj = Cyclo.__new__(Cyclo)
-    object.__setattr__(obj, "_c", c)
+    obj._n = n
+    obj._d = d
     return obj
+
+
+def _lowest(n: Sequence[int], d: int) -> tuple[tuple[int, ...], int]:
+    """(n, d) divided by their gcd, with d made positive."""
+    if d < 0:
+        n, d = [-c for c in n], -d
+    g = gcd(d, *n)
+    if g != 1:
+        return tuple(c // g for c in n), d // g
+    return tuple(n), d
+
+
+def _make(n: Sequence[int], d: int) -> Cyclo:
+    return _raw(*_lowest(n, d)) if d != 1 else _raw(tuple(n), 1)
 
 
 def _coerce(x: object) -> "Cyclo":
     if isinstance(x, Cyclo):
         return x
     if isinstance(x, (int, Fraction)):
-        return _raw((Fraction(x),) + _TAIL0)
+        return _raw((x.numerator,) + _TAIL0, x.denominator)
     return NotImplemented
 
 
@@ -410,6 +451,15 @@ def fraction_mod_p(x: Rat, p: int) -> int:
     return x.numerator * pow(x.denominator % p, p - 2, p) % p
 
 
+@lru_cache(maxsize=None)
+def _inverse_table(p: int) -> np.ndarray:
+    """Read-only int64 array with inv[x] * x = 1 mod p, and inv[0] = 0."""
+    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)],
+                   dtype=np.int64)
+    inv.flags.writeable = False
+    return inv
+
+
 def _normalize_mod_p(vec: Sequence[int], p: int) -> tuple[int, ...]:
     """Residues of a nonzero vector scaled so the first nonzero one is 1."""
     for c in vec:
@@ -456,9 +506,8 @@ class UniPoly:
 
     def __init__(self, coeffs: Iterable = (), one=_F1):
         self.one = one
-        zero = one * 0
         cs = [one * c if isinstance(c, int) else c for c in coeffs]
-        while cs and cs[-1] == zero:
+        while cs and not cs[-1]:
             cs.pop()
         self.c = tuple(cs)
 
@@ -486,12 +535,11 @@ class UniPoly:
         return self.c[-1]
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        zero = self.zero_coeff
-        n = max(len(self.c), len(other.c))
-        out = [zero] * n
-        for i, a in enumerate(self.c):
-            out[i] = out[i] + a
-        for i, b in enumerate(other.c):
+        longer, shorter = self.c, other.c
+        if len(longer) < len(shorter):
+            longer, shorter = shorter, longer
+        out = list(longer)
+        for i, b in enumerate(shorter):
             out[i] = out[i] + b
         return UniPoly(out, self.one)
 
@@ -507,9 +555,10 @@ class UniPoly:
         zero = self.zero_coeff
         out = [zero] * (len(self.c) + len(other.c) - 1)
         for i, a in enumerate(self.c):
-            if a != zero:
+            if a:
                 for j, b in enumerate(other.c):
-                    out[i + j] = out[i + j] + a * b
+                    if b:
+                        out[i + j] = out[i + j] + a * b
         return UniPoly(out, self.one)
 
     def scale(self, k) -> "UniPoly":
@@ -528,7 +577,7 @@ class UniPoly:
             q[shift] = coef
             for i, bi in enumerate(other.c):
                 rem[shift + i] = rem[shift + i] - coef * bi
-            while rem and rem[-1] == zero:
+            while rem and not rem[-1]:
                 rem.pop()
             if not rem:
                 break
@@ -584,7 +633,13 @@ class UniPoly:
 
 
 class RatFunc:
-    """num/den over a base field, den monic, reduced to lowest terms."""
+    """num/den over a base field, den monic, reduced to lowest terms.
+
+    A denominator c*a^k (the common case: the symbolic routes divide by
+    powers of the parameter) shares only a^min(k, v) with the numerator,
+    v being the numerator's a-adic valuation, so it is reduced by a shift
+    and a scaling; any other denominator goes through Euclid.
+    """
 
     __slots__ = ("num", "den")
 
@@ -595,6 +650,17 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             den = UniPoly.const(num.one, num.one)
+        elif not any(den.c[:-1]):
+            one = den.one
+            k = den.degree()
+            shift = min(k, next(i for i, c in enumerate(num.c) if c))
+            cs = num.c[shift:]
+            lead = den.c[-1]
+            if lead != one:
+                inv = one / lead
+                cs = [c * inv for c in cs]
+            num = UniPoly(cs, num.one)
+            den = UniPoly([one * 0] * (k - shift) + [one], one)
         else:
             g = num.gcd(den)
             if g.degree() > 0:

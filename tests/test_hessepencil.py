@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from pentangle.hessepencil import (
@@ -32,10 +33,16 @@ from pentangle.hessepencil import (
     verify_six_secant_criterion,
     verify_translation_action,
     verify_triangle_members,
+    _fp_add,
+    _fp_enumerate_hesse,
+    _fp_scalar,
     _fp_singular_lambda_scan,
+    _fp_third,
+    _member_points,
+    _point_orders,
 )
 from pentangle.multipoly import MultiPoly
-from pentangle.scalars import EPS3, Cyclo, Fp, find_root_of_unity
+from pentangle.scalars import EPS3, Cyclo, Fp, _normalize_mod_p, find_root_of_unity
 
 SEED = 20260824
 
@@ -237,6 +244,105 @@ def test_scalar_multiple_distributes(curve31):
         assert scalar_multiple(-2, p) == negate_point(scalar_multiple(2, p))
 
 
+# -- the batched fast route --------------------------------------------
+
+
+def _mixed_pairs(pts: list, p: int, rng: random.Random, count: int) -> tuple:
+    """Rows (a, b) mixing chords, doublings, inverse pairs and the origin,
+    so the per-row doubling mask meets every case in one batch."""
+    left, right = [], []
+    for i in range(count):
+        a = rng.choice(pts)
+        b = (rng.choice(pts), a, _normalize_mod_p((a[0], a[2], a[1]), p),
+             (0, 1, p - 1))[i % 4]
+        left.append(a)
+        right.append(b)
+    return np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p, lam", [(31, 1), (1801, 17)])
+def test_batched_law_matches_size_one_calls(p, lam):
+    rng = random.Random(SEED)
+    pts = PlaneCubic.hesse_member(lam, Fp(1, p)).int_points()
+    left, right = _mixed_pairs(pts, p, rng, 80)
+    total = _fp_add(lam, p, left, right)
+    for i in range(len(left)):
+        assert total[i].tolist() == _fp_add(lam, p, left[[i]], right[[i]])[0].tolist()
+    for k in (-3, 0, 1, 2, 3, 5, 7, 12, 36, 360, 600, 900):
+        batch = _fp_scalar(lam, p, k, left)
+        for i in range(len(left)):
+            assert batch[i].tolist() == _fp_scalar(lam, p, k, left[[i]])[0].tolist()
+
+
+def _generic_multiple(k: int, pt: CubicCurvePoint) -> CubicCurvePoint:
+    acc = pt.curve.point(pt.curve.origin)
+    while k:
+        if k & 1:
+            acc = add_points_generic(acc, pt)
+        pt = add_points_generic(pt, pt)
+        k >>= 1
+    return acc
+
+
+def test_batched_law_int64_bound_at_largest_witness_prime():
+    # intermediates reach about 3*p**4 = 1.8*10**14 at p = 2791
+    p = WITNESS_PRIMES[-1]
+    lam = p - 2
+    curve = PlaneCubic.hesse_member(lam, Fp(1, p))
+    assert curve.is_smooth()
+    rng = random.Random(SEED)
+    pts = curve.int_points()
+    left, right = _mixed_pairs(pts, p, rng, 24)
+    total = _fp_add(lam, p, left, right)
+    for a, b, row in zip(left.tolist(), right.tolist(), total.tolist()):
+        expected = add_points_generic(curve.point(a), curve.point(b))
+        assert tuple(row) == expected.int_coords()
+    for k in (2, 5, 77):
+        batch = _fp_scalar(lam, p, k, left[:8])
+        for a, row in zip(left[:8].tolist(), batch.tolist()):
+            assert tuple(row) == _generic_multiple(k, curve.point(a)).int_coords()
+
+
+def test_batch_with_one_off_curve_point_raises(curve31):
+    lam, p = curve31.fp_params()
+    pts = curve31.point_array()
+    bad = pts.copy()
+    bad[7] = (1, 1, 1)          # 3 + lam != 0: not on the member
+    partners = np.roll(pts, 3, axis=0)
+    _fp_add(lam, p, pts, partners)
+    with pytest.raises(ArithmeticError, match="base point"):
+        _fp_third(lam, p, bad, partners)    # chord rows
+    with pytest.raises(ArithmeticError, match="second point"):
+        _fp_third(lam, p, partners, bad)
+    with pytest.raises(ArithmeticError):
+        _fp_add(lam, p, partners, bad)
+    with pytest.raises(ArithmeticError):
+        _fp_scalar(lam, p, 2, bad)          # tangent rows
+
+
+def _chart_scan(lam: int, p: int) -> list:
+    """Test oracle: every normalised triple on the member, by brute force
+    over the charts x0 = 1 and (0, 1, z) (no point has x0 = x1 = 0)."""
+    ar = np.arange(p, dtype=np.int64)
+    y, z = ar[:, None], ar[None, :]
+    vals = (1 + y ** 3 + z ** 3 + lam * y * z) % p
+    pts = [(1, int(a), int(b)) for a, b in zip(*np.nonzero(vals == 0))]
+    pts += [(0, 1, int(c)) for c in ar if (1 + c ** 3) % p == 0]
+    return sorted(pts)
+
+
+@pytest.mark.parametrize("p, lams", [(29, (0, 1, 2, 26)), (61, (0, 1, 5, 44)),
+                                     (1801, (17, 100))])
+def test_enumeration_matches_chart_scan(p, lams):
+    # 29 = 2 mod 3 has one cube root of -1; the others have three.  The
+    # lambdas include singular members (26 at p = 29, lam^3 = -27).
+    members = _member_points(p, lams)
+    for lam in lams:
+        expected = _chart_scan(lam, p)
+        assert [tuple(r) for r in _fp_enumerate_hesse(lam, p).tolist()] == expected
+        assert sorted(map(tuple, members[lam].tolist())) == expected
+
+
 # -- torsion and structure ---------------------------------------------
 
 
@@ -256,6 +362,17 @@ def test_group_structure_frozen(curve31):
     assert st["order"] == 36
     assert st["invariants"] == (3, 12)
     assert st["exponent"] == 12
+
+
+def test_point_orders_are_exact(curve31):
+    origin = curve31.point(curve31.origin)
+    orders = _point_orders(curve31)
+    assert sorted(set(orders.tolist())) == [1, 2, 3, 4, 6, 12]
+    for pt, order in zip(curve31.points(), orders.tolist()):
+        assert scalar_multiple(order, pt) == origin
+        for q in (2, 3):
+            if order % q == 0:
+                assert scalar_multiple(order // q, pt) != origin
 
 
 def test_group_generators_span(curve31):

@@ -281,3 +281,90 @@ def test_ratfunc_over_prime_field_base():
     a = RatFunc.gen(one)
     f = (a ** 2 - RatFunc.const(1, one)) / (a - RatFunc.const(1, one))
     assert f == a + RatFunc.const(1, one)
+
+
+# -- integer storage and the monomial-denominator path -------------------
+
+
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=40),
+                min_size=0, max_size=15))
+@settings(max_examples=200, deadline=None)
+def test_cyclo_storage_is_canonical(coeffs):
+    x = Cyclo(coeffs)
+    n, d = x._n, x._d
+    assert len(n) == 8 and all(type(c) is int for c in n)
+    assert type(d) is int and d > 0
+    assert gcd(d, *n) == 1
+    assert all(isinstance(c, Fraction) for c in x.coeffs)
+    assert Cyclo(x.coeffs) == x
+    assert Cyclo(x.coeffs)._n == n and Cyclo(x.coeffs)._d == d
+    if len(coeffs) <= 8:
+        assert x.coeffs == tuple(coeffs) + (Fraction(0),) * (8 - len(coeffs))
+    # the same value reached through arithmetic has the same storage
+    assert (x + x - x)._n == n and (x * 3 / 3)._d == d
+    assert hash(x + x - x) == hash(x)
+
+
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=40),
+       st.integers(min_value=-50, max_value=50))
+@settings(max_examples=100, deadline=None)
+def test_cyclo_equality_with_ints_and_fractions(q, k):
+    assert Cyclo(q) == q and q == Cyclo(q)
+    assert Cyclo(k) == k and Cyclo(k) == Fraction(k)
+    assert Cyclo([q]) == Cyclo(q)
+    assert (Cyclo(q) == k) == (q == k)
+    assert Cyclo([q, 1]) != q and Cyclo([q, 1]) != Cyclo(q)
+    assert Cyclo(q) + k == q + k and Cyclo(q) * k == q * k
+
+
+def _euclid_lowest_terms(num: list, den: list, one) -> tuple[tuple, tuple]:
+    """Test oracle: num/den reduced by a polynomial gcd from plain Euclid
+    on coefficient lists (low degree first), denominator made monic."""
+    def strip(f):
+        f = list(f)
+        while f and f[-1] == one * 0:
+            f.pop()
+        return f
+
+    def divmod_(f, g):
+        f, q = strip(f), [one * 0] * max(len(f) - len(g) + 1, 1)
+        while len(f) >= len(g):
+            c = f[-1] / g[-1]
+            shift = len(f) - len(g)
+            q[shift] = c
+            for i, gi in enumerate(g):
+                f[shift + i] = f[shift + i] - c * gi
+            f = strip(f)
+        return strip(q), f
+
+    a, b = strip(num), strip(den)
+    while b:
+        a, b = b, divmod_(a, b)[1]
+    g = [c / a[-1] for c in a]
+    num, den = divmod_(num, g)[0], divmod_(den, g)[0]
+    lead = den[-1]
+    return tuple(c / lead for c in num), tuple(c / lead for c in den)
+
+
+@pytest.mark.parametrize("base", ["fraction", "cyclo", "fp"])
+def test_ratfunc_monomial_denominator_matches_euclid(base):
+    rng = random.Random(SEED + 6)
+    ones = {"fraction": Fraction(1), "cyclo": Cyclo(1), "fp": Fp(1, 61)}
+    one = ones[base]
+
+    def scalar():
+        if base == "cyclo":
+            return _random_cyclo(rng) if rng.random() < 0.7 else Cyclo(0)
+        value = rng.choice((0, 0) + tuple(range(-9, 10)))
+        return Fraction(value, rng.randint(1, 5)) if base == "fraction" else one * value
+
+    for _ in range(150):
+        num = [scalar() for _ in range(rng.randint(1, 6))]
+        num[rng.randrange(len(num))] = one * rng.randint(1, 9)
+        k = rng.randint(0, 5)
+        lead = scalar()
+        while lead == one * 0:
+            lead = scalar()
+        den = [one * 0] * k + [lead]
+        f = RatFunc(UniPoly(num, one), UniPoly(den, one))
+        assert (f.num.c, f.den.c) == _euclid_lowest_terms(num, den, one)
