@@ -25,7 +25,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .multipoly import MultiPoly, grevlex_key, monomials, scalar_matrix_nullspace
+from .multipoly import MultiPoly, grevlex_key, monomials
 from .scalars import Cyclo, EPS3, cyclo_root_of_unity
 
 _LEVELS = (3, 5, 15)
@@ -105,10 +105,6 @@ class HeisenbergElement:
                 base = base * base
             k >>= 1
         return out
-
-    def is_identity(self) -> bool:
-        return (self.sigma_power == 0 and self.tau_power == 0
-                and self.central == 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HeisenbergElement):
@@ -330,7 +326,7 @@ def validate_character_table() -> dict:
     }
 
 
-# -- the four distinguished line triples and subgroup fixed points -----
+# -- the four distinguished line triples -------------------------------
 
 
 def _lines(*rows: Sequence[int | Cyclo]) -> tuple[tuple[Cyclo, ...], ...]:
@@ -350,17 +346,6 @@ TRIANGLE_LINES: dict[tuple[int, int], tuple[tuple[Cyclo, ...], ...]] = {
 }
 
 
-def canonical_triangle_key(i: int, j: int) -> tuple[int, int]:
-    """Reduce (i, j) mod the identification (i, j) ~ (-i, -j)."""
-    i, j = i % 3, j % 3
-    if (i, j) == (0, 0):
-        raise ValueError("the trivial subgroup fixes no triangle")
-    for cand in ((i, j), ((-i) % 3, (-j) % 3)):
-        if cand in TRIANGLE_LINES:
-            return cand
-    raise AssertionError("unreachable: %r" % ((i, j),))
-
-
 def projective_normalize(vec: Sequence) -> tuple:
     """Scale so the first nonzero coordinate is 1 (exact fields only)."""
     for c in vec:
@@ -374,51 +359,6 @@ def _cross(u: Sequence, v: Sequence) -> tuple:
     return (u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0])
-
-
-def triangle_vertices(key: tuple[int, int]) -> list[tuple[Cyclo, ...]]:
-    """Pairwise intersections of the three lines of a triangle."""
-    l1, l2, l3 = TRIANGLE_LINES[key]
-    return [projective_normalize(_cross(a, b))
-            for a, b in ((l1, l2), (l1, l3), (l2, l3))]
-
-
-def fixed_points_of_subgroup(i: int, j: int) -> list[tuple[Cyclo, ...]]:
-    """Fixed points in P^2 of sigma^i tau^j (level 3, standard twist).
-
-    Computed as exact eigenvectors of the point matrix and asserted to
-    coincide with the vertex triple of the matching line triangle.
-    """
-    key = canonical_triangle_key(i, j)
-    g = (HeisenbergElement.sigma(3) ** i) * (HeisenbergElement.tau(3) ** j)
-    a = g.point_matrix()
-    one = Cyclo(1)
-    # the cube of the point matrix must be the identity on the nose,
-    # so every eigenvalue is a cube root of unity
-    cube = _matmul3(_matmul3(a, a), a)
-    for r in range(3):
-        for c in range(3):
-            if cube[r][c] != (one if r == c else 0):
-                raise AssertionError("point matrix cubed is not the identity")
-    fixed = []
-    for k in range(3):
-        mu = EPS3 ** k
-        shifted = [[a[r][c] - (mu if r == c else 0) for c in range(3)]
-                   for r in range(3)]
-        for v in scalar_matrix_nullspace(shifted, one):
-            fixed.append(projective_normalize(v))
-    if len(fixed) != 3:
-        raise AssertionError("expected 3 fixed points, found %d" % len(fixed))
-    expected = triangle_vertices(key)
-    if set(fixed) != set(expected):
-        raise AssertionError(
-            "fixed points %r differ from triangle vertices %r" % (fixed, expected))
-    return sorted(fixed, key=repr)
-
-
-def _matmul3(a: list[list[Cyclo]], b: list[list[Cyclo]]) -> list[list[Cyclo]]:
-    return [[sum((a[i][k] * b[k][j] for k in range(3)), Cyclo(0))
-             for j in range(3)] for i in range(3)]
 
 
 # -- the plane involution ----------------------------------------------

@@ -88,7 +88,7 @@ class PlaneCubic:
     member; lam None is the member at infinity, x0*x1*x2."""
 
     __slots__ = ("f", "origin", "one", "lam", "_smooth", "_points",
-                 "_orders", "_structure")
+                 "_orders")
 
     def __init__(self, lam, one):
         self.one = one
@@ -103,7 +103,6 @@ class PlaneCubic:
         self.origin = (one * 0, one, -one)
         self._points = None
         self._orders = None
-        self._structure = None
 
     @classmethod
     def hesse_member(cls, lam, one) -> "PlaneCubic":
@@ -290,11 +289,6 @@ def negate_point(p: CubicCurvePoint) -> CubicCurvePoint:
     this is the group negation (validated against the chord route in the
     property suite)."""
     return CubicCurvePoint(p.curve, iota3_on_point(p.coords))
-
-
-def negate_point_via_chord(p: CubicCurvePoint) -> CubicCurvePoint:
-    t = _generic_third(p.curve, p.coords, p.curve.origin)
-    return CubicCurvePoint(p.curve, t)
 
 
 def scalar_multiple(k: int, p: CubicCurvePoint) -> CubicCurvePoint:
@@ -539,17 +533,20 @@ def _orders(lam: int, p: int, pts: np.ndarray, group_order: int) -> np.ndarray:
 
 
 def _point_orders(curve: PlaneCubic) -> np.ndarray:
+    """The order of every row of `curve.point_array()`, as a read-only
+    array kept on the curve."""
     if curve._orders is None:
         lam, p = curve.fp_params()
         pts = curve.point_array()
-        curve._orders = _orders(lam, p, pts, len(pts))
+        orders = _orders(lam, p, pts, len(pts))
+        orders.flags.writeable = False
+        curve._orders = orders
     return curve._orders
 
 
 def group_structure(curve: PlaneCubic) -> dict:
-    """Order, exponent and invariant factors (n1 | n2) of E(F_p)."""
-    if curve._structure is not None:
-        return curve._structure
+    """Order, exponent and invariant factors (n1 | n2) of E(F_p), as a
+    new dict on every call."""
     lam, p = curve.fp_params()
     n = len(curve.point_array())
     if not hasse_admits(p, n):
@@ -558,13 +555,19 @@ def group_structure(curve: PlaneCubic) -> dict:
     n1, n2 = n // exponent, exponent
     if n1 * n2 != n or n2 % n1 != 0:
         raise AssertionError("group is not of rank <= 2")
-    curve._structure = {"order": n, "exponent": n2, "invariants": (n1, n2)}
-    return curve._structure
+    return {"order": n, "exponent": n2, "invariants": (n1, n2)}
 
 
 def _keys(pts: np.ndarray, p: int) -> np.ndarray:
     """One integer per point: its coordinates read in base p."""
     return (pts[:, 0] * p + pts[:, 1]) * p + pts[:, 2]
+
+
+def _sorted_member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Whether each key occurs in sorted_keys.  Bisection instead of
+    np.isin, whose sort-based route imports numpy.ma on first use."""
+    pos = np.searchsorted(sorted_keys, keys).clip(max=len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys
 
 
 def group_generators(curve: PlaneCubic) -> list[CubicCurvePoint]:
@@ -580,15 +583,15 @@ def group_generators(curve: PlaneCubic) -> list[CubicCurvePoint]:
     cyclic = [_fp_origin(p)[None, :]]
     for _ in range(n2 - 1):
         cyclic.append(_fp_add(lam, p, cyclic[-1], gen2))
-    cyclic = _keys(np.concatenate(cyclic), p)
+    cyclic = np.sort(_keys(np.concatenate(cyclic), p))
     k = np.ones(len(pts), dtype=np.int64)
     acc = pts.copy()
-    outside = ~np.isin(_keys(acc, p), cyclic)
+    outside = ~_sorted_member(_keys(acc, p), cyclic)
     while outside.any():
         idx = np.nonzero(outside)[0]
         acc[idx] = _fp_add(lam, p, acc[idx], pts[idx])
         k[idx] += 1
-        outside[idx] = ~np.isin(_keys(acc[idx], p), cyclic)
+        outside[idx] = ~_sorted_member(_keys(acc[idx], p), cyclic)
     first = np.nonzero(k == n1)[0]
     if not len(first):
         raise AssertionError("no complementary generator found")
@@ -608,20 +611,20 @@ def base_points(curve: PlaneCubic) -> list[CubicCurvePoint]:
 # -- symbolic verifiers ------------------------------------------------
 
 
-_CHAR_REPS: dict[tuple[int, int], MultiPoly] | None = None
+def _character_representatives() -> dict[tuple[int, int], MultiPoly]:
+    """Computed degree-3 eigenpolynomials of the eight nontrivial
+    characters, keyed by (a, b) mod 3, from one decomposition."""
+    return {label: basis[0]
+            for label, basis in character_decomposition(3, 3).items()
+            if label != (0, 0)}
 
 
 def character_representative(a: int, b: int) -> MultiPoly:
     """Computed degree-3 eigenpolynomial for the nontrivial character (a,b)."""
-    global _CHAR_REPS
-    if _CHAR_REPS is None:
-        blocks = character_decomposition(3, 3)
-        _CHAR_REPS = {label: basis[0] for label, basis in blocks.items()
-                      if label != (0, 0)}
     key = (a % 3, b % 3)
     if key == (0, 0):
         raise ValueError("the trivial character has a 2-dimensional block")
-    return _CHAR_REPS[key]
+    return _character_representatives()[key]
 
 
 def _fermat_decompositions():
@@ -668,9 +671,10 @@ def _linear_form(coeffs) -> MultiPoly:
 def verify_fermat_identities() -> dict:
     """The four sum-of-cubes identities and the involution pairing."""
     checks = Checks()
+    reps = _character_representatives()
 
     for label, cubes, note in _fermat_decompositions():
-        lhs = character_representative(*label)
+        lhs = reps[label]
         rhs = MultiPoly.zero(VARS3, Cyclo(1))
         for scale, line in cubes:
             rhs = rhs + _linear_form(line) ** 3 * scale
@@ -681,8 +685,8 @@ def verify_fermat_identities() -> dict:
         for b in range(3):
             if (a, b) == (0, 0):
                 continue
-            image = iota3_on_polynomial(character_representative(a, b))
-            target = character_representative(-a, -b)
+            image = iota3_on_polynomial(reps[a, b])
+            target = reps[(-a) % 3, (-b) % 3]
             mono, lead = image.leading_term()
             ok = (target.coeff(mono) == Cyclo(1)
                   and image == target * lead)
@@ -705,7 +709,7 @@ def verify_fermat_identities() -> dict:
                (one, EPS3, EPS3 ** 2)):
         agree = True
         for label, cubes, _ in _fermat_decompositions():
-            lhs_v = character_representative(*label).eval_at(pt)
+            lhs_v = reps[label].eval_at(pt)
             rhs_v = sum((( _linear_form(line) ** 3 * scale).eval_at(pt)
                          for scale, line in cubes), Cyclo(0))
             agree = agree and lhs_v == rhs_v
@@ -801,7 +805,7 @@ def _fp_singular_lambda_scan(p: int) -> np.ndarray:
     z = ar[None, :]
     cond = (((3 * y * y + lam * z) % p == 0)
             & ((3 * z * z + lam * y) % p == 0))
-    return np.unique(lam[cond])
+    return np.flatnonzero(np.bincount(lam[cond], minlength=p))
 
 
 # -- set identities on the diagonal ------------------------------------
@@ -943,16 +947,13 @@ def _two_torsion_roots(lam: int, p: int) -> list[int]:
     return [int(v) for v in np.nonzero(vals == 0)[0]]
 
 
-_WITNESS_CACHE: dict[tuple, dict] = {}
-
-
 def find_torsion_witness(primes: Sequence[int] | None = None,
                          max_candidates: int = 40) -> dict:
     """First (p, lambda) whose member has full rational 2-, 3- and
     5-torsion, with the search trace of every rejected prime.
 
-    Deterministic, so results are memoized per prime list.  Candidates
-    are prefiltered by the cheap 2-torsion root count before any point
+    Deterministic, and each call searches afresh.  Candidates are
+    prefiltered by the cheap 2-torsion root count before any point
     enumeration, and the points of the survivors at one prime come from
     a single pass over the lambda grid.  At most `max_candidates` are
     tried per prime; the trace gives each searched prime's candidate
@@ -960,11 +961,7 @@ def find_torsion_witness(primes: Sequence[int] | None = None,
     """
     if primes is None:
         primes = tuple(DEFAULT_PRIMES) + WITNESS_PRIMES
-    key = (tuple(primes), max_candidates)
-    if key in _WITNESS_CACHE:
-        return _WITNESS_CACHE[key]
     trace = []
-    result = None
     for p in primes:
         lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
         if (hi // 900) * 900 < lo:
@@ -998,12 +995,9 @@ def find_torsion_witness(primes: Sequence[int] | None = None,
                      "three_torsion": c3, "five_torsion": c5}
             tried.append(entry)
             if c3 == 9 and c5 == 25:
-                result = {"witness": {"p": p, "lam": lam, "order": n},
-                          "trace": trace + [{"p": p, "candidates": tried,
-                                             "candidate_total": len(cands)}]}
-                break
-        if result is not None:
-            break
+                return {"witness": {"p": p, "lam": lam, "order": n},
+                        "trace": trace + [{"p": p, "candidates": tried,
+                                           "candidate_total": len(cands)}]}
         if len(cands) > max_candidates:
             reason = ("search cut short at max_candidates: %d of %d candidate"
                       " lambdas tried, none passed the torsion counts"
@@ -1012,10 +1006,7 @@ def find_torsion_witness(primes: Sequence[int] | None = None,
             reason = "no candidate lambda passed the torsion counts"
         trace.append({"p": p, "candidates": tried,
                       "candidate_total": len(cands), "skipped": reason})
-    if result is None:
-        result = {"witness": None, "trace": trace}
-    _WITNESS_CACHE[key] = result
-    return result
+    return {"witness": None, "trace": trace}
 
 
 def verify_six_secant_criterion(primes: Sequence[int] | None = None,

@@ -209,7 +209,7 @@ def _syzygy_matrix(a, one) -> PolyMatrix:
 class MooreMatrices:
     """Structure matrix in y, its dual in x, and the syzygy matrix in x."""
 
-    __slots__ = ("a", "one", "m", "m_prime", "syzygy", "_dets")
+    __slots__ = ("a", "one", "m", "m_prime", "syzygy")
 
     def __init__(self, a, m: PolyMatrix, m_prime: PolyMatrix, syzygy: PolyMatrix):
         self.a = a
@@ -217,7 +217,6 @@ class MooreMatrices:
         self.m = m
         self.m_prime = m_prime
         self.syzygy = syzygy
-        self._dets = None
 
 
 def build_moore_matrices(a) -> MooreMatrices:
@@ -270,18 +269,16 @@ def build_moore_matrices(a) -> MooreMatrices:
 def quintic_equations(mm: MooreMatrices) -> tuple[MultiPoly, MultiPoly]:
     """Determinants of the structure matrix (in y) and its dual (in x).
 
-    Both are certified homogeneous of degree five; results are cached on
-    the matrix bundle.
+    Both are certified homogeneous of degree five, and both are computed
+    afresh on every call.
     """
-    if mm._dets is None:
-        det_m = determinant(mm.m)
-        det_mp = determinant(mm.m_prime)
-        for name, det in (("structure", det_m), ("dual", det_mp)):
-            if det.homogeneous_degree() != 5:
-                raise AssertionError("%s determinant is not a homogeneous "
-                                     "quintic" % name)
-        mm._dets = (det_m, det_mp)
-    return mm._dets
+    det_m = determinant(mm.m)
+    det_mp = determinant(mm.m_prime)
+    for name, det in (("structure", det_m), ("dual", det_mp)):
+        if det.homogeneous_degree() != 5:
+            raise AssertionError("%s determinant is not a homogeneous "
+                                 "quintic" % name)
+    return det_m, det_mp
 
 
 # -- substitution action ----------------------------------------------
@@ -354,48 +351,6 @@ def specialize_modulus(poly: MultiPoly, value) -> MultiPoly:
         raise TypeError("specialization expects rational-function coefficients")
     terms = {mono: c.eval(value) for mono, c in poly.terms.items()}
     return MultiPoly(poly.vars, terms, one.one_coeff * 1)
-
-
-# -- pointwise pairing -------------------------------------------------
-
-
-def _coerce_point(point, one) -> list:
-    vals = [one * v if isinstance(v, int) else v for v in point]
-    if len(vals) != 5:
-        raise ValueError("points live in five coordinates")
-    if all(v == one * 0 for v in vals):
-        raise ValueError("the zero vector is not a point")
-    return vals
-
-
-def incidence_residual(x_point, y_point, mm: MooreMatrices) -> list:
-    """The pairing vector at one point pair; all zeros certifies incidence.
-
-    Both evaluation orders, structure matrix at y applied to x and dual
-    matrix at x applied to y, are computed and must agree; the shared
-    vector is returned.
-    """
-    one = mm.one
-    zero = one * 0
-    xs = _coerce_point(x_point, one)
-    ys = _coerce_point(y_point, one)
-    rows_m = mm.m.eval_at(ys)
-    lhs = []
-    for i in range(5):
-        acc = zero
-        for j in range(5):
-            acc = acc + rows_m[i][j] * xs[j]
-        lhs.append(acc)
-    rows_mp = mm.m_prime.eval_at(xs)
-    rhs = []
-    for i in range(5):
-        acc = zero
-        for j in range(5):
-            acc = acc + rows_mp[i][j] * ys[j]
-        rhs.append(acc)
-    if lhs != rhs:
-        raise AssertionError("the two pairing evaluation orders disagree")
-    return lhs
 
 
 # -- verification reports ----------------------------------------------

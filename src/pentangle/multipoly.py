@@ -92,15 +92,6 @@ class MultiPoly:
     def coeff(self, mono: tuple):
         return self.terms.get(tuple(mono), self.zero_coeff)
 
-    def constant_value(self):
-        if not self.terms:
-            return self.zero_coeff
-        if len(self.terms) == 1:
-            mono, c = next(iter(self.terms.items()))
-            if not any(mono):
-                return c
-        raise ValueError("not a constant polynomial: %s" % self.render())
-
     def total_degree(self) -> int:
         """Degree of the polynomial; the zero polynomial reports -1."""
         if not self.terms:
@@ -342,35 +333,6 @@ def _mk(vars: tuple, terms: dict, one) -> MultiPoly:
 
 
 # -- scalar linear algebra (exact, duck typed) -------------------------
-
-
-def scalar_matrix_det(rows: Sequence[Sequence], one):
-    """Determinant by Gaussian elimination over the coefficient field."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    if any(len(r) != n for r in a):
-        raise ValueError("determinant needs a square matrix")
-    zero = one * 0
-    det = one
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if a[i][k] != zero:
-                pivot = i
-                break
-        if pivot is None:
-            return zero
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det = det * a[k][k]
-        inv = one / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != zero:
-                f = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] = a[i][j] - f * a[k][j]
-    return det
 
 
 def _rref(a: list[list], one, ncols: int) -> list[int]:

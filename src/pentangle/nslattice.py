@@ -19,7 +19,6 @@ raises instead of silently inventing a value.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from importlib import resources
 from itertools import combinations_with_replacement, permutations
 
@@ -272,8 +271,8 @@ def parse_tables(text: str) -> dict:
     return forms
 
 
-@lru_cache(maxsize=1)
 def default_tables() -> dict:
+    """The forms of the packaged table file, parsed afresh on every call."""
     text = resources.files(__package__).joinpath(TABLE_RESOURCE).read_text(encoding="ascii")
     return parse_tables(text)
 

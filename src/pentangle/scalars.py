@@ -220,15 +220,6 @@ class Cyclo:
     def __bool__(self) -> bool:
         return any(self._n)
 
-    def multiplicative_order(self, bound: int = 15) -> int | None:
-        """Smallest n <= bound with self^n = 1, or None."""
-        acc = ONE
-        for n in range(1, bound + 1):
-            acc = acc * self
-            if acc == ONE:
-                return n
-        return None
-
     def __repr__(self) -> str:
         return "Cyclo(%s)" % (list(self.coeffs),)
 

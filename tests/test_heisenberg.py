@@ -14,18 +14,16 @@ from pentangle.heisenberg import (
     REFERENCE_CHARACTER_TABLE,
     TRIANGLE_LINES,
     HeisenbergElement,
-    canonical_triangle_key,
+    _cross,
     character_decomposition,
     commutator,
     commutator_scalar,
-    fixed_points_of_subgroup,
     iota3_on_point,
     iota3_on_polynomial,
     projective_normalize,
-    triangle_vertices,
     validate_character_table,
 )
-from pentangle.multipoly import MultiPoly
+from pentangle.multipoly import MultiPoly, scalar_matrix_nullspace
 from pentangle.scalars import EPS3, EPS5, EPS15, Cyclo, cyclo_root_of_unity
 
 SEED = 20260824
@@ -58,11 +56,12 @@ def _random_poly(rng: random.Random, level: int, nterms: int = 3) -> MultiPoly:
 def test_generators_have_exact_order(level):
     sigma = HeisenbergElement.sigma(level)
     tau = HeisenbergElement.tau(level)
-    assert (sigma ** level).is_identity()
-    assert (tau ** level).is_identity()
+    identity = HeisenbergElement.identity(level)
+    assert sigma ** level == identity
+    assert tau ** level == identity
     for k in range(1, level):
-        assert not (sigma ** k).is_identity()
-        assert not (tau ** k).is_identity()
+        assert sigma ** k != identity
+        assert tau ** k != identity
 
 
 def test_group_axioms_randomized():
@@ -73,8 +72,9 @@ def test_group_axioms_randomized():
         h = _random_element(rng, level)
         k = _random_element(rng, level)
         assert (g * h) * k == g * (h * k)
-        assert (g * g.inverse()).is_identity()
-        assert (g.inverse() * g).is_identity()
+        identity = HeisenbergElement.identity(level)
+        assert g * g.inverse() == identity
+        assert g.inverse() * g == identity
         assert (g * h).inverse() == h.inverse() * g.inverse()
 
 
@@ -285,48 +285,59 @@ def test_validate_character_table_computed_entries():
 # -- triangles and fixed points ----------------------------------------
 
 
-def test_canonical_triangle_key_identification():
-    assert canonical_triangle_key(2, 0) == (1, 0)
-    assert canonical_triangle_key(2, 2) == (1, 1)
-    assert canonical_triangle_key(2, 1) == (1, 2)
-    assert canonical_triangle_key(0, 2) == (0, 1)
-    for key in TRIANGLE_LINES:
-        assert canonical_triangle_key(*key) == key
-    with pytest.raises(ValueError):
-        canonical_triangle_key(0, 0)
-    with pytest.raises(ValueError):
-        canonical_triangle_key(3, 3)
+def _triangle_vertices(key: tuple[int, int]) -> set:
+    """Pairwise intersections of the three lines of a triangle."""
+    l1, l2, l3 = TRIANGLE_LINES[key]
+    return {projective_normalize(_cross(a, b))
+            for a, b in ((l1, l2), (l1, l3), (l2, l3))}
+
+
+def _fixed_points(i: int, j: int) -> set:
+    """Fixed points in P^2 of sigma^i tau^j (level 3, standard twist):
+    the exact eigenvectors of its point matrix for the three cube roots
+    of unity."""
+    g = (HeisenbergElement.sigma(3) ** i) * (HeisenbergElement.tau(3) ** j)
+    a = g.point_matrix()
+    fixed = set()
+    for k in range(3):
+        shifted = [[a[r][c] - (EPS3 ** k if r == c else 0) for c in range(3)]
+                   for r in range(3)]
+        fixed.update(projective_normalize(v)
+                     for v in scalar_matrix_nullspace(shifted, Cyclo(1)))
+    return fixed
 
 
 def test_coordinate_triangle_vertices():
-    verts = triangle_vertices((0, 1))
     expected = {(Cyclo(1), Cyclo(0), Cyclo(0)),
                 (Cyclo(0), Cyclo(1), Cyclo(0)),
                 (Cyclo(0), Cyclo(0), Cyclo(1))}
-    assert set(verts) == expected
+    assert _triangle_vertices((0, 1)) == expected
 
 
 def test_fixed_points_agree_with_triangle_vertices():
-    # fixed_points_of_subgroup asserts the eigenvector/vertex match itself
+    # the eigenvectors of each order-3 subgroup are the vertices of the
+    # line triangle that verify_triangle_members expands
     all_points = set()
     for key in TRIANGLE_LINES:
-        pts = fixed_points_of_subgroup(*key)
+        pts = _fixed_points(*key)
         assert len(pts) == 3
+        assert pts == _triangle_vertices(key)
         all_points.update(pts)
     # the 4 triangles have 12 pairwise distinct vertices
     assert len(all_points) == 12
 
 
 def test_fixed_points_respect_identification():
-    assert fixed_points_of_subgroup(2, 2) == fixed_points_of_subgroup(1, 1)
-    assert fixed_points_of_subgroup(0, 2) == fixed_points_of_subgroup(0, 1)
+    # (i, j) and (-i, -j) generate the same subgroup
+    for i, j in TRIANGLE_LINES:
+        assert _fixed_points(-i, -j) == _fixed_points(i, j)
 
 
 def test_fixed_points_are_actually_fixed():
     for (i, j) in TRIANGLE_LINES:
         g = (HeisenbergElement.sigma(3) ** i) * (HeisenbergElement.tau(3) ** j)
         a = g.point_matrix()
-        for p in fixed_points_of_subgroup(i, j):
+        for p in _fixed_points(i, j):
             image = tuple(sum((a[r][c] * p[c] for c in range(3)), Cyclo(0))
                           for r in range(3))
             assert projective_normalize(image) == p

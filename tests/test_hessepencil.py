@@ -24,7 +24,6 @@ from pentangle.hessepencil import (
     hesse_polynomial,
     infinity_member_polynomial,
     negate_point,
-    negate_point_via_chord,
     scalar_multiple,
     torsion_points,
     triangle_product,
@@ -38,8 +37,10 @@ from pentangle.hessepencil import (
     _fp_scalar,
     _fp_singular_lambda_scan,
     _fp_third,
+    _generic_third,
     _member_points,
     _point_orders,
+    _sorted_member,
 )
 from pentangle.multipoly import MultiPoly
 from pentangle.scalars import EPS3, Cyclo, Fp, _normalize_mod_p, find_root_of_unity
@@ -53,11 +54,22 @@ def curve31():
 
 
 @pytest.fixture(scope="module")
-def witness():
-    report = find_torsion_witness()
-    assert report["witness"] is not None
-    w = report["witness"]
+def witness_search():
+    return find_torsion_witness()
+
+
+@pytest.fixture(scope="module")
+def witness(witness_search):
+    w = witness_search["witness"]
+    assert w is not None
     return PlaneCubic.hesse_member(w["lam"], Fp(1, w["p"]))
+
+
+def negate_point_via_chord(p: CubicCurvePoint) -> CubicCurvePoint:
+    """-P as the third point of the curve on the line through P and the
+    origin, by the generic line-restriction route."""
+    return CubicCurvePoint(p.curve,
+                           _generic_third(p.curve, p.coords, p.curve.origin))
 
 
 # -- symbolic pencil facts ---------------------------------------------
@@ -81,6 +93,14 @@ def test_first_identity_oracle():
     x0, x1, x2 = MultiPoly.gens(("x0", "x1", "x2"), Cyclo(1))
     expected = x0 ** 3 + x1 ** 3 * EPS3 + x2 ** 3 * EPS3 ** 2
     assert character_representative(1, 0) == expected
+
+
+def test_character_representative_is_not_shared():
+    x0, x1, x2 = MultiPoly.gens(("x0", "x1", "x2"), Cyclo(1))
+    first = character_representative(1, 0)
+    first.terms.clear()
+    assert character_representative(1, 0) == (x0 ** 3 + x1 ** 3 * EPS3
+                                              + x2 ** 3 * EPS3 ** 2)
 
 
 def test_character_representative_rejects_trivial():
@@ -111,14 +131,23 @@ def test_triangle_products_are_pencil_members():
 
 
 def test_singular_lambda_scan_matches_cube_roots(curve31):
-    p = 31
-    w = find_root_of_unity(p, 3).v
-    expected = sorted({(-3) % p, (-3 * w) % p, (-3 * w * w) % p})
-    assert sorted(int(v) for v in _fp_singular_lambda_scan(p)) == expected
-    # closed-form smoothness agrees with the scan for every lambda
-    for lam in range(p):
-        member = PlaneCubic.hesse_member(lam, Fp(1, p))
-        assert member.is_smooth() == (lam not in expected)
+    # 29 = 2 mod 3, where -27 has the single cube root -3
+    for p in (29, 31, 61):
+        expected = [lam for lam in range(p) if (lam ** 3 + 27) % p == 0]
+        found = _fp_singular_lambda_scan(p)
+        assert found.tolist() == expected
+        # the same grid through np.unique gives the same sorted values
+        inv = np.array([pow(v, p - 2, p) for v in range(1, p)], dtype=np.int64)
+        grid = (-3 * inv[:, None] * inv[None, :]) % p
+        y = np.arange(1, p, dtype=np.int64)[:, None]
+        z = y.T
+        cond = (((3 * y * y + grid * z) % p == 0)
+                & ((3 * z * z + grid * y) % p == 0))
+        assert np.array_equal(found, np.unique(grid[cond]))
+        # closed-form smoothness agrees with the scan for every lambda
+        for lam in range(p):
+            member = PlaneCubic.hesse_member(lam, Fp(1, p))
+            assert member.is_smooth() == (lam not in expected)
 
 
 def test_smoothness_closed_form_exact_field():
@@ -364,6 +393,22 @@ def test_group_structure_frozen(curve31):
     assert st["exponent"] == 12
 
 
+def test_group_structure_is_not_shared():
+    curve = PlaneCubic.hesse_member(1, Fp(1, 31))
+    first = group_structure(curve)
+    first["order"] = 0
+    first["invariants"] = (1, 1)
+    assert group_structure(curve) == {"order": 36, "exponent": 12,
+                                      "invariants": (3, 12)}
+
+
+def test_point_orders_are_read_only(curve31):
+    orders = _point_orders(curve31)
+    with pytest.raises(ValueError):
+        orders[0] = 5
+    assert _point_orders(curve31) is orders
+
+
 def test_point_orders_are_exact(curve31):
     origin = curve31.point(curve31.origin)
     orders = _point_orders(curve31)
@@ -385,6 +430,16 @@ def test_group_generators_span(curve31):
             span.add(add_points(scalar_multiple(a, gens[0]),
                                 scalar_multiple(b, gens[1])))
     assert len(span) == 36
+
+
+def test_sorted_member_matches_isin():
+    rng = np.random.default_rng(SEED)
+    for size in (1, 2, 17):
+        sorted_keys = np.unique(rng.integers(5, 60, size=size))
+        # keys below, inside and above the range of sorted_keys
+        keys = rng.integers(0, 70, size=200)
+        assert np.array_equal(_sorted_member(keys, sorted_keys),
+                              np.isin(keys, sorted_keys))
 
 
 def test_base_points_have_a_zero_coordinate(curve31):
@@ -427,8 +482,18 @@ def test_default_primes_cannot_host_the_witness():
         assert "point-count window" in entry["skipped"]
 
 
-def test_witness_search_result_frozen():
-    report = find_torsion_witness()
+def test_witness_search_result_is_not_shared():
+    primes = (31, 61, 151)
+    first = find_torsion_witness(primes=primes)
+    first["witness"] = {"p": 0}
+    first["trace"].clear()
+    again = find_torsion_witness(primes=primes)
+    assert again["witness"] is None
+    assert [entry["p"] for entry in again["trace"]] == list(primes)
+
+
+def test_witness_search_result_frozen(witness_search):
+    report = witness_search
     assert report["witness"] == {"p": 1801, "lam": 17, "order": 1800}
     skipped = [e["p"] for e in report["trace"] if "skipped" in e]
     assert skipped == [31, 61, 151, 181, 211, 241, 1741]

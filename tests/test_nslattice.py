@@ -20,10 +20,16 @@ VECTOR = st.tuples(*[st.integers(min_value=-9, max_value=9)] * 3)
 # table loading
 
 
-def test_default_tables_load_once():
+def test_default_tables_sections():
     tables = ns.default_tables()
     assert set(tables) == {"chordal", "blowup", "scroll"}
-    assert tables["chordal"] is ns.chordal_form()
+    assert tables["chordal"] == ns.chordal_form()
+
+
+def test_forms_are_not_shared():
+    first = ns.chordal_form()
+    first.table.clear()
+    assert ns.chordal_form().product(0, 0, 0) == 5
 
 
 def test_chordal_table_entries_frozen():

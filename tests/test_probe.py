@@ -21,12 +21,13 @@ from pentangle import probe
 from pentangle.moore import (
     QuadricSystem,
     build_moore_matrices,
-    incidence_residual,
     quintic_equations,
     reference_curve_points,
 )
 from pentangle.multipoly import scalar_matrix_nullspace, scalar_matrix_rank
 from pentangle.scalars import Fp, _normalize_mod_p
+
+from oracles import incidence_residual
 
 SEED = 20260824
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +51,16 @@ def scan61():
 @pytest.fixture(scope="module")
 def witness31(scan31):
     return probe.interpolate_cremona_inverse(scan31)
+
+
+@pytest.fixture(scope="module")
+def moore31():
+    return build_moore_matrices(Fp(2, 31))
+
+
+@pytest.fixture(scope="module")
+def dual_det31(moore31):
+    return quintic_equations(moore31)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +326,8 @@ def test_chart_blocks_cover_projective_space():
     assert total == (p ** 5 - 1) // (p - 1)
 
 
-def test_bilinear_evaluations_match_symbolic_route(scan31):
-    mm = build_moore_matrices(Fp(2, 31))
+def test_bilinear_evaluations_match_symbolic_route(scan31, moore31):
+    mm = moore31
     z = probe._z_residues(31, 2)
     rng = random.Random(SEED)
     for _ in range(20):
@@ -447,9 +458,8 @@ def test_surviving_index_maps_frozen(witness31):
     assert witness31.report["checks"][5]["passed"]
 
 
-def test_factor_matches_dual_determinant_pointwise(witness31):
-    mm = build_moore_matrices(Fp(2, 31))
-    _, dual_det = quintic_equations(mm)
+def test_factor_matches_dual_determinant_pointwise(witness31, dual_det31):
+    dual_det = dual_det31
     ratio = None
     rng = random.Random(SEED)
     for _ in range(20):
