@@ -21,7 +21,8 @@ print("eps3 * eps3^2 == 1:", EPS3 * EPS3 ** 2 == Cyclo(1))
 total = Cyclo(1) + EPS5 + EPS5 ** 2 + EPS5 ** 3 + EPS5 ** 4
 print("sum of all fifth roots of unity:", total)
 
-# inverses are computed by the extended Euclidean algorithm mod Phi_15
+# an inverse is the product of the seven other Galois conjugates divided
+# by the norm, which is a nonzero rational
 print("eps15 * eps15^-1 == 1:", EPS15 * EPS15.inverse() == Cyclo(1))
 
 # -- reduction to small prime fields ----------------------------------

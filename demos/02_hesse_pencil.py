@@ -1,10 +1,10 @@
 """Plane cubics in the symmetric pencil and their chord-tangent group
 law over a small prime field.
 
-The pencil x^3 + y^3 + z^3 = 3 lambda xyz carries nine shared base
+The pencil x0^3 + x1^3 + x2^3 + lam*x0*x1*x2 carries nine shared base
 points; each smooth member is an elliptic curve whose group law the
-package implements twice (tangent-line formulas and a generic chord
-construction) so the two routes can certify one another.
+package implements twice (a batched modular route and a generic
+line-restriction route) so the two routes can certify one another.
 """
 
 from pentangle.hessepencil import (PlaneCubic, add_points,

@@ -28,7 +28,7 @@ for check in secants["checks"]:
 
 # -- random lines meet the determinant locus in at most five points ---
 
-incidence = probe.certify_incidence(scan, lines=30)
+incidence = probe.certify_incidence(scan)
 print()
 print("incidence certificate (passed = %s):" % incidence["passed"])
 for check in incidence["checks"]:

@@ -7,13 +7,12 @@ reports why each rejected prime fails, and on the witness curve the
 collinearity statement reduces to counting solutions of 5*e = 0.
 """
 
-from pentangle.hessepencil import (find_torsion_witness,
-                                   verify_six_secant_criterion)
+from pentangle.hessepencil import verify_six_secant_criterion
 
-search = find_torsion_witness()
+report = verify_six_secant_criterion()
 
-# the trace records one entry per rejected prime with the reason
-for entry in search["trace"]:
+# the search trace records one entry per rejected prime with the reason
+for entry in report["trace"]:
     if "skipped" in entry:
         print("p = %4d rejected: %s" % (entry["p"], entry["skipped"]))
     else:
@@ -21,14 +20,13 @@ for entry in search["trace"]:
         print("p = %4d: %d candidate members inspected" % (entry["p"],
                                                            len(cands)))
 
-w = search["witness"]
+w = report["witness"]
 print()
 print("witness: p = %d, lambda = %d, group order %d" % (w["p"], w["lam"],
                                                         w["order"]))
 
 # -- the collinearity criterion on the witness curve ------------------
 
-report = verify_six_secant_criterion()
 print()
 print("criterion certificate (passed = %s):" % report["passed"])
 for check in report["checks"]:

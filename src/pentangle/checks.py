@@ -32,3 +32,8 @@ class Checks:
     def soft_passed(self) -> bool:
         """Every soft check passed."""
         return all(r["passed"] for r in self.records if r.get("soft"))
+
+
+def error_text(exc: Exception) -> str:
+    """The detail of a check or claim that an exception decided."""
+    return "%s: %s" % (type(exc).__name__, exc)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
+from .checks import Checks, error_text
 from .multipoly import MultiPoly, grevlex_key, monomials
 from .scalars import Cyclo, EPS3, cyclo_root_of_unity
 
@@ -150,20 +151,6 @@ class HeisenbergElement:
                 out[key] = acc
         return MultiPoly(f.vars, out, f.one)
 
-    def point_matrix(self) -> list[list[Cyclo]]:
-        """Matrix A of the substitution: row i reads
-        (A p)_i = central * eps^(-e*t*i) * p_(i-s), so acting on a
-        polynomial is precomposition with A.
-        """
-        n = self.level
-        eps = self._eps()
-        zero = Cyclo(0)
-        a = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            src = (i - self.sigma_power) % n
-            a[i][src] = self.central * eps ** ((-self.twist * self.tau_power * i) % n)
-        return a
-
 
 def commutator(g: HeisenbergElement, h: HeisenbergElement) -> HeisenbergElement:
     return g * h * g.inverse() * h.inverse()
@@ -200,6 +187,38 @@ def commutator_scalar(level: int, twist: int = 1, sigma_power: int = 1,
         raise AssertionError("action scalar %s disagrees with group law %s"
                              % (scalar, law.central))
     return scalar
+
+
+#: the commutator scalars certified by verify_commutators_and_characters;
+#: each row is (check name, commutator_scalar kwargs, expected scalar)
+COMMUTATOR_CASES = (
+    ("commutator scalar, level three standard twist",
+     {"level": 3, "twist": 1}, EPS3.inverse()),
+    ("commutator scalar, level three opposite twist",
+     {"level": 3, "twist": -1}, EPS3),
+    ("commutator scalar, level fifteen fifth powers",
+     {"level": 15, "sigma_power": 5, "tau_power": 5}, EPS3),
+)
+
+
+def verify_commutators_and_characters() -> dict:
+    """The commutator scalars of COMMUTATOR_CASES, then the checks of
+    validate_character_table.  Each case and the table run in their own
+    try, so one that raises fails only its own check."""
+    checks = Checks()
+    for name, kwargs, expected in COMMUTATOR_CASES:
+        try:
+            value = commutator_scalar(**kwargs)
+        except Exception as exc:
+            checks.add(name, False, error_text(exc))
+        else:
+            checks.add(name, value == expected,
+                       "computed %s, expected %s" % (value, expected))
+    try:
+        checks.records += validate_character_table()["checks"]
+    except Exception as exc:
+        checks.add("character table validates", False, error_text(exc))
+    return {"passed": checks.passed, "checks": checks.records}
 
 
 # -- character decomposition ------------------------------------------
@@ -296,7 +315,11 @@ REFERENCE_CHARACTER_TABLE = _reference_table()
 
 def validate_character_table() -> dict:
     """Computed eigenbasis vs the recorded listing; the report carries
-    every mismatch explicitly instead of silently correcting it."""
+    every mismatch explicitly instead of silently correcting it.
+
+    It passes when the invariant block is 2-dimensional, every other
+    character 1-dimensional, and (2, 2) the only mismatched slot.
+    """
     blocks = character_decomposition(3, 3)
     dims = {label: len(basis) for label, basis in blocks.items()}
     mismatches = []
@@ -315,10 +338,22 @@ def validate_character_table() -> dict:
                 "recorded": reference.render(),
                 "computed": computed.render(),
             })
+    checks = Checks()
+    checks.add("degree three eigenspace dimensions",
+               dims.get((0, 0)) == 2 and sum(dims.values()) == 10
+               and all(v == 1 for k, v in dims.items() if k != (0, 0)),
+               "total %d; %s" % (sum(dims.values()),
+                                 ", ".join("(%d,%d): %d" % (k[0], k[1], v)
+                                           for k, v in sorted(dims.items()))))
+    labels = [m["label"] for m in mismatches]
+    flagged = "; ".join("label %s recorded %s, computed %s"
+                        % (m["label"], m["recorded"], m["computed"])
+                        for m in mismatches) or "none"
+    checks.add("character listing mismatch flagged", labels == [(2, 2)],
+               "mismatched labels %s; %s" % (labels, flagged))
     return {
-        "passed": dims.get((0, 0)) == 2 and sum(dims.values()) == 10
-        and all(v == 1 for k, v in dims.items() if k != (0, 0))
-        and [m["label"] for m in mismatches] == [(2, 2)],
+        "passed": checks.passed,
+        "checks": checks.records,
         "dims": dims,
         "matches": matches,
         "mismatches": mismatches,

@@ -46,7 +46,7 @@ from .heisenberg import (
 from .checks import Checks
 from .multipoly import MultiPoly
 from .scalars import (DEFAULT_PRIMES, EPS3, Cyclo, Fp, _inverse_table,
-                      _prime_factors, find_root_of_unity)
+                      _prime_factors, find_root_of_unity, hasse_admits)
 
 VARS3 = ("x0", "x1", "x2")
 
@@ -495,11 +495,6 @@ def _fp_singular_points_general(curve: PlaneCubic) -> list:
     return out
 
 
-def hasse_admits(p: int, n: int) -> bool:
-    """Whether n is a possible point count over F_p (square-exact)."""
-    return (n - p - 1) ** 2 <= 4 * p
-
-
 # -- torsion and group structure ---------------------------------------
 
 
@@ -587,11 +582,18 @@ def group_generators(curve: PlaneCubic) -> list[CubicCurvePoint]:
     k = np.ones(len(pts), dtype=np.int64)
     acc = pts.copy()
     outside = ~_sorted_member(_keys(acc, p), cyclic)
-    while outside.any():
+    # the quotient by the order-n2 span has exponent dividing n1, so
+    # n1*P lies in the span for every P and n1 steps always suffice
+    for _ in range(n1):
+        if not outside.any():
+            break
         idx = np.nonzero(outside)[0]
         acc[idx] = _fp_add(lam, p, acc[idx], pts[idx])
         k[idx] += 1
         outside[idx] = ~_sorted_member(_keys(acc[idx], p), cyclic)
+    else:
+        raise AssertionError("%d steps left points outside the span of "
+                             "the order-%d generator" % (n1, n2))
     first = np.nonzero(k == n1)[0]
     if not len(first):
         raise AssertionError("no complementary generator found")
@@ -617,14 +619,6 @@ def _character_representatives() -> dict[tuple[int, int], MultiPoly]:
     return {label: basis[0]
             for label, basis in character_decomposition(3, 3).items()
             if label != (0, 0)}
-
-
-def character_representative(a: int, b: int) -> MultiPoly:
-    """Computed degree-3 eigenpolynomial for the nontrivial character (a,b)."""
-    key = (a % 3, b % 3)
-    if key == (0, 0):
-        raise ValueError("the trivial character has a 2-dimensional block")
-    return _character_representatives()[key]
 
 
 def _fermat_decompositions():
@@ -730,13 +724,17 @@ def _render_lambda(lam: Cyclo | None) -> str:
     return "infinity" if lam is None else str(lam)
 
 
-def verify_triangle_members(primes: Sequence[int] = (31, 61)) -> dict:
+#: the prime fields over which the singular locus is scanned
+SINGULAR_SCAN_PRIMES = (31, 61)
+
+
+def verify_triangle_members() -> dict:
     """Split members as pencil elements and the singular parameter locus.
 
     The lambda pairing is discovered by expansion; the recorded listing
     is reported against it rather than trusted.  Exactness of the
-    singular locus lam^3 = -27 is certified over prime fields by a full
-    singular-point scan for every lambda.
+    singular locus lam^3 = -27 is certified over each prime field of
+    SINGULAR_SCAN_PRIMES by a full singular-point scan for every lambda.
     """
     checks = Checks()
 
@@ -766,7 +764,7 @@ def verify_triangle_members(primes: Sequence[int] = (31, 61)) -> dict:
                mismatched == [(1, 1), (1, 2)],
                "slots %r differ from the recorded listing" % (mismatched,))
     scans = []
-    for p in primes:
+    for p in SINGULAR_SCAN_PRIMES:
         found = sorted(int(v) for v in _fp_singular_lambda_scan(p))
         w = find_root_of_unity(p, 3)
         expected = sorted({(-3) % p, (-3) * w.v % p, (-3) * w.v * w.v % p})
@@ -811,20 +809,28 @@ def _fp_singular_lambda_scan(p: int) -> np.ndarray:
 # -- set identities on the diagonal ------------------------------------
 
 
-def verify_intersection_arithmetic(p: int = 31, lam: int = 1,
-                                   seed: int = 20260824,
-                                   samples: int = 50) -> dict:
-    """The three diagonal set identities, certified pointwise over F_p."""
+#: (p, lam) of the member carrying the diagonal identities and the
+#: translation action
+SAMPLE_MEMBER = (31, 1)
+
+#: ruling base points drawn by verify_intersection_arithmetic (half as
+#: many for the shifted identity)
+RULING_SAMPLES = 50
+
+
+def verify_intersection_arithmetic(seed: int = 20260824) -> dict:
+    """The three diagonal set identities, certified pointwise over F_p
+    on SAMPLE_MEMBER."""
+    p, lam = SAMPLE_MEMBER
     curve = PlaneCubic.hesse_member(lam, Fp(1, p))
-    lam_i, _ = curve.fp_params()
     pts = curve.point_array()
     checks = Checks()
 
     def nmul(k, rows):
-        return _fp_scalar(lam_i, p, k, rows)
+        return _fp_scalar(lam, p, k, rows)
 
     def padd(a, b):
-        return _fp_add(lam_i, p, a, b)
+        return _fp_add(lam, p, a, b)
 
     def rows_equal(a, b):
         return (a == b).all(axis=1)
@@ -854,9 +860,9 @@ def verify_intersection_arithmetic(p: int = 31, lam: int = 1,
     # (iii) on the ruling through p, the unique solution of
     # 3(-e+p)+2e = 0 is e = 3p, and of 3(-e+p)+2e = -tau is e = 3p+tau
     rng = random.Random(seed)
-    bases = _rows([rng.choice(pts) for _ in range(samples)])
+    bases = _rows([rng.choice(pts) for _ in range(RULING_SAMPLES)])
     shifted = [(rng.choice(pts), rng.choice(three_tors))
-               for _ in range(samples // 2)]
+               for _ in range(RULING_SAMPLES // 2)]
     shift_bases = _rows([base for base, _ in shifted])
     taus = _rows([tau for _, tau in shifted])
 
@@ -875,7 +881,7 @@ def verify_intersection_arithmetic(p: int = 31, lam: int = 1,
     ok_unique = all(single_solution(values, _fp_origin(p), e)
                     for values, e in zip(ruling(bases), nmul(3, bases)))
     checks.add("ruling meets the kernel curve once, at e = 3p (%d samples)"
-               % samples, ok_unique)
+               % RULING_SAMPLES, ok_unique)
     expected = padd(nmul(3, shift_bases), taus)
     ok_shift = all(single_solution(values, rhs, e)
                    for values, rhs, e in zip(ruling(shift_bases),
@@ -890,11 +896,11 @@ def verify_intersection_arithmetic(p: int = 31, lam: int = 1,
     }
 
 
-def verify_translation_action(p: int = 31, lam: int = 1) -> dict:
-    """The coordinate action restricted to a member translates by fixed
-    3-torsion points."""
+def verify_translation_action() -> dict:
+    """The coordinate action restricted to SAMPLE_MEMBER translates by
+    fixed 3-torsion points."""
+    p, lam = SAMPLE_MEMBER
     curve = PlaneCubic.hesse_member(lam, Fp(1, p))
-    lam_i, _ = curve.fp_params()
     pts = curve.point_array()
     o = _fp_origin(p)[None, :]
     w = find_root_of_unity(p, 3).v
@@ -907,14 +913,14 @@ def verify_translation_action(p: int = 31, lam: int = 1) -> dict:
         return _fp_normalize(rows * np.array((1, w * w % p, w)) % p, p)
 
     def three_torsion(rows):
-        return _is_origin(_fp_scalar(lam_i, p, 3, rows), p)
+        return _is_origin(_fp_scalar(lam, p, 3, rows), p)
 
     for name, mapping in (("cyclic shift", shift_map),
                           ("diagonal character", character_map)):
         t = mapping(o)
         checks.add("%s moves the origin to a 3-torsion point" % name,
                    three_torsion(t)[0] and not _is_origin(t, p)[0])
-        ok = (mapping(pts) == _fp_add(lam_i, p, pts, t)).all()
+        ok = (mapping(pts) == _fp_add(lam, p, pts, t)).all()
         checks.add("%s is translation by a fixed 3-torsion point" % name, ok,
                    "translation point %r" % (tuple(t[0].tolist()),))
     bases = pts[(pts == 0).any(axis=1)]
@@ -947,22 +953,24 @@ def _two_torsion_roots(lam: int, p: int) -> list[int]:
     return [int(v) for v in np.nonzero(vals == 0)[0]]
 
 
-def find_torsion_witness(primes: Sequence[int] | None = None,
-                         max_candidates: int = 40) -> dict:
+#: candidate lambdas tried per prime by find_torsion_witness
+MAX_CANDIDATES = 40
+
+
+def find_torsion_witness() -> dict:
     """First (p, lambda) whose member has full rational 2-, 3- and
-    5-torsion, with the search trace of every rejected prime.
+    5-torsion, over DEFAULT_PRIMES then WITNESS_PRIMES, with the search
+    trace of every rejected prime.
 
     Deterministic, and each call searches afresh.  Candidates are
     prefiltered by the cheap 2-torsion root count before any point
     enumeration, and the points of the survivors at one prime come from
-    a single pass over the lambda grid.  At most `max_candidates` are
+    a single pass over the lambda grid.  At most MAX_CANDIDATES are
     tried per prime; the trace gives each searched prime's candidate
     total and says when the cap cut a search short.
     """
-    if primes is None:
-        primes = tuple(DEFAULT_PRIMES) + WITNESS_PRIMES
     trace = []
-    for p in primes:
+    for p in DEFAULT_PRIMES + WITNESS_PRIMES:
         lo, hi = p + 1 - isqrt(4 * p), p + 1 + isqrt(4 * p)
         if (hi // 900) * 900 < lo:
             trace.append({"p": p, "skipped":
@@ -978,7 +986,7 @@ def find_torsion_witness(primes: Sequence[int] | None = None,
                  if (int(hist[lam]) + 9) % 900 == 0
                  and (lam ** 3 + 27) % p != 0]
         tried = []
-        searched = cands[:max_candidates]
+        searched = cands[:MAX_CANDIDATES]
         two_torsion = {lam: len(_two_torsion_roots(lam, p)) + 1
                        for lam in searched}
         members = _member_points(
@@ -998,8 +1006,8 @@ def find_torsion_witness(primes: Sequence[int] | None = None,
                 return {"witness": {"p": p, "lam": lam, "order": n},
                         "trace": trace + [{"p": p, "candidates": tried,
                                            "candidate_total": len(cands)}]}
-        if len(cands) > max_candidates:
-            reason = ("search cut short at max_candidates: %d of %d candidate"
+        if len(cands) > MAX_CANDIDATES:
+            reason = ("search cut short at MAX_CANDIDATES: %d of %d candidate"
                       " lambdas tried, none passed the torsion counts"
                       % (len(tried), len(cands)))
         else:
@@ -1009,8 +1017,7 @@ def find_torsion_witness(primes: Sequence[int] | None = None,
     return {"witness": None, "trace": trace}
 
 
-def verify_six_secant_criterion(primes: Sequence[int] | None = None,
-                                seed: int = 20260824) -> dict:
+def verify_six_secant_criterion(seed: int = 20260824) -> dict:
     """Collinearity reduction on a witness curve with rational 2-, 3-
     and 5-torsion.
 
@@ -1020,7 +1027,7 @@ def verify_six_secant_criterion(primes: Sequence[int] | None = None,
     3*tau = 0; the collinearity condition sum(p_i) + 2*e0 = 0 therefore
     holds exactly when 5*e0 = 0, which has precisely 25 solutions.
     """
-    search = find_torsion_witness(primes)
+    search = find_torsion_witness()
     checks = Checks()
     if search["witness"] is None:
         checks.add("witness search", False, "no prime in the configured list")

@@ -655,7 +655,3 @@ def in_linear_span(q: MultiPoly, basis: Sequence[MultiPoly],
     rows = [[bp.get(m, zero_rf) for bp in bps] for m in monos]
     rhs = [qp.get(m, zero_rf) for m in monos]
     return solve_linear_system(rows, rhs, rf_one)
-
-
-def partial_derivative(f: MultiPoly, var: str) -> MultiPoly:
-    return f.partial_derivative(var)

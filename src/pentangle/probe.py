@@ -28,6 +28,7 @@ import hashlib
 import os
 import random
 from itertools import combinations
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .checks import Checks
 from .moore import excluded_modulus_residues
 from .multipoly import monomials
 from .scalars import (DEFAULT_PRIMES, Fp, _inverse_table, _normalize_mod_p,
-                      find_root_of_unity)
+                      find_root_of_unity, hasse_admits)
 
 SEED = 20260824
 CACHE_VERSION = 1
@@ -276,7 +277,7 @@ class CurveScan:
             if any(_quadric_values(pt, p, a)):
                 raise ValueError(f"point {pt} does not lie on the curve")
         count = len(points)
-        if (count - p - 1) ** 2 > 4 * p:
+        if not hasse_admits(p, count):
             raise RuntimeError(f"point count {count} falls outside the Hasse window for p={p}")
 
         root = find_root_of_unity(p, 5).v
@@ -446,6 +447,21 @@ def scan_curve(p: int, a, cache_dir=None) -> CurveScan:
     return scan
 
 
+def certify_scan(scan: CurveScan) -> dict:
+    """The scan's census as checks: how many points it found, whether
+    that count lies in the Hasse window, and the Jacobian ranks."""
+    p, n = scan.p, len(scan.points)
+    ranks = sorted(set(scan.jacobian_ranks))
+    checks = Checks()
+    checks.add("curve scan completes", True, "%d points (%s)"
+               % (n, "cache" if scan.from_cache else "fresh scan"))
+    checks.add("point count in hasse window", hasse_admits(p, n),
+               "|%d + 1 - %d| = %d <= %d" % (p, n, abs(p + 1 - n), isqrt(4 * p)))
+    checks.add("jacobian rank three on the curve", ranks == [3],
+               "rank values %s at %d points" % (ranks, n))
+    return {"passed": checks.passed, "checks": checks.records}
+
+
 # ---------------------------------------------------------------------------
 # secant certification
 
@@ -476,8 +492,13 @@ def _within_factor_two(count: int, total: int, p: int) -> bool:
     return total <= 2 * p * count and p * count <= 2 * total
 
 
-def certify_secant_variety(scan: CurveScan, samples: int = 1000,
-                           duality_samples: int = 500, seed: int = SEED) -> dict:
+#: chord samples, and as many uniform samples, drawn by certify_secant_variety
+SECANT_SAMPLES = 1000
+#: random vector pairs on which certify_secant_variety compares the two forms
+DUALITY_SAMPLES = 500
+
+
+def certify_secant_variety(scan: CurveScan, seed: int = SEED) -> dict:
     """Certify the vanishing and rank statements along chords of the curve.
 
     Hard checks: the Jacobian has rank three at every curve point, the dual
@@ -496,22 +517,22 @@ def certify_secant_variety(scan: CurveScan, samples: int = 1000,
     checks.add("jacobian rank three at every curve point", rank_three == len(scan),
                f"rank three at {rank_three} of {len(scan)} points")
 
-    chords = np.array([_chord_sample(rng, scan.points, p) for _ in range(samples)],
-                      dtype=np.int64).T
+    chords = np.array([_chord_sample(rng, scan.points, p)
+                       for _ in range(SECANT_SAMPLES)], dtype=np.int64).T
     dets = _det_staged(_dual_rows(chords, z, p), p)
     vanished = int(np.count_nonzero(dets == 0))
-    checks.add("dual determinant vanishes on chord samples", vanished == samples,
-               f"{vanished}/{samples} chord points have zero dual determinant")
+    checks.add("dual determinant vanishes on chord samples", vanished == SECANT_SAMPLES,
+               f"{vanished}/{SECANT_SAMPLES} chord points have zero dual determinant")
 
     agree = 0
-    for _ in range(duality_samples):
+    for _ in range(DUALITY_SAMPLES):
         x = _random_point(rng, p)
         y = _random_point(rng, p)
         if _times(_structure_rows(y, z, p), x, p) == _times(_dual_rows(x, z, p), y, p):
             agree += 1
     checks.add("structure and dual evaluations agree on random pairs",
-               agree == duality_samples,
-               f"{agree}/{duality_samples} pairs have zero duality residual")
+               agree == DUALITY_SAMPLES,
+               f"{agree}/{DUALITY_SAMPLES} pairs have zero duality residual")
 
     witness = None
     for _ in range(64):
@@ -524,12 +545,13 @@ def certify_secant_variety(scan: CurveScan, samples: int = 1000,
                "no nonzero value found in 64 draws" if witness is None
                else f"determinant {witness[1]} at {witness[0]}")
 
-    uniform = np.array([_random_point(rng, p) for _ in range(samples)], dtype=np.int64).T
+    uniform = np.array([_random_point(rng, p) for _ in range(SECANT_SAMPLES)],
+                       dtype=np.int64).T
     zeros = int(np.count_nonzero(_det_staged(_dual_rows(uniform, z, p), p) == 0))
-    tenths = _rounded_ratio(10 * samples, p)
+    tenths = _rounded_ratio(10 * SECANT_SAMPLES, p)
     checks.add("vanishing density tracks the hypersurface heuristic",
-               _density_within_envelope(zeros, samples, p),
-               f"{zeros} zeros in {samples} uniform samples, "
+               _density_within_envelope(zeros, SECANT_SAMPLES, p),
+               f"{zeros} zeros in {SECANT_SAMPLES} uniform samples, "
                f"expected about {tenths // 10}.{tenths % 10}",
                soft=True)
 
@@ -537,7 +559,7 @@ def certify_secant_variety(scan: CurveScan, samples: int = 1000,
         "p": p,
         "a": a,
         "seed": seed,
-        "samples": samples,
+        "samples": SECANT_SAMPLES,
         "passed": checks.passed,
         "soft_passed": checks.soft_passed,
         "checks": checks.records,
@@ -565,7 +587,11 @@ def _independent_pair(rng: random.Random, p: int) -> tuple:
             return u, v
 
 
-def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED) -> dict:
+#: random dual-space lines sliced by certify_incidence
+INCIDENCE_LINES = 60
+
+
+def certify_incidence(scan: CurveScan, seed: int = SEED) -> dict:
     """Certify the kernel geometry of the structure matrix by line slicing.
 
     Random lines in the dual space are intersected with the singular
@@ -584,7 +610,7 @@ def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED) -> dic
 
     incidence_points = []
     per_line = []
-    for _ in range(lines):
+    for _ in range(INCIDENCE_LINES):
         u, v = _independent_pair(rng, p)
         stack = _line_stack(u, v, p)
         dets = _det_staged(_structure_rows(stack, z, p), p)
@@ -594,7 +620,7 @@ def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED) -> dic
     checks.add("line sections vanish at no more than quintic many points",
                all(c <= 5 for c in per_line),
                f"zero counts per line: min {min(per_line)}, max {max(per_line)}, "
-               f"total {sum(per_line)} over {lines} lines")
+               f"total {sum(per_line)} over {INCIDENCE_LINES} lines")
     checks.add("line slicing finds incidence points", len(incidence_points) > 0,
                f"{len(incidence_points)} intersection points collected")
 
@@ -669,7 +695,8 @@ def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED) -> dic
             total += block.shape[1]
             zero_count += int(np.count_nonzero(mask))
             hits = block[:, mask]
-            hit_rows = _structure_rows(hits, z, p)
+            hit_cols = np.flatnonzero(mask)
+            hit_rows = [[entry[hit_cols] for entry in row] for row in rows]
             low = _rank_at_most_three_mask(hit_rows, p)
             low_rank_points.extend(map(tuple, hits[:, low].T.tolist()))
         census: dict[int, int] = {}
@@ -694,7 +721,7 @@ def certify_incidence(scan: CurveScan, lines: int = 60, seed: int = SEED) -> dic
         "p": p,
         "a": a,
         "seed": seed,
-        "lines": lines,
+        "lines": INCIDENCE_LINES,
         "full_scan": full_scan,
         "passed": checks.passed,
         "soft_passed": checks.soft_passed,
@@ -781,17 +808,15 @@ class CremonaWitness:
     """
 
     __slots__ = ("p", "a", "quadrics", "cubics", "factor",
-                 "solution_dimension", "sample_count", "report")
+                 "solution_dimension", "report")
 
-    def __init__(self, p, a, quadrics, cubics, factor,
-                 solution_dimension, sample_count, report):
+    def __init__(self, p, a, quadrics, cubics, factor, solution_dimension, report):
         self.p = p
         self.a = a
         self.quadrics = quadrics
         self.cubics = cubics
         self.factor = factor
         self.solution_dimension = solution_dimension
-        self.sample_count = sample_count
         self.report = report
 
     def apply_forward(self, point) -> tuple:
@@ -805,8 +830,13 @@ class CremonaWitness:
                 f"solution_dimension={self.solution_dimension})")
 
 
-def interpolate_cremona_inverse(scan: CurveScan, roundtrip_samples: int = 500,
-                                secant_samples: int = 200, seed: int = SEED) -> CremonaWitness:
+#: points interpolate_cremona_inverse sends through the map and back
+ROUNDTRIP_SAMPLES = 500
+#: chord points whose images it tests on the structure determinant
+CHORD_IMAGE_SAMPLES = 200
+
+
+def interpolate_cremona_inverse(scan: CurveScan, seed: int = SEED) -> CremonaWitness:
     """Interpolate cubics inverting the forward quadric map over F_p.
 
     The composition of a candidate inverse with the forward map must equal
@@ -907,7 +937,7 @@ def interpolate_cremona_inverse(scan: CurveScan, roundtrip_samples: int = 500,
     skips = 0
     draws = 0
     valid = 0
-    while valid < roundtrip_samples and draws < 8 * roundtrip_samples:
+    while valid < ROUNDTRIP_SAMPLES and draws < 8 * ROUNDTRIP_SAMPLES:
         draws += 1
         x = _random_point(rng, p)
         image = tuple(_poly_eval(q, x, p) for q in quadrics)
@@ -922,13 +952,13 @@ def interpolate_cremona_inverse(scan: CurveScan, roundtrip_samples: int = 500,
         if back == tuple(g_value * x[i] % p for i in range(5)):
             passes += 1
     checks.add("round trip reproduces sample points",
-               valid == roundtrip_samples and passes == valid,
+               valid == ROUNDTRIP_SAMPLES and passes == valid,
                f"{passes}/{valid} round trips exact; {skips} draws skipped on the "
                "vanishing factor (base locus)")
 
     z = _z_residues(p, a)
     chord_images = []
-    for _ in range(secant_samples):
+    for _ in range(CHORD_IMAGE_SAMPLES):
         x = _chord_sample(rng, scan.points, p)
         chord_images.append(tuple(_poly_eval(q, x, p) for q in quadrics))
     stack = np.array(chord_images, dtype=np.int64).T
@@ -939,18 +969,17 @@ def interpolate_cremona_inverse(scan: CurveScan, roundtrip_samples: int = 500,
     ]
     zero_count = int(np.count_nonzero(_det_staged(_structure_rows(stack, z, p), p) == 0))
     checks.add("structure determinant vanishes on chord images",
-               zero_count == secant_samples,
-               f"{zero_count}/{secant_samples} chord images on the determinant "
+               zero_count == CHORD_IMAGE_SAMPLES,
+               f"{zero_count}/{CHORD_IMAGE_SAMPLES} chord images on the determinant "
                f"locus; index maps preserving the quintic: {surviving}")
 
     report = {
         "p": p,
         "a": a,
         "seed": seed,
-        "samples": roundtrip_samples,
+        "samples": ROUNDTRIP_SAMPLES,
         "passed": checks.passed,
         "soft_passed": checks.soft_passed,
         "checks": checks.records,
     }
-    return CremonaWitness(p, a, quadrics, cubics, factor,
-                          dimension, roundtrip_samples, report)
+    return CremonaWitness(p, a, quadrics, cubics, factor, dimension, report)

@@ -16,17 +16,17 @@ on timing, suite selection order, or cache state.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
 import time
 from dataclasses import dataclass
-from math import isqrt
 
 from . import __version__, heisenberg, hessepencil, moore, nslattice, probe
 from . import sections as sections_mod
-from .checks import Checks
-from .scalars import DEFAULT_PRIMES, EPS3, Fp
+from .checks import error_text
+from .scalars import DEFAULT_PRIMES, Fp
 
 #: canonical execution order; scan precedes the suites that reuse its
 #: point lists so a shared scan is built exactly once per (p, a)
@@ -147,10 +147,6 @@ def _claim(suite: str, name: str, passed: bool, witness: str,
             "status": status, "witness": witness}
 
 
-def _error_text(exc: Exception) -> str:
-    return "%s: %s" % (type(exc).__name__, exc)
-
-
 def _claims_from_report(suite: str, report: dict, context: str = "") -> list:
     return [_claim(suite, check["name"], check["passed"],
                    check.get("detail", ""), soft=bool(check.get("soft")),
@@ -165,7 +161,7 @@ def _op_claims(suite: str, op_name: str, thunk, context: str = "") -> list:
         report = thunk()
     except Exception as exc:  # pragma: no cover - exercised via stubs
         return [_claim(suite, op_name + " completes", False,
-                       _error_text(exc), context=context)]
+                       error_text(exc), context=context)]
     return _claims_from_report(suite, report, context)
 
 
@@ -194,48 +190,9 @@ def _run_hesse(config, pairs, scans):
     return claims
 
 
-#: the commutator scalars certified by the heisenberg suite; each row is
-#: (claim name, commutator_scalar kwargs, expected scalar)
-_COMMUTATOR_CASES = (
-    ("commutator scalar, level three standard twist",
-     {"level": 3, "twist": 1}, EPS3.inverse()),
-    ("commutator scalar, level three opposite twist",
-     {"level": 3, "twist": -1}, EPS3),
-    ("commutator scalar, level fifteen fifth powers",
-     {"level": 15, "sigma_power": 5, "tau_power": 5}, EPS3),
-)
-
-
 def _run_heisenberg(config, pairs, scans):
-    checks = Checks()
-    for name, kwargs, expected in _COMMUTATOR_CASES:
-        try:
-            value = heisenberg.commutator_scalar(**kwargs)
-        except Exception as exc:
-            checks.add(name, False, _error_text(exc))
-        else:
-            checks.add(name, value == expected,
-                       "computed %s, expected %s" % (value, expected))
-
-    try:
-        table = heisenberg.validate_character_table()
-    except Exception as exc:
-        checks.add("character table validates", False, _error_text(exc))
-    else:
-        dims = table["dims"]
-        dims_ok = (dims.get((0, 0)) == 2 and sum(dims.values()) == 10
-                   and all(v == 1 for k, v in dims.items() if k != (0, 0)))
-        checks.add("degree three eigenspace dimensions", dims_ok,
-                   "total %d; %s" % (sum(dims.values()),
-                                     ", ".join("(%d,%d): %d" % (k[0], k[1], v)
-                                               for k, v in sorted(dims.items()))))
-        labels = [m["label"] for m in table["mismatches"]]
-        flagged = "; ".join("label %s recorded %s, computed %s"
-                            % (m["label"], m["recorded"], m["computed"])
-                            for m in table["mismatches"]) or "none"
-        checks.add("character listing mismatch flagged", labels == [(2, 2)],
-                   "mismatched labels %s; %s" % (labels, flagged))
-    return _claims_from_report("heisenberg", {"checks": checks.records})
+    return _op_claims("heisenberg", "commutators and characters",
+                      heisenberg.verify_commutators_and_characters)
 
 
 def _run_sections(config, pairs, scans):
@@ -244,31 +201,16 @@ def _run_sections(config, pairs, scans):
 
 
 def _run_moore(config, pairs, scans):
+    moduli = [("symbolic", moore.symbolic_modulus())] if config.symbolic_a else []
+    moduli += [(_pair_tag(p, a), Fp(a, p)) for p, a in pairs]
     claims = []
-    if config.symbolic_a:
+    for tag, a in moduli:
         claims += _op_claims("moore", "matrix identities",
-                             lambda: moore.verify_matrix_identities(None),
-                             context="symbolic")
-
-        def span_symbolic():
-            a = moore.symbolic_modulus()
-            return moore.verify_span_claims(moore.build_moore_matrices(a),
-                                            moore.QuadricSystem(a))
-
-        claims += _op_claims("moore", "span claims", span_symbolic,
-                             context="symbolic")
-    for p, a in pairs:
-        tag = _pair_tag(p, a)
-        elt = Fp(a, p)
-        claims += _op_claims("moore", "matrix identities",
-                             lambda e=elt: moore.verify_matrix_identities(e),
+                             lambda: moore.verify_matrix_identities(a), context=tag)
+        claims += _op_claims("moore", "span claims",
+                             lambda: moore.verify_span_claims(
+                                 moore.build_moore_matrices(a), moore.QuadricSystem(a)),
                              context=tag)
-
-        def span_numeric(e=elt):
-            return moore.verify_span_claims(moore.build_moore_matrices(e),
-                                            moore.QuadricSystem(e))
-
-        claims += _op_claims("moore", "span claims", span_numeric, context=tag)
     return claims
 
 
@@ -296,63 +238,43 @@ def _ensure_scan(scans, p, a, cache_dir):
 
 
 def _run_scan(config, pairs, scans):
+    def certify(p, a):
+        scan = _ensure_scan(scans, p, a, config.cache_dir)
+        if isinstance(scan, Exception):
+            raise scan
+        return probe.certify_scan(scan)
+
     claims = []
     for p, a in pairs:
-        tag = _pair_tag(p, a)
-        scan = _ensure_scan(scans, p, a, config.cache_dir)
-        if not isinstance(scan, probe.CurveScan):
-            claims.append(_claim("scan", "curve scan completes", False,
-                                 _error_text(scan), context=tag))
-            continue
-        n = len(scan.points)
-        source = "cache" if scan.from_cache else "fresh scan"
-        claims.append(_claim("scan", "curve scan completes", True,
-                             "%d points (%s)" % (n, source), context=tag))
-        # (p + 1 - n)^2 <= 4p is the integer form of the Hasse window
-        claims.append(_claim(
-            "scan", "point count in hasse window",
-            (p + 1 - n) ** 2 <= 4 * p,
-            "|%d + 1 - %d| = %d <= %d" % (p, n, abs(p + 1 - n), isqrt(4 * p)),
-            context=tag))
-        ranks = sorted(set(scan.jacobian_ranks))
-        claims.append(_claim("scan", "jacobian rank three on the curve",
-                             ranks == [3], "rank values %s at %d points"
-                             % (ranks, n), context=tag))
+        claims += _op_claims("scan", "curve scan", lambda: certify(p, a),
+                             context=_pair_tag(p, a))
     return claims
 
 
-def _run_scan_consumer(suite, thunk_for, config, pairs, scans):
+#: the verifier of each suite that certifies the shared curve scans; each
+#: looks its function up when called, so a patched module attribute is seen
+_SCAN_VERIFIERS = {
+    "secants": lambda scan, seed: probe.certify_secant_variety(scan, seed=seed),
+    "incidence": lambda scan, seed: probe.certify_incidence(scan, seed=seed),
+    "cremona":
+        lambda scan, seed: probe.interpolate_cremona_inverse(scan, seed=seed).report,
+}
+
+
+def _run_on_scans(suite, config, pairs, scans):
     claims = []
     seed = suite_seed(config.seed, suite)
     for p, a in pairs:
         tag = _pair_tag(p, a)
         scan = _ensure_scan(scans, p, a, config.cache_dir)
-        if not isinstance(scan, probe.CurveScan):
+        if isinstance(scan, Exception):
             claims.append(_claim(suite, "curve scan available", False,
-                                 _error_text(scan), context=tag))
+                                 error_text(scan), context=tag))
             continue
         claims += _op_claims(suite, suite + " certification",
-                             thunk_for(scan, seed), context=tag)
+                             lambda: _SCAN_VERIFIERS[suite](scan, seed),
+                             context=tag)
     return claims
-
-
-def _run_secants(config, pairs, scans):
-    def thunk_for(scan, seed):
-        return lambda: probe.certify_secant_variety(scan, seed=seed)
-    return _run_scan_consumer("secants", thunk_for, config, pairs, scans)
-
-
-def _run_incidence(config, pairs, scans):
-    def thunk_for(scan, seed):
-        return lambda: probe.certify_incidence(scan, seed=seed)
-    return _run_scan_consumer("incidence", thunk_for, config, pairs, scans)
-
-
-def _run_cremona(config, pairs, scans):
-    def thunk_for(scan, seed):
-        return lambda: probe.interpolate_cremona_inverse(scan,
-                                                         seed=seed).report
-    return _run_scan_consumer("cremona", thunk_for, config, pairs, scans)
 
 
 _RUNNERS = {
@@ -362,9 +284,7 @@ _RUNNERS = {
     "moore": _run_moore,
     "lattice": _run_lattice,
     "scan": _run_scan,
-    "secants": _run_secants,
-    "incidence": _run_incidence,
-    "cremona": _run_cremona,
+    **{suite: functools.partial(_run_on_scans, suite) for suite in _SCAN_VERIFIERS},
 }
 
 
@@ -406,7 +326,7 @@ def run(config: RunConfig) -> dict:
         try:
             suite_claims = runner(config, pairs, scans)
         except Exception as exc:
-            suite_claims = [_claim(suite, "suite executes", False, _error_text(exc))]
+            suite_claims = [_claim(suite, "suite executes", False, error_text(exc))]
         elapsed_ms = round((time.monotonic() - start) * 1000.0, 3)
         for claim in suite_claims:
             claim["elapsed_ms"] = elapsed_ms

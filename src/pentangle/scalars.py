@@ -416,6 +416,12 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def hasse_admits(p: int, n: int) -> bool:
+    """Whether n lies in the Hasse window |p + 1 - n| <= 2*sqrt(p) of a
+    genus-one curve over F_p, decided square-exact."""
+    return (n - p - 1) ** 2 <= 4 * p
+
+
 def _has_exact_order(w: int, n: int, p: int) -> bool:
     if pow(w, n, p) != 1:
         return False

@@ -175,7 +175,8 @@ def h5_tau(t: FormalTensor) -> FormalTensor:
 
 
 def h5_tau_uninverted(t: FormalTensor) -> FormalTensor:
-    """The raw cube y_i -> eps5^(-i) y_i, kept for the identification note."""
+    """The raw cube y_i -> eps5^(-i) y_i: the inverse of h5_tau, and the
+    map of the identification note."""
     return act_on_y(HeisenbergElement.tau(15) ** 3, t)
 
 
@@ -222,7 +223,7 @@ def verify_section_symmetries() -> dict:
     # the section-level commutator matches the twist-2 group law
     comm_ok = True
     for k in range(5):
-        lhs = h5_sigma(h5_tau(_h5_sigma_inv(_h5_tau_inv(s[k]))))
+        lhs = h5_sigma(h5_tau(_h5_sigma_inv(h5_tau_uninverted(s[k]))))
         if lhs != s[k].scale(EPS5 ** 3):
             comm_ok = False
     law = HeisenbergElement.sigma(5, twist=2) * HeisenbergElement.tau(5, twist=2)
@@ -239,7 +240,3 @@ def verify_section_symmetries() -> dict:
 
 def _h5_sigma_inv(t: FormalTensor) -> FormalTensor:
     return act_on_y((HeisenbergElement.sigma(15) ** 3).inverse(), t)
-
-
-def _h5_tau_inv(t: FormalTensor) -> FormalTensor:
-    return act_on_y(HeisenbergElement.tau(15) ** 3, t)

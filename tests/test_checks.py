@@ -59,3 +59,14 @@ def test_raising_commutator_case_fails_only_its_claim(monkeypatch):
     assert failing[0]["witness"] == "RuntimeError: lost the central scalar"
     assert report["summary"] == {"pass": 4, "soft-pass": 0, "fail": 1,
                                  "soft-fail": 0, "total": 5}
+
+
+def test_raising_character_table_fails_only_its_claim(monkeypatch):
+    def broken():
+        raise AssertionError("nontrivial character (2, 2) is not 1-dimensional")
+
+    monkeypatch.setattr(heisenberg, "validate_character_table", broken)
+    report = rp.run(rp.make_config(primes=(31,), suites=("heisenberg",)))
+    assert [c["status"] for c in report["claims"]] == ["pass"] * 3 + ["fail"]
+    assert report["claims"][-1]["id"] == "heisenberg:character-table-validates"
+    assert report["claims"][-1]["witness"].startswith("AssertionError: nontrivial")

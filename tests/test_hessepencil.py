@@ -16,11 +16,9 @@ from pentangle.hessepencil import (
     add_points,
     add_points_generic,
     base_points,
-    character_representative,
     find_torsion_witness,
     group_generators,
     group_structure,
-    hasse_admits,
     hesse_polynomial,
     infinity_member_polynomial,
     negate_point,
@@ -32,6 +30,7 @@ from pentangle.hessepencil import (
     verify_six_secant_criterion,
     verify_translation_action,
     verify_triangle_members,
+    _character_representatives,
     _fp_add,
     _fp_enumerate_hesse,
     _fp_scalar,
@@ -42,10 +41,20 @@ from pentangle.hessepencil import (
     _point_orders,
     _sorted_member,
 )
+from pentangle import hessepencil
 from pentangle.multipoly import MultiPoly
-from pentangle.scalars import EPS3, Cyclo, Fp, _normalize_mod_p, find_root_of_unity
+from pentangle.scalars import (DEFAULT_PRIMES, EPS3, Cyclo, Fp, _normalize_mod_p,
+                               find_root_of_unity, hasse_admits)
 
 SEED = 20260824
+
+
+def character_representative(a: int, b: int) -> MultiPoly:
+    """Computed degree-3 eigenpolynomial for the nontrivial character (a,b)."""
+    key = (a % 3, b % 3)
+    if key == (0, 0):
+        raise ValueError("the trivial character has a 2-dimensional block")
+    return _character_representatives()[key]
 
 
 @pytest.fixture(scope="module")
@@ -432,6 +441,14 @@ def test_group_generators_span(curve31):
     assert len(span) == 36
 
 
+def test_group_generators_stop_after_n1_steps(curve31, monkeypatch):
+    # a membership test that never matches must fail the call, not hang it
+    monkeypatch.setattr(hessepencil, "_sorted_member",
+                        lambda keys, sorted_keys: np.zeros(len(keys), dtype=bool))
+    with pytest.raises(AssertionError, match="3 steps left points outside"):
+        group_generators(curve31)
+
+
 def test_sorted_member_matches_isin():
     rng = np.random.default_rng(SEED)
     for size in (1, 2, 17):
@@ -474,22 +491,23 @@ def test_translation_action_report():
 # -- torsion witness and the 6-secant criterion ------------------------
 
 
-def test_default_primes_cannot_host_the_witness():
-    report = find_torsion_witness(primes=(31, 61, 151, 181, 211, 241))
+def test_default_primes_cannot_host_the_witness(monkeypatch):
+    monkeypatch.setattr(hessepencil, "WITNESS_PRIMES", ())
+    report = find_torsion_witness()
     assert report["witness"] is None
     assert len(report["trace"]) == 6
     for entry in report["trace"]:
         assert "point-count window" in entry["skipped"]
 
 
-def test_witness_search_result_is_not_shared():
-    primes = (31, 61, 151)
-    first = find_torsion_witness(primes=primes)
+def test_witness_search_result_is_not_shared(monkeypatch):
+    monkeypatch.setattr(hessepencil, "WITNESS_PRIMES", ())
+    first = find_torsion_witness()
     first["witness"] = {"p": 0}
     first["trace"].clear()
-    again = find_torsion_witness(primes=primes)
+    again = find_torsion_witness()
     assert again["witness"] is None
-    assert [entry["p"] for entry in again["trace"]] == list(primes)
+    assert [entry["p"] for entry in again["trace"]] == list(DEFAULT_PRIMES)
 
 
 def test_witness_search_result_frozen(witness_search):
@@ -543,7 +561,8 @@ def test_six_secant_criterion_report():
     assert any("exactly 25 solutions" in n for n in names)
 
 
-def test_six_secant_reports_failure_without_witness():
-    report = verify_six_secant_criterion(primes=(31, 61))
+def test_six_secant_reports_failure_without_witness(monkeypatch):
+    monkeypatch.setattr(hessepencil, "WITNESS_PRIMES", ())
+    report = verify_six_secant_criterion()
     assert not report["passed"]
     assert report["witness"] is None
