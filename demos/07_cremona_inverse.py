@@ -7,6 +7,8 @@ hands over both the inverse cubics and the common quintic factor, and
 that factor turns out to cut the chordal hypersurface.
 """
 
+import numpy as np
+
 from pentangle import probe
 
 scan = probe.scan_curve(31, 1)
@@ -14,7 +16,7 @@ witness = probe.interpolate_cremona_inverse(scan)
 
 print("solution space dimension:", witness.solution_dimension)
 print("inverse given by %d cubics; common factor has %d monomials"
-      % (len(witness.cubics), len(witness.factor)))
+      % (len(witness.cubics), np.count_nonzero(witness.factor)))
 print()
 for check in witness.report["checks"]:
     mark = "ok" if check["passed"] else "XX"

@@ -124,11 +124,19 @@ def report_command(fmt, path) -> None:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise click.UsageError("%s is not a JSON report: %s" % (path, exc))
+    if not isinstance(data, dict):
+        raise click.UsageError("%s is not a JSON report: its body is a %s"
+                               % (path, type(data).__name__))
     missing = {"version", "config", "claims", "summary"}.difference(data)
     if missing:
         raise click.UsageError("%s lacks report keys: %s"
                                % (path, sorted(missing)))
-    click.echo(report_mod.render_report(data, fmt), nl=False)
+    try:
+        text = report_mod.render_report(data, fmt)
+    except (KeyError, TypeError) as exc:
+        raise click.UsageError("%s is a malformed report: %s %s"
+                               % (path, type(exc).__name__, exc))
+    click.echo(text, nl=False)
 
 
 if __name__ == "__main__":

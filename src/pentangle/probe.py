@@ -43,11 +43,12 @@ SEED = 20260824
 CACHE_VERSION = 1
 SUPPORTED_PRIMES = DEFAULT_PRIMES
 
-# chart slabs never exceed this many columns.  Only the p=31 full incidence
-# scan of projective four-space reaches it: that scan holds 25 structure
-# rows plus the staged minors at this width, so it bounds peak memory.  The
-# curve scan's plane charts have at most p**2 < _CHUNK columns.
-_CHUNK = 1 << 16
+# chart slabs never exceed this many columns.  The p=31 full incidence scan
+# of projective four-space holds 25 structure rows plus the staged minors at
+# this width, so it bounds peak memory: 1 << 15 peaks about 15 MB below
+# 1 << 16 and runs no slower.  The curve scan's plane charts have p**2
+# columns, so they are split only at p >= 211.
+_CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +103,11 @@ def _det_staged(rows, p: int):
     """Determinant by Laplace expansion along successive rows.
 
     Stage ``d`` holds the minors of rows ``0..d`` for every column subset,
-    so each minor is computed once.  Entries may be ints or numpy arrays;
-    intermediate values are reduced after every stage, which keeps the
-    int64 path far from overflow for all supported primes.
+    so each minor is computed once.  Entries may be ints or numpy arrays
+    of residues below p.  Each stage sums at most five products of
+    residues below p and then reduces, so every sum stays below 5*p**2 in
+    magnitude: under 3*10**5 at p=241, the largest supported prime, far
+    inside int64.
     """
     n = len(rows)
     cols = tuple(range(n))
@@ -730,100 +733,85 @@ def certify_incidence(scan: CurveScan, seed: int = SEED) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# polynomial dictionaries over F_p for the Cremona interpolation
+# forms over F_p for the Cremona interpolation
+#
+# A form of degree d is its coefficient vector over monomials(d, 5)[::-1].
+# The exponent tuples of those monomials are also points: the lattice
+# x >= 0, sum(x) = d, on which a form's values determine its coefficients.
 
 
-def _poly_mul(left: dict, right: dict, p: int) -> dict:
-    out: dict[tuple, int] = {}
-    for e1, c1 in left.items():
-        for e2, c2 in right.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = (out.get(key, 0) + c1 * c2) % p
-    return {k: v for k, v in out.items() if v}
+def _lattice(d: int) -> np.ndarray:
+    """The (5, n) stack of points x >= 0 with sum d, in coefficient order."""
+    return np.array(monomials(d, 5)[::-1], dtype=np.int64).T
 
 
-def _poly_eval(poly: dict, point, p: int) -> int:
-    total = 0
-    for exponent, coeff in poly.items():
-        term = coeff
-        for i in range(5):
-            if exponent[i]:
-                term = term * pow(point[i] % p, exponent[i], p) % p
-        total += term
-    return total % p
+def _monomial_matrix(stack, d: int, p: int) -> np.ndarray:
+    """Values of every degree-d monomial at a (5, n) stack of points.
+
+    Row k holds the monomials at point k, so a form's values are
+    ``M @ coeffs % p``.  Every step multiplies two residues below p.  A
+    form of degree at most 6 has at most 210 monomials, so each entry of
+    ``M @ coeffs`` sums at most 210 such products and stays below
+    210*p**2: under 1.3*10**7 at p=241, far inside int64.
+    """
+    stack = np.asarray(stack, dtype=np.int64) % p
+    powers = [[np.ones_like(row)] for row in stack]
+    for row, column in zip(stack, powers):
+        for _ in range(d):
+            column.append(column[-1] * row % p)
+    values = []
+    for exponent in monomials(d, 5)[::-1]:
+        value = powers[0][exponent[0]]
+        for column, e in zip(powers[1:], exponent[1:]):
+            value = value * column[e] % p
+        values.append(value)
+    return np.stack(values, axis=1)
 
 
-def _quadric_polys(p: int, a: int) -> tuple:
-    inva = pow(a, p - 2, p)
-    out = []
-    for i in range(5):
-        poly: dict[tuple, int] = {}
-        square = [0] * 5
-        square[i] = 2
-        poly[tuple(square)] = 1
-        plus = [0] * 5
-        plus[(i + 2) % 5] += 1
-        plus[(i + 3) % 5] += 1
-        poly[tuple(plus)] = (poly.get(tuple(plus), 0) + a) % p
-        minus = [0] * 5
-        minus[(i + 1) % 5] += 1
-        minus[(i + 4) % 5] += 1
-        poly[tuple(minus)] = (poly.get(tuple(minus), 0) - inva) % p
-        out.append({k: v for k, v in poly.items() if v})
-    return tuple(out)
+def _coefficients(values, d: int, p: int) -> np.ndarray:
+    """Coefficients of degree-d forms from their values on ``_lattice(d)``.
 
-
-def _dual_determinant_poly(p: int, a: int) -> dict:
-    z = _z_residues(p, a)
-    variables = []
-    for i in range(5):
-        exponent = [0] * 5
-        exponent[i] = 1
-        variables.append({tuple(exponent): 1})
-    rows = [[{k: v * z[(2 * i - m) % 5] % p for k, v in variables[(m - i) % 5].items()}
-             for m in range(5)] for i in range(5)]
-
-    def det(block):
-        if len(block) == 1:
-            return block[0][0]
-        acc: dict[tuple, int] = {}
-        for r, row in enumerate(block):
-            rest = [rr[1:] for k, rr in enumerate(block) if k != r]
-            term = _poly_mul(row[0], det(rest), p)
-            sign = 1 if r % 2 == 0 else p - 1
-            for key, value in term.items():
-                acc[key] = (acc.get(key, 0) + sign * value) % p
-        return {k: v for k, v in acc.items() if v}
-
-    return det(rows)
+    ``values`` has one row per lattice point and one column per form (or is
+    a single vector).  The lattice is the principal lattice of the simplex
+    (Nicolaides, SIAM J. Numer. Anal. 9, 1972): over F_p it determines the
+    forms exactly when p > d, and the solve raises unless its pivots are
+    the monomial columns.
+    """
+    square = _monomial_matrix(_lattice(d), d, p)
+    n = square.shape[1]
+    reduced, pivots = _rref_mod_p(np.column_stack([square, values]), p)
+    if pivots != list(range(n)):
+        raise RuntimeError(f"degree-{d} forms are not determined by their lattice values "
+                           f"over F_{p}")
+    return reduced[:, n:].reshape(np.shape(values))
 
 
 class CremonaWitness:
     """Interpolated inverse of the quadric-defined Cremona transformation.
 
-    Holds the five forward quadrics, the five inverse cubics, the common
-    quintic factor relating their composition to the identity, the
-    dimension of the interpolation solution space, and the verification
-    report.  Polynomials are dictionaries from exponent tuples to residues.
+    Holds the five inverse cubics as the rows of a (5, 35) array, the
+    common quintic factor relating their composition to the identity as a
+    length-126 vector, the dimension of the interpolation solution space,
+    and the verification report.  A form of degree d is its coefficient
+    vector over ``monomials(d, 5)[::-1]``.
     """
 
-    __slots__ = ("p", "a", "quadrics", "cubics", "factor",
-                 "solution_dimension", "report")
+    __slots__ = ("p", "a", "cubics", "factor", "solution_dimension", "report")
 
-    def __init__(self, p, a, quadrics, cubics, factor, solution_dimension, report):
+    def __init__(self, p, a, cubics, factor, solution_dimension, report):
         self.p = p
         self.a = a
-        self.quadrics = quadrics
         self.cubics = cubics
         self.factor = factor
         self.solution_dimension = solution_dimension
         self.report = report
 
     def apply_forward(self, point) -> tuple:
-        return tuple(_poly_eval(q, point, self.p) for q in self.quadrics)
+        return tuple(_quadric_values(tuple(int(c) for c in point), self.p, self.a))
 
     def apply_inverse(self, point) -> tuple:
-        return tuple(_poly_eval(c, point, self.p) for c in self.cubics)
+        column = np.array(point, dtype=np.int64).reshape(5, 1)
+        return tuple((_monomial_matrix(column, 3, self.p) @ self.cubics.T % self.p)[0].tolist())
 
     def __repr__(self) -> str:
         return (f"CremonaWitness(p={self.p}, a={self.a}, "
@@ -841,95 +829,61 @@ def interpolate_cremona_inverse(scan: CurveScan, seed: int = SEED) -> CremonaWit
 
     The composition of a candidate inverse with the forward map must equal
     a common degree-five factor times the identity, coefficient by
-    coefficient.  That linear condition is solved exactly by row reduction
-    over F_p; the solution is then re-verified by an independent symbolic
-    composition, compared against the dual determinant, and exercised on
-    random round trips and chord images.
+    coefficient.  The coefficients of the products q**alpha come from their
+    values on the sextic lattice, and that linear condition is solved
+    exactly by row reduction over F_p.  The solution is then re-checked
+    against the system, compared with the chordal quintic (the dual
+    determinant, read off the quintic lattice the same way), and exercised
+    on random round trips and chord images, evaluated in batches.
     """
     p, a = scan.p, scan.a
+    z = _z_residues(p, a)
     rng = random.Random(seed)
-    quadrics = _quadric_polys(p, a)
     # ascending order fixes the column order, hence the kernel vector chosen
-    cubic_monomials = monomials(3, 5)[::-1]
     quintic_monomials = monomials(5, 5)[::-1]
-    sextic_monomials = monomials(6, 5)[::-1]
-    sextic_index = {m: i for i, m in enumerate(sextic_monomials)}
-    ncubic = len(cubic_monomials)
+    sextic_index = {m: i for i, m in enumerate(monomials(6, 5)[::-1])}
+    # column k: coefficients of the k-th cubic monomial in the quadrics
+    products = _coefficients(_monomial_matrix(_quadric_values(_lattice(6), p, a), 3, p), 6, p)
+    ncubic = products.shape[1]
     ncols = 5 * ncubic + len(quintic_monomials)
 
-    products = []
-    for alpha in cubic_monomials:
-        poly = {(0, 0, 0, 0, 0): 1}
-        for i in range(5):
-            for _ in range(alpha[i]):
-                poly = _poly_mul(poly, quadrics[i], p)
-        products.append(poly)
-
-    blocks = []
+    # row block j: the sextic coefficients of sum_k c_jk q**alpha_k - x_j * g
+    nsextic = len(sextic_index)
+    system = np.zeros((5 * nsextic, ncols), dtype=np.int64)
     for j in range(5):
-        block = np.zeros((len(sextic_monomials), ncols), dtype=np.int64)
-        for column, poly in enumerate(products):
-            for monomial, coeff in poly.items():
-                block[sextic_index[monomial], j * ncubic + column] = coeff
+        system[j * nsextic:(j + 1) * nsextic, j * ncubic:(j + 1) * ncubic] = products
         for column, beta in enumerate(quintic_monomials):
             shifted = list(beta)
             shifted[j] += 1
-            row = sextic_index[tuple(shifted)]
-            block[row, 5 * ncubic + column] = (block[row, 5 * ncubic + column] - 1) % p
-        blocks.append(block)
-    system = np.concatenate(blocks, axis=0) % p
+            system[j * nsextic + sextic_index[tuple(shifted)], 5 * ncubic + column] = p - 1
 
     basis = _nullspace_mod_p(system, p)
     dimension = len(basis)
-    solution = next((vec for vec in basis if any(vec[5 * ncubic:])), None)
+    solution = next((np.array(vec, dtype=np.int64) for vec in basis if any(vec[5 * ncubic:])),
+                    None)
     if solution is None:
         raise RuntimeError(
             "interpolation admits no inverse with a nonzero common factor "
             f"(solution space dimension {dimension})")
-
-    cubics = tuple(
-        {cubic_monomials[k]: int(solution[j * ncubic + k])
-         for k in range(ncubic) if solution[j * ncubic + k]}
-        for j in range(5)
-    )
-    factor = {quintic_monomials[k]: int(solution[5 * ncubic + k])
-              for k in range(len(quintic_monomials)) if solution[5 * ncubic + k]}
+    cubics = solution[:5 * ncubic].reshape(5, ncubic)
+    factor = solution[5 * ncubic:]
 
     checks = Checks()
     checks.add("interpolation system admits a nonzero solution", dimension >= 1,
                f"solution space dimension {dimension} "
                f"({system.shape[0]} equations, {ncols} unknowns)")
-    checks.add("common factor is a nonzero quintic",
-               bool(factor) and all(sum(e) == 5 for e in factor),
-               f"{len(factor)} monomials")
-
-    composed_ok = True
-    for j in range(5):
-        acc: dict[tuple, int] = {}
-        for monomial, coeff in cubics[j].items():
-            column = cubic_monomials.index(monomial)
-            for key, value in products[column].items():
-                acc[key] = (acc.get(key, 0) + coeff * value) % p
-        acc = {k: v for k, v in acc.items() if v}
-        shift = [0] * 5
-        shift[j] = 1
-        target = _poly_mul(factor, {tuple(shift): 1}, p)
-        if acc != target:
-            composed_ok = False
-    checks.add("composition identity holds coefficient-wise", composed_ok,
+    support = np.flatnonzero(factor)
+    checks.add("common factor is a nonzero quintic", support.size > 0,
+               f"{support.size} monomials")
+    # each row sums at most 301 products of residues below p: under 1.8*10**7 at p=241
+    checks.add("composition identity holds coefficient-wise",
+               not np.any(system @ solution % p),
                "cubics composed with the quadrics equal the factor times each coordinate")
 
-    dual_det = _dual_determinant_poly(p, a)
-    ratio = None
-    proportional = set(factor) == set(dual_det)
-    if proportional:
-        for key in factor:
-            r = factor[key] * pow(dual_det[key], p - 2, p) % p
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                proportional = False
-                break
+    chordal = _coefficients(_det_staged(_dual_rows(_lattice(5), z, p), p), 5, p)
+    lead = support[0]
+    ratio = int(factor[lead]) * pow(int(chordal[lead]), p - 2, p) % p
+    proportional = np.array_equal(factor, ratio * chordal % p)
     checks.add("common factor matches the chordal quintic up to scale", proportional,
                f"scale factor {ratio}" if proportional else "monomial supports differ")
 
@@ -938,30 +892,28 @@ def interpolate_cremona_inverse(scan: CurveScan, seed: int = SEED) -> CremonaWit
     draws = 0
     valid = 0
     while valid < ROUNDTRIP_SAMPLES and draws < 8 * ROUNDTRIP_SAMPLES:
-        draws += 1
-        x = _random_point(rng, p)
-        image = tuple(_poly_eval(q, x, p) for q in quadrics)
-        if not any(image):
-            continue
-        g_value = _poly_eval(factor, x, p)
-        if g_value == 0:
-            skips += 1
-            continue
-        valid += 1
-        back = tuple(_poly_eval(c, image, p) for c in cubics)
-        if back == tuple(g_value * x[i] % p for i in range(5)):
-            passes += 1
+        # each draw gives at most one valid sample, so a sequential loop
+        # would make every draw of this round too, and no more
+        count = min(ROUNDTRIP_SAMPLES - valid, 8 * ROUNDTRIP_SAMPLES - draws)
+        xs = np.array([_random_point(rng, p) for _ in range(count)], dtype=np.int64).T
+        draws += count
+        images = np.array(_quadric_values(xs, p, a))
+        g_values = _monomial_matrix(xs, 5, p) @ factor % p
+        mapped = images.any(axis=0)
+        skips += int(np.count_nonzero(mapped & (g_values == 0)))
+        kept = mapped & (g_values != 0)
+        valid += int(np.count_nonzero(kept))
+        back = _monomial_matrix(images[:, kept], 3, p) @ cubics.T % p
+        scaled = (g_values[kept] * xs[:, kept] % p).T
+        passes += int(np.count_nonzero(np.all(back == scaled, axis=1)))
     checks.add("round trip reproduces sample points",
                valid == ROUNDTRIP_SAMPLES and passes == valid,
                f"{passes}/{valid} round trips exact; {skips} draws skipped on the "
                "vanishing factor (base locus)")
 
-    z = _z_residues(p, a)
-    chord_images = []
-    for _ in range(CHORD_IMAGE_SAMPLES):
-        x = _chord_sample(rng, scan.points, p)
-        chord_images.append(tuple(_poly_eval(q, x, p) for q in quadrics))
-    stack = np.array(chord_images, dtype=np.int64).T
+    chords = np.array([_chord_sample(rng, scan.points, p) for _ in range(CHORD_IMAGE_SAMPLES)],
+                      dtype=np.int64).T
+    stack = np.array(_quadric_values(chords, p, a))
     surviving = [
         (c, d) for c in range(1, 5) for d in range(5)
         if not np.any(_det_staged(_structure_rows(
@@ -982,4 +934,4 @@ def interpolate_cremona_inverse(scan: CurveScan, seed: int = SEED) -> CremonaWit
         "soft_passed": checks.soft_passed,
         "checks": checks.records,
     }
-    return CremonaWitness(p, a, quadrics, cubics, factor, dimension, report)
+    return CremonaWitness(p, a, cubics, factor, dimension, report)

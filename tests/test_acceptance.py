@@ -8,6 +8,8 @@ grained behavior of each module lives in its own test file.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -19,6 +21,10 @@ from pentangle import sections
 from pentangle.scalars import EPS3, Fp
 
 PAIRS = ((31, 1), (31, 2), (61, 1), (61, 2))
+
+# SHA-256 of the JSON list of (id, status, witness) of the claims in
+# test_10's run; a change to any claim, id or witness text changes it
+RUN_10_SHA256 = "e1cee102d716e8cac631e5f457c8842d28dbe3454d9d0ea721a0db1b450fa3c5"
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +131,7 @@ def test_07_cremona_inverse_certificate(timed_scans):
     assert witness.report["passed"]
     assert witness.solution_dimension == 1
     assert len(witness.cubics) == 5
-    assert witness.factor, "common factor is the zero polynomial"
+    assert witness.factor.any(), "common factor is the zero polynomial"
     details = [c["detail"] for c in witness.report["checks"]]
     assert any("500/500" in d for d in details)
     assert any("200/200" in d for d in details)
@@ -181,5 +187,7 @@ def test_10_runs_are_reproducible():
     key = [(c["id"], c["status"], c["witness"]) for c in first["claims"]]
     assert key == [(c["id"], c["status"], c["witness"])
                    for c in second["claims"]]
+    digest = hashlib.sha256(json.dumps(key).encode("utf-8")).hexdigest()
+    assert digest == RUN_10_SHA256, "claims changed: new SHA-256 %s" % digest
     assert first["summary"] == second["summary"]
     assert first["summary"]["fail"] == 0

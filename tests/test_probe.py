@@ -8,23 +8,26 @@ elimination, before this module was written.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
 import sys
-from math import isqrt
+from math import isqrt, prod
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pentangle import probe
 from pentangle.moore import (
+    VARS_X,
     QuadricSystem,
     build_moore_matrices,
     quintic_equations,
     reference_curve_points,
 )
-from pentangle.multipoly import scalar_matrix_nullspace, scalar_matrix_rank
+from pentangle.multipoly import MultiPoly, monomials, scalar_matrix_nullspace, scalar_matrix_rank
 from pentangle.scalars import Fp, _normalize_mod_p
 
 from oracles import incidence_residual
@@ -276,6 +279,34 @@ def test_staged_determinant_matches_gaussian_oracle():
         for _ in range(10):
             rows = [[rng.randrange(p) for _ in range(4)] for _ in range(4)]
             assert probe._det_staged(rows, p) == _det_gauss(rows, p)
+    # on int64 stacks every stage sums at most five products of residues;
+    # at p=241, the largest supported prime, with all-(p-1) rows among them
+    p = 241
+    matrices = [[[p - 1] * 5 for _ in range(5)],
+                [[p - 1 if r != c else 1 for c in range(5)] for r in range(5)]]
+    matrices += [[[rng.randrange(p) for _ in range(5)] for _ in range(5)]
+                 for _ in range(200)]
+    stack = [[np.array([m[r][c] for m in matrices], dtype=np.int64)
+              for c in range(5)] for r in range(5)]
+    assert probe._det_staged(stack, p).tolist() == [_det_gauss(m, p) for m in matrices]
+
+
+def test_monomial_matrix_matches_python_ints():
+    # each step multiplies two residues and a form sums at most 210
+    # products; checked at p=241 with the worst-case residue p-1
+    p = 241
+    rng = random.Random(SEED)
+    points = [(p - 1,) * 5] + [tuple(rng.randrange(p) for _ in range(5)) for _ in range(40)]
+    stack = np.array(points, dtype=np.int64).T
+    for d in (3, 5, 6):
+        exponents = monomials(d, 5)[::-1]
+        matrix = probe._monomial_matrix(stack, d, p)
+        expected = [[prod(pow(x, e, p) for x, e in zip(pt, mono)) % p for mono in exponents]
+                    for pt in points]
+        assert matrix.tolist() == expected
+        coeffs = [p - 1] * len(exponents)
+        values = (matrix @ np.array(coeffs, dtype=np.int64) % p).tolist()
+        assert values == [sum(c * v for c, v in zip(coeffs, row)) % p for row in expected]
 
 
 def _low_rank_square(rng, p):
@@ -422,14 +453,23 @@ def test_incidence_skips_full_scan_for_larger_prime(scan61):
 # Cremona inversion
 
 
+def _form(coeffs, degree, p):
+    """A coefficient vector over monomials(degree, 5)[::-1] as a polynomial."""
+    return MultiPoly(VARS_X, {mono: Fp(int(c), p) for mono, c
+                              in zip(monomials(degree, 5)[::-1], coeffs) if c}, Fp(1, p))
+
+
+def _vector(poly, degree):
+    """The coefficient vector of a polynomial over monomials(degree, 5)[::-1]."""
+    return [poly.terms[m].v if m in poly.terms else 0 for m in monomials(degree, 5)[::-1]]
+
+
 def test_witness_shapes(witness31):
     assert witness31.solution_dimension == 1
-    assert len(witness31.cubics) == 5
-    for cubic in witness31.cubics:
-        assert cubic
-        assert all(sum(e) == 3 for e in cubic)
-    assert all(sum(e) == 5 for e in witness31.factor)
-    assert len(witness31.factor) == 26
+    assert witness31.cubics.shape == (5, len(monomials(3, 5)))
+    assert all(cubic.any() for cubic in witness31.cubics)
+    assert witness31.factor.shape == (len(monomials(5, 5)),)
+    assert np.count_nonzero(witness31.factor) == 26
 
 
 def test_witness_report_passes(witness31):
@@ -460,12 +500,13 @@ def test_surviving_index_maps_frozen(witness31):
 
 def test_factor_matches_dual_determinant_pointwise(witness31, dual_det31):
     dual_det = dual_det31
+    factor = _form(witness31.factor, 5, 31)
     ratio = None
     rng = random.Random(SEED)
     for _ in range(20):
         x = probe._random_point(rng, 31)
         symbolic = dual_det.eval_at([Fp(c, 31) for c in x]).v
-        numeric = probe._poly_eval(witness31.factor, x, 31)
+        numeric = factor.eval_at([Fp(c, 31) for c in x]).v
         if symbolic == 0:
             assert numeric == 0
             continue
@@ -477,6 +518,7 @@ def test_factor_matches_dual_determinant_pointwise(witness31, dual_det31):
 
 
 def test_forward_and_inverse_maps_compose(witness31):
+    factor = _form(witness31.factor, 5, 31)
     rng = random.Random(SEED)
     checked = 0
     while checked < 25:
@@ -484,7 +526,7 @@ def test_forward_and_inverse_maps_compose(witness31):
         image = witness31.apply_forward(x)
         if not any(image):
             continue
-        g = probe._poly_eval(witness31.factor, x, 31)
+        g = factor.eval_at([Fp(c, 31) for c in x]).v
         if g == 0:
             continue
         back = witness31.apply_inverse(image)
@@ -505,8 +547,8 @@ def test_forward_map_contracts_chords_to_singular_directions(witness31, scan31):
 def test_witness_deterministic(scan31, witness31):
     again = probe.interpolate_cremona_inverse(scan31)
     assert again.report == witness31.report
-    assert again.cubics == witness31.cubics
-    assert again.factor == witness31.factor
+    assert np.array_equal(again.cubics, witness31.cubics)
+    assert np.array_equal(again.factor, witness31.factor)
 
 
 def test_witness_frozen_at_modulus_one():
@@ -524,7 +566,140 @@ def test_witness_on_second_prime(scan61):
     witness = probe.interpolate_cremona_inverse(scan61)
     assert witness.report["passed"]
     assert witness.solution_dimension == 1
-    assert len(witness.factor) == 26
+    assert np.count_nonzero(witness.factor) == 26
+
+
+def test_chordal_quintic_equals_symbolic_dual_determinant(dual_det31):
+    z = probe._z_residues(31, 2)
+    chordal = probe._coefficients(
+        probe._det_staged(probe._dual_rows(probe._lattice(5), z, 31), 31), 5, 31)
+    assert chordal.tolist() == _vector(dual_det31, 5)
+
+
+def test_quadric_products_equal_symbolic_powers():
+    p, a = 31, 2
+    values = probe._monomial_matrix(probe._quadric_values(probe._lattice(6), p, a), 3, p)
+    products = probe._coefficients(values, 6, p)
+    quadrics = QuadricSystem(Fp(a, p)).quadrics
+    for column, alpha in enumerate(monomials(3, 5)[::-1]):
+        power = MultiPoly.constant(VARS_X, Fp(1, p), Fp(1, p))
+        for q, e in zip(quadrics, alpha):
+            for _ in range(e):
+                power = power * q
+        assert products[:, column].tolist() == _vector(power, 6)
+
+
+def test_coefficients_invert_random_forms():
+    rng = np.random.default_rng(SEED)
+    for p in probe.SUPPORTED_PRIMES:
+        for d in (5, 6):
+            square = probe._monomial_matrix(probe._lattice(d), d, p)
+            forms = rng.integers(0, p, size=(square.shape[1], 3))
+            assert np.array_equal(probe._coefficients(square @ forms % p, d, p), forms)
+            single = forms[:, 0]
+            assert np.array_equal(probe._coefficients(square @ single % p, d, p), single)
+    for d in (5, 6):
+        # the lattice needs p > d: over F_5 its monomial matrix is singular
+        values = np.zeros(len(monomials(d, 5)), dtype=np.int64)
+        with pytest.raises(RuntimeError, match="not determined"):
+            probe._coefficients(values, d, 5)
+
+
+def _sequential_round_trip(witness, rng):
+    """The round trip one draw at a time, with the symbolic route evaluating."""
+    p = witness.p
+    quadrics = QuadricSystem(Fp(witness.a, p)).quadrics
+    factor = _form(witness.factor, 5, p)
+    cubics = [_form(row, 3, p) for row in witness.cubics]
+    passes = skips = draws = valid = 0
+    while valid < probe.ROUNDTRIP_SAMPLES and draws < 8 * probe.ROUNDTRIP_SAMPLES:
+        draws += 1
+        x = [Fp(c, p) for c in probe._random_point(rng, p)]
+        image = [q.eval_at(x) for q in quadrics]
+        if not any(v.v for v in image):
+            continue
+        g = factor.eval_at(x)
+        if g.v == 0:
+            skips += 1
+            continue
+        valid += 1
+        if all(c.eval_at(image) == g * v for c, v in zip(cubics, x)):
+            passes += 1
+    return passes, skips, valid
+
+
+def _every_fiftieth_on_curve(random_point, points):
+    """A point draw that puts every fiftieth draw on the curve, where the
+    forward map is undefined; the rng consumption stays as it was."""
+    calls = itertools.count(1)
+
+    def draw(rng, p):
+        x = random_point(rng, p)
+        return points[x[0] % len(points)] if next(calls) % 50 == 0 else x
+
+    return draw
+
+
+@pytest.mark.parametrize("p,a,on_curve", [(31, 2, False), (61, 1, False), (31, 2, True)])
+def test_batched_round_trip_matches_sequential_loop(monkeypatch, p, a, on_curve):
+    scan = probe.scan_curve(p, a)
+    after_round_trip = []
+    chord_sample = probe._chord_sample
+
+    def spy(rng, points, q):
+        if not after_round_trip:
+            after_round_trip.append(rng.getstate())
+        return chord_sample(rng, points, q)
+
+    monkeypatch.setattr(probe, "_chord_sample", spy)
+    random_point = probe._random_point
+    if on_curve:
+        monkeypatch.setattr(probe, "_random_point",
+                            _every_fiftieth_on_curve(random_point, scan.points))
+    witness = probe.interpolate_cremona_inverse(scan)
+    if on_curve:
+        monkeypatch.setattr(probe, "_random_point",
+                            _every_fiftieth_on_curve(random_point, scan.points))
+    rng = random.Random(SEED)
+    passes, skips, valid = _sequential_round_trip(witness, rng)
+    assert (passes, valid) == (probe.ROUNDTRIP_SAMPLES, probe.ROUNDTRIP_SAMPLES)
+    assert skips > 0
+    assert witness.report["checks"][4]["detail"].startswith(
+        f"{passes}/{valid} round trips exact; {skips} draws skipped")
+    assert after_round_trip == [rng.getstate()]
+
+
+def _corrupt_chordal_quintic(monkeypatch):
+    coefficients = probe._coefficients
+
+    def doubled_lead(values, d, p):
+        out = coefficients(values, d, p)
+        if d == 5:
+            lead = np.flatnonzero(out)[0]
+            out[lead] = 2 * out[lead] % p
+        return out
+
+    monkeypatch.setattr(probe, "_coefficients", doubled_lead)
+
+
+def _corrupt_kernel_vector(monkeypatch):
+    nullspace = probe._nullspace_mod_p
+
+    def bumped_first_entry(rows, p):
+        first, *rest = nullspace(rows, p)
+        return ((first[0] + 1) % p,) + first[1:], *rest
+
+    monkeypatch.setattr(probe, "_nullspace_mod_p", bumped_first_entry)
+
+
+@pytest.mark.parametrize("corrupt,failing", [
+    (_corrupt_chordal_quintic, "common factor matches the chordal quintic up to scale"),
+    (_corrupt_kernel_vector, "composition identity holds coefficient-wise"),
+])
+def test_corrupted_step_fails_its_check(monkeypatch, scan31, corrupt, failing):
+    corrupt(monkeypatch)
+    by_name = {c["name"]: c for c in probe.interpolate_cremona_inverse(scan31).report["checks"]}
+    assert not by_name[failing]["passed"]
 
 
 # ---------------------------------------------------------------------------

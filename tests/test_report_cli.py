@@ -384,6 +384,33 @@ def test_cli_usage_errors(runner, tmp_path):
     assert missing.exit_code == 2
     assert "lacks report keys" in missing.output
 
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text("5")
+    not_object = runner.invoke(cli.main, ["report", str(scalar)])
+    assert not_object.exit_code == 2, not_object.output
+    assert "not a JSON report" in not_object.output
+
+    whole = {"version": 1, "summary": {"total": 1, "pass": 1, "soft-pass": 0,
+                                       "fail": 0, "soft-fail": 0},
+             "config": {"seed": 42, "primes": [31], "a_values": "auto",
+                        "suites": ["scan"]},
+             "claims": [{"suite": "scan", "id": "scan:x", "statement": "x",
+                         "status": "pass", "witness": ""}]}
+    unseeded = json.loads(json.dumps(whole))
+    del unseeded["config"]["seed"]
+    unstatused = json.loads(json.dumps(whole))
+    del unstatused["claims"][0]["status"]
+    exits = {}
+    for name, body in (("whole", whole), ("unseeded", unseeded),
+                       ("unstatused", unstatused)):
+        target = tmp_path / ("%s.json" % name)
+        target.write_text(json.dumps(body))
+        result = runner.invoke(cli.main, ["report", str(target)])
+        exits[name] = result.exit_code
+        assert "Traceback" not in result.output
+        assert (name == "whole") != ("malformed report" in result.output)
+    assert exits == {"whole": 0, "unseeded": 2, "unstatused": 2}
+
 
 def test_cli_strict_promotes_soft_failures(runner, monkeypatch):
     def soft_failure(config, pairs, scans):
