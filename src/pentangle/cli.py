@@ -131,11 +131,15 @@ def report_command(fmt, path) -> None:
     if missing:
         raise click.UsageError("%s lacks report keys: %s"
                                % (path, sorted(missing)))
+    # the markdown rendering reads every field a report must have, so it
+    # validates the body whatever the target format
     try:
-        text = report_mod.render_report(data, fmt)
+        text = report_mod.render_report(data, "markdown")
     except (KeyError, TypeError) as exc:
         raise click.UsageError("%s is a malformed report: %s %s"
                                % (path, type(exc).__name__, exc))
+    if fmt != "markdown":
+        text = report_mod.render_report(data, fmt)
     click.echo(text, nl=False)
 
 

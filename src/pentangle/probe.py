@@ -6,7 +6,10 @@ enumerates the complete point set of the curve over each supported prime
 field with numpy, by solving two of the quadrics on the fibres over
 (x0:x1:x2) in O(p**2) work; checks the rank and vanishing statements by
 exhaustive counting and seeded sampling, in batches; and interpolates the
-inverse of the Cremona transformation defined by the five quadrics.
+inverse of the Cremona transformation defined by the five quadrics.  The
+exhaustive count over the whole dual space at p=31 slices it along the last
+coordinate: on each slice the structure determinant is a quintic in that
+coordinate, expanded once and evaluated at all p values by Horner's rule.
 
 Every sampling operation takes an explicit seed and reports it, so repeated
 runs with the same configuration produce identical reports.  Point sets can
@@ -27,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import isqrt
 from pathlib import Path
 
@@ -44,9 +47,12 @@ CACHE_VERSION = 1
 SUPPORTED_PRIMES = DEFAULT_PRIMES
 
 # chart slabs never exceed this many columns.  The p=31 full incidence scan
-# of projective four-space holds 25 structure rows plus the staged minors at
-# this width, so it bounds peak memory: 1 << 15 peaks about 15 MB below
-# 1 << 16 and runs no slower.  The curve scan's plane charts have p**2
+# expands the structure determinant on _CHUNK // p slices of (y0:y1:y2:y3)
+# at a time and evaluates each quintic at the p values of y4, so a slab is at
+# most _CHUNK points with their values, and its Horner steps are arrays of
+# that width; the staged expansion itself works at width _CHUNK // p.  The
+# singular points it collects (25 000 at p=31, fewer than _CHUNK) go through
+# the rank test as one stack.  The curve scan's plane charts have p**2
 # columns, so they are split only at p >= 211.
 _CHUNK = 1 << 15
 
@@ -99,15 +105,73 @@ def _times(rows, vec, p: int) -> tuple:
     return tuple(sum(r * v for r, v in zip(row, vec)) % p for row in rows)
 
 
+def _lift(x) -> list:
+    return x.coeffs if isinstance(x, _Poly) else [x]
+
+
+def _plus(a: list, b: list, sign: int) -> list:
+    """Coefficient lists: a + sign*b, for sign 1 or -1."""
+    if sign > 0:
+        return [x + y for x, y in zip(a, b)] + a[len(b):] + b[len(a):]
+    return [x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]]
+
+
+class _Poly:
+    """A polynomial in one variable: coefficients lowest degree first.
+
+    The coefficients are ints or numpy arrays of residues.  The class
+    carries exactly the arithmetic ``_det_staged`` applies to its entries
+    (sums, differences and products, with a constant on either side, and
+    reduction mod p), so the staged expansion runs over coefficient lists
+    unchanged.  numpy defers to the reflected operators.
+    """
+
+    __slots__ = ("coeffs",)
+    __array_ufunc__ = None
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+
+    def __add__(self, other):
+        return _Poly(_plus(self.coeffs, _lift(other), 1))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Poly(_plus(self.coeffs, _lift(other), -1))
+
+    def __rsub__(self, other):
+        return _Poly(_plus(_lift(other), self.coeffs, -1))
+
+    def __mul__(self, other):
+        if not isinstance(other, _Poly):
+            return _Poly([c * other for c in self.coeffs])
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + x * y
+        return _Poly(out)
+
+    __rmul__ = __mul__
+
+    def __mod__(self, p: int) -> "_Poly":
+        return _Poly([c % p for c in self.coeffs])
+
+
 def _det_staged(rows, p: int):
     """Determinant by Laplace expansion along successive rows.
 
     Stage ``d`` holds the minors of rows ``0..d`` for every column subset,
     so each minor is computed once.  Entries may be ints or numpy arrays
-    of residues below p.  Each stage sums at most five products of
-    residues below p and then reduces, so every sum stays below 5*p**2 in
-    magnitude: under 3*10**5 at p=241, the largest supported prime, far
-    inside int64.
+    of residues below p, the degree-0 case: each stage sums at most five
+    products of residues below p and then reduces, so every sum stays
+    below 5*p**2 in magnitude.  Entries may also be ``_Poly`` polynomials
+    with such residues as coefficients, and the determinant is then a
+    ``_Poly``.  In the sliced full scan each row has one entry of degree
+    one and four constants, so a coefficient of a term sums at most two
+    products and a coefficient of a stage at most ten, of residues below
+    p, before it is reduced: it stays below 10*p**2, under 6*10**5 at
+    p=241, the largest supported prime, far inside int64.
     """
     n = len(rows)
     cols = tuple(range(n))
@@ -117,8 +181,7 @@ def _det_staged(rows, p: int):
         for sub in combinations(cols, depth + 1):
             acc = 0
             for pos, c in enumerate(sub):
-                rest = tuple(cc for cc in sub if cc != c)
-                term = rows[depth][c] * minors[rest]
+                term = rows[depth][c] * minors[sub[:pos] + sub[pos + 1:]]
                 acc = acc + term if (depth + pos) % 2 == 0 else acc - term
             staged[sub] = acc % p
         minors = staged
@@ -134,13 +197,19 @@ def _submatrix(rows, drop_row: int, drop_col: int) -> list:
 
 
 def _rank_at_most_three_mask(rows, p: int):
-    """Vectorised test that every four-by-four minor vanishes."""
-    mask = None
-    for drop_row in range(5):
-        for drop_col in range(5):
-            minor = _det_staged(_submatrix(rows, drop_row, drop_col), p)
-            zero = minor == 0
-            mask = zero if mask is None else (mask & zero)
+    """Vectorised test that every four-by-four minor vanishes.
+
+    The stack shrinks as the test goes: each minor is computed only on the
+    columns where every earlier minor vanished.
+    """
+    n = len(rows[0][0])
+    live = np.arange(n)
+    for drop_row, drop_col in product(range(5), repeat=2):
+        zero = _det_staged(_submatrix(rows, drop_row, drop_col), p) == 0
+        rows = [[entry[zero] for entry in row] for row in rows]
+        live = live[zero]
+    mask = np.zeros(n, dtype=bool)
+    mask[live] = True
     return mask
 
 
@@ -244,6 +313,39 @@ def _chart_blocks(p: int, coords: int = 5):
             for t in range(free):
                 block[lead + 1 + t] = (idx // (p ** (free - 1 - t))) % p
             yield block
+
+
+def _determinant_slabs(p: int, z):
+    """The structure determinant at every point of projective four-space.
+
+    Yields ``(points, dets)`` slabs of at most ``_CHUNK`` columns.  Every
+    point but (0:0:0:0:1) is a normalised point (y0:y1:y2:y3) of the
+    charts of projective three-space together with a value of y4.  In
+    structure row i only the entry in column (4-i) mod 5 depends on y4,
+    as z[(2i-4) mod 5]*y4, so on a slice of fixed (y0, .., y3) the
+    determinant is a quintic in y4: ``_det_staged`` gives its six
+    coefficients for ``_CHUNK // p`` slices at once, and Horner's rule
+    evaluates them at all p values of y4.  (0:0:0:0:1) gets a degree-0
+    evaluation of its own.  Each Horner step multiplies two residues below
+    p and adds one, so it stays below p**2 + p before it is reduced.
+    """
+    apex = np.array([[0], [0], [0], [0], [1]], dtype=np.int64)
+    yield apex, _det_staged(_structure_rows(apex, z, p), p)
+    values = np.arange(p, dtype=np.int64)
+    width = _CHUNK // p
+    for chart in _chart_blocks(p, 4):
+        for start in range(0, chart.shape[1], width):
+            fixed = chart[:, start:start + width]
+            rows = [[_Poly([0, z[(i - j) % 5]]) if (i + j) % 5 == 4
+                     else fixed[(i + j) % 5] * z[(i - j) % 5] % p
+                     for j in range(5)] for i in range(5)]
+            coeffs = _det_staged(rows, p).coeffs
+            dets = coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                dets = (dets * values[:, None] + c) % p
+            points = np.concatenate([np.tile(fixed, p),
+                                     np.repeat(values, fixed.shape[1])[None]])
+            yield points, dets.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +704,9 @@ def certify_incidence(scan: CurveScan, seed: int = SEED) -> dict:
     all points of each line.  Every intersection point must have a nonzero
     kernel whose vectors satisfy the dual relation and land on the chordal
     quintic.  Curve points are checked to span two-dimensional pencils of
-    singular directions.  At p=31 the whole dual space is scanned and the
-    rank census on the singular hypersurface is recorded.
+    singular directions.  At p=31 the whole dual space is scanned, slab by
+    slab (``_determinant_slabs``), and the rank census on the singular
+    hypersurface is recorded.
     """
     p, a = scan.p, scan.a
     z = _z_residues(p, a)
@@ -689,21 +792,15 @@ def certify_incidence(scan: CurveScan, seed: int = SEED) -> dict:
 
     if full_scan:
         total = 0
-        zero_count = 0
-        low_rank_points = []
-        for block in _chart_blocks(p):
-            rows = _structure_rows(block, z, p)
-            dets = _det_staged(rows, p)
-            mask = dets == 0
+        singular = []
+        for block, dets in _determinant_slabs(p, z):
             total += block.shape[1]
-            zero_count += int(np.count_nonzero(mask))
-            hits = block[:, mask]
-            hit_cols = np.flatnonzero(mask)
-            hit_rows = [[entry[hit_cols] for entry in row] for row in rows]
-            low = _rank_at_most_three_mask(hit_rows, p)
-            low_rank_points.extend(map(tuple, hits[:, low].T.tolist()))
+            singular.append(block[:, dets == 0])
+        hits = np.concatenate(singular, axis=1)
+        zero_count = hits.shape[1]
+        low = _rank_at_most_three_mask(_structure_rows(hits, z, p), p)
         census: dict[int, int] = {}
-        for y in low_rank_points:
+        for y in hits[:, low].T.tolist():
             rank = _rank_mod_p(_structure_rows(y, z, p), p)
             census[rank] = census.get(rank, 0) + 1
         rank_three = census.get(3, 0)

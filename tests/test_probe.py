@@ -291,6 +291,34 @@ def test_staged_determinant_matches_gaussian_oracle():
     assert probe._det_staged(stack, p).tolist() == [_det_gauss(m, p) for m in matrices]
 
 
+def test_polynomial_determinant_matches_gaussian_oracle():
+    # one entry of degree one per row and four constants, the shape of the
+    # sliced full scan, where a coefficient sums at most ten products of
+    # residues per stage; checked at p=241 with the worst-case residue p-1
+    rng = random.Random(SEED)
+    p = 241
+    width = 40
+
+    def residues():
+        return np.array([p - 1] + [rng.randrange(p) for _ in range(width - 1)],
+                        dtype=np.int64)
+
+    for _ in range(3):
+        linear = [rng.randrange(5) for _ in range(5)]
+        consts = [[residues() for _ in range(5)] for _ in range(5)]
+        slopes = [residues() for _ in range(5)]
+        rows = [[probe._Poly([consts[r][c], slopes[r]]) if c == linear[r] else consts[r][c]
+                 for c in range(5)] for r in range(5)]
+        coeffs = [np.broadcast_to(c, (width,)) for c in probe._det_staged(rows, p).coeffs]
+        assert len(coeffs) <= 6
+        for t in (0, 1, 2, p - 1):
+            for k in range(width):
+                matrix = [[int(consts[r][c][k] + t * slopes[r][k] * (c == linear[r])) % p
+                           for c in range(5)] for r in range(5)]
+                value = sum(int(c[k]) * t ** d for d, c in enumerate(coeffs)) % p
+                assert value == _det_gauss(matrix, p), (t, k)
+
+
 def test_monomial_matrix_matches_python_ints():
     # each step multiplies two residues and a form sums at most 210
     # products; checked at p=241 with the worst-case residue p-1
@@ -309,11 +337,14 @@ def test_monomial_matrix_matches_python_ints():
         assert values == [sum(c * v for c, v in zip(coeffs, row)) % p for row in expected]
 
 
-def _low_rank_square(rng, p):
-    rank = rng.randrange(1, 5)
+def _low_rank_square(rng, p, rank=None):
+    """A 5x5 matrix whose rows are combinations of ``rank`` random rows."""
+    if rank is None:
+        rank = rng.randrange(1, 5)
     basis_rows = [[rng.randrange(p) for _ in range(5)] for _ in range(rank)]
-    return [[sum(rng.randrange(p) * b[c] for b in basis_rows) % p
-             for c in range(5)] for _ in range(5)]
+    weights = [[rng.randrange(p) for _ in basis_rows] for _ in range(5)]
+    return [[sum(w * b[c] for w, b in zip(row, basis_rows)) % p for c in range(5)]
+            for row in weights]
 
 
 def _tall_sparse(rng, p):
@@ -349,6 +380,43 @@ def test_nullspace_vectors_annihilate():
             for vec in kernel:
                 for row in rows:
                     assert sum(r * v for r, v in zip(row, vec)) % p == 0
+
+
+def test_rank_mask_matches_rank_column_by_column():
+    rng = random.Random(SEED)
+    p = 31
+    ranks = [rng.choice((3, 4, 5)) for _ in range(300)] + [3, 3, 4, 5, 2, 1]
+    matrices = [_low_rank_square(rng, p, rank) for rank in ranks]
+    actual = [probe._rank_mod_p(m, p) for m in matrices]
+    assert {3, 4, 5} <= set(actual)
+    stack = [[np.array([m[r][c] for m in matrices], dtype=np.int64) for c in range(5)]
+             for r in range(5)]
+    mask = probe._rank_at_most_three_mask(stack, p)
+    assert mask.dtype == bool
+    assert mask.tolist() == [rank <= 3 for rank in actual]
+    empty = [[np.zeros(0, dtype=np.int64) for _ in range(5)] for _ in range(5)]
+    assert probe._rank_at_most_three_mask(empty, p).shape == (0,)
+
+
+@pytest.mark.parametrize("a", probe.admissible_moduli(31))
+def test_sliced_full_scan_matches_staged_determinant(a):
+    p = 31
+    z = probe._z_residues(p, a)
+    keys = []
+    zeros = 0
+    for block, dets in probe._determinant_slabs(p, z):
+        assert block.shape[0] == 5
+        assert 0 < block.shape[1] <= probe._CHUNK
+        assert dets.shape == (block.shape[1],)
+        assert np.array_equal(dets, probe._det_staged(probe._structure_rows(block, z, p), p))
+        # normalised: the first nonzero coordinate of every point is one
+        lead = block[np.argmax(block != 0, axis=0), np.arange(block.shape[1])]
+        assert np.all(lead == 1)
+        keys.append(sum(block[i] * p ** (4 - i) for i in range(5)))
+        zeros += int(np.count_nonzero(dets == 0))
+    keys = np.concatenate(keys)
+    assert keys.size == np.unique(keys).size == (p ** 5 - 1) // (p - 1) == 954305
+    assert zeros == 25000
 
 
 def test_chart_blocks_cover_projective_space():

@@ -400,16 +400,23 @@ def test_cli_usage_errors(runner, tmp_path):
     del unseeded["config"]["seed"]
     unstatused = json.loads(json.dumps(whole))
     del unstatused["claims"][0]["status"]
-    exits = {}
-    for name, body in (("whole", whole), ("unseeded", unseeded),
-                       ("unstatused", unstatused)):
+    empty_claim = dict(whole, claims=[{}])
+    hollow = {"version": 1, "config": {}, "claims": [{}], "summary": {}}
+    bodies = (("whole", whole), ("unseeded", unseeded),
+              ("unstatused", unstatused), ("empty_claim", empty_claim),
+              ("hollow", hollow))
+    for name, body in bodies:
         target = tmp_path / ("%s.json" % name)
         target.write_text(json.dumps(body))
-        result = runner.invoke(cli.main, ["report", str(target)])
-        exits[name] = result.exit_code
-        assert "Traceback" not in result.output
-        assert (name == "whole") != ("malformed report" in result.output)
-    assert exits == {"whole": 0, "unseeded": 2, "unstatused": 2}
+        # the default format is markdown; json must reject the same bodies
+        for extra in ([], ["--format", "json"]):
+            result = runner.invoke(cli.main, ["report"] + extra + [str(target)])
+            assert result.exit_code == (0 if name == "whole" else 2), (name, extra)
+            assert "Traceback" not in result.output
+            assert (name == "whole") != ("malformed report" in result.output)
+    echoed = runner.invoke(cli.main, ["report", "--format", "json",
+                                      str(tmp_path / "whole.json")])
+    assert json.loads(echoed.output) == whole
 
 
 def test_cli_strict_promotes_soft_failures(runner, monkeypatch):
