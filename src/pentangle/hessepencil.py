@@ -432,37 +432,61 @@ def _fp_scalar(lam: int, p: int, k: int, pts: np.ndarray) -> np.ndarray:
     return np.tile(_fp_origin(p), (len(pts), 1)) if acc is None else acc
 
 
+def _fp_multiples_235(lam: int, p: int, pts: np.ndarray) -> tuple:
+    """(2P, 3P, 5P) for every row P from one doubling, 3P = 2P + P and
+    5P = 3P + 2P: three additions where two `_fp_scalar` calls take five."""
+    two = _fp_add(lam, p, pts, pts)
+    three = _fp_add(lam, p, two, pts)
+    return two, three, _fp_add(lam, p, three, two)
+
+
 # -- enumeration over F_p ----------------------------------------------
 
-_CHUNK = 256
+#: rows per lambda-grid slab; each int64 temporary of a slab has at most
+#: _CHUNK * (p - 1) entries, 1.4 MB at the largest witness prime 2791
+_CHUNK = 64
 
 
 def _lambda_blocks(p: int):
     """Yield (y0, block) with block[i, j] the lam whose member holds
-    (1, y0 + i, 1 + j), over all y, z in 1..p-1, a slab of rows at a time.
-    On that chart lam = -(1 + y^3 + z^3) / (y*z)."""
+    (1, y0 + i, y0 + j), over y in 1..p-1 a slab of rows at a time and,
+    in each slab, only the columns z >= y0.
+
+    On that chart lam = -(1 + y^3 + z^3) / (y*z), which is symmetric in
+    y and z, so half the grid covers all of it, for every p: the square
+    block[:, :len(block)] on the diagonal holds each (y, z) of the slab
+    once (weight 1), and each entry of the rectangle block[:, len(block):]
+    to its right stands for both (1, y, z) and (1, z, y) (weight 2).
+
+    int64 bound: the factors are below 2p+1, p and p, so the product
+    stays under 2*p**3, about 4.4*10**10 at the largest witness prime.
+    """
     ar = np.arange(1, p, dtype=np.int64)
     cubes = (ar * ar % p) * ar % p
     inv = _inverse_table(p)[1:]
     for start in range(0, p - 1, _CHUNK):
         c = cubes[start:start + _CHUNK, None] + 1
         i = inv[start:start + _CHUNK, None]
-        # factors below 2p+1, p and p: the product stays under 2*p**3
-        yield start + 1, -(c + cubes[None, :]) * i * inv[None, :] % p
+        yield start + 1, -(c + cubes[None, start:]) * i * inv[None, start:] % p
 
 
 def _member_points(p: int, lams: Sequence[int]) -> dict[int, np.ndarray]:
     """The points of the members at each lam in lams, in no set order:
     the points with all coordinates nonzero from one pass over the lambda
-    blocks, plus the points with a zero coordinate, which satisfy
+    blocks, each hit of a block's off-diagonal rectangle giving its
+    mirror too, plus the points with a zero coordinate, which satisfy
     1 + t^3 = 0 for their other free coordinate t whatever lam is."""
     wanted = np.zeros(p, dtype=bool)
     wanted[list(lams)] = True
     found = []
     for y0, block in _lambda_blocks(p):
         iy, iz = np.nonzero(wanted[block])
-        found.append(np.stack([block[iy, iz], np.ones_like(iy), iy + y0,
-                               iz + 1], axis=1))
+        off = iz >= len(block)
+        lam = block[iy, iz]
+        y = np.concatenate([iy, iz[off]]) + y0
+        z = np.concatenate([iz, iy[off]]) + y0
+        found.append(np.stack([np.concatenate([lam, lam[off]]),
+                               np.ones_like(y), y, z], axis=1))
     found = np.concatenate(found)
     roots = np.nonzero((np.arange(p) ** 3 + 1) % p == 0)[0]
     zero, one = np.zeros_like(roots), np.ones_like(roots)
@@ -936,12 +960,16 @@ def verify_translation_action() -> dict:
 def _lambda_histogram(p: int) -> np.ndarray:
     """hist[lam] = number of affine points with all coordinates nonzero.
 
-    Every member carries the same 9 coordinate-plane points (p = 1 mod 3
-    here), so the member at lam has hist[lam] + 9 rational points.
+    A block's diagonal square counts once and its off-diagonal rectangle
+    twice, for the mirrored points.  Every member carries the same 9
+    coordinate-plane points (p = 1 mod 3 here), so the member at lam has
+    hist[lam] + 9 rational points.
     """
     hist = np.zeros(p, dtype=np.int64)
     for _, block in _lambda_blocks(p):
-        hist += np.bincount(block.ravel(), minlength=p)
+        rows = len(block)
+        hist += np.bincount(block[:, :rows].ravel(), minlength=p)
+        hist += 2 * np.bincount(block[:, rows:].ravel(), minlength=p)
     return hist
 
 
@@ -997,8 +1025,9 @@ def find_torsion_witness() -> dict:
                 continue
             pts = members[lam]
             n = len(pts)
-            c3 = int(_is_origin(_fp_scalar(lam, p, 3, pts), p).sum())
-            c5 = int(_is_origin(_fp_scalar(lam, p, 5, pts), p).sum())
+            _, three, five = _fp_multiples_235(lam, p, pts)
+            c3 = int(_is_origin(three, p).sum())
+            c5 = int(_is_origin(five, p).sum())
             entry = {"lam": lam, "order": n, "two_torsion": 4,
                      "three_torsion": c3, "five_torsion": c5}
             tried.append(entry)
@@ -1045,9 +1074,10 @@ def verify_six_secant_criterion(seed: int = 20260824) -> dict:
         return _fp_add(lam, p, a, b)
 
     nonzero = ~_is_origin(pts, p)
-    two = pts[_is_origin(nmul(2, pts), p) & nonzero]
-    three = pts[_is_origin(nmul(3, pts), p) & nonzero]
-    five = pts[_is_origin(nmul(5, pts), p)]
+    two, three, five = _fp_multiples_235(lam, p, pts)
+    two = pts[_is_origin(two, p) & nonzero]
+    three = pts[_is_origin(three, p) & nonzero]
+    five = pts[_is_origin(five, p)]
     checks.add("witness torsion counts (2,3,5) = (4,9,25)",
                len(two) == 3 and len(three) == 8 and len(five) == 25,
                "order %d" % len(pts))

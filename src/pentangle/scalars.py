@@ -148,6 +148,10 @@ class Cyclo:
         d = self._d * other._d
         if a[1:] == _TAIL0:
             q = a[0]
+            if b[1:] == _TAIL0:
+                n = q * b[0]
+                g = gcd(n, d)
+                return _raw((n // g,) + _TAIL0, d // g)
             return _make(tuple(q * c for c in b), d)
         if b[1:] == _TAIL0:
             q = b[0]
@@ -629,13 +633,46 @@ class UniPoly:
         return " + ".join(terms).replace("+ -", "- ")
 
 
+def _uni(c: tuple, one) -> UniPoly:
+    """A UniPoly from field coefficients with no trailing zero."""
+    out = UniPoly.__new__(UniPoly)
+    out.c = c
+    out.one = one
+    return out
+
+
+def _power_of_a(den: UniPoly) -> int | None:
+    """k when the denominator den is c*a^k, else None."""
+    return None if any(den.c[:-1]) else len(den.c) - 1
+
+
+def _laurent(cs: list, k: int, one) -> "RatFunc":
+    """cs/a^k in lowest terms, cs being field coefficients, low degree
+    first, possibly with trailing zeros.  a^k shares only a^min(k, v)
+    with the numerator, v its a-adic valuation, so reducing is a shift."""
+    while cs and not cs[-1]:
+        cs.pop()
+    shift = 0
+    if not cs:
+        k = 0
+    while shift < k and not cs[shift]:
+        shift += 1
+    out = RatFunc.__new__(RatFunc)
+    out.num = _uni(tuple(cs[shift:]), one)
+    out.den = _uni((one * 0,) * (k - shift) + (one,), one)
+    return out
+
+
 class RatFunc:
     """num/den over a base field, den monic, reduced to lowest terms.
 
     A denominator c*a^k (the common case: the symbolic routes divide by
     powers of the parameter) shares only a^min(k, v) with the numerator,
-    v being the numerator's a-adic valuation, so it is reduced by a shift
-    and a scaling; any other denominator goes through Euclid.
+    v being the numerator's a-adic valuation, so it is reduced by a
+    scaling and the shift of `_laurent`; any other denominator goes
+    through Euclid.  When both operands have denominators a^k, `+`, `-`
+    and `*` work on the coefficient tuples and `_laurent` reduces the
+    result, so no intermediate UniPoly is built.
     """
 
     __slots__ = ("num", "den")
@@ -647,17 +684,15 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             den = UniPoly.const(num.one, num.one)
-        elif not any(den.c[:-1]):
+        elif _power_of_a(den) is not None:
             one = den.one
-            k = den.degree()
-            shift = min(k, next(i for i, c in enumerate(num.c) if c))
-            cs = num.c[shift:]
+            cs = list(num.c)
             lead = den.c[-1]
             if lead != one:
                 inv = one / lead
                 cs = [c * inv for c in cs]
-            num = UniPoly(cs, num.one)
-            den = UniPoly([one * 0] * (k - shift) + [one], one)
+            reduced = _laurent(cs, den.degree(), one)
+            num, den = reduced.num, reduced.den
         else:
             g = num.gcd(den)
             if g.degree() > 0:
@@ -708,12 +743,31 @@ class RatFunc:
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        k, l = _power_of_a(self.den), _power_of_a(other.den)
+        if k is None or l is None:
+            return RatFunc(self.num * other.den + other.num * self.den,
+                           self.den * other.den)
+        a, b = self.num.c, other.num.c
+        if not b:
+            return self
+        if not a:
+            return other
+        if k < l:
+            a, b, k, l = b, a, l, k
+        # with t the parameter: a/t^k + b/t^l = (a + t^(k-l)*b)/t^k
+        shift = k - l
+        out = list(a) + [self.num.zero_coeff] * (shift + len(b) - len(a))
+        for j, c in enumerate(b, shift):
+            out[j] = out[j] + c
+        return _laurent(out, k, self.num.one)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        out = RatFunc.__new__(RatFunc)
+        out.num = _uni(tuple(-c for c in self.num.c), self.num.one)
+        out.den = self.den
+        return out
 
     def __sub__(self, other: object) -> "RatFunc":
         other = self._wrap(other)
@@ -731,7 +785,21 @@ class RatFunc:
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        k, l = _power_of_a(self.den), _power_of_a(other.den)
+        if k is None or l is None:
+            return RatFunc(self.num * other.num, self.den * other.den)
+        a, b = self.num.c, other.num.c
+        if not a:
+            return self
+        if not b:
+            return other
+        out = [self.num.zero_coeff] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    if y:
+                        out[j] = out[j] + x * y
+        return _laurent(out, k + l, self.num.one)
 
     __rmul__ = __mul__
 

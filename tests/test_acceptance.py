@@ -1,7 +1,8 @@
 """End-to-end acceptance gates.
 
 Ten tests, one per certification target, each asserting both the
-mathematical outcome and (where stated) the wall-clock budget.  These
+mathematical outcome and (where stated) the wall-clock budget, and a
+frozen hash of the claims of the exact-arithmetic suites.  These
 run the public entry points exactly as a release check would; the finer
 grained behavior of each module lives in its own test file.
 """
@@ -25,6 +26,12 @@ PAIRS = ((31, 1), (31, 2), (61, 1), (61, 2))
 # SHA-256 of the JSON list of (id, status, witness) of the claims in
 # test_10's run; a change to any claim, id or witness text changes it
 RUN_10_SHA256 = "e1cee102d716e8cac631e5f457c8842d28dbe3454d9d0ea721a0db1b450fa3c5"
+
+# the same hash for the five exact-arithmetic suites (perfbench's
+# `identities` workload) at the default primes; their claims do not
+# depend on the run seed, so every seed gives this one
+IDENTITIES_SHA256 = "34f7af547e7e5b120a0eb9a8d944cb21a65c9a695e1d595c51073ddba1aba056"
+IDENTITY_SUITES = ("hesse", "heisenberg", "sections", "moore", "lattice")
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +198,12 @@ def test_10_runs_are_reproducible():
     assert digest == RUN_10_SHA256, "claims changed: new SHA-256 %s" % digest
     assert first["summary"] == second["summary"]
     assert first["summary"]["fail"] == 0
+
+
+@pytest.mark.parametrize("seed", (42, 7))
+def test_identities_claims_are_frozen(seed):
+    result = rp.run(rp.make_config(seed=seed, suites=IDENTITY_SUITES))
+    key = [(c["id"], c["status"], c["witness"]) for c in result["claims"]]
+    assert len(key) == 175
+    digest = hashlib.sha256(json.dumps(key).encode("utf-8")).hexdigest()
+    assert digest == IDENTITIES_SHA256, "claims changed: new SHA-256 %s" % digest

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +51,7 @@ from pentangle.scalars import (DEFAULT_PRIMES, EPS3, Cyclo, Fp, _normalize_mod_p
                                find_root_of_unity, hasse_admits)
 
 SEED = 20260824
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def character_representative(a: int, b: int) -> MultiPoly:
@@ -379,6 +384,40 @@ def test_enumeration_matches_chart_scan(p, lams):
         expected = _chart_scan(lam, p)
         assert [tuple(r) for r in _fp_enumerate_hesse(lam, p).tolist()] == expected
         assert sorted(map(tuple, members[lam].tolist())) == expected
+
+
+@pytest.mark.parametrize("chunk", (hessepencil._CHUNK, 7))
+@pytest.mark.parametrize("p", (29, 31, 61))
+def test_lambda_histogram_matches_chart_scan(p, chunk, monkeypatch):
+    # every lam, with 29 = 2 mod 3 among the primes; a chunk of 7 rows
+    # gives several slabs, a ragged last one, and off-diagonal rectangles
+    # whose entries count twice
+    monkeypatch.setattr(hessepencil, "_CHUNK", chunk)
+    expected = [sum(1 for x, y, z in _chart_scan(lam, p) if x and y and z)
+                for lam in range(p)]
+    assert hessepencil._lambda_histogram(p).tolist() == expected
+    members = _member_points(p, range(p))
+    assert all(sorted(map(tuple, members[lam].tolist())) == _chart_scan(lam, p)
+               for lam in range(p))
+
+
+def test_six_secant_criterion_peak_memory_growth():
+    """The witness search and the criterion raise the peak resident set
+    by under 8 MB over its value after import."""
+    script = (
+        "import resource\n"
+        "from pentangle import hessepencil\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "assert hessepencil.verify_six_secant_criterion()['passed']\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 8 * 1024
 
 
 # -- torsion and structure ---------------------------------------------

@@ -787,14 +787,17 @@ def test_scan_budgets():
 
 def test_incidence_full_scan_memory_stays_modest():
     """One process scans p=31, runs the full incidence scan, then scans
-    p=61; chart slabs bound its peak resident set."""
+    p=61; chart slabs bound its peak resident set, which grows by about
+    9 MB over its value after import."""
     script = (
         "import resource\n"
         "from pentangle import probe\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "report = probe.certify_incidence(probe.scan_curve(31, 2))\n"
         "probe.scan_curve(61, 1)\n"
         "for check in report['checks'][-2:]:\n"
         "    print(check['detail'])\n"
+        "print(before)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
     env = dict(os.environ)
@@ -803,10 +806,11 @@ def test_incidence_full_scan_memory_stays_modest():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, env=env, timeout=300)
     assert result.returncode == 0, result.stderr
-    density, census, maxrss_kb = result.stdout.splitlines()
+    density, census, before_kb, maxrss_kb = result.stdout.splitlines()
     assert "25000 singular directions among 954305" in density
     assert "25 rank-three directions" in census
     assert int(maxrss_kb) < 150 * 1024
+    assert int(maxrss_kb) - int(before_kb) < 18 * 1024
 
 
 # ---------------------------------------------------------------------------

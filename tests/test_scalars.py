@@ -368,3 +368,54 @@ def test_ratfunc_monomial_denominator_matches_euclid(base):
         den = [one * 0] * k + [lead]
         f = RatFunc(UniPoly(num, one), UniPoly(den, one))
         assert (f.num.c, f.den.c) == _euclid_lowest_terms(num, den, one)
+
+
+@pytest.mark.parametrize("base", ["fraction", "cyclo", "fp"])
+def test_ratfunc_laurent_arithmetic_matches_generic_path(base, monkeypatch):
+    """+ - * / of operands with denominators a^k against the
+    cross-multiplied RatFunc(num, den) and the Euclid oracle; + - * on
+    such operands never reach a polynomial gcd."""
+    rng = random.Random(SEED + 7)
+    one = {"fraction": Fraction(1), "cyclo": Cyclo(1), "fp": Fp(1, 61)}[base]
+    zero = one * 0
+
+    def laurent(num, k):
+        return RatFunc(UniPoly([one * c for c in num], one),
+                       UniPoly([zero] * k + [one], one))
+
+    def random_laurent():
+        num = [rng.choice((0, 0, 1, -1, 2, 3, -7)) for _ in range(rng.randint(0, 5))]
+        if base == "cyclo" and num and rng.random() < 0.5:
+            num[0] = _random_cyclo(rng)
+        return laurent(num, rng.randint(0, 4))
+
+    # zero results, cancellation to a lower power of a, different powers
+    pairs = [(laurent([1, 1], 2), laurent([-1], 2)),
+             (laurent([3, 0, 1], 3), laurent([-3], 3)),
+             (laurent([1], 1), laurent([1], 3)),
+             (laurent([0, 0, 1], 0), laurent([5], 3)),
+             (laurent([2, 1], 2), laurent([2, 1], 2)),
+             (laurent([], 0), laurent([1, 2], 1))]
+    pairs += [(random_laurent(), random_laurent()) for _ in range(150)]
+    ops = {"+": (lambda x, y: x + y,
+                 lambda x, y: (x.num * y.den + y.num * x.den, x.den * y.den)),
+           "-": (lambda x, y: x - y,
+                 lambda x, y: (x.num * y.den - y.num * x.den, x.den * y.den)),
+           "*": (lambda x, y: x * y,
+                 lambda x, y: (x.num * y.num, x.den * y.den)),
+           "/": (lambda x, y: x / y,
+                 lambda x, y: (x.num * y.den, x.den * y.num))}
+    for name, (op, cross) in ops.items():
+        for x, y in pairs:
+            if name == "/" and y.is_zero():
+                continue
+            with monkeypatch.context() as m:
+                if name != "/":
+                    m.setattr(UniPoly, "gcd", None)
+                got = op(x, y)
+            num, den = cross(x, y)
+            assert got == RatFunc(num, den), (name, x, y)
+            assert (got.num.c, got.den.c) == _euclid_lowest_terms(
+                list(num.c), list(den.c), one), (name, x, y)
+    assert laurent([1, 1], 2) + laurent([-1], 2) == laurent([1], 1)
+    assert (laurent([2, 1], 2) - laurent([2, 1], 2)).den.c == (one,)
