@@ -2,19 +2,18 @@
 
 The symbolic route in :mod:`pentangle.moore` proves the matrix identities
 over cyclotomic scalars.  This module is the independent numeric route: it
-enumerates the complete point set of the curve over each supported prime
-field with numpy, by solving two of the quadrics on the fibres over
-(x0:x1:x2) in O(p**2) work; checks the rank and vanishing statements by
-exhaustive counting and seeded sampling, in batches; and interpolates the
+enumerates the curve over each supported prime field with numpy, solving
+two of the quadrics on the fibres over (x0:x1:x2) in O(p**2) work; checks
+the rank and vanishing statements by exhaustive counting and seeded
+sampling, each sample set evaluated as one stack; and interpolates the
 inverse of the Cremona transformation defined by the five quadrics.  The
-exhaustive count over the whole dual space at p=31 slices it along the last
-coordinate: on each slice the structure determinant is a quintic in that
-coordinate, expanded once and evaluated at all p values by Horner's rule.
+full scan of the dual space at p=31 slices it along the last coordinate,
+in which the structure determinant is a quintic on each slice.
 
 Every sampling operation takes an explicit seed and reports it, so repeated
 runs with the same configuration produce identical reports.  Point sets can
-be cached on disk in a small text format with an integrity hash; a corrupt
-or stale cache file is silently replaced by a fresh scan.
+be cached on disk with an integrity hash; a corrupt or stale cache file is
+silently replaced by a fresh scan.
 
 The coordinate conventions match :mod:`pentangle.moore`: the curve is the
 common zero locus of the five quadrics built from an invertible modulus,
@@ -30,7 +29,8 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations
 from math import isqrt
 from pathlib import Path
 
@@ -46,13 +46,8 @@ SEED = 20260824
 CACHE_VERSION = 1
 SUPPORTED_PRIMES = DEFAULT_PRIMES
 
-# chart slabs never exceed this many columns.  The p=31 full incidence scan
-# expands the structure determinant on _CHUNK // p slices of (y0:y1:y2:y3)
-# at a time and evaluates each quintic at the p values of y4, so a slab is at
-# most _CHUNK points with their values, and its Horner steps are arrays of
-# that width; the staged expansion itself works at width _CHUNK // p.  The
-# singular points it collects (25 000 at p=31, fewer than _CHUNK) go through
-# the rank test as one stack.  The curve scan's plane charts have p**2
+# chart slabs never exceed this many columns, nor the full incidence scan's
+# evaluations this many points.  The curve scan's plane charts have p**2
 # columns, so they are split only at p >= 211.
 _CHUNK = 1 << 15
 
@@ -82,11 +77,8 @@ def _z_residues(p: int, a: int) -> tuple[int, int, int, int, int]:
 
 
 def _quadric_values(x, p: int, a: int) -> list:
-    """Values of the five quadrics; works on int tuples and numpy stacks.
-
-    For coordinates below p every product is of two residues below p, so
-    no intermediate value reaches 2*p**2 in magnitude.
-    """
+    """Values of the five quadrics at an int tuple or a numpy stack.  For
+    coordinates below p each product is of two residues, below 2*p**2."""
     inva = pow(a, p - 2, p)
     return [(x[i] * x[i] + a * x[(i + 2) % 5] % p * x[(i + 3) % 5]
              - inva * x[(i + 1) % 5] % p * x[(i + 4) % 5]) % p for i in range(5)]
@@ -101,7 +93,8 @@ def _dual_rows(x, z, p: int) -> list:
 
 
 def _times(rows, vec, p: int) -> tuple:
-    """Matrix-vector product over F_p, for int rows and an int vector."""
+    """Matrix-vector product over F_p, of ints or of stacks: rows of (n,)
+    arrays and a (5, n) array.  An entry sums five products of residues."""
     return tuple(sum(r * v for r, v in zip(row, vec)) % p for row in rows)
 
 
@@ -117,14 +110,12 @@ def _plus(a: list, b: list, sign: int) -> list:
 
 
 class _Poly:
-    """A polynomial in one variable: coefficients lowest degree first.
-
-    The coefficients are ints or numpy arrays of residues.  The class
-    carries exactly the arithmetic ``_det_staged`` applies to its entries
-    (sums, differences and products, with a constant on either side, and
-    reduction mod p), so the staged expansion runs over coefficient lists
-    unchanged.  numpy defers to the reflected operators.
-    """
+    """A polynomial in one variable: coefficients (ints or numpy arrays of
+    residues) lowest degree first.  It carries exactly the arithmetic
+    ``_det_staged`` applies to its entries (sums, differences, products,
+    with a constant on either side, and reduction mod p), so the staged
+    expansion runs over it unchanged.  numpy defers to the reflected
+    operators."""
 
     __slots__ = ("coeffs",)
     __array_ufunc__ = None
@@ -163,15 +154,13 @@ def _det_staged(rows, p: int):
 
     Stage ``d`` holds the minors of rows ``0..d`` for every column subset,
     so each minor is computed once.  Entries may be ints or numpy arrays
-    of residues below p, the degree-0 case: each stage sums at most five
-    products of residues below p and then reduces, so every sum stays
-    below 5*p**2 in magnitude.  Entries may also be ``_Poly`` polynomials
-    with such residues as coefficients, and the determinant is then a
-    ``_Poly``.  In the sliced full scan each row has one entry of degree
-    one and four constants, so a coefficient of a term sums at most two
-    products and a coefficient of a stage at most ten, of residues below
-    p, before it is reduced: it stays below 10*p**2, under 6*10**5 at
-    p=241, the largest supported prime, far inside int64.
+    of residues below p: a stage sums at most five products of residues
+    and then reduces, so every sum stays below 5*p**2.  Entries may also
+    be ``_Poly`` polynomials with such coefficients, giving a ``_Poly``.
+    In the sliced full scan each row has one entry of degree one and four
+    constants, so a coefficient of a stage sums at most ten products of
+    residues before it is reduced: under 10*p**2 < 6*10**5 at p=241, the
+    largest supported prime, far inside int64.
     """
     n = len(rows)
     cols = tuple(range(n))
@@ -188,44 +177,18 @@ def _det_staged(rows, p: int):
     return minors[cols]
 
 
-def _submatrix(rows, drop_row: int, drop_col: int) -> list:
-    return [
-        [entry for c, entry in enumerate(row) if c != drop_col]
-        for r, row in enumerate(rows)
-        if r != drop_row
-    ]
-
-
-def _rank_at_most_three_mask(rows, p: int):
-    """Vectorised test that every four-by-four minor vanishes.
-
-    The stack shrinks as the test goes: each minor is computed only on the
-    columns where every earlier minor vanished.
-    """
-    n = len(rows[0][0])
-    live = np.arange(n)
-    for drop_row, drop_col in product(range(5), repeat=2):
-        zero = _det_staged(_submatrix(rows, drop_row, drop_col), p) == 0
-        rows = [[entry[zero] for entry in row] for row in rows]
-        live = live[zero]
-    mask = np.zeros(n, dtype=bool)
-    mask[live] = True
-    return mask
-
-
 def _rref_mod_p(rows, p: int) -> tuple[np.ndarray, list]:
-    """Reduced row echelon form over F_p, and its pivot columns.
+    """Reduced row echelon form over F_p of one large sparse system, and
+    its pivot columns.
 
-    Entries are reduced mod p first and again after every update, so
-    each entry is below p before each outer product and no intermediate
-    value reaches p**2 in magnitude: int64 is exact for every p below
-    3*10**9, and the largest supported prime (241) stays below 58 081.
-
-    The pivot row is zero left of its pivot column, so only the rows with
-    a nonzero entry in that column change, and only from that column on;
-    the result is the unique reduced echelon form all the same.
+    Entries are reduced mod p first and after every update, so an outer
+    product takes residues below p and no value reaches p**2: int64 is
+    exact for every p below 3*10**9.  The pivot row is zero left of its
+    pivot column, so only the rows with a nonzero entry in that column
+    change, and only from that column on.
     """
-    reduced = np.array(rows, dtype=np.int64) % p
+    reduced = np.array(rows, dtype=np.int64)
+    reduced %= p
     pivots = []
     row = 0
     for c in range(reduced.shape[1]):
@@ -247,23 +210,53 @@ def _rref_mod_p(rows, p: int) -> tuple[np.ndarray, list]:
     return reduced, pivots
 
 
-def _rank_mod_p(rows, p: int) -> int:
-    return len(_rref_mod_p(rows, p)[1])
+def _rref_stack(rows, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_rref_mod_p`` of k matrices at once, one step per column for all.
+
+    Rows hold (k,) arrays, as ``_det_staged`` takes them; out come a
+    (k, m, n) stack and its (k, n) pivot mask.  Entries are residues before
+    each step, so an update stays below p**2: under 58 081 at p=241, the
+    largest supported prime, inside int64.
+    """
+    reduced = np.moveaxis(np.array(rows, dtype=np.int64) % p, -1, 0)
+    k, m, n = reduced.shape
+    inverse = _inverse_table(p)
+    rank = np.zeros(k, dtype=np.int64)
+    pivots = np.zeros((k, n), dtype=bool)
+    for c in range(n):
+        # each matrix with a nonzero entry below its pivot rows leads with the first
+        open_rows = (reduced[:, :, c] != 0) & (np.arange(m) >= rank[:, None])
+        live = np.nonzero(open_rows.any(axis=1))[0]
+        lead = open_rows[live].argmax(axis=1)
+        top = rank[live]
+        mats = reduced[live]
+        each = np.arange(live.size)
+        row = mats[each, lead] * inverse[mats[each, lead, c]][:, None] % p
+        mats[each, lead] = mats[each, top]
+        mats -= mats[:, :, c, None] * row[:, None, :]
+        mats[each, top] = row
+        reduced[live] = mats % p
+        pivots[live, c] = True
+        rank[live] += 1
+    return reduced, pivots
+
+
+def _kernel_stack(reduced, pivots, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel bases of (k, m, n) reduced forms with (k, n) pivot masks,
+    stacked matrix by matrix, and the matrix of each vector.  That of free
+    column f is one at f, zero at the other free columns, and minus column
+    f of the pivot rows at the pivot columns."""
+    owners, free = np.nonzero(~pivots)
+    rows = np.maximum(pivots.cumsum(axis=1) - 1, 0)[owners]
+    entries = -reduced[owners[:, None], rows, free[:, None]] % p
+    return np.where(pivots[owners], entries, free[:, None] == np.arange(pivots.shape[1])), owners
 
 
 def _nullspace_mod_p(rows, p: int) -> tuple:
     """Deterministic kernel basis: each free column set to one in turn."""
     reduced, pivots = _rref_mod_p(rows, p)
-    ncols = reduced.shape[1]
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = np.zeros(ncols, dtype=np.int64)
-        vec[free] = 1
-        vec[pivots] = -reduced[:len(pivots), free] % p
-        basis.append(tuple(vec.tolist()))
-    return tuple(basis)
+    mask = np.isin(np.arange(reduced.shape[1]), pivots)
+    return tuple(map(tuple, _kernel_stack(reduced[None], mask[None], p)[0].tolist()))
 
 
 def _random_point(rng: random.Random, p: int) -> tuple:
@@ -274,10 +267,8 @@ def _random_point(rng: random.Random, p: int) -> tuple:
 
 
 def _chord_sample(rng: random.Random, points, p: int) -> tuple:
-    """A point on the chord through two distinct curve points, off the curve.
-
-    Both scalars are nonzero, so the sample differs from either endpoint;
-    the curve has no trisecant lines, so the sample misses the curve.
+    """A point on the chord through two distinct curve points: both scalars
+    are nonzero and the curve has no trisecant lines, so it is off the curve.
     """
     while True:
         first = rng.randrange(len(points))
@@ -295,13 +286,9 @@ def _chord_sample(rng: random.Random, points, p: int) -> tuple:
 
 
 def _chart_blocks(p: int, coords: int = 5):
-    """Stacks of projective points with leading coordinate one.
-
-    The ``coords`` charts partition projective space of dimension
-    ``coords - 1``; within a chart the free coordinates run through
-    base-``p`` digits of an index range, so the enumeration order is
-    deterministic.
-    """
+    """Stacks of projective points with leading coordinate one: the
+    ``coords`` charts of projective (coords-1)-space, each with its free
+    coordinates run through the base-``p`` digits of an index range."""
     for lead in range(coords):
         free = coords - 1 - lead
         total = p ** free
@@ -318,34 +305,30 @@ def _chart_blocks(p: int, coords: int = 5):
 def _determinant_slabs(p: int, z):
     """The structure determinant at every point of projective four-space.
 
-    Yields ``(points, dets)`` slabs of at most ``_CHUNK`` columns.  Every
-    point but (0:0:0:0:1) is a normalised point (y0:y1:y2:y3) of the
-    charts of projective three-space together with a value of y4.  In
-    structure row i only the entry in column (4-i) mod 5 depends on y4,
-    as z[(2i-4) mod 5]*y4, so on a slice of fixed (y0, .., y3) the
-    determinant is a quintic in y4: ``_det_staged`` gives its six
-    coefficients for ``_CHUNK // p`` slices at once, and Horner's rule
-    evaluates them at all p values of y4.  (0:0:0:0:1) gets a degree-0
-    evaluation of its own.  Each Horner step multiplies two residues below
-    p and adds one, so it stays below p**2 + p before it is reduced.
+    Yields ``(base, dets)``, ``dets[s, t]`` the value at ``base[:, s] + t*e4``:
+    first e4 = (0:0:0:0:1), then each chart point (y0:y1:y2:y3:0) of
+    projective three-space with every t.  Only the entry z[(2i-4) mod 5]*y4
+    of structure row i depends on y4, so on a slice of fixed (y0, .., y3)
+    the determinant is a quintic in y4.  ``_det_staged`` expands it on
+    ``_CHUNK // 16`` slices at once; one product with the (6, p) table of
+    t**d mod p evaluates ``_CHUNK // p`` slices at every t.  A value sums
+    six products of residues, below 6*p**2; the table holds t**5 < 10**12
+    at p=241, the largest supported prime, before its reduction.
     """
     apex = np.array([[0], [0], [0], [0], [1]], dtype=np.int64)
-    yield apex, _det_staged(_structure_rows(apex, z, p), p)
-    values = np.arange(p, dtype=np.int64)
-    width = _CHUNK // p
+    yield apex, _det_staged(_structure_rows(apex, z, p), p)[:, None]
+    powers = np.arange(p, dtype=np.int64) ** np.arange(6)[:, None] % p
     for chart in _chart_blocks(p, 4):
-        for start in range(0, chart.shape[1], width):
-            fixed = chart[:, start:start + width]
+        for start in range(0, chart.shape[1], _CHUNK // 16):
+            fixed = chart[:, start:start + _CHUNK // 16]
             rows = [[_Poly([0, z[(i - j) % 5]]) if (i + j) % 5 == 4
                      else fixed[(i + j) % 5] * z[(i - j) % 5] % p
                      for j in range(5)] for i in range(5)]
-            coeffs = _det_staged(rows, p).coeffs
-            dets = coeffs[-1]
-            for c in reversed(coeffs[:-1]):
-                dets = (dets * values[:, None] + c) % p
-            points = np.concatenate([np.tile(fixed, p),
-                                     np.repeat(values, fixed.shape[1])[None]])
-            yield points, dets.ravel()
+            coeffs = np.column_stack(np.broadcast_arrays(*_det_staged(rows, p).coeffs))
+            base = np.concatenate([fixed, np.zeros_like(fixed[:1])])
+            for lo in range(0, fixed.shape[1], _CHUNK // p):
+                yield (base[:, lo:lo + _CHUNK // p],
+                       coeffs[lo:lo + _CHUNK // p] @ powers[:coeffs.shape[1]] % p)
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +338,12 @@ def _determinant_slabs(p: int, z):
 class CurveScan:
     """Exhaustive, validated point set of the quintic curve over F_p.
 
-    Construction re-checks every stored invariant, so a scan loaded from a
-    cache file gets the same scrutiny as a fresh enumeration: points are
-    normalised, strictly sorted, satisfy all five quadrics, the count lies
-    in the Hasse window, the set is stable under the coordinate rotation
-    and the diagonal root-of-unity scaling, and the Jacobian has rank three
-    at every point.  A rank below three would be a singular curve point and
-    raises with the offending point.
+    Construction re-checks every invariant, so a cached scan gets the same
+    scrutiny as a fresh one: points are normalised, strictly sorted and on
+    all five quadrics, the count lies in the Hasse window, the set is
+    stable under the coordinate rotation and the diagonal root-of-unity
+    scaling, and the Jacobian has rank three at every point (one stacked
+    reduction).  A lower rank, a singular point, raises with the point.
     """
 
     __slots__ = ("p", "a", "root", "points", "jacobian_ranks", "from_cache", "_member")
@@ -397,13 +379,11 @@ class CurveScan:
         if scaled != member:
             raise RuntimeError("point set is not stable under the diagonal character scaling")
 
-        z = _z_residues(p, a)
-        ranks = []
-        for pt in points:
-            rank = _rank_mod_p(_dual_rows(pt, z, p), p)
+        jacobians = _dual_rows(np.array(points).T, _z_residues(p, a), p)
+        ranks = _rref_stack(jacobians, p)[1].sum(axis=1).tolist()
+        for pt, rank in zip(points, ranks):
             if rank < 3:
                 raise RuntimeError(f"singular curve point detected at {pt} (rank {rank})")
-            ranks.append(rank)
 
         self.p = p
         self.a = a
@@ -428,13 +408,7 @@ def admissible_moduli(p: int, count: int = 2) -> tuple[int, ...]:
     if p not in SUPPORTED_PRIMES:
         raise ValueError(f"prime {p} is not in the supported list {SUPPORTED_PRIMES}")
     excluded = excluded_modulus_residues(p)
-    out = []
-    for a in range(1, p):
-        if a not in excluded:
-            out.append(a)
-            if len(out) == count:
-                break
-    return tuple(out)
+    return tuple(a for a in range(1, p) if a not in excluded)[:count]
 
 
 def _cache_path(cache_dir, p: int, a: int) -> Path:
@@ -486,17 +460,14 @@ def read_point_cache(p: int, a: int, cache_dir) -> CurveScan | None:
 def _fibre_candidates(triples, p: int, a: int) -> np.ndarray:
     """Points over a stack of plane points (x0:x1:x2) where q0 and q2 vanish.
 
-    On the fibre over (x0:x1:x2), q0 and q2 are linear in (x3, x4) with
-    matrix [[a*x2, -x1/a], [-x1/a, a*x0]] and right-hand side
-    (-x0**2, -x2**2).  Where its determinant is nonzero, Cramer's rule
-    gives the one solution.  On the conic where it vanishes, the
-    candidates are the p solutions of the q2 row with x3 free; that row
-    is zero only when x0 = 0, and then x1 = 0 too, so the triple is
-    (0:0:1), where q2 = x2**2 has no zero.
-
-    Every residue is reduced below p before each product, so no
-    intermediate value reaches 2*p**2 in magnitude: under 1.2*10**5 at
-    p=241, the largest supported prime, far inside int64.
+    On the fibre, q0 and q2 are linear in (x3, x4) with matrix
+    [[a*x2, -x1/a], [-x1/a, a*x0]] and right-hand side (-x0**2, -x2**2).
+    Where its determinant is nonzero, Cramer's rule gives the one solution.
+    On the conic where it vanishes, the candidates are the p solutions of
+    the q2 row with x3 free; that row is zero only at (0:0:1), where
+    q2 = x2**2 has no zero.  Residues are reduced below p before each
+    product, so no value reaches 2*p**2: under 1.2*10**5 at p=241, the
+    largest supported prime, far inside int64.
     """
     x0, x1, x2 = triples
     inverse = _inverse_table(p)
@@ -525,11 +496,10 @@ def _fibre_candidates(triples, p: int, a: int) -> np.ndarray:
 def scan_curve(p: int, a, cache_dir=None) -> CurveScan:
     """Enumerate the curve over F_p, optionally through an on-disk cache.
 
-    The scan runs over the fibres of the projection to (x0:x1:x2): each
-    normalised plane point yields the candidates of ``_fibre_candidates``,
-    the line x0 = x1 = x2 = 0 is tested point by point, and the candidates
-    where all five quadrics vanish are the curve.  That is O(p**2) work in
-    place of the p**4 points of projective four-space.
+    Each normalised point (x0:x1:x2) yields the candidates of
+    ``_fibre_candidates``, the line x0 = x1 = x2 = 0 is tested point by
+    point, and the candidates on all five quadrics are the curve: O(p**2)
+    work in place of the p**4 points of projective four-space.
     """
     a = _coerce_residue(p, a)
     if cache_dir is not None:
@@ -572,11 +542,9 @@ def certify_scan(scan: CurveScan) -> dict:
 
 
 def _rounded_ratio(num: int, den: int) -> int:
-    """num/den rounded to the nearest integer, for den an odd prime.
-
-    A tie would need 2*num = den*(2k+1), so den would divide num and
-    num/den would be an integer: there are no ties, and rounding half up
-    agrees with the round-half-even of string formatting.
+    """num/den rounded to the nearest integer, for den an odd prime.  A tie
+    would need 2*num = den*(2k+1), so den would divide num: there are no
+    ties, and rounding half up agrees with string formatting's half-even.
     """
     return (2 * num + den) // (2 * den)
 
@@ -608,33 +576,30 @@ def certify_secant_variety(scan: CurveScan, seed: int = SEED) -> dict:
 
     Hard checks: the Jacobian has rank three at every curve point, the dual
     determinant vanishes at every sampled chord point, the structure and
-    dual bilinear forms agree on random vector pairs, and a generic point
-    witnesses a nonzero determinant.  The observed vanishing density over
-    uniform samples is compared with the hypersurface heuristic of one in p
-    as a soft check.
+    dual bilinear forms agree on random vector pairs (evaluated as one
+    stack), and a generic point has a nonzero determinant.  Soft check:
+    the vanishing density of uniform samples is about one in p.
     """
     p, a = scan.p, scan.a
     z = _z_residues(p, a)
     rng = random.Random(seed)
     checks = Checks()
 
-    rank_three = sum(1 for r in scan.jacobian_ranks if r == 3)
+    rank_three = scan.jacobian_ranks.count(3)
     checks.add("jacobian rank three at every curve point", rank_three == len(scan),
                f"rank three at {rank_three} of {len(scan)} points")
 
     chords = np.array([_chord_sample(rng, scan.points, p)
                        for _ in range(SECANT_SAMPLES)], dtype=np.int64).T
     dets = _det_staged(_dual_rows(chords, z, p), p)
-    vanished = int(np.count_nonzero(dets == 0))
+    vanished = np.count_nonzero(dets == 0)
     checks.add("dual determinant vanishes on chord samples", vanished == SECANT_SAMPLES,
                f"{vanished}/{SECANT_SAMPLES} chord points have zero dual determinant")
 
-    agree = 0
-    for _ in range(DUALITY_SAMPLES):
-        x = _random_point(rng, p)
-        y = _random_point(rng, p)
-        if _times(_structure_rows(y, z, p), x, p) == _times(_dual_rows(x, z, p), y, p):
-            agree += 1
+    xs, ys = np.array([(_random_point(rng, p), _random_point(rng, p))
+                       for _ in range(DUALITY_SAMPLES)], dtype=np.int64).transpose(1, 2, 0)
+    agree = np.count_nonzero(np.all(np.equal(
+        _times(_structure_rows(ys, z, p), xs, p), _times(_dual_rows(xs, z, p), ys, p)), axis=0))
     checks.add("structure and dual evaluations agree on random pairs",
                agree == DUALITY_SAMPLES,
                f"{agree}/{DUALITY_SAMPLES} pairs have zero duality residual")
@@ -652,7 +617,7 @@ def certify_secant_variety(scan: CurveScan, seed: int = SEED) -> dict:
 
     uniform = np.array([_random_point(rng, p) for _ in range(SECANT_SAMPLES)],
                        dtype=np.int64).T
-    zeros = int(np.count_nonzero(_det_staged(_dual_rows(uniform, z, p), p) == 0))
+    zeros = np.count_nonzero(_det_staged(_dual_rows(uniform, z, p), p) == 0)
     tenths = _rounded_ratio(10 * SECANT_SAMPLES, p)
     checks.add("vanishing density tracks the hypersurface heuristic",
                _density_within_envelope(zeros, SECANT_SAMPLES, p),
@@ -660,36 +625,48 @@ def certify_secant_variety(scan: CurveScan, seed: int = SEED) -> dict:
                f"expected about {tenths // 10}.{tenths % 10}",
                soft=True)
 
-    return {
-        "p": p,
-        "a": a,
-        "seed": seed,
-        "samples": SECANT_SAMPLES,
-        "passed": checks.passed,
-        "soft_passed": checks.soft_passed,
-        "checks": checks.records,
-    }
+    return {"p": p, "a": a, "seed": seed, "samples": SECANT_SAMPLES, "passed": checks.passed,
+            "soft_passed": checks.soft_passed, "checks": checks.records}
 
 
 # ---------------------------------------------------------------------------
 # incidence certification
 
 
-def _line_stack(u, v, p: int) -> np.ndarray:
-    """All p+1 projective points of the line spanned by two vectors."""
-    base = np.array(u, dtype=np.int64).reshape(5, 1)
-    direction = np.array(v, dtype=np.int64).reshape(5, 1)
-    ts = np.arange(p, dtype=np.int64).reshape(1, p)
-    finite = (base + direction * ts) % p
-    return np.concatenate([finite, direction], axis=1)
+def _line_stack(pairs, p: int) -> np.ndarray:
+    """The points u + t*v, t < p, and v of the line of each (u, v) in a
+    (k, 2, 5) stack, line by line, as a (5, k*(p+1)) stack."""
+    base, direction = pairs[:, 0, :, None], pairs[:, 1, :, None]
+    finite = (base + direction * np.arange(p)) % p
+    return np.concatenate([finite, direction], axis=2).transpose(1, 0, 2).reshape(5, -1)
 
 
-def _independent_pair(rng: random.Random, p: int) -> tuple:
-    while True:
-        u = _random_point(rng, p)
-        v = _random_point(rng, p)
-        if _rank_mod_p((u, v), p) == 2:
-            return u, v
+def _independent_pairs(rng: random.Random, p: int, count: int) -> np.ndarray:
+    """The first ``count`` independent pairs of random points, drawn in
+    rounds: a draw gives at most one pair, so a sequential loop would make
+    every draw of a round, and no more."""
+    pairs = np.zeros((0, 2, 5), dtype=np.int64)
+    while len(pairs) < count:
+        drawn = np.array([(_random_point(rng, p), _random_point(rng, p))
+                          for _ in range(count - len(pairs))], dtype=np.int64)
+        ranks = _rref_stack(drawn.transpose(1, 2, 0), p)[1].sum(axis=1)
+        pairs = np.concatenate([pairs, drawn[ranks == 2]])
+    return pairs
+
+
+def _low_rank_census(points, z, p: int) -> dict:
+    """How many structure matrices at a (5, n) stack have each rank below
+    four.  Those have every 4x4 minor zero, so the one off row and column
+    zero, from its 16 entries, prunes the stack before it is reduced."""
+    minor = [[points[(i + j) % 5] * z[(i - j) % 5] % p for j in range(1, 5)]
+             for i in range(1, 5)]
+    kept = points[:, _det_staged(minor, p) == 0]
+    ranks = _rref_stack(_structure_rows(kept, z, p), p)[1].sum(axis=1)
+    return Counter(ranks[ranks < 4].tolist())
+
+
+def _census_text(census) -> str:
+    return ", ".join(f"rank {r}: {n}" for r, n in sorted(census.items()))
 
 
 #: random dual-space lines sliced by certify_incidence
@@ -699,14 +676,14 @@ INCIDENCE_LINES = 60
 def certify_incidence(scan: CurveScan, seed: int = SEED) -> dict:
     """Certify the kernel geometry of the structure matrix by line slicing.
 
-    Random lines in the dual space are intersected with the singular
-    hypersurface of the structure matrix by evaluating its determinant at
-    all points of each line.  Every intersection point must have a nonzero
-    kernel whose vectors satisfy the dual relation and land on the chordal
-    quintic.  Curve points are checked to span two-dimensional pencils of
-    singular directions.  At p=31 the whole dual space is scanned, slab by
-    slab (``_determinant_slabs``), and the rank census on the singular
-    hypersurface is recorded.
+    Random dual lines meet the singular hypersurface of the structure
+    matrix where its determinant, evaluated at all their points at once,
+    vanishes: at most five points, unless the line lies in it, as lines of
+    the planes sweeping it out do, and then at all p+1.  Every such point
+    needs a nonzero kernel (one stacked reduction) whose vectors satisfy
+    the dual relation and lie on the chordal quintic.  Curve points must
+    span pencils of singular directions.  At p=31 the whole dual space is
+    scanned (``_determinant_slabs``) and the rank census recorded.
     """
     p, a = scan.p, scan.a
     z = _z_residues(p, a)
@@ -714,76 +691,59 @@ def certify_incidence(scan: CurveScan, seed: int = SEED) -> dict:
     checks = Checks()
     full_scan = p == 31
 
-    incidence_points = []
-    per_line = []
-    for _ in range(INCIDENCE_LINES):
-        u, v = _independent_pair(rng, p)
-        stack = _line_stack(u, v, p)
-        dets = _det_staged(_structure_rows(stack, z, p), p)
-        hits = stack[:, dets == 0]
-        per_line.append(hits.shape[1])
-        incidence_points.extend(map(tuple, hits.T.tolist()))
+    stack = _line_stack(_independent_pairs(rng, p, INCIDENCE_LINES), p)
+    zero = _det_staged(_structure_rows(stack, z, p), p) == 0
+    per_line = zero.reshape(INCIDENCE_LINES, p + 1).sum(axis=1).tolist()
+    ys = stack[:, zero]
+    count = ys.shape[1]
+    contained = per_line.count(p + 1)
     checks.add("line sections vanish at no more than quintic many points",
-               all(c <= 5 for c in per_line),
+               all(c <= 5 or c == p + 1 for c in per_line),
                f"zero counts per line: min {min(per_line)}, max {max(per_line)}, "
-               f"total {sum(per_line)} over {INCIDENCE_LINES} lines")
-    checks.add("line slicing finds incidence points", len(incidence_points) > 0,
-               f"{len(incidence_points)} intersection points collected")
+               f"total {sum(per_line)} over {INCIDENCE_LINES} lines" + (
+                   f"; {contained} line{'s lie' if contained > 1 else ' lies'} in the "
+                   "hypersurface" if contained else ""))
+    checks.add("line slicing finds incidence points", count > 0,
+               f"{count} intersection points collected")
 
-    kernel_ok = 0
-    dual_ok = 0
-    chordal_ok = 0
-    on_curve = 0
-    rank_census: dict[int, int] = {}
-    kernel_vectors = 0
-    for y in incidence_points:
-        basis = _nullspace_mod_p(_structure_rows(y, z, p), p)
-        if basis:
-            kernel_ok += 1
-        rank = 5 - len(basis)
-        rank_census[rank] = rank_census.get(rank, 0) + 1
-        for x in basis:
-            kernel_vectors += 1
-            if _times(_dual_rows(x, z, p), y, p) == (0, 0, 0, 0, 0):
-                dual_ok += 1
-            if _det_staged(_dual_rows(x, z, p), p) == 0:
-                chordal_ok += 1
-            if scan.contains(x):
-                on_curve += 1
-    checks.add("singular structure matrices have nonzero kernels",
-               kernel_ok == len(incidence_points),
-               f"{kernel_ok}/{len(incidence_points)} incidence points have a kernel")
+    reduced, pivots = _rref_stack(_structure_rows(ys, z, p), p)
+    xs, owners = _kernel_stack(reduced, pivots, p)
+    rank_census = Counter(pivots.sum(axis=1).tolist())
+    kernel_ok = np.unique(owners).size
+    kernel_vectors = len(xs)
+    rows = _dual_rows(xs.T, z, p)
+    dual_ok = np.count_nonzero(~np.any(_times(rows, ys[:, owners], p), axis=0))
+    chordal_ok = np.count_nonzero(_det_staged(rows, p) == 0)
+    on_curve = sum(map(scan.contains, xs.tolist()))
+    checks.add("singular structure matrices have nonzero kernels", kernel_ok == count,
+               f"{kernel_ok}/{count} incidence points have a kernel")
     checks.add("kernel vectors satisfy the dual relation", dual_ok == kernel_vectors,
                f"{dual_ok}/{kernel_vectors} kernel vectors annihilate the dual matrix")
     checks.add("kernel vectors lie on the chordal quintic",
                chordal_ok == kernel_vectors,
                f"{chordal_ok}/{kernel_vectors} kernel vectors have zero dual determinant")
-    census_text = ", ".join(f"rank {r}: {n}" for r, n in sorted(rank_census.items()))
     checks.add("sampled kernel ranks stay in the expected band",
                set(rank_census) <= {3, 4},
-               f"{census_text}; {on_curve} kernel vectors lie on the curve",
+               f"{_census_text(rank_census)}; {on_curve} kernel vectors lie on the curve",
                soft=True)
 
-    pencil_ok = 0
-    pencil_samples_ok = 0
-    pencil_samples = 0
     probed = scan.points[:5]
-    for x in probed:
-        basis = _nullspace_mod_p(_dual_rows(x, z, p), p)
-        if len(basis) != 2:
-            continue
-        pencil_ok += 1
-        first, second = basis
-        t = rng.randrange(1, p)
-        mixes = [first, second,
-                 tuple((f + s) % p for f, s in zip(first, second)),
-                 tuple((f + t * s) % p for f, s in zip(first, second))]
-        for y in mixes:
-            pencil_samples += 1
-            det_zero = _det_staged(_structure_rows(y, z, p), p) == 0
-            annihilates = _times(_structure_rows(y, z, p), x, p) == (0, 0, 0, 0, 0)
-            if det_zero and annihilates and scan.contains(x):
-                pencil_samples_ok += 1
+    vectors, owners = _kernel_stack(*_rref_stack(_dual_rows(np.array(probed).T, z, p), p), p)
+    xs, ys = [], []
+    for i, x in enumerate(probed):
+        pencil = vectors[owners == i]
+        if len(pencil) == 2:
+            first, second = pencil
+            t = rng.randrange(1, p)
+            xs += [x] * 4
+            ys += [first, second, (first + second) % p, (first + t * second) % p]
+    pencil_ok = len(xs) // 4
+    pencil_samples = len(xs)
+    xs = np.array(xs).reshape(-1, 5).T
+    rows = _structure_rows(np.array(ys).reshape(-1, 5).T, z, p)
+    pencil_samples_ok = np.count_nonzero(
+        (_det_staged(rows, p) == 0) & ~np.any(_times(rows, xs, p), axis=0)
+        & [scan.contains(x) for x in xs.T.tolist()])
     checks.add("curve points span pencils of singular directions",
                pencil_ok == len(probed) and pencil_samples_ok == pencil_samples,
                f"{pencil_ok}/{len(probed)} curve points have a two-dimensional kernel; "
@@ -793,16 +753,15 @@ def certify_incidence(scan: CurveScan, seed: int = SEED) -> dict:
     if full_scan:
         total = 0
         singular = []
-        for block, dets in _determinant_slabs(p, z):
-            total += block.shape[1]
-            singular.append(block[:, dets == 0])
+        for base, dets in _determinant_slabs(p, z):
+            total += dets.size
+            slices, values = np.nonzero(dets == 0)
+            found = base[:, slices]
+            found[4] += values
+            singular.append(found)
         hits = np.concatenate(singular, axis=1)
         zero_count = hits.shape[1]
-        low = _rank_at_most_three_mask(_structure_rows(hits, z, p), p)
-        census: dict[int, int] = {}
-        for y in hits[:, low].T.tolist():
-            rank = _rank_mod_p(_structure_rows(y, z, p), p)
-            census[rank] = census.get(rank, 0) + 1
+        census = _low_rank_census(hits, z, p)
         rank_three = census.get(3, 0)
         # exhaustive counts deviate from the heuristic total/p at Weil scale,
         # not binomial scale, so the envelope is a factor of two either way
@@ -811,22 +770,14 @@ def certify_incidence(scan: CurveScan, seed: int = SEED) -> dict:
                    f"{zero_count} singular directions among {total}, "
                    f"expected about {_rounded_ratio(total, p)} within a factor of two",
                    soft=True)
-        low_text = ", ".join(f"rank {r}: {n}" for r, n in sorted(census.items())) or "none"
         checks.add("rank three locus has curve scale", 1 <= rank_three <= 20 * p,
-                   f"{rank_three} rank-three directions (low-rank census: {low_text}); "
+                   f"{rank_three} rank-three directions (low-rank census: "
+                   f"{_census_text(census) or 'none'}); "
                    f"envelope [1, {20 * p}]",
                    soft=True)
 
-    return {
-        "p": p,
-        "a": a,
-        "seed": seed,
-        "lines": INCIDENCE_LINES,
-        "full_scan": full_scan,
-        "passed": checks.passed,
-        "soft_passed": checks.soft_passed,
-        "checks": checks.records,
-    }
+    return {"p": p, "a": a, "seed": seed, "lines": INCIDENCE_LINES, "full_scan": full_scan,
+            "passed": checks.passed, "soft_passed": checks.soft_passed, "checks": checks.records}
 
 
 # ---------------------------------------------------------------------------
@@ -847,9 +798,8 @@ def _monomial_matrix(stack, d: int, p: int) -> np.ndarray:
 
     Row k holds the monomials at point k, so a form's values are
     ``M @ coeffs % p``.  Every step multiplies two residues below p.  A
-    form of degree at most 6 has at most 210 monomials, so each entry of
-    ``M @ coeffs`` sums at most 210 such products and stays below
-    210*p**2: under 1.3*10**7 at p=241, far inside int64.
+    form of degree at most 6 has at most 210 monomials, so an entry of
+    ``M @ coeffs`` stays below 210*p**2 < 1.3*10**7 at p=241.
     """
     stack = np.asarray(stack, dtype=np.int64) % p
     powers = [[np.ones_like(row)] for row in stack]
@@ -884,13 +834,11 @@ def _coefficients(values, d: int, p: int) -> np.ndarray:
 
 
 class CremonaWitness:
-    """Interpolated inverse of the quadric-defined Cremona transformation.
-
-    Holds the five inverse cubics as the rows of a (5, 35) array, the
-    common quintic factor relating their composition to the identity as a
-    length-126 vector, the dimension of the interpolation solution space,
-    and the verification report.  A form of degree d is its coefficient
-    vector over ``monomials(d, 5)[::-1]``.
+    """Interpolated inverse of the quadric-defined Cremona transformation:
+    the five inverse cubics as a (5, 35) array, the common quintic factor
+    of their composition with the quadrics as a length-126 vector (forms
+    over ``monomials(d, 5)[::-1]``), the dimension of the interpolation
+    solution space, and the verification report.
     """
 
     __slots__ = ("p", "a", "cubics", "factor", "solution_dimension", "report")
@@ -925,13 +873,12 @@ def interpolate_cremona_inverse(scan: CurveScan, seed: int = SEED) -> CremonaWit
     """Interpolate cubics inverting the forward quadric map over F_p.
 
     The composition of a candidate inverse with the forward map must equal
-    a common degree-five factor times the identity, coefficient by
-    coefficient.  The coefficients of the products q**alpha come from their
-    values on the sextic lattice, and that linear condition is solved
-    exactly by row reduction over F_p.  The solution is then re-checked
-    against the system, compared with the chordal quintic (the dual
-    determinant, read off the quintic lattice the same way), and exercised
-    on random round trips and chord images, evaluated in batches.
+    a common quintic factor times the identity, coefficient by coefficient
+    (those of the products q**alpha come from their values on the sextic
+    lattice), which one row reduction over F_p solves exactly.  The
+    solution is re-checked against the system, compared with the chordal
+    quintic (read off the quintic lattice the same way), and run on random
+    round trips and chord images, in batches.
     """
     p, a = scan.p, scan.a
     z = _z_residues(p, a)
@@ -1022,13 +969,6 @@ def interpolate_cremona_inverse(scan: CurveScan, seed: int = SEED) -> CremonaWit
                f"{zero_count}/{CHORD_IMAGE_SAMPLES} chord images on the determinant "
                f"locus; index maps preserving the quintic: {surviving}")
 
-    report = {
-        "p": p,
-        "a": a,
-        "seed": seed,
-        "samples": ROUNDTRIP_SAMPLES,
-        "passed": checks.passed,
-        "soft_passed": checks.soft_passed,
-        "checks": checks.records,
-    }
+    report = {"p": p, "a": a, "seed": seed, "samples": ROUNDTRIP_SAMPLES, "passed": checks.passed,
+              "soft_passed": checks.soft_passed, "checks": checks.records}
     return CremonaWitness(p, a, cubics, factor, dimension, report)

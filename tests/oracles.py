@@ -1,11 +1,17 @@
 """Independent reference computations that several test modules compare
 the package against.  Plain exact arithmetic over the coefficient field,
 one scalar operation at a time, with none of the package's batching or
-staging."""
+staging; the exception is the rank mask, which tests every 4x4 minor with
+the package's staged determinant, a route independent of row reduction."""
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Sequence
+
+import numpy as np
+
+from pentangle.probe import _det_staged
 
 
 def scalar_matrix_det(rows: Sequence[Sequence], one):
@@ -51,3 +57,23 @@ def incidence_residual(x_point, y_point, mm) -> list:
     if lhs != apply(mm.m_prime.eval_at(xs), ys):
         raise AssertionError("the two pairing evaluation orders disagree")
     return lhs
+
+
+def rank_at_most_three_mask(rows, p: int):
+    """Whether every 4x4 minor vanishes, for 5x5 rows of (n,) residue
+    arrays: the mask of the matrices of rank at most three.
+
+    The stack shrinks as the test goes: each minor is computed only on the
+    columns where every earlier minor vanished.
+    """
+    n = len(rows[0][0])
+    live = np.arange(n)
+    for drop_row, drop_col in product(range(5), repeat=2):
+        minor = [[entry for c, entry in enumerate(row) if c != drop_col]
+                 for r, row in enumerate(rows) if r != drop_row]
+        zero = _det_staged(minor, p) == 0
+        rows = [[entry[zero] for entry in row] for row in rows]
+        live = live[zero]
+    mask = np.zeros(n, dtype=bool)
+    mask[live] = True
+    return mask

@@ -33,6 +33,16 @@ RUN_10_SHA256 = "e1cee102d716e8cac631e5f457c8842d28dbe3454d9d0ea721a0db1b450fa3c
 IDENTITIES_SHA256 = "34f7af547e7e5b120a0eb9a8d944cb21a65c9a695e1d595c51073ddba1aba056"
 IDENTITY_SUITES = ("hesse", "heisenberg", "sections", "moore", "lattice")
 
+# the same hash for the four curve suites (perfbench's `curve-scan`
+# workload), which draw from the run seed: at the default primes per seed,
+# and at --prime 241, the largest supported prime, for seed 42
+CURVE_SHA256 = {
+    (42, (31, 61)): "1c237ee1ff78787315166971276ea29cbe1ff2aa7e1a1ac5b2260bd28c081f91",
+    (7, (31, 61)): "bd54d1100371b30fe71a9c5313d891612fe244dcf212e73fe4f659cc503ce2cf",
+    (42, (241,)): "734846f7200f18c2c91eac2b7bf4b79dc01ef749628b9a5aa6c7eedd7c183763",
+}
+CURVE_SUITES = ("scan", "secants", "incidence", "cremona")
+
 
 @pytest.fixture(scope="module")
 def timed_scans():
@@ -207,3 +217,28 @@ def test_identities_claims_are_frozen(seed):
     assert len(key) == 175
     digest = hashlib.sha256(json.dumps(key).encode("utf-8")).hexdigest()
     assert digest == IDENTITIES_SHA256, "claims changed: new SHA-256 %s" % digest
+
+
+@pytest.mark.parametrize("seed, primes, claims", [(42, (31, 61), 88), (7, (31, 61), 88),
+                                                  (42, (241,), 42)])
+def test_curve_claims_are_frozen(seed, primes, claims):
+    result = rp.run(rp.make_config(seed=seed, primes=primes, suites=CURVE_SUITES))
+    key = [(c["id"], c["status"], c["witness"]) for c in result["claims"]]
+    assert len(key) == claims
+    digest = hashlib.sha256(json.dumps(key).encode("utf-8")).hexdigest()
+    assert digest == CURVE_SHA256[seed, primes], "claims changed: new SHA-256 %s" % digest
+
+
+@pytest.mark.parametrize("seed, tag", [(95, "p31-a1"), (289, "p31-a2")])
+def test_line_inside_the_quintic_passes_the_line_count(seed, tag):
+    # at these seeds one line drawn at p=31 lies in the quintic, with all
+    # 32 of its points singular; every other line meets it at most 5 times
+    result = rp.run(rp.make_config(seed=seed, suites=("incidence",)))
+    assert result["summary"]["fail"] == 0
+    prefix = "incidence:line-sections-vanish-at-no-more-than-quintic-many-points@"
+    counts = {c["id"][len(prefix):]: c for c in result["claims"] if c["id"].startswith(prefix)}
+    assert counts[tag]["status"] == "pass"
+    assert "max 32" in counts[tag]["witness"]
+    assert counts[tag]["witness"].endswith("; 1 line lies in the hypersurface")
+    others = [c["witness"] for key, c in counts.items() if key != tag]
+    assert len(others) == 3 and not any("hypersurface" in w for w in others)

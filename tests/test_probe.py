@@ -28,9 +28,10 @@ from pentangle.moore import (
     reference_curve_points,
 )
 from pentangle.multipoly import MultiPoly, monomials, scalar_matrix_nullspace, scalar_matrix_rank
+from pentangle.report import suite_seed
 from pentangle.scalars import Fp, _normalize_mod_p
 
-from oracles import incidence_residual
+from oracles import incidence_residual, rank_at_most_three_mask
 
 SEED = 20260824
 ROOT = Path(__file__).resolve().parent.parent
@@ -371,7 +372,7 @@ def test_nullspace_vectors_annihilate():
                     + [_tall_sparse(rng, p) for _ in range(20)])
         for rows in matrices:
             kernel = probe._nullspace_mod_p(rows, p)
-            fp_rank = probe._rank_mod_p(rows, p)
+            fp_rank = len(probe._rref_mod_p(rows, p)[1])
             exact_rows = [[Fp(v, p) for v in row] for row in rows]
             assert fp_rank == scalar_matrix_rank(exact_rows, one)
             assert kernel == tuple(tuple(c.v for c in vec)
@@ -382,20 +383,106 @@ def test_nullspace_vectors_annihilate():
                     assert sum(r * v for r, v in zip(row, vec)) % p == 0
 
 
+def _entry_stack(matrices):
+    """Matrices as rows of (k,) arrays, the layout _rref_stack and
+    _det_staged take."""
+    return np.array(matrices, dtype=np.int64).transpose(1, 2, 0)
+
+
 def test_rank_mask_matches_rank_column_by_column():
+    # the minors oracle against the stacked ranks and the one-matrix solve
     rng = random.Random(SEED)
     p = 31
     ranks = [rng.choice((3, 4, 5)) for _ in range(300)] + [3, 3, 4, 5, 2, 1]
     matrices = [_low_rank_square(rng, p, rank) for rank in ranks]
-    actual = [probe._rank_mod_p(m, p) for m in matrices]
+    actual = [len(probe._rref_mod_p(m, p)[1]) for m in matrices]
     assert {3, 4, 5} <= set(actual)
-    stack = [[np.array([m[r][c] for m in matrices], dtype=np.int64) for c in range(5)]
-             for r in range(5)]
-    mask = probe._rank_at_most_three_mask(stack, p)
+    stack = _entry_stack(matrices)
+    mask = rank_at_most_three_mask(stack, p)
     assert mask.dtype == bool
     assert mask.tolist() == [rank <= 3 for rank in actual]
+    assert probe._rref_stack(stack, p)[1].sum(axis=1).tolist() == actual
     empty = [[np.zeros(0, dtype=np.int64) for _ in range(5)] for _ in range(5)]
-    assert probe._rank_at_most_three_mask(empty, p).shape == (0,)
+    assert rank_at_most_three_mask(empty, p).shape == (0,)
+
+
+def _stack_cases(rng, p, m, n):
+    """Random m x n matrices: plain ones and ones with a repeated row, a zero
+    row, a zero column, or every entry p - 1."""
+    matrices = []
+    for kind in range(60):
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+        if kind % 5 == 1:
+            rows[-1] = list(rows[0])
+        elif kind % 5 == 2:
+            rows[rng.randrange(m)] = [0] * n
+        elif kind % 5 == 3:
+            column = rng.randrange(n)
+            for row in rows:
+                row[column] = 0
+        elif kind % 5 == 4:
+            rows = [[p - 1] * n for _ in range(m)]
+        matrices.append(rows)
+    return matrices
+
+
+@pytest.mark.parametrize("p", [31, 61, 241])
+def test_stacked_reduction_matches_one_matrix_solves(p):
+    # every update stays below p**2, checked at 241, the largest supported
+    # prime, with all-(p-1) matrices among the cases; the kernels are
+    # compared with the exact elimination over Fp in multipoly
+    rng = random.Random(SEED + p)
+    one = Fp(1, p)
+    for m, n in ((5, 5), (2, 5), (4, 7), (7, 3)):
+        matrices = _stack_cases(rng, p, m, n)
+        if m == n == 5:
+            matrices += [_low_rank_square(rng, p) for _ in range(40)] + [[[0] * 5] * 5]
+        reduced, pivots = probe._rref_stack(_entry_stack(matrices), p)
+        assert reduced.shape == (len(matrices), m, n) and pivots.shape == (len(matrices), n)
+        vectors, owners = probe._kernel_stack(reduced, pivots, p)
+        assert owners.tolist() == sorted(owners.tolist())
+        for i, rows in enumerate(matrices):
+            single, single_pivots = probe._rref_mod_p(rows, p)
+            assert reduced[i].tolist() == single.tolist()
+            assert np.flatnonzero(pivots[i]).tolist() == single_pivots
+            exact = scalar_matrix_nullspace([[Fp(v, p) for v in row] for row in rows], one)
+            assert vectors[owners == i].tolist() == [[c.v for c in vec] for vec in exact]
+    empty = np.zeros((5, 5, 0), dtype=np.int64)
+    reduced, pivots = probe._rref_stack(empty, p)
+    assert reduced.shape == (0, 5, 5) and pivots.shape == (0, 5)
+    vectors, owners = probe._kernel_stack(reduced, pivots, p)
+    assert vectors.shape == (0, 5) and owners.shape == (0,)
+
+
+@pytest.mark.parametrize("a", probe.admissible_moduli(31))
+def test_low_rank_census_matches_minor_oracle(a):
+    # on the singular points of the p=31 full scan: about 990 of them pass
+    # the census's one-minor prefilter, and only the rank-three ones count
+    p = 31
+    z = probe._z_residues(p, a)
+    singular = []
+    for base, dets in probe._determinant_slabs(p, z):
+        slices, values = np.nonzero(dets == 0)
+        found = base[:, slices]
+        found[4] += values
+        singular.append(found)
+    points = np.concatenate(singular, axis=1)
+    mask = rank_at_most_three_mask(probe._structure_rows(points, z, p), p)
+    expected = {}
+    for y in points[:, mask].T.tolist():
+        rank = len(probe._rref_mod_p(probe._structure_rows(y, z, p), p)[1])
+        expected[rank] = expected.get(rank, 0) + 1
+    assert expected == {3: 25}
+    assert probe._low_rank_census(points, z, p) == expected
+    assert probe._low_rank_census(points[:, ~mask], z, p) == {}
+
+
+def _slab_points(base, dets):
+    """The points base[:, s] + t*e4 of a slab, in the order of dets.T.ravel()."""
+    slices, values = dets.shape
+    block = np.tile(base, values)
+    block[4] += np.repeat(np.arange(values), slices)
+    return block
 
 
 @pytest.mark.parametrize("a", probe.admissible_moduli(31))
@@ -404,11 +491,13 @@ def test_sliced_full_scan_matches_staged_determinant(a):
     z = probe._z_residues(p, a)
     keys = []
     zeros = 0
-    for block, dets in probe._determinant_slabs(p, z):
-        assert block.shape[0] == 5
-        assert 0 < block.shape[1] <= probe._CHUNK
-        assert dets.shape == (block.shape[1],)
-        assert np.array_equal(dets, probe._det_staged(probe._structure_rows(block, z, p), p))
+    for base, dets in probe._determinant_slabs(p, z):
+        assert base.shape[0] == 5
+        assert dets.shape in ((base.shape[1], p), (1, 1))
+        assert 0 < dets.size <= probe._CHUNK
+        block = _slab_points(base, dets)
+        assert np.array_equal(dets.T.ravel(),
+                              probe._det_staged(probe._structure_rows(block, z, p), p))
         # normalised: the first nonzero coordinate of every point is one
         lead = block[np.argmax(block != 0, axis=0), np.arange(block.shape[1])]
         assert np.all(lead == 1)
@@ -419,10 +508,39 @@ def test_sliced_full_scan_matches_staged_determinant(a):
     assert zeros == 25000
 
 
+def test_full_scan_slabs_at_largest_prime():
+    # the power table holds t**5 for t < p before its reduction, and a value
+    # sums six products of residues: checked on the first slabs at p=241
+    p = 241
+    z = probe._z_residues(p, 1)
+    slabs = probe._determinant_slabs(p, z)
+    for base, dets in itertools.islice(slabs, 3):
+        block = _slab_points(base, dets)
+        assert dets.size <= probe._CHUNK
+        assert np.array_equal(dets.T.ravel(),
+                              probe._det_staged(probe._structure_rows(block, z, p), p))
+
+
 def test_chart_blocks_cover_projective_space():
     p = 31
     total = sum(block.shape[1] for block in probe._chart_blocks(p))
     assert total == (p ** 5 - 1) // (p - 1)
+
+
+def test_stacked_times_matches_per_pair_form():
+    # the stacked duality pairs of certify_secant_variety, pair by pair
+    rng = random.Random(SEED)
+    for p in (31, 241):
+        z = probe._z_residues(p, 1)
+        pairs = [(probe._random_point(rng, p), probe._random_point(rng, p)) for _ in range(50)]
+        pairs.append(((p - 1,) * 5, (p - 1,) * 5))
+        xs, ys = np.array(pairs, dtype=np.int64).transpose(1, 2, 0)
+        structure = np.array(probe._times(probe._structure_rows(ys, z, p), xs, p))
+        dual = np.array(probe._times(probe._dual_rows(xs, z, p), ys, p))
+        assert structure.shape == dual.shape == (5, len(pairs))
+        for k, (x, y) in enumerate(pairs):
+            assert tuple(structure[:, k]) == probe._times(probe._structure_rows(y, z, p), x, p)
+            assert tuple(dual[:, k]) == probe._times(probe._dual_rows(x, z, p), y, p)
 
 
 def test_bilinear_evaluations_match_symbolic_route(scan31, moore31):
@@ -482,6 +600,57 @@ def test_chord_samples_off_the_curve(scan31):
 # incidence certification
 
 
+def _every_seventh_pair_dependent(random_point):
+    """A point draw that makes the second point of every seventh pair a
+    multiple of the first; the rng consumption stays as it was."""
+    calls = itertools.count(1)
+    last = []
+
+    def draw(rng, p):
+        x = random_point(rng, p)
+        n = next(calls)
+        if n % 14 == 0:
+            return tuple(3 * c % p for c in last[-1])
+        last.append(x)
+        return x
+
+    return draw
+
+
+def _sequential_pairs(rng, p, count):
+    """Independent pairs one draw at a time, ranked by the one-matrix solve."""
+    pairs = []
+    while len(pairs) < count:
+        u = probe._random_point(rng, p)
+        v = probe._random_point(rng, p)
+        if len(probe._rref_mod_p((u, v), p)[1]) == 2:
+            pairs.append((u, v))
+    return pairs
+
+
+@pytest.mark.parametrize("p", [31, 61])
+def test_pair_rounds_match_sequential_loop(monkeypatch, p):
+    random_point = probe._random_point
+    monkeypatch.setattr(probe, "_random_point", _every_seventh_pair_dependent(random_point))
+    rounds = []
+    rref_stack = probe._rref_stack
+
+    def spy(rows, q):
+        rounds.append(np.shape(rows)[-1])
+        return rref_stack(rows, q)
+
+    monkeypatch.setattr(probe, "_rref_stack", spy)
+    rng = random.Random(SEED)
+    pairs = probe._independent_pairs(rng, p, probe.INCIDENCE_LINES)
+    monkeypatch.setattr(probe, "_random_point", _every_seventh_pair_dependent(random_point))
+    sequential_rng = random.Random(SEED)
+    expected = _sequential_pairs(sequential_rng, p, probe.INCIDENCE_LINES)
+    assert pairs.tolist() == [[list(u), list(v)] for u, v in expected]
+    assert rng.getstate() == sequential_rng.getstate()
+    # pairs 7, 14, .., 63 are dependent: 60 lines take 69 draws in three rounds
+    assert rounds == [60, 8, 1]
+
+
 def test_incidence_certification_passes(scan31):
     report = probe.certify_incidence(scan31)
     assert report["passed"] and report["soft_passed"]
@@ -498,6 +667,19 @@ def test_incidence_full_scan_census_frozen(scan31):
     assert "25 rank-three directions" in census["detail"]
     assert "rank 3: 25" in census["detail"]
     assert census["soft"] is True
+
+
+def test_incidence_kernels_at_a_rank_three_point(scan31):
+    # at run seed 17 one of the 62 sampled incidence points has rank three,
+    # so the stacked kernels give 63 vectors for 62 points
+    report = probe.certify_incidence(scan31, seed=suite_seed(17, "incidence"))
+    by_name = {c["name"]: c["detail"] for c in report["checks"]}
+    assert by_name["sampled kernel ranks stay in the expected band"].startswith(
+        "rank 3: 1, rank 4: 61;")
+    assert (by_name["singular structure matrices have nonzero kernels"]
+            == "62/62 incidence points have a kernel")
+    assert by_name["kernel vectors satisfy the dual relation"].startswith("63/63 ")
+    assert by_name["kernel vectors lie on the chordal quintic"].startswith("63/63 ")
 
 
 def test_incidence_pencils_exercised(scan31):
