@@ -2,18 +2,20 @@
 
 The symbolic route in :mod:`pentangle.moore` proves the matrix identities
 over cyclotomic scalars.  This module is the independent numeric route: it
-enumerates the curve over each supported prime field with numpy, solving
-two of the quadrics on the fibres over (x0:x1:x2) in O(p**2) work; checks
-the rank and vanishing statements by exhaustive counting and seeded
-sampling, each sample set evaluated as one stack; and interpolates the
+enumerates the complete point set of the curve over each supported prime
+field with numpy, by solving two of the quadrics on the fibres over
+(x0:x1:x2) in O(p**2) work; checks the rank and vanishing statements by
+exhaustive counting and seeded sampling, in batches; and interpolates the
 inverse of the Cremona transformation defined by the five quadrics.  The
-full scan of the dual space at p=31 slices it along the last coordinate,
-in which the structure determinant is a quintic on each slice.
+exhaustive count over the whole dual space at p=31 slices it along the last
+coordinate: on each slice the structure determinant is a quintic in that
+coordinate, expanded once and evaluated at all p values by one product
+with a table of powers.
 
 Every sampling operation takes an explicit seed and reports it, so repeated
 runs with the same configuration produce identical reports.  Point sets can
-be cached on disk with an integrity hash; a corrupt or stale cache file is
-silently replaced by a fresh scan.
+be cached on disk in a small text format with an integrity hash; a corrupt
+or stale cache file is silently replaced by a fresh scan.
 
 The coordinate conventions match :mod:`pentangle.moore`: the curve is the
 common zero locus of the five quadrics built from an invertible modulus,
@@ -77,8 +79,11 @@ def _z_residues(p: int, a: int) -> tuple[int, int, int, int, int]:
 
 
 def _quadric_values(x, p: int, a: int) -> list:
-    """Values of the five quadrics at an int tuple or a numpy stack.  For
-    coordinates below p each product is of two residues, below 2*p**2."""
+    """Values of the five quadrics; works on int tuples and numpy stacks.
+
+    For coordinates below p every product is of two residues below p, so
+    no intermediate value reaches 2*p**2 in magnitude.
+    """
     inva = pow(a, p - 2, p)
     return [(x[i] * x[i] + a * x[(i + 2) % 5] % p * x[(i + 3) % 5]
              - inva * x[(i + 1) % 5] % p * x[(i + 4) % 5]) % p for i in range(5)]
@@ -110,12 +115,14 @@ def _plus(a: list, b: list, sign: int) -> list:
 
 
 class _Poly:
-    """A polynomial in one variable: coefficients (ints or numpy arrays of
-    residues) lowest degree first.  It carries exactly the arithmetic
-    ``_det_staged`` applies to its entries (sums, differences, products,
-    with a constant on either side, and reduction mod p), so the staged
-    expansion runs over it unchanged.  numpy defers to the reflected
-    operators."""
+    """A polynomial in one variable: coefficients lowest degree first.
+
+    The coefficients are ints or numpy arrays of residues.  The class
+    carries exactly the arithmetic ``_det_staged`` applies to its entries
+    (sums, differences and products, with a constant on either side, and
+    reduction mod p), so the staged expansion runs over coefficient lists
+    unchanged.  numpy defers to the reflected operators.
+    """
 
     __slots__ = ("coeffs",)
     __array_ufunc__ = None
@@ -154,13 +161,15 @@ def _det_staged(rows, p: int):
 
     Stage ``d`` holds the minors of rows ``0..d`` for every column subset,
     so each minor is computed once.  Entries may be ints or numpy arrays
-    of residues below p: a stage sums at most five products of residues
-    and then reduces, so every sum stays below 5*p**2.  Entries may also
-    be ``_Poly`` polynomials with such coefficients, giving a ``_Poly``.
-    In the sliced full scan each row has one entry of degree one and four
-    constants, so a coefficient of a stage sums at most ten products of
-    residues before it is reduced: under 10*p**2 < 6*10**5 at p=241, the
-    largest supported prime, far inside int64.
+    of residues below p, the degree-0 case: each stage sums at most five
+    products of residues below p and then reduces, so every sum stays
+    below 5*p**2 in magnitude.  Entries may also be ``_Poly`` polynomials
+    with such residues as coefficients, and the determinant is then a
+    ``_Poly``.  In the sliced full scan each row has one entry of degree
+    one and four constants, so a coefficient of a term sums at most two
+    products and a coefficient of a stage at most ten, of residues below
+    p, before it is reduced: it stays below 10*p**2, under 6*10**5 at
+    p=241, the largest supported prime, far inside int64.
     """
     n = len(rows)
     cols = tuple(range(n))
@@ -178,14 +187,16 @@ def _det_staged(rows, p: int):
 
 
 def _rref_mod_p(rows, p: int) -> tuple[np.ndarray, list]:
-    """Reduced row echelon form over F_p of one large sparse system, and
-    its pivot columns.
+    """Reduced row echelon form over F_p, and its pivot columns.
 
-    Entries are reduced mod p first and after every update, so an outer
-    product takes residues below p and no value reaches p**2: int64 is
-    exact for every p below 3*10**9.  The pivot row is zero left of its
-    pivot column, so only the rows with a nonzero entry in that column
-    change, and only from that column on.
+    Entries are reduced mod p first and again after every update, so
+    each entry is below p before each outer product and no intermediate
+    value reaches p**2 in magnitude: int64 is exact for every p below
+    3*10**9, and the largest supported prime (241) stays below 58 081.
+
+    The pivot row is zero left of its pivot column, so only the rows with
+    a nonzero entry in that column change, and only from that column on;
+    the result is the unique reduced echelon form all the same.
     """
     reduced = np.array(rows, dtype=np.int64)
     reduced %= p
@@ -267,8 +278,10 @@ def _random_point(rng: random.Random, p: int) -> tuple:
 
 
 def _chord_sample(rng: random.Random, points, p: int) -> tuple:
-    """A point on the chord through two distinct curve points: both scalars
-    are nonzero and the curve has no trisecant lines, so it is off the curve.
+    """A point on the chord through two distinct curve points, off the curve.
+
+    Both scalars are nonzero, so the sample differs from either endpoint;
+    the curve has no trisecant lines, so the sample misses the curve.
     """
     while True:
         first = rng.randrange(len(points))
@@ -286,9 +299,13 @@ def _chord_sample(rng: random.Random, points, p: int) -> tuple:
 
 
 def _chart_blocks(p: int, coords: int = 5):
-    """Stacks of projective points with leading coordinate one: the
-    ``coords`` charts of projective (coords-1)-space, each with its free
-    coordinates run through the base-``p`` digits of an index range."""
+    """Stacks of projective points with leading coordinate one.
+
+    The ``coords`` charts partition projective space of dimension
+    ``coords - 1``; within a chart the free coordinates run through
+    base-``p`` digits of an index range, so the enumeration order is
+    deterministic.
+    """
     for lead in range(coords):
         free = coords - 1 - lead
         total = p ** free
@@ -338,12 +355,13 @@ def _determinant_slabs(p: int, z):
 class CurveScan:
     """Exhaustive, validated point set of the quintic curve over F_p.
 
-    Construction re-checks every invariant, so a cached scan gets the same
-    scrutiny as a fresh one: points are normalised, strictly sorted and on
-    all five quadrics, the count lies in the Hasse window, the set is
-    stable under the coordinate rotation and the diagonal root-of-unity
-    scaling, and the Jacobian has rank three at every point (one stacked
-    reduction).  A lower rank, a singular point, raises with the point.
+    Construction re-checks every stored invariant, so a scan loaded from a
+    cache file gets the same scrutiny as a fresh enumeration: points are
+    normalised, strictly sorted, satisfy all five quadrics, the count lies
+    in the Hasse window, the set is stable under the coordinate rotation
+    and the diagonal root-of-unity scaling, and the Jacobian has rank three
+    at every point.  A rank below three would be a singular curve point and
+    raises with the offending point.
     """
 
     __slots__ = ("p", "a", "root", "points", "jacobian_ranks", "from_cache", "_member")
@@ -408,7 +426,13 @@ def admissible_moduli(p: int, count: int = 2) -> tuple[int, ...]:
     if p not in SUPPORTED_PRIMES:
         raise ValueError(f"prime {p} is not in the supported list {SUPPORTED_PRIMES}")
     excluded = excluded_modulus_residues(p)
-    return tuple(a for a in range(1, p) if a not in excluded)[:count]
+    out = []
+    for a in range(1, p):
+        if a not in excluded:
+            out.append(a)
+            if len(out) == count:
+                break
+    return tuple(out)
 
 
 def _cache_path(cache_dir, p: int, a: int) -> Path:
@@ -460,14 +484,17 @@ def read_point_cache(p: int, a: int, cache_dir) -> CurveScan | None:
 def _fibre_candidates(triples, p: int, a: int) -> np.ndarray:
     """Points over a stack of plane points (x0:x1:x2) where q0 and q2 vanish.
 
-    On the fibre, q0 and q2 are linear in (x3, x4) with matrix
-    [[a*x2, -x1/a], [-x1/a, a*x0]] and right-hand side (-x0**2, -x2**2).
-    Where its determinant is nonzero, Cramer's rule gives the one solution.
-    On the conic where it vanishes, the candidates are the p solutions of
-    the q2 row with x3 free; that row is zero only at (0:0:1), where
-    q2 = x2**2 has no zero.  Residues are reduced below p before each
-    product, so no value reaches 2*p**2: under 1.2*10**5 at p=241, the
-    largest supported prime, far inside int64.
+    On the fibre over (x0:x1:x2), q0 and q2 are linear in (x3, x4) with
+    matrix [[a*x2, -x1/a], [-x1/a, a*x0]] and right-hand side
+    (-x0**2, -x2**2).  Where its determinant is nonzero, Cramer's rule
+    gives the one solution.  On the conic where it vanishes, the
+    candidates are the p solutions of the q2 row with x3 free; that row
+    is zero only when x0 = 0, and then x1 = 0 too, so the triple is
+    (0:0:1), where q2 = x2**2 has no zero.
+
+    Every residue is reduced below p before each product, so no
+    intermediate value reaches 2*p**2 in magnitude: under 1.2*10**5 at
+    p=241, the largest supported prime, far inside int64.
     """
     x0, x1, x2 = triples
     inverse = _inverse_table(p)
@@ -496,10 +523,11 @@ def _fibre_candidates(triples, p: int, a: int) -> np.ndarray:
 def scan_curve(p: int, a, cache_dir=None) -> CurveScan:
     """Enumerate the curve over F_p, optionally through an on-disk cache.
 
-    Each normalised point (x0:x1:x2) yields the candidates of
-    ``_fibre_candidates``, the line x0 = x1 = x2 = 0 is tested point by
-    point, and the candidates on all five quadrics are the curve: O(p**2)
-    work in place of the p**4 points of projective four-space.
+    The scan runs over the fibres of the projection to (x0:x1:x2): each
+    normalised plane point yields the candidates of ``_fibre_candidates``,
+    the line x0 = x1 = x2 = 0 is tested point by point, and the candidates
+    where all five quadrics vanish are the curve.  That is O(p**2) work in
+    place of the p**4 points of projective four-space.
     """
     a = _coerce_residue(p, a)
     if cache_dir is not None:
@@ -542,27 +570,36 @@ def certify_scan(scan: CurveScan) -> dict:
 
 
 def _rounded_ratio(num: int, den: int) -> int:
-    """num/den rounded to the nearest integer, for den an odd prime.  A tie
-    would need 2*num = den*(2k+1), so den would divide num: there are no
-    ties, and rounding half up agrees with string formatting's half-even.
+    """num/den rounded to the nearest integer, for den an odd prime.
+
+    A tie would need 2*num = den*(2k+1), so den would divide num and
+    num/den would be an integer: there are no ties, and rounding half up
+    agrees with the round-half-even of string formatting.
     """
     return (2 * num + den) // (2 * den)
 
 
-def _density_within_envelope(zeros: int, samples: int, p: int) -> bool:
-    """Whether zeros lies within 5 binomial deviations plus one of samples/p.
+def _density_envelope(samples: int, p: int) -> tuple[int, int]:
+    """The least and greatest zero counts within 5 binomial deviations plus
+    one of samples/p.
 
     Multiplied through by p, |zeros - samples/p| <= 5*sqrt(samples*(p-1))/p + 1
-    reads d <= p + 5*sqrt(samples*(p-1)) for d = |zeros*p - samples|, which
-    is decided in integers by squaring the nonnegative side.
+    reads d <= p + 5*sqrt(samples*(p-1)) for d = |zeros*p - samples|, and
+    as d is an integer the square root may be rounded down: the envelope
+    is decided in integers.
     """
-    d = abs(zeros * p - samples)
-    return d <= p or (d - p) ** 2 <= 25 * samples * (p - 1)
+    reach = p + isqrt(25 * samples * (p - 1))
+    return -((reach - samples) // p), (samples + reach) // p
 
 
-def _within_factor_two(count: int, total: int, p: int) -> bool:
-    """Whether total/p / 2 <= count <= 2 * total/p, decided in integers."""
-    return total <= 2 * p * count and p * count <= 2 * total
+def _factor_two_envelope(total: int, p: int) -> tuple[int, int]:
+    """The least and greatest counts within a factor of two of total/p."""
+    return -(-total // (2 * p)), 2 * total // p
+
+
+def _rank_three_envelope(p: int) -> tuple[int, int]:
+    """The rank-three direction counts of curve scale: one up to 20*p."""
+    return 1, 20 * p
 
 
 #: chord samples, and as many uniform samples, drawn by certify_secant_variety
@@ -576,23 +613,24 @@ def certify_secant_variety(scan: CurveScan, seed: int = SEED) -> dict:
 
     Hard checks: the Jacobian has rank three at every curve point, the dual
     determinant vanishes at every sampled chord point, the structure and
-    dual bilinear forms agree on random vector pairs (evaluated as one
-    stack), and a generic point has a nonzero determinant.  Soft check:
-    the vanishing density of uniform samples is about one in p.
+    dual bilinear forms agree on random vector pairs, and a generic point
+    witnesses a nonzero determinant.  The observed vanishing density over
+    uniform samples is compared with the hypersurface heuristic of one in p
+    as a soft check.
     """
     p, a = scan.p, scan.a
     z = _z_residues(p, a)
     rng = random.Random(seed)
     checks = Checks()
 
-    rank_three = scan.jacobian_ranks.count(3)
+    rank_three = sum(1 for r in scan.jacobian_ranks if r == 3)
     checks.add("jacobian rank three at every curve point", rank_three == len(scan),
                f"rank three at {rank_three} of {len(scan)} points")
 
     chords = np.array([_chord_sample(rng, scan.points, p)
                        for _ in range(SECANT_SAMPLES)], dtype=np.int64).T
     dets = _det_staged(_dual_rows(chords, z, p), p)
-    vanished = np.count_nonzero(dets == 0)
+    vanished = int(np.count_nonzero(dets == 0))
     checks.add("dual determinant vanishes on chord samples", vanished == SECANT_SAMPLES,
                f"{vanished}/{SECANT_SAMPLES} chord points have zero dual determinant")
 
@@ -617,16 +655,24 @@ def certify_secant_variety(scan: CurveScan, seed: int = SEED) -> dict:
 
     uniform = np.array([_random_point(rng, p) for _ in range(SECANT_SAMPLES)],
                        dtype=np.int64).T
-    zeros = np.count_nonzero(_det_staged(_dual_rows(uniform, z, p), p) == 0)
+    zeros = int(np.count_nonzero(_det_staged(_dual_rows(uniform, z, p), p) == 0))
     tenths = _rounded_ratio(10 * SECANT_SAMPLES, p)
+    low, high = _density_envelope(SECANT_SAMPLES, p)
     checks.add("vanishing density tracks the hypersurface heuristic",
-               _density_within_envelope(zeros, SECANT_SAMPLES, p),
+               low <= zeros <= high,
                f"{zeros} zeros in {SECANT_SAMPLES} uniform samples, "
                f"expected about {tenths // 10}.{tenths % 10}",
                soft=True)
 
-    return {"p": p, "a": a, "seed": seed, "samples": SECANT_SAMPLES, "passed": checks.passed,
-            "soft_passed": checks.soft_passed, "checks": checks.records}
+    return {
+        "p": p,
+        "a": a,
+        "seed": seed,
+        "samples": SECANT_SAMPLES,
+        "passed": checks.passed,
+        "soft_passed": checks.soft_passed,
+        "checks": checks.records,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -765,19 +811,29 @@ def certify_incidence(scan: CurveScan, seed: int = SEED) -> dict:
         rank_three = census.get(3, 0)
         # exhaustive counts deviate from the heuristic total/p at Weil scale,
         # not binomial scale, so the envelope is a factor of two either way
+        low, high = _factor_two_envelope(total, p)
         checks.add("full scan vanishing density tracks the hypersurface heuristic",
-                   _within_factor_two(zero_count, total, p),
+                   low <= zero_count <= high,
                    f"{zero_count} singular directions among {total}, "
                    f"expected about {_rounded_ratio(total, p)} within a factor of two",
                    soft=True)
-        checks.add("rank three locus has curve scale", 1 <= rank_three <= 20 * p,
+        low, high = _rank_three_envelope(p)
+        checks.add("rank three locus has curve scale", low <= rank_three <= high,
                    f"{rank_three} rank-three directions (low-rank census: "
                    f"{_census_text(census) or 'none'}); "
-                   f"envelope [1, {20 * p}]",
+                   f"envelope [{low}, {high}]",
                    soft=True)
 
-    return {"p": p, "a": a, "seed": seed, "lines": INCIDENCE_LINES, "full_scan": full_scan,
-            "passed": checks.passed, "soft_passed": checks.soft_passed, "checks": checks.records}
+    return {
+        "p": p,
+        "a": a,
+        "seed": seed,
+        "lines": INCIDENCE_LINES,
+        "full_scan": full_scan,
+        "passed": checks.passed,
+        "soft_passed": checks.soft_passed,
+        "checks": checks.records,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -798,8 +854,9 @@ def _monomial_matrix(stack, d: int, p: int) -> np.ndarray:
 
     Row k holds the monomials at point k, so a form's values are
     ``M @ coeffs % p``.  Every step multiplies two residues below p.  A
-    form of degree at most 6 has at most 210 monomials, so an entry of
-    ``M @ coeffs`` stays below 210*p**2 < 1.3*10**7 at p=241.
+    form of degree at most 6 has at most 210 monomials, so each entry of
+    ``M @ coeffs`` sums at most 210 such products and stays below
+    210*p**2: under 1.3*10**7 at p=241, far inside int64.
     """
     stack = np.asarray(stack, dtype=np.int64) % p
     powers = [[np.ones_like(row)] for row in stack]
@@ -834,11 +891,13 @@ def _coefficients(values, d: int, p: int) -> np.ndarray:
 
 
 class CremonaWitness:
-    """Interpolated inverse of the quadric-defined Cremona transformation:
-    the five inverse cubics as a (5, 35) array, the common quintic factor
-    of their composition with the quadrics as a length-126 vector (forms
-    over ``monomials(d, 5)[::-1]``), the dimension of the interpolation
-    solution space, and the verification report.
+    """Interpolated inverse of the quadric-defined Cremona transformation.
+
+    Holds the five inverse cubics as the rows of a (5, 35) array, the
+    common quintic factor relating their composition to the identity as a
+    length-126 vector, the dimension of the interpolation solution space,
+    and the verification report.  A form of degree d is its coefficient
+    vector over ``monomials(d, 5)[::-1]``.
     """
 
     __slots__ = ("p", "a", "cubics", "factor", "solution_dimension", "report")
@@ -873,12 +932,13 @@ def interpolate_cremona_inverse(scan: CurveScan, seed: int = SEED) -> CremonaWit
     """Interpolate cubics inverting the forward quadric map over F_p.
 
     The composition of a candidate inverse with the forward map must equal
-    a common quintic factor times the identity, coefficient by coefficient
-    (those of the products q**alpha come from their values on the sextic
-    lattice), which one row reduction over F_p solves exactly.  The
-    solution is re-checked against the system, compared with the chordal
-    quintic (read off the quintic lattice the same way), and run on random
-    round trips and chord images, in batches.
+    a common degree-five factor times the identity, coefficient by
+    coefficient.  The coefficients of the products q**alpha come from their
+    values on the sextic lattice, and that linear condition is solved
+    exactly by row reduction over F_p.  The solution is then re-checked
+    against the system, compared with the chordal quintic (the dual
+    determinant, read off the quintic lattice the same way), and exercised
+    on random round trips and chord images, evaluated in batches.
     """
     p, a = scan.p, scan.a
     z = _z_residues(p, a)
@@ -969,6 +1029,13 @@ def interpolate_cremona_inverse(scan: CurveScan, seed: int = SEED) -> CremonaWit
                f"{zero_count}/{CHORD_IMAGE_SAMPLES} chord images on the determinant "
                f"locus; index maps preserving the quintic: {surviving}")
 
-    report = {"p": p, "a": a, "seed": seed, "samples": ROUNDTRIP_SAMPLES, "passed": checks.passed,
-              "soft_passed": checks.soft_passed, "checks": checks.records}
+    report = {
+        "p": p,
+        "a": a,
+        "seed": seed,
+        "samples": ROUNDTRIP_SAMPLES,
+        "passed": checks.passed,
+        "soft_passed": checks.soft_passed,
+        "checks": checks.records,
+    }
     return CremonaWitness(p, a, cubics, factor, dimension, report)

@@ -1010,12 +1010,18 @@ def _float_full_scan_reference(zero_count, total, p):
     return expected / 2 <= zero_count <= 2 * expected
 
 
+def _within(envelope, count):
+    low, high = envelope
+    return low <= count <= high
+
+
 def test_density_envelope_matches_float_formula():
     for p in probe.SUPPORTED_PRIMES:
         for samples in (1, 7, 100, 500, 999, 1000, 4321, 20000):
+            envelope = probe._density_envelope(samples, p)
             reach = samples // p + 10 * isqrt(samples // p + 1) + 20
             for zeros in range(0, min(samples, reach) + 1):
-                assert (probe._density_within_envelope(zeros, samples, p)
+                assert (_within(envelope, zeros)
                         == _float_density_reference(zeros, samples, p)), (zeros, samples, p)
             tenths = probe._rounded_ratio(10 * samples, p)
             assert f"{tenths // 10}.{tenths % 10}" == f"{samples / p:.1f}"
@@ -1033,8 +1039,9 @@ def test_density_envelope_is_exact_on_its_edge():
                 if (samples + sign * reach) % p or samples + sign * reach < 0:
                     continue
                 zeros = (samples + sign * reach) // p
-                assert probe._density_within_envelope(zeros, samples, p)
-                assert not probe._density_within_envelope(zeros + sign, samples, p)
+                envelope = probe._density_envelope(samples, p)
+                assert _within(envelope, zeros)
+                assert not _within(envelope, zeros + sign)
                 on_edge += 1
     assert on_edge > 0
 
@@ -1045,6 +1052,6 @@ def test_full_scan_envelope_matches_float_formula():
             edges = (total // (2 * p), -(-total // (2 * p)), 2 * total // p)
             for edge in edges:
                 for zero_count in range(max(edge - 3, 0), edge + 4):
-                    assert (probe._within_factor_two(zero_count, total, p)
+                    assert (_within(probe._factor_two_envelope(total, p), zero_count)
                             == _float_full_scan_reference(zero_count, total, p))
             assert str(probe._rounded_ratio(total, p)) == f"{total / p:.0f}"

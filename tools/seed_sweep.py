@@ -3,25 +3,24 @@
 
 Usage:
   python3 tools/seed_sweep.py [--suites incidence] [--seeds 0-299]
-                              [--prime 31 --prime 61] [--jobs 1|2]
 
-Each seed is one `report.run` of the chosen suites, as `verify run
---seed N` would do it.  For every claim id the sweep prints how many
-seeds gave `fail` and `soft-fail`.  For every soft claim whose witness
-states a measured value it also prints the range of that value over the
-seeds and the envelope the claim holds it to, and the margin: how close
-the value came to the nearer end of the envelope (for the kernel rank
-band, the ranks seen).  The envelopes are not changed here; the margins
-show how wide they are.  The exit status is 1 when any claim failed.
+Each seed is one `report.run` of the chosen suites at the default primes
+31 and 61, as `verify run --seed N` would do it, in two worker processes.
+For every claim id the sweep prints how many seeds gave `fail` and
+`soft-fail`.  For every soft claim whose witness states a measured value
+it also prints the range of that value over the seeds, the envelope the
+claim holds it to (from the same probe function the claim uses) and the
+margin: how close the value came to the nearer end of the envelope (for
+the kernel rank band, the ranks seen).  The exit status is 1 when any
+claim failed.
 
 Standard library only, apart from the package, imported from ./src of
-the checkout this file sits in.  At most two worker processes.
+the checkout this file sits in.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import multiprocessing
 import re
 import sys
@@ -30,42 +29,35 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
+from pentangle import probe, report  # noqa: E402
+
 
 def _claims_at(spec: tuple) -> list:
     """(id, status, witness) of every claim of one seeded run."""
-    from pentangle import report
-
-    seed, suites, primes = spec
-    result = report.run(report.make_config(seed=seed, suites=suites, primes=primes))
+    seed, suites = spec
+    result = report.run(report.make_config(seed=seed, suites=suites))
     return [(c["id"], c["status"], c["witness"]) for c in result["claims"]]
 
 
-def _prime(claim_id: str) -> int:
-    return int(re.search(r"@p(\d+)-", claim_id).group(1))
+def _numbers(pattern: str, witness: str) -> tuple:
+    return tuple(map(int, re.match(pattern, witness).groups()))
 
 
-def _density(claim_id: str, witness: str):
-    """Uniform-sample zeros against samples/p +- (5 deviations + 1)."""
-    zeros, samples = map(int, re.match(r"(\d+) zeros in (\d+) uniform", witness).groups())
-    p = _prime(claim_id)
-    half = 5 * math.sqrt(samples * (p - 1)) / p + 1
-    return zeros, (samples / p - half, samples / p + half)
+def _density(p: int, witness: str):
+    zeros, samples = _numbers(r"(\d+) zeros in (\d+) uniform", witness)
+    return zeros, probe._density_envelope(samples, p)
 
 
-def _full_scan(claim_id: str, witness: str):
-    """Singular directions against a factor of two around total/p."""
-    zeros, total = map(int, re.match(r"(\d+) singular directions among (\d+)", witness).groups())
-    expected = total / _prime(claim_id)
-    return zeros, (expected / 2, 2 * expected)
+def _full_scan(p: int, witness: str):
+    zeros, total = _numbers(r"(\d+) singular directions among (\d+)", witness)
+    return zeros, probe._factor_two_envelope(total, p)
 
 
-def _rank_three(claim_id: str, witness: str):
-    """Rank-three directions against [1, 20p]."""
-    count = int(re.match(r"(\d+) rank-three", witness).group(1))
-    return count, (1, 20 * _prime(claim_id))
+def _rank_three(p: int, witness: str):
+    return _numbers(r"(\d+) rank-three", witness)[0], probe._rank_three_envelope(p)
 
 
-def _kernel_ranks(claim_id: str, witness: str):
+def _kernel_ranks(p: int, witness: str):
     """The ranks seen; the claim holds them to the set {3, 4}, which has no
     margin to report."""
     return frozenset(int(r) for r in re.findall(r"rank (\d+):", witness)), None
@@ -82,9 +74,11 @@ MEASURES = {
 
 
 def _measure(claim_id: str, witness: str):
-    name = claim_id.split(":", 1)[1].split("@", 1)[0]
+    name, _, instance = claim_id.split(":", 1)[1].partition("@")
     reader = MEASURES.get(name)
-    return None if reader is None else reader(claim_id, witness)
+    if reader is None:
+        return None
+    return reader(int(re.match(r"p(\d+)-", instance).group(1)), witness)
 
 
 def _seed_range(text: str) -> range:
@@ -92,26 +86,20 @@ def _seed_range(text: str) -> range:
     return range(int(low), int(high or low) + 1)
 
 
-def sweep(seeds, suites, primes, jobs: int) -> dict:
+def sweep(seeds, suites) -> dict:
     """Per claim id: [fails, soft-fails, measured values, envelope]."""
-    specs = [(seed, suites, primes) for seed in seeds]
-    if jobs == 1:
-        return _tally(map(_claims_at, specs))
-    with multiprocessing.get_context("spawn").Pool(jobs) as pool:
-        return _tally(pool.imap(_claims_at, specs))
-
-
-def _tally(runs) -> dict:
+    specs = [(seed, suites) for seed in seeds]
     table: dict[str, list] = {}
-    for claims in runs:
-        for claim_id, status, witness in claims:
-            row = table.setdefault(claim_id, [0, 0, [], None])
-            row[0] += status == "fail"
-            row[1] += status == "soft-fail"
-            measured = _measure(claim_id, witness)
-            if measured is not None:
-                row[2].append(measured[0])
-                row[3] = measured[1]
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        for claims in pool.imap(_claims_at, specs):
+            for claim_id, status, witness in claims:
+                row = table.setdefault(claim_id, [0, 0, [], None])
+                row[0] += status == "fail"
+                row[1] += status == "soft-fail"
+                measured = _measure(claim_id, witness)
+                if measured is not None:
+                    row[2].append(measured[0])
+                    row[3] = measured[1]
     return table
 
 
@@ -125,7 +113,7 @@ def describe(table: dict, count: int) -> list:
             low, high = envelope
             margin = min(min(v - low for v in values), min(high - v for v in values))
             line += (f"\n           measured {min(values)}..{max(values)} in envelope "
-                     f"[{low:.1f}, {high:.1f}], closest margin {margin:.1f}")
+                     f"[{low}, {high}], closest margin {margin}")
         lines.append(line)
     return lines
 
@@ -135,19 +123,14 @@ def main(argv=None) -> int:
     parser.add_argument("--suites", default="incidence",
                         help="comma-separated suites, or all (default: incidence)")
     parser.add_argument("--seeds", default="0-299", help="seed range LOW-HIGH")
-    parser.add_argument("--prime", type=int, action="append", dest="primes",
-                        help="repeatable; default 31 and 61")
-    parser.add_argument("--jobs", type=int, default=2, choices=(1, 2))
     args = parser.parse_args(argv)
-    from pentangle import report
-
     seeds = _seed_range(args.seeds)
     try:
         suites = report.make_config(suites="all" if args.suites == "all"
                                     else args.suites.split(",")).suites
     except ValueError as exc:
         parser.error(str(exc))
-    table = sweep(seeds, suites, tuple(args.primes or (31, 61)), args.jobs)
+    table = sweep(seeds, suites)
     print("\n".join(describe(table, len(seeds))))
     return 1 if any(row[0] for row in table.values()) else 0
 
