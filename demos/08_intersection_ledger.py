@@ -12,11 +12,11 @@ from pentangle import nslattice as ns
 
 ch = ns.chordal_classes()
 h = ch["hyperplane"]
-print("hyperplane^3 =", ns.triple_product(h, h, h))
+print("hyperplane^3 =", ns.intersection(h, h, h))
 print("ruled surface  . h^2 =",
-      ns.triple_product(ch["ruled_surface"], h, h))
+      ns.intersection(ch["ruled_surface"], h, h))
 print("adjoint surface. h^2 =",
-      ns.triple_product(ch["adjoint_surface"], h, h))
+      ns.intersection(ch["adjoint_surface"], h, h))
 residual = 5 * h + ch["canonical"] - ch["adjoint_surface"] - ch["pencil"]
 print("5h + K - adjoint - pencil =", residual.coeffs,
       "(zero class:", str(residual.is_zero()) + ")")
@@ -26,7 +26,7 @@ print("5h + K - adjoint - pencil =", residual.coeffs,
 bl = ns.blowup_classes()
 wall = 2 * bl["hyperplane"] - bl["exceptional"]
 print()
-print("(2h - e)^3 on the blow-up =", ns.triple_product(wall, wall, wall))
+print("(2h - e)^3 on the blow-up =", ns.intersection(wall, wall, wall))
 report = ns.verify_halved_hyperplane_class()
 print("halved hyperplane certificate passed:", report["passed"])
 for check in report["checks"]:
@@ -37,9 +37,9 @@ for check in report["checks"]:
 sc = ns.scroll_classes()
 print()
 print("scroll canonical^2 =",
-      ns.surface_product(sc["canonical"], sc["canonical"]))
+      ns.intersection(sc["canonical"], sc["canonical"]))
 print("diagonal image . hyperplane =",
-      ns.surface_product(sc["diagonal_curve"], sc["hyperplane"]))
+      ns.intersection(sc["diagonal_curve"], sc["hyperplane"]))
 dp = ns.verify_double_point_formula()
 print("double point certificate passed:", dp["passed"])
 for check in dp["checks"]:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .checks import Checks, error_text
 from .multipoly import MultiPoly, grevlex_key, monomials
-from .scalars import Cyclo, EPS3, cyclo_root_of_unity
+from .scalars import Cyclo, EPS3, _power, cyclo_root_of_unity
 
 _LEVELS = (3, 5, 15)
 
@@ -97,15 +97,7 @@ class HeisenbergElement:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = HeisenbergElement.identity(self.level, self.twist)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            if k > 1:
-                base = base * base
-            k >>= 1
-        return out
+        return _power(HeisenbergElement.identity(self.level, self.twist), self, k)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HeisenbergElement):

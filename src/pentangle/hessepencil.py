@@ -850,18 +850,12 @@ def verify_intersection_arithmetic(seed: int = 20260824) -> dict:
     pts = curve.point_array()
     checks = Checks()
 
-    def nmul(k, rows):
-        return _fp_scalar(lam, p, k, rows)
-
-    def padd(a, b):
-        return _fp_add(lam, p, a, b)
-
     def rows_equal(a, b):
         return (a == b).all(axis=1)
 
     # (i) 3r+2q = 0 on the diagonal r = q means exactly 5q = 0
-    two_q, three_q, five_q = nmul(2, pts), nmul(3, pts), nmul(5, pts)
-    diagonal = padd(three_q, two_q)
+    two_q, three_q, five_q = _fp_multiples_235(lam, p, pts)
+    diagonal = _fp_add(lam, p, three_q, two_q)
     five_tors = _is_origin(five_q, p)
     diag = _is_origin(diagonal, p)
     checks.add("diagonal of 3r+2q = 0 is the 5-torsion",
@@ -894,8 +888,9 @@ def verify_intersection_arithmetic(seed: int = 20260824) -> dict:
         """3(-e+b)+2e for every point e (axis 1) and base b (axis 0)."""
         n = len(pts)
         e_neg = np.tile(_fp_neg(pts, p), (len(base_rows), 1))
-        total = padd(nmul(3, padd(e_neg, np.repeat(base_rows, n, axis=0))),
-                     np.tile(two_q, (len(base_rows), 1)))
+        sums = _fp_add(lam, p, e_neg, np.repeat(base_rows, n, axis=0))
+        total = _fp_add(lam, p, _fp_scalar(lam, p, 3, sums),
+                        np.tile(two_q, (len(base_rows), 1)))
         return total.reshape(len(base_rows), n, 3)
 
     def single_solution(values, rhs, expected):
@@ -903,10 +898,10 @@ def verify_intersection_arithmetic(seed: int = 20260824) -> dict:
         return len(sols) == 1 and (sols[0] == expected).all()
 
     ok_unique = all(single_solution(values, _fp_origin(p), e)
-                    for values, e in zip(ruling(bases), nmul(3, bases)))
+                    for values, e in zip(ruling(bases), _fp_scalar(lam, p, 3, bases)))
     checks.add("ruling meets the kernel curve once, at e = 3p (%d samples)"
                % RULING_SAMPLES, ok_unique)
-    expected = padd(nmul(3, shift_bases), taus)
+    expected = _fp_add(lam, p, _fp_scalar(lam, p, 3, shift_bases), taus)
     ok_shift = all(single_solution(values, rhs, e)
                    for values, rhs, e in zip(ruling(shift_bases),
                                              _fp_neg(taus, p), expected))
@@ -1067,12 +1062,6 @@ def verify_six_secant_criterion(seed: int = 20260824) -> dict:
     curve = PlaneCubic.hesse_member(lam, Fp(1, p))
     pts = curve.point_array()
 
-    def nmul(k, rows):
-        return _fp_scalar(lam, p, k, rows)
-
-    def padd(a, b):
-        return _fp_add(lam, p, a, b)
-
     nonzero = ~_is_origin(pts, p)
     two, three, five = _fp_multiples_235(lam, p, pts)
     two = pts[_is_origin(two, p) & nonzero]
@@ -1081,27 +1070,28 @@ def verify_six_secant_criterion(seed: int = 20260824) -> dict:
     checks.add("witness torsion counts (2,3,5) = (4,9,25)",
                len(two) == 3 and len(three) == 8 and len(five) == 25,
                "order %d" % len(pts))
-    s2 = padd(padd(two[[0]], two[[1]]), two[[2]])
+    s2 = _fp_add(lam, p, _fp_add(lam, p, two[[0]], two[[1]]), two[[2]])
     checks.add("the three nonzero 2-torsion points sum to zero",
                _is_origin(s2, p)[0])
 
     def collinearity_sums(e0, tau):
         """sum(p_i) + 2*e0 with p_i = e0 + tau + tau_i, row by row."""
-        shifted = padd(e0, tau)
-        trio = [padd(shifted, t) for t in two[:3]]
-        return padd(padd(padd(trio[0], trio[1]), trio[2]), nmul(2, e0))
+        shifted = _fp_add(lam, p, e0, tau)
+        trio = [_fp_add(lam, p, shifted, t) for t in two[:3]]
+        pair = _fp_add(lam, p, trio[0], trio[1])
+        return _fp_add(lam, p, _fp_add(lam, p, pair, trio[2]), _fp_scalar(lam, p, 2, e0))
 
     e0 = np.repeat(five, len(three), axis=0)
     total = collinearity_sums(e0, np.tile(three, (len(five), 1)))
     checks.add("sum(p_i) + 2*e0 = 5*e0 on all 25 x 8 torsion choices",
-               (total == nmul(5, e0)).all())
+               (total == _fp_scalar(lam, p, 5, e0)).all())
     checks.add("collinearity holds at every 5-torsion e0",
                _is_origin(total, p).all())
     rng = random.Random(seed)
     draws = [(rng.choice(pts), rng.choice(three)) for _ in range(50)]
     e0 = _rows([e for e, _ in draws])
     total = collinearity_sums(e0, _rows([tau for _, tau in draws]))
-    five_e0 = nmul(5, e0)
+    five_e0 = _fp_scalar(lam, p, 5, e0)
     equiv_ok = ((_is_origin(total, p) == _is_origin(five_e0, p)).all()
                 and (total == five_e0).all())
     checks.add("collinearity is equivalent to 5*e0 = 0 on random points",

@@ -16,7 +16,10 @@ Both 5x5 determinants are quintic hypersurface equations fixed by the
 level-5 substitution action.  Every identity is certified through two
 independent routes: closed forms against coefficient matching, cofactor
 determinants against fraction-free elimination, and numeric moduli
-against the transcendental one (rational-function scalars).
+against the transcendental one (rational-function scalars).  Span and
+pairing claims are decided over the modulus' own field, Q(eps15)(a)
+included; the denominator-cleared rings serve only the cleared-cofactor
+determinant route.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from .scalars import Cyclo, EPS5, Fp, ONE, RatFunc, find_root_of_unity
 VARS_X = ("x0", "x1", "x2", "x3", "x4")
 VARS_Y = ("y0", "y1", "y2", "y3", "y4")
 
-#: denominator-cleared rings carry the modulus as a leading variable
+#: denominator-cleared rings carry the modulus as a leading variable; only
+#: the cleared-cofactor determinant claim works in them
 AVARS_X = ("a",) + VARS_X
 AVARS_Y = ("a",) + VARS_Y
 
@@ -67,6 +71,15 @@ def _field_one(a):
         return ONE
     raise TypeError("modulus must be Cyclo, Fp or RatFunc, not %s"
                     % type(a).__name__)
+
+
+def _invertible_modulus(a) -> tuple:
+    """The coerced modulus and its field's one; a zero modulus raises."""
+    a = _coerce_modulus(a)
+    one = _field_one(a)
+    if a == one * 0:
+        raise ValueError("the modulus must be invertible; got zero")
+    return a, one
 
 
 def excluded_moduli() -> tuple:
@@ -133,10 +146,7 @@ class QuadricSystem:
     __slots__ = ("a", "one", "quadrics")
 
     def __init__(self, a):
-        a = _coerce_modulus(a)
-        one = _field_one(a)
-        if a == one * 0:
-            raise ValueError("the modulus must be invertible; got zero")
+        a, one = _invertible_modulus(a)
         inv_a = one / a
         qs = []
         for i in range(5):
@@ -155,10 +165,7 @@ class QuadricSystem:
 
 def z_vector(a) -> tuple:
     """Entry weights (2, a, -1/a, -1/a, a) shared by both structure matrices."""
-    a = _coerce_modulus(a)
-    one = _field_one(a)
-    if a == one * 0:
-        raise ValueError("the modulus must be invertible; got zero")
+    a, one = _invertible_modulus(a)
     inv_a = one / a
     return (one * 2, a, -inv_a, -inv_a, a)
 
@@ -169,11 +176,8 @@ def reference_curve_points(a) -> tuple[tuple, tuple]:
     Valid for every invertible modulus, including the transcendental one;
     both points have one vanishing coordinate.
     """
-    a = _coerce_modulus(a)
-    one = _field_one(a)
+    a, one = _invertible_modulus(a)
     zero = one * 0
-    if a == zero:
-        raise ValueError("the modulus must be invertible; got zero")
     return (zero, a, -one, one, -a), (a, -one, one, -a, zero)
 
 
@@ -227,9 +231,8 @@ def build_moore_matrices(a) -> MooreMatrices:
     form z_{2i-m} x_{m-i} for slot (i, m) is then asserted against that
     extraction, so the dual matrix is solved, not postulated.
     """
-    a = _coerce_modulus(a)
+    a, one = _invertible_modulus(a)
     z = z_vector(a)
-    one = _field_one(a)
 
     ygens = MultiPoly.gens(VARS_Y, one)
     m = PolyMatrix([[ygens[(i + j) % 5] * z[(i - j) % 5] for j in range(5)]
@@ -460,29 +463,16 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
     if not (mm.a == qs.a):
         raise ValueError("matrix bundle and quadric system use different moduli")
     one = mm.one
-    symbolic = isinstance(one, RatFunc)
+    zero = one * 0
     checks = Checks()
 
     product = mm.syzygy @ mm.m_prime.transpose()
-
-    if symbolic:
-        basis = [_lift_to_cleared(q, AVARS_X, 1) for q in qs.quadrics]
-        entries = [[_lift_to_cleared(product[i, j], AVARS_X, 1) for j in range(5)]
-                   for i in range(5)]
-        syz = [[_lift_to_cleared(mm.syzygy[i, j], AVARS_X, 0) for j in range(5)]
-               for i in range(5)]
-        params = ("a",)
-    else:
-        basis = list(qs.quadrics)
-        entries = [[product[i, j] for j in range(5)] for i in range(5)]
-        syz = [[mm.syzygy[i, j] for j in range(5)] for i in range(5)]
-        params = ()
 
     failures = []
     span_vectors = {}
     for i in range(5):
         for j in range(5):
-            vec = in_linear_span(entries[i][j], basis, params)
+            vec = in_linear_span(product[i, j], qs.quadrics)
             if vec is None:
                 failures.append((i, j))
             elif (i, j) in ((0, 0), (0, 1)):
@@ -491,17 +481,17 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
                "failing entries %r" % (failures,) if failures else "25 of 25 resolved")
 
     xg = MultiPoly.gens(VARS_X, one)
-    acc = MultiPoly.zero(VARS_X, one)
+    ring_zero = MultiPoly.zero(VARS_X, one)
+    acc = ring_zero
     for xi, row_value in zip(xg, mm.syzygy.apply_vector(xg)):
         acc = acc + xi * row_value
     checks.add("the quadratic form of the syzygy matrix vanishes identically",
                acc.is_zero())
 
     pairings = []
-    ring_zero = basis[0] * 0
     for c in range(1, 5):
         for d in range(5):
-            if all(sum((syz[i][j] * basis[(c * j + d) % 5] for j in range(5)),
+            if all(sum((mm.syzygy[i, j] * qs.quadrics[(c * j + d) % 5] for j in range(5)),
                        ring_zero).is_zero() for i in range(5)):
                 pairings.append((c, d))
     pairings.sort()
@@ -510,15 +500,11 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
 
     if pairings:
         c0, d0 = pairings[0]
-        ring_vars = basis[0].vars
-        ring_one = basis[0].one
-        cmat = PolyMatrix([[MultiPoly.constant(ring_vars,
-                                               ring_one if (c0 * j + d0) % 5 == k
-                                               else ring_one * 0, ring_one)
+        cmat = PolyMatrix([[MultiPoly.constant(VARS_X, one if (c0 * j + d0) % 5 == k
+                                               else zero, one)
                             for k in range(5)] for j in range(5)])
-        qcol = PolyMatrix([[b] for b in basis])
-        syzmat = PolyMatrix(syz)
-        cert = syzmat @ (cmat @ qcol)
+        qcol = PolyMatrix([[q] for q in qs.quadrics])
+        cert = mm.syzygy @ (cmat @ qcol)
         checks.add("a constant reindexing matrix certifies the pairing",
                    all(cert[i, 0].is_zero() for i in range(5)))
 
@@ -529,7 +515,7 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
             monos = set()
             for g in cubics:
                 monos.update(g.terms)
-            rows = [[g.coeff(mo) for g in cubics] for mo in sorted(monos)]
+            rows = [[g.terms.get(mo, zero) for g in cubics] for mo in sorted(monos)]
             dims.append(len(scalar_matrix_nullspace(rows, one)))
         checks.add("every syzygy row has a nonzero coefficient kernel",
                    all(d >= 1 for d in dims), "kernel dimensions %s" % (dims,))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .scalars import Fp, RatFunc, UniPoly
+from .scalars import Fp, RatFunc, _power
 
 _F1 = Fraction(1)
 
@@ -98,12 +98,11 @@ class MultiPoly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def homogeneous_degree(self, exclude: Sequence[str] = ()) -> int | None:
-        """Common degree of all terms (ignoring `exclude` variables), else None."""
+    def homogeneous_degree(self) -> int | None:
+        """Common degree of all terms, else None."""
         if not self.terms:
             return None
-        skip = {list(self.vars).index(v) for v in exclude}
-        degs = {sum(e for i, e in enumerate(m) if i not in skip) for m in self.terms}
+        degs = {sum(m) for m in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
     def sorted_terms(self) -> list[tuple[tuple, object]]:
@@ -173,14 +172,7 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        out = MultiPoly.constant(self.vars, self.one, self.one)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(MultiPoly.constant(self.vars, self.one, self.one), self, n)
 
     def exact_div(self, g: "MultiPoly") -> "MultiPoly":
         """Quotient self/g when g divides exactly; raises otherwise."""
@@ -596,62 +588,30 @@ def rank_at_point(m: PolyMatrix, point: Sequence) -> int:
     return scalar_matrix_rank(m.eval_at(vals), m.one)
 
 
-def in_linear_span(q: MultiPoly, basis: Sequence[MultiPoly],
-                   param_vars: Sequence[str] = ()):
+def in_linear_span(q: MultiPoly, basis: Sequence[MultiPoly]):
     """Coefficients c with q = sum c_i basis_i, else None.
 
-    All inputs must be homogeneous of one common degree in the
-    non-parameter variables.  With `param_vars` set, matching happens
-    coefficient-wise in those parameters and the returned coefficients
-    are rational functions of the (single) parameter.
+    All inputs must be homogeneous of one common degree.  The solve runs
+    over the coefficient field itself, Q(eps15)(a) included, so the
+    coefficients are scalars of that field.
     """
     if not basis:
         raise ValueError("empty basis")
     degs = set()
     for f in [q] + list(basis):
         if not f.is_zero():
-            d = f.homogeneous_degree(exclude=param_vars)
+            d = f.homogeneous_degree()
             if d is None:
                 raise ValueError("non-homogeneous input: %s" % f.render())
             degs.add(d)
     if len(degs) > 1:
         raise ValueError("degree mismatch across span inputs: %s" % sorted(degs))
 
-    if not param_vars:
-        one = q.one
-        monos = set(q.terms)
-        for f in basis:
-            monos.update(f.terms)
-        monos = sorted(monos, key=grevlex_key)
-        rows = [[f.coeff(m) for f in basis] for m in monos]
-        rhs = [q.coeff(m) for m in monos]
-        return solve_linear_system(rows, rhs, one)
-
-    if len(param_vars) != 1:
-        raise ValueError("exactly one parameter variable is supported")
-    base_one = q.one
-    rf_one = RatFunc.const(base_one, base_one)
-
-    def param_profile(f: MultiPoly) -> dict[tuple, RatFunc]:
-        out = {}
-        for key, part in f.split_by(param_vars).items():
-            # key = (a-degree,); part holds the x-monomials at that a-degree
-            for mono, c in part.terms.items():
-                slot = out.setdefault(mono, {})
-                slot[key[0]] = c
-        return {
-            mono: RatFunc(UniPoly(
-                [cs.get(d, base_one * 0) for d in range(max(cs) + 1)], base_one))
-            for mono, cs in out.items()
-        }
-
-    qp = param_profile(q)
-    bps = [param_profile(f) for f in basis]
-    monos = set(qp)
-    for bp in bps:
-        monos.update(bp)
-    zero_rf = rf_one * 0
+    zero = q.zero_coeff
+    monos = set(q.terms)
+    for f in basis:
+        monos.update(f.terms)
     monos = sorted(monos, key=grevlex_key)
-    rows = [[bp.get(m, zero_rf) for bp in bps] for m in monos]
-    rhs = [qp.get(m, zero_rf) for m in monos]
-    return solve_linear_system(rows, rhs, rf_one)
+    rows = [[f.terms.get(m, zero) for f in basis] for m in monos]
+    rhs = [q.terms.get(m, zero) for m in monos]
+    return solve_linear_system(rows, rhs, q.one)

@@ -1,8 +1,8 @@
 """Exact intersection-number ledgers for the quintic threefolds and scroll.
 
 Divisor classes live in small fixed lattices whose products are entered in
-a declarative text file, one audited integer per line, and checked for
-symmetry and completeness at load time.  The verification routines replay
+a declarative text file, one audited integer per unordered product, and
+checked for completeness at load time.  The verification routines replay
 the numerical arguments that pin down the degree-15 surfaces: the degree
 of the embedded ruled surface, the double point formula, the splitting of
 five hyperplane sections into canonical, adjoint and pencil pieces, and
@@ -20,42 +20,49 @@ raises instead of silently inventing a value.
 from __future__ import annotations
 
 from importlib import resources
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
+from itertools import product as cartesian
+from math import prod
 
 from .checks import Checks
 
 TABLE_RESOURCE = "lattice_tables.txt"
 
+#: number of factors in a product, by section kind
+ARITY = {"triple": 3, "surface": 2}
 
-class TripleForm:
-    """Symmetric integer 3-tensor of triple products on a named basis."""
 
-    __slots__ = ("name", "basis", "table")
+class Form:
+    """Symmetric integer form of one arity on a named basis: triple
+    products on a threefold (arity 3) or a pairing on a surface (arity 2).
 
-    def __init__(self, name: str, basis: tuple, table: dict):
+    The table is keyed by sorted index tuples, so symmetry holds by
+    construction; a None value is a slot named but not recorded.
+    """
+
+    __slots__ = ("name", "basis", "arity", "table")
+
+    def __init__(self, name: str, basis: tuple, arity: int, table: dict):
         basis = tuple(basis)
-        expected = set(combinations_with_replacement(range(len(basis)), 3))
+        expected = set(combinations_with_replacement(range(len(basis)), arity))
         if set(table) != expected:
             missing = expected - set(table)
-            raise ValueError(f"triple form {name!r} is missing products {sorted(missing)}")
+            raise ValueError(f"form {name!r} is missing products {sorted(missing)}")
         for key, value in table.items():
             if value is not None and not isinstance(value, int):
                 raise ValueError(f"product {key} in {name!r} is not an integer")
-        # the table is keyed by sorted triples; assert full symmetry anyway
-        for key in table:
-            for perm in permutations(key):
-                if table[tuple(sorted(perm))] != table[key]:
-                    raise ValueError(f"triple form {name!r} breaks symmetry at {perm}")
         self.name = name
         self.basis = basis
+        self.arity = arity
         self.table = dict(table)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, TripleForm) and self.name == other.name
-                and self.basis == other.basis and self.table == other.table)
+        return (isinstance(other, Form) and self.name == other.name
+                and self.basis == other.basis and self.arity == other.arity
+                and self.table == other.table)
 
     def __repr__(self) -> str:
-        return f"TripleForm({self.name!r}, basis={self.basis})"
+        return f"Form({self.name!r}, arity={self.arity}, basis={self.basis})"
 
     def unknown_slots(self) -> tuple:
         return tuple(
@@ -64,41 +71,13 @@ class TripleForm:
             if self.table[key] is None
         )
 
-    def product(self, i: int, j: int, k: int) -> int:
-        value = self.table[tuple(sorted((i, j, k)))]
+    def product(self, *indices: int) -> int:
+        key = tuple(sorted(indices))
+        value = self.table[key]
         if value is None:
-            names = ".".join(self.basis[t] for t in sorted((i, j, k)))
+            names = ".".join(self.basis[t] for t in key)
             raise ValueError(f"product {names} is named but not recorded in {self.name!r}")
         return value
-
-
-class SurfaceForm:
-    """Symmetric integer pairing of divisor classes on a named basis."""
-
-    __slots__ = ("name", "basis", "table")
-
-    def __init__(self, name: str, basis: tuple, table: dict):
-        basis = tuple(basis)
-        expected = set(combinations_with_replacement(range(len(basis)), 2))
-        if set(table) != expected:
-            missing = expected - set(table)
-            raise ValueError(f"surface form {name!r} is missing products {sorted(missing)}")
-        for key, value in table.items():
-            if not isinstance(value, int):
-                raise ValueError(f"product {key} in {name!r} is not an integer")
-        self.name = name
-        self.basis = basis
-        self.table = dict(table)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SurfaceForm) and self.name == other.name
-                and self.basis == other.basis and self.table == other.table)
-
-    def __repr__(self) -> str:
-        return f"SurfaceForm({self.name!r}, basis={self.basis})"
-
-    def product(self, i: int, j: int) -> int:
-        return self.table[tuple(sorted((i, j)))]
 
 
 class DivisorClass:
@@ -147,42 +126,25 @@ class DivisorClass:
         return f"DivisorClass({self.form.name!r},{label} {body or '0'})"
 
 
-def triple_product(d1: DivisorClass, d2: DivisorClass, d3: DivisorClass) -> int:
-    """Trilinear expansion of three classes against a triple form's table."""
-    d1._require_same_form(d2)
-    d1._require_same_form(d3)
-    form = d1.form
-    if not isinstance(form, TripleForm):
-        raise TypeError(f"triple products need a triple form, got {type(form).__name__}")
-    total = 0
-    n = len(form.basis)
-    for i in range(n):
-        if not d1.coeffs[i]:
-            continue
-        for j in range(n):
-            if not d2.coeffs[j]:
-                continue
-            for k in range(n):
-                if not d3.coeffs[k]:
-                    continue
-                total += d1.coeffs[i] * d2.coeffs[j] * d3.coeffs[k] * form.product(i, j, k)
-    return total
+def intersection(*classes: DivisorClass) -> int:
+    """Multilinear expansion of classes against their common form's table.
 
-
-def surface_product(d1: DivisorClass, d2: DivisorClass) -> int:
-    """Bilinear expansion of two classes against a surface pairing."""
-    d1._require_same_form(d2)
-    form = d1.form
-    if not isinstance(form, SurfaceForm):
-        raise TypeError(f"surface products need a surface form, got {type(form).__name__}")
+    Only nonzero coefficients are expanded, so a fenced slot is reached
+    only through a nonzero coefficient.  The class count must equal the
+    form's arity.
+    """
+    if not classes:
+        raise TypeError("intersection needs at least one class")
+    for other in classes[1:]:
+        classes[0]._require_same_form(other)
+    form = classes[0].form
+    if len(classes) != form.arity:
+        raise TypeError(f"form {form.name!r} takes {form.arity} classes, got {len(classes)}")
+    nonzero = [[(i, c) for i, c in enumerate(d.coeffs) if c] for d in classes]
     total = 0
-    n = len(form.basis)
-    for i in range(n):
-        if not d1.coeffs[i]:
-            continue
-        for j in range(n):
-            if d2.coeffs[j]:
-                total += d1.coeffs[i] * d2.coeffs[j] * form.product(i, j)
+    for picks in cartesian(*nonzero):
+        indices, coeffs = zip(*picks)
+        total += prod(coeffs) * form.product(*indices)
     return total
 
 
@@ -222,12 +184,9 @@ def parse_tables(text: str) -> dict:
         for key_names, value in entries.items():
             key = tuple(sorted(index[k] for k in key_names))
             table[key] = value
-        if kind == "triple":
-            forms[name] = TripleForm(name, basis, table)
-        else:
-            if any(v is None for v in table.values()):
-                raise ValueError(f"surface form {name!r} may not contain '?' slots")
-            forms[name] = SurfaceForm(name, basis, table)
+        if kind == "surface" and any(v is None for v in table.values()):
+            raise ValueError(f"surface form {name!r} may not contain '?' slots")
+        forms[name] = Form(name, basis, ARITY[kind], table)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -237,7 +196,7 @@ def parse_tables(text: str) -> dict:
         if line.startswith("[") and line.endswith("]"):
             close_section()
             header = line[1:-1].split()
-            if len(header) != 2 or header[0] not in ("triple", "surface"):
+            if len(header) != 2 or header[0] not in ARITY:
                 raise ValueError(f"bad section header {line!r} at {where}")
             kind, name = header
             if name in forms:
@@ -258,7 +217,7 @@ def parse_tables(text: str) -> dict:
             raise ValueError(f"unparseable line {line!r} at {where}")
         left, _, right = line.partition("=")
         key_names = tuple(sorted(left.strip().split(".")))
-        arity = 3 if kind == "triple" else 2
+        arity = ARITY[kind]
         if len(key_names) != arity:
             raise ValueError(f"product {left.strip()!r} at {where} needs {arity} factors")
         for factor in key_names:
@@ -277,15 +236,15 @@ def default_tables() -> dict:
     return parse_tables(text)
 
 
-def chordal_form() -> TripleForm:
+def chordal_form() -> Form:
     return default_tables()["chordal"]
 
 
-def blowup_form() -> TripleForm:
+def blowup_form() -> Form:
     return default_tables()["blowup"]
 
 
-def scroll_form() -> SurfaceForm:
+def scroll_form() -> Form:
     return default_tables()["scroll"]
 
 
@@ -355,10 +314,10 @@ def verify_halved_hyperplane_class() -> dict:
     checks = Checks()
 
     recorded = {
-        "hyperplane^3": triple_product(hyperplane, hyperplane, hyperplane),
-        "hyperplane^2.exceptional": triple_product(hyperplane, hyperplane, exceptional),
-        "hyperplane.exceptional^2": triple_product(hyperplane, exceptional, exceptional),
-        "exceptional^3": triple_product(exceptional, exceptional, exceptional),
+        "hyperplane^3": intersection(hyperplane, hyperplane, hyperplane),
+        "hyperplane^2.exceptional": intersection(hyperplane, hyperplane, exceptional),
+        "hyperplane.exceptional^2": intersection(hyperplane, exceptional, exceptional),
+        "exceptional^3": intersection(exceptional, exceptional, exceptional),
     }
     expected = {
         "hyperplane^3": 5,
@@ -369,7 +328,7 @@ def verify_halved_hyperplane_class() -> dict:
     checks.add("recorded products of the blow-up presentation", recorded == expected,
                ", ".join(f"{k} = {v}" for k, v in recorded.items()))
 
-    cube = triple_product(halved, halved, halved)
+    cube = intersection(halved, halved, halved)
     checks.add("doubled hyperplane minus exceptional wall cubes to five", cube == 5,
                f"(2*hyperplane - exceptional)^3 = 8*5 - 12*0 + 6*(-10) - (-25) = {cube}")
 
@@ -428,11 +387,11 @@ def verify_double_point_formula() -> dict:
                constant == 75 and roots == [-5, 15] and positive == [15],
                f"d(d - 10) = {constant}; integer roots {roots}; positive root {positive}")
 
-    ksq_scroll = surface_product(canonical, canonical)
+    ksq_scroll = intersection(canonical, canonical)
     checks.add("scroll canonical class squares to zero", ksq_scroll == 0,
                f"(-2*section + ruling)^2 = {ksq_scroll}")
 
-    ten = surface_product(diagonal, hyperplane)
+    ten = intersection(diagonal, hyperplane)
     checks.add("diagonal image meets the hyperplane in ten points", ten == 10,
                f"(4*section - 2*ruling).(section + 2*ruling) = {ten}")
 
@@ -466,11 +425,11 @@ def verify_degree15_surfaces() -> dict:
     pencil = classes["pencil"]
     checks = Checks()
 
-    degree = triple_product(hyperplane, hyperplane, hyperplane)
+    degree = intersection(hyperplane, hyperplane, hyperplane)
     checks.add("hyperplane cubes to the quintic degree", degree == 5,
                f"hyperplane^3 = {degree}")
 
-    ruled_degree = triple_product(ruled, hyperplane, hyperplane)
+    ruled_degree = intersection(ruled, hyperplane, hyperplane)
     checks.add("ruled surface class has degree fifteen", ruled_degree == 15,
                f"(1,-2,6).hyperplane^2 = 5 - 2*4 + 6*3 = {ruled_degree}")
 
@@ -479,7 +438,7 @@ def verify_degree15_surfaces() -> dict:
                derived == adjoint and adjoint.coeffs == (3, -3, 4),
                f"-(-2,1,2) + (1,-2,6) = {derived.coeffs}")
 
-    adjoint_degree = triple_product(adjoint, hyperplane, hyperplane)
+    adjoint_degree = intersection(adjoint, hyperplane, hyperplane)
     checks.add("adjoint surface class has degree fifteen", adjoint_degree == 15,
                f"(3,-3,4).hyperplane^2 = 3*5 - 3*4 + 4*3 = {adjoint_degree}")
 

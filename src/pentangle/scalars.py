@@ -69,6 +69,19 @@ def _fold(cs: list[int]) -> list[int]:
     return cs[:_DEG]
 
 
+def _power(one, base, n: int):
+    """base ** n for n >= 0 by square-and-multiply from the identity `one`;
+    the base is squared only while exponent bits remain."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 class Cyclo:
     """An element of Q(eps15), stored reduced modulo Phi15.
 
@@ -203,14 +216,7 @@ class Cyclo:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(ONE, self, n)
 
     def __eq__(self, other: object) -> bool:
         other = _coerce(other)
@@ -825,14 +831,7 @@ class RatFunc:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = RatFunc.const(self.one_coeff, self.one_coeff)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(RatFunc.const(self.one_coeff, self.one_coeff), self, n)
 
     def eval(self, x):
         return self.num.eval(x) / self.den.eval(x)

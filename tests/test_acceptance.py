@@ -33,6 +33,10 @@ RUN_10_SHA256 = "e1cee102d716e8cac631e5f457c8842d28dbe3454d9d0ea721a0db1b450fa3c
 IDENTITIES_SHA256 = "34f7af547e7e5b120a0eb9a8d944cb21a65c9a695e1d595c51073ddba1aba056"
 IDENTITY_SUITES = ("hesse", "heisenberg", "sections", "moore", "lattice")
 
+# the same hash for the moore claims at --prime 241, the largest supported
+# prime, where the span claims run over F_241 as well as Q(eps15)(a)
+MOORE_241_SHA256 = "928858f251e888e9bf77baf88c22599a30ee001a58640aec4fad47212faee16c"
+
 # the same hash for the four curve suites (perfbench's `curve-scan`
 # workload), which draw from the run seed: at the default primes per seed,
 # and at --prime 241, the largest supported prime, for seed 42
@@ -175,19 +179,18 @@ def test_09_intersection_ledger_numbers():
         assert report["passed"]
     chordal = ns.chordal_classes()
     h = chordal["hyperplane"]
-    assert ns.triple_product(h, h, h) == 5
-    assert ns.triple_product(chordal["ruled_surface"], h, h) == 15
-    assert ns.triple_product(chordal["adjoint_surface"], h, h) == 15
+    assert ns.intersection(h, h, h) == 5
+    assert ns.intersection(chordal["ruled_surface"], h, h) == 15
+    assert ns.intersection(chordal["adjoint_surface"], h, h) == 15
     residual = (5 * h + chordal["canonical"] - chordal["adjoint_surface"]
                 - chordal["pencil"])
     assert residual.is_zero()
     blowup = ns.blowup_classes()
     wall = 2 * blowup["hyperplane"] - blowup["exceptional"]
-    assert ns.triple_product(wall, wall, wall) == 5
+    assert ns.intersection(wall, wall, wall) == 5
     assert (5 - 5) // 9 == 0
     scroll = ns.scroll_classes()
-    assert ns.surface_product(scroll["diagonal_curve"],
-                              scroll["hyperplane"]) == 10
+    assert ns.intersection(scroll["diagonal_curve"], scroll["hyperplane"]) == 10
     double_point = _names(ns.verify_double_point_formula())
     check = double_point["double point formula forces degree fifteen"]
     assert "[15]" in check["detail"]
@@ -217,6 +220,14 @@ def test_identities_claims_are_frozen(seed):
     assert len(key) == 175
     digest = hashlib.sha256(json.dumps(key).encode("utf-8")).hexdigest()
     assert digest == IDENTITIES_SHA256, "claims changed: new SHA-256 %s" % digest
+
+
+def test_moore_claims_at_the_largest_prime_are_frozen():
+    result = rp.run(rp.make_config(primes=(241,), suites=("moore",)))
+    key = [(c["id"], c["status"], c["witness"]) for c in result["claims"]]
+    assert len(key) == 49
+    digest = hashlib.sha256(json.dumps(key).encode("utf-8")).hexdigest()
+    assert digest == MOORE_241_SHA256, "claims changed: new SHA-256 %s" % digest
 
 
 @pytest.mark.parametrize("seed, primes, claims", [(42, (31, 61), 88), (7, (31, 61), 88),

@@ -306,16 +306,15 @@ def test_in_linear_span_degree_mismatch():
         in_linear_span(x0 + x0 * x1, [x0 * x1])
 
 
-def test_in_linear_span_with_parameter():
-    vars_a = ("x0", "x1", "a")
-    x0 = MultiPoly.variable("x0", vars_a)
-    x1 = MultiPoly.variable("x1", vars_a)
-    a = MultiPoly.variable("a", vars_a)
-    # q = a*(x0^2) + x1^2 against basis {x0^2, x1^2}: coefficients (a, 1)
-    q = a * x0 * x0 + x1 * x1
-    sol = in_linear_span(q, [x0 * x0, x1 * x1], param_vars=("a",))
-    assert sol is not None
-    assert sol[0] == RatFunc.gen()
-    assert sol[1] == RatFunc.const(1)
-    # and a non-member stays a non-member
-    assert in_linear_span(a * x0 * x1, [x0 * x0], param_vars=("a",)) is None
+def test_in_linear_span_over_rational_functions():
+    one = RatFunc.const(1)
+    a = RatFunc.gen()
+    inv = one / a
+    x0, x1 = MultiPoly.gens(("x0", "x1"), one)
+    # basis coefficients with a^k denominators, as the moore quadrics have
+    basis = [x0 * x0 * a - x1 * x1 * inv, x0 * x1 * inv ** 2]
+    coeffs = [inv ** 3, a ** 2 - inv]
+    q = basis[0] * coeffs[0] + basis[1] * coeffs[1]
+    assert in_linear_span(q, basis) == coeffs
+    # x1^2 is not a combination of the mixed and the x0^2-weighted quadric
+    assert in_linear_span(x1 * x1 * inv, [basis[1], x0 * x0 * a]) is None

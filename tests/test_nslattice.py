@@ -150,31 +150,31 @@ def test_parse_rejects_stray_content():
 def test_product_examples():
     c = ns.chordal_classes()
     h = c["hyperplane"]
-    assert ns.triple_product(h, h, h) == 5
-    assert ns.triple_product(c["ruled_surface"], h, h) == 15
+    assert ns.intersection(h, h, h) == 5
+    assert ns.intersection(c["ruled_surface"], h, h) == 15
     zero = ns.DivisorClass(ns.chordal_form(), (0, 0, 0))
-    assert ns.triple_product(zero, h, h) == 0
-    assert ns.triple_product(c["adjoint_surface"], h, h) == 15
+    assert ns.intersection(zero, h, h) == 0
+    assert ns.intersection(c["adjoint_surface"], h, h) == 15
 
 
 def test_form_mismatch_rejected():
     h = ns.chordal_classes()["hyperplane"]
     x = ns.blowup_classes()["exceptional"]
     with pytest.raises(ValueError, match="different forms"):
-        ns.triple_product(h, h, x)
+        ns.intersection(h, h, x)
     with pytest.raises(TypeError):
-        ns.surface_product(h, h)
+        ns.intersection(h, h)
     s = ns.scroll_classes()["section"]
     with pytest.raises(TypeError):
-        ns.triple_product(s, s, s)
+        ns.intersection(s, s, s)
 
 
 def test_zero_coefficients_bypass_fenced_slots():
     c = ns.blowup_classes()
     halved = c["chordal_hyperplane"]
-    assert ns.triple_product(halved, halved, halved) == 5
+    assert ns.intersection(halved, halved, halved) == 5
     with pytest.raises(ValueError, match="not recorded"):
-        ns.triple_product(c["fiber"], c["hyperplane"], c["hyperplane"])
+        ns.intersection(c["fiber"], c["hyperplane"], c["hyperplane"])
 
 
 def test_vector_arithmetic():
@@ -190,28 +190,38 @@ def test_vector_arithmetic():
         ns.DivisorClass(form, (1, 2))
 
 
+#: leading coefficients drawn per form; the blow-up fiber coefficient
+#: stays zero, since its mixed fiber products are fenced
+DRAWN = {"chordal": 3, "blowup": 2, "scroll": 2}
+
+
+def _classes(name, vectors):
+    form = ns.default_tables()[name]
+    pad = (0,) * (len(form.basis) - DRAWN[name])
+    return form, [ns.DivisorClass(form, v[:DRAWN[name]] + pad) for v in vectors]
+
+
+@pytest.mark.parametrize("name", sorted(DRAWN))
 @given(VECTOR, VECTOR, VECTOR, VECTOR, st.integers(min_value=-5, max_value=5))
-def test_triple_product_is_trilinear(u, v, w, extra, scalar):
-    form = ns.chordal_form()
-    du = ns.DivisorClass(form, u)
-    dv = ns.DivisorClass(form, v)
-    dw = ns.DivisorClass(form, w)
-    dx = ns.DivisorClass(form, extra)
-    left = ns.triple_product(du + scalar * dx, dv, dw)
-    right = ns.triple_product(du, dv, dw) + scalar * ns.triple_product(dx, dv, dw)
-    assert left == right
-    middle = ns.triple_product(dv, du + scalar * dx, dw)
-    assert middle == ns.triple_product(dv, du, dw) + scalar * ns.triple_product(dv, dx, dw)
+def test_intersection_is_multilinear(name, u, v, w, extra, scalar):
+    form, (du, dv, dw, dx) = _classes(name, (u, v, w, extra))
+    rest = (dv, dw)[:form.arity - 1]
+    left = ns.intersection(du + scalar * dx, *rest)
+    assert left == ns.intersection(du, *rest) + scalar * ns.intersection(dx, *rest)
+    head, tail = rest[:1], rest[1:]
+    middle = ns.intersection(*head, du + scalar * dx, *tail)
+    assert middle == (ns.intersection(*head, du, *tail)
+                      + scalar * ns.intersection(*head, dx, *tail))
 
 
+@pytest.mark.parametrize("name", sorted(DRAWN))
 @given(VECTOR, VECTOR, VECTOR)
-def test_triple_product_is_symmetric(u, v, w):
-    form = ns.chordal_form()
-    du = ns.DivisorClass(form, u)
-    dv = ns.DivisorClass(form, v)
-    dw = ns.DivisorClass(form, w)
-    value = ns.triple_product(du, dv, dw)
-    assert value == ns.triple_product(dv, dw, du) == ns.triple_product(dw, du, dv)
+def test_intersection_is_symmetric(name, u, v, w):
+    form, classes = _classes(name, (u, v, w))
+    classes = classes[:form.arity]
+    value = ns.intersection(*classes)
+    assert ns.intersection(*classes[1:], classes[0]) == value
+    assert ns.intersection(*reversed(classes)) == value
 
 
 # ---------------------------------------------------------------------------
