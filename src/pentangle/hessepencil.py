@@ -443,8 +443,8 @@ def _fp_multiples_235(lam: int, p: int, pts: np.ndarray) -> tuple:
 # -- enumeration over F_p ----------------------------------------------
 
 #: rows per lambda-grid slab; each int64 temporary of a slab has at most
-#: _CHUNK * (p - 1) entries, 1.4 MB at the largest witness prime 2791
-_CHUNK = 64
+#: _CHUNK * (p - 1) entries, 0.7 MB at the largest witness prime 2791
+_CHUNK = 32
 
 
 def _lambda_blocks(p: int):
@@ -854,8 +854,9 @@ def verify_intersection_arithmetic(seed: int = 20260824) -> dict:
         return (a == b).all(axis=1)
 
     # (i) 3r+2q = 0 on the diagonal r = q means exactly 5q = 0
-    two_q, three_q, five_q = _fp_multiples_235(lam, p, pts)
-    diagonal = _fp_add(lam, p, three_q, two_q)
+    # two routes: the diagonal is 3q + 2q, and 5q is q + 4q by double-and-add
+    two_q, three_q, diagonal = _fp_multiples_235(lam, p, pts)
+    five_q = _fp_scalar(lam, p, 5, pts)
     five_tors = _is_origin(five_q, p)
     diag = _is_origin(diagonal, p)
     checks.add("diagonal of 3r+2q = 0 is the 5-torsion",

@@ -133,8 +133,6 @@ def intersection(*classes: DivisorClass) -> int:
     only through a nonzero coefficient.  The class count must equal the
     form's arity.
     """
-    if not classes:
-        raise TypeError("intersection needs at least one class")
     for other in classes[1:]:
         classes[0]._require_same_form(other)
     form = classes[0].form

@@ -386,12 +386,13 @@ def test_enumeration_matches_chart_scan(p, lams):
         assert sorted(map(tuple, members[lam].tolist())) == expected
 
 
-@pytest.mark.parametrize("chunk", (hessepencil._CHUNK, 7))
+@pytest.mark.parametrize("chunk", (hessepencil._CHUNK, 64, 7))
 @pytest.mark.parametrize("p", (29, 31, 61))
 def test_lambda_histogram_matches_chart_scan(p, chunk, monkeypatch):
-    # every lam, with 29 = 2 mod 3 among the primes; a chunk of 7 rows
-    # gives several slabs, a ragged last one, and off-diagonal rectangles
-    # whose entries count twice
+    # every lam, with 29 = 2 mod 3 among the primes; a chunk of 64 rows
+    # takes each grid in one slab, and a chunk of 7 rows gives several
+    # slabs, a ragged last one, and off-diagonal rectangles whose entries
+    # count twice
     monkeypatch.setattr(hessepencil, "_CHUNK", chunk)
     expected = [sum(1 for x, y, z in _chart_scan(lam, p) if x and y and z)
                 for lam in range(p)]
@@ -519,6 +520,29 @@ def test_intersection_arithmetic_report():
     assert report["passed"]
     assert all(c["passed"] for c in report["checks"])
     assert report["group"]["invariants"] == (3, 12)
+
+
+def _diagonal_as_four_q(lam, p, pts):
+    two = _fp_add(lam, p, pts, pts)
+    three = _fp_add(lam, p, two, pts)
+    return two, three, _fp_add(lam, p, three, pts)
+
+
+def _five_q_as_four_q(lam, p, k, pts):
+    return _fp_scalar(lam, p, 4 if k == 5 else k, pts)
+
+
+@pytest.mark.parametrize("name, broken", [
+    ("_fp_multiples_235", _diagonal_as_four_q),
+    ("_fp_scalar", _five_q_as_four_q),
+])
+def test_diagonal_identity_compares_two_routes(name, broken, monkeypatch):
+    """Breaking either route to 5q must fail the diagonal identities."""
+    monkeypatch.setattr(hessepencil, name, broken)
+    checks = {c["name"]: c["passed"]
+              for c in verify_intersection_arithmetic()["checks"]}
+    assert not checks["diagonal of 3r+2q = 0 is the 5-torsion"]
+    assert not checks["diagonal of 3r+2q = -tau matches 5q = -tau for all 8 taus"]
 
 
 def test_translation_action_report():
