@@ -263,11 +263,12 @@ def _kernel_stack(reduced, pivots, p: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(pivots[owners], entries, free[:, None] == np.arange(pivots.shape[1])), owners
 
 
-def _nullspace_mod_p(rows, p: int) -> tuple:
-    """Deterministic kernel basis: each free column set to one in turn."""
+def _nullspace_mod_p(rows, p: int) -> np.ndarray:
+    """Deterministic kernel basis, one vector per row: each free column set
+    to one in turn."""
     reduced, pivots = _rref_mod_p(rows, p)
     mask = np.isin(np.arange(reduced.shape[1]), pivots)
-    return tuple(map(tuple, _kernel_stack(reduced[None], mask[None], p)[0].tolist()))
+    return _kernel_stack(reduced[None], mask[None], p)[0]
 
 
 def _random_point(rng: random.Random, p: int) -> tuple:
@@ -275,6 +276,34 @@ def _random_point(rng: random.Random, p: int) -> tuple:
         vec = tuple(rng.randrange(p) for _ in range(5))
         if any(vec):
             return vec
+
+
+def _random_points(rng: random.Random, p: int, n: int) -> np.ndarray:
+    """n ``_random_point`` draws as a (5, n) stack, leaving rng as they do.
+
+    ``randrange(p)`` retries ``getrandbits(k)``, k = p.bit_length(), until
+    it is below p; that is the top k bits of one 32-bit output, and
+    ``getrandbits(32*m)`` holds m outputs, the first least significant.  The
+    draws are read off such blocks, all-zero vectors skipped, and rng is
+    rewound and advanced by the outputs used.
+    """
+    if not n:
+        return np.zeros((5, 0), dtype=np.int64)
+    state = rng.getstate()
+    k = p.bit_length()
+    words = np.zeros(0, dtype=np.uint32)
+    kept = []
+    while len(kept) < n:
+        # the outputs the missing vectors need on average, and one vector's more
+        m = (5 * (n - len(kept)) + 5) * 2 ** k // p + 1
+        block = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        words = np.concatenate([words, np.frombuffer(block, dtype="<u4") >> (32 - k)])
+        accepted = np.flatnonzero(words < p)
+        vectors = words[accepted[:accepted.size // 5 * 5]].reshape(-1, 5)
+        kept = np.flatnonzero(vectors.any(axis=1))
+    rng.setstate(state)
+    rng.getrandbits(32 * int(accepted[5 * kept[n - 1] + 4] + 1))
+    return vectors[kept[:n]].T.astype(np.int64)
 
 
 def _chord_sample(rng: random.Random, points, p: int) -> tuple:
@@ -634,8 +663,8 @@ def certify_secant_variety(scan: CurveScan, seed: int = SEED) -> dict:
     checks.add("dual determinant vanishes on chord samples", vanished == SECANT_SAMPLES,
                f"{vanished}/{SECANT_SAMPLES} chord points have zero dual determinant")
 
-    xs, ys = np.array([(_random_point(rng, p), _random_point(rng, p))
-                       for _ in range(DUALITY_SAMPLES)], dtype=np.int64).transpose(1, 2, 0)
+    pairs = _random_points(rng, p, 2 * DUALITY_SAMPLES)
+    xs, ys = pairs[:, 0::2], pairs[:, 1::2]
     agree = np.count_nonzero(np.all(np.equal(
         _times(_structure_rows(ys, z, p), xs, p), _times(_dual_rows(xs, z, p), ys, p)), axis=0))
     checks.add("structure and dual evaluations agree on random pairs",
@@ -653,8 +682,7 @@ def certify_secant_variety(scan: CurveScan, seed: int = SEED) -> dict:
                "no nonzero value found in 64 draws" if witness is None
                else f"determinant {witness[1]} at {witness[0]}")
 
-    uniform = np.array([_random_point(rng, p) for _ in range(SECANT_SAMPLES)],
-                       dtype=np.int64).T
+    uniform = _random_points(rng, p, SECANT_SAMPLES)
     zeros = int(np.count_nonzero(_det_staged(_dual_rows(uniform, z, p), p) == 0))
     tenths = _rounded_ratio(10 * SECANT_SAMPLES, p)
     low, high = _density_envelope(SECANT_SAMPLES, p)
@@ -879,7 +907,9 @@ def _coefficients(values, d: int, p: int) -> np.ndarray:
     a single vector).  The lattice is the principal lattice of the simplex
     (Nicolaides, SIAM J. Numer. Anal. 9, 1972): over F_p it determines the
     forms exactly when p > d, and the solve raises unless its pivots are
-    the monomial columns.
+    the monomial columns.  It serves forms known only by their values: the
+    quadrics (d = 2) and the chordal quintic (d = 5); products of known
+    forms are multiplied out by ``_multiply`` instead.
     """
     square = _monomial_matrix(_lattice(d), d, p)
     n = square.shape[1]
@@ -888,6 +918,75 @@ def _coefficients(values, d: int, p: int) -> np.ndarray:
         raise RuntimeError(f"degree-{d} forms are not determined by their lattice values "
                            f"over F_{p}")
     return reduced[:, n:].reshape(np.shape(values))
+
+
+def _product_table(d1: int, d2: int) -> np.ndarray:
+    """Where monomial i of degree d1 times monomial j of degree d2 falls
+    among those of degree d1 + d2, as an (n1, n2) table, in coefficient
+    order.  Codes with the exponents as base-(d1 + d2 + 1) digits sort in
+    that order and add under products, which reach every monomial."""
+    weights = (d1 + d2 + 1) ** np.arange(4, -1, -1)
+    codes = (_lattice(d1).T @ weights)[:, None] + _lattice(d2).T @ weights
+    return np.unique(codes, return_inverse=True)[1].reshape(codes.shape)
+
+
+def _multiply(left, right, table, p: int) -> np.ndarray:
+    """The products of the forms in the columns of ``left`` and ``right``,
+    column by column, by one ``np.add.at`` over their ``_product_table``.
+    An output coefficient sums one product per monomial of the right factor
+    at most: 15 products of residues for quadrics, under 9*10**5 at p=241,
+    the largest supported prime, far inside int64."""
+    out = np.zeros((table.max() + 1, left.shape[1]), dtype=np.int64)
+    np.add.at(out, table, left[:, None] * right)
+    return out % p
+
+
+def _quadric_products(p: int, a: int) -> np.ndarray:
+    """The (210, 35) coefficients of the products q**alpha, |alpha| = 3 in
+    coefficient order: the quadrics read off their lattice values, then
+    each product of k quadrics one of k - 1 times a quadric."""
+    quadrics = _coefficients(np.array(_quadric_values(_lattice(2), p, a)).T, 2, p)[:, ::-1]
+    products = quadrics
+    for k in (2, 3):
+        # the first (product, quadric) pair landing on each exponent tuple
+        left, right = np.divmod(np.unique(_product_table(k - 1, 1), return_index=True)[1], 5)
+        products = _multiply(products[:, left], quadrics[:, right],
+                             _product_table(2 * k - 2, 2), p)
+    return products
+
+
+def _coordinate_multiples(quintics) -> np.ndarray:
+    """The (210, 5, k) sextic coefficients of x_j * g for the k quintics g
+    in the columns of a (126, k) array."""
+    out = np.zeros((210, 5, quintics.shape[1]), dtype=np.int64)
+    out[_product_table(5, 1)[:, ::-1], np.arange(5)] = quintics[:, None]
+    return out
+
+
+def _cremona_kernel(products, p: int) -> np.ndarray:
+    """Kernel basis of the interpolation system in c_0 .. c_4 (the cubics)
+    and g (the quintic factor), one vector per row.
+
+    Block j reads P c_j = x_j * g in sextic coefficients, P = ``products``.
+    With N the left kernel of P (a 35-pivot solve), g runs through the
+    kernel of N's columns at the rows of x_j * beta, stacked over j, and
+    the c_j are read off one solve of [P | x_j * g].  The g-system has the
+    full system's free columns, so this is ``_nullspace_mod_p`` of the full
+    system.  Each solve is ``_rref_mod_p``, within its int64 bound; the
+    stacking only moves residues.
+    """
+    nsextic, ncubic = products.shape
+    left = _nullspace_mod_p(products.T, p)
+    if len(left) > nsextic - ncubic:
+        raise RuntimeError(f"the {ncubic} quadric products have rank "
+                           f"{nsextic - len(left)} over F_{p}")
+    # shift[beta, j]: the sextic coefficient of x_j * x**beta
+    shift = _product_table(5, 1)[:, ::-1]
+    factors = _nullspace_mod_p(left[:, shift.T].reshape(-1, len(shift)), p)
+    multiples = _coordinate_multiples(factors.T).reshape(nsextic, -1)
+    reduced = _rref_mod_p(np.column_stack([products, multiples]), p)[0]
+    cubics = reduced[:ncubic, ncubic:].reshape(ncubic, 5, -1).transpose(2, 1, 0)
+    return np.column_stack([cubics.reshape(-1, 5 * ncubic), factors])
 
 
 class CremonaWitness:
@@ -933,55 +1032,40 @@ def interpolate_cremona_inverse(scan: CurveScan, seed: int = SEED) -> CremonaWit
 
     The composition of a candidate inverse with the forward map must equal
     a common degree-five factor times the identity, coefficient by
-    coefficient.  The coefficients of the products q**alpha come from their
-    values on the sextic lattice, and that linear condition is solved
-    exactly by row reduction over F_p.  The solution is then re-checked
-    against the system, compared with the chordal quintic (the dual
-    determinant, read off the quintic lattice the same way), and exercised
-    on random round trips and chord images, evaluated in batches.
+    coefficient.  The coefficients of the products q**alpha are multiplied
+    out from the quadrics', and that linear condition, five row blocks on
+    one shared matrix of products, is solved exactly over F_p by
+    ``_cremona_kernel``.  The solution is then re-checked against each
+    block, compared with the chordal quintic (the dual determinant, read
+    off its values on the quintic lattice), and exercised on random round
+    trips and chord images, evaluated in batches.
     """
     p, a = scan.p, scan.a
     z = _z_residues(p, a)
     rng = random.Random(seed)
-    # ascending order fixes the column order, hence the kernel vector chosen
-    quintic_monomials = monomials(5, 5)[::-1]
-    sextic_index = {m: i for i, m in enumerate(monomials(6, 5)[::-1])}
     # column k: coefficients of the k-th cubic monomial in the quadrics
-    products = _coefficients(_monomial_matrix(_quadric_values(_lattice(6), p, a), 3, p), 6, p)
-    ncubic = products.shape[1]
-    ncols = 5 * ncubic + len(quintic_monomials)
-
-    # row block j: the sextic coefficients of sum_k c_jk q**alpha_k - x_j * g
-    nsextic = len(sextic_index)
-    system = np.zeros((5 * nsextic, ncols), dtype=np.int64)
-    for j in range(5):
-        system[j * nsextic:(j + 1) * nsextic, j * ncubic:(j + 1) * ncubic] = products
-        for column, beta in enumerate(quintic_monomials):
-            shifted = list(beta)
-            shifted[j] += 1
-            system[j * nsextic + sextic_index[tuple(shifted)], 5 * ncubic + column] = p - 1
-
-    basis = _nullspace_mod_p(system, p)
+    products = _quadric_products(p, a)
+    nsextic, ncubic = products.shape
+    basis = _cremona_kernel(products, p)
     dimension = len(basis)
-    solution = next((np.array(vec, dtype=np.int64) for vec in basis if any(vec[5 * ncubic:])),
-                    None)
-    if solution is None:
-        raise RuntimeError(
-            "interpolation admits no inverse with a nonzero common factor "
-            f"(solution space dimension {dimension})")
-    cubics = solution[:5 * ncubic].reshape(5, ncubic)
-    factor = solution[5 * ncubic:]
+    if not dimension:
+        raise RuntimeError("interpolation admits no inverse with a nonzero common factor "
+                           "(solution space dimension 0)")
+    # ascending monomial order fixes the free columns, hence the vector chosen
+    cubics = basis[0, :5 * ncubic].reshape(5, ncubic)
+    factor = basis[0, 5 * ncubic:]
 
     checks = Checks()
     checks.add("interpolation system admits a nonzero solution", dimension >= 1,
                f"solution space dimension {dimension} "
-               f"({system.shape[0]} equations, {ncols} unknowns)")
+               f"({5 * nsextic} equations, {basis.shape[1]} unknowns)")
     support = np.flatnonzero(factor)
     checks.add("common factor is a nonzero quintic", support.size > 0,
                f"{support.size} monomials")
-    # each row sums at most 301 products of residues below p: under 1.8*10**7 at p=241
-    checks.add("composition identity holds coefficient-wise",
-               not np.any(system @ solution % p),
+    # block j: products @ c_j against x_j * factor; an entry sums 35 products
+    # of residues below p, under 2.1*10**6 at p=241
+    residual = products @ cubics.T - _coordinate_multiples(factor[:, None])[..., 0]
+    checks.add("composition identity holds coefficient-wise", not np.any(residual % p),
                "cubics composed with the quadrics equal the factor times each coordinate")
 
     chordal = _coefficients(_det_staged(_dual_rows(_lattice(5), z, p), p), 5, p)
@@ -999,7 +1083,7 @@ def interpolate_cremona_inverse(scan: CurveScan, seed: int = SEED) -> CremonaWit
         # each draw gives at most one valid sample, so a sequential loop
         # would make every draw of this round too, and no more
         count = min(ROUNDTRIP_SAMPLES - valid, 8 * ROUNDTRIP_SAMPLES - draws)
-        xs = np.array([_random_point(rng, p) for _ in range(count)], dtype=np.int64).T
+        xs = _random_points(rng, p, count)
         draws += count
         images = np.array(_quadric_values(xs, p, a))
         g_values = _monomial_matrix(xs, 5, p) @ factor % p
@@ -1018,12 +1102,13 @@ def interpolate_cremona_inverse(scan: CurveScan, seed: int = SEED) -> CremonaWit
     chords = np.array([_chord_sample(rng, scan.points, p) for _ in range(CHORD_IMAGE_SAMPLES)],
                       dtype=np.int64).T
     stack = np.array(_quadric_values(chords, p, a))
-    surviving = [
-        (c, d) for c in range(1, 5) for d in range(5)
-        if not np.any(_det_staged(_structure_rows(
-            stack[[(c * i + d) % 5 for i in range(5)]], z, p), p))
-    ]
-    zero_count = int(np.count_nonzero(_det_staged(_structure_rows(stack, z, p), p) == 0))
+    # every index map's permuted images side by side, (1, 0) the identity first
+    maps = [(c, d) for c in range(1, 5) for d in range(5)]
+    permuted = np.concatenate([stack[[(c * i + d) % 5 for i in range(5)]] for c, d in maps],
+                              axis=1)
+    dets = _det_staged(_structure_rows(permuted, z, p), p).reshape(len(maps), -1)
+    surviving = [m for m, row in zip(maps, dets) if not row.any()]
+    zero_count = int(np.count_nonzero(dets[0] == 0))
     checks.add("structure determinant vanishes on chord images",
                zero_count == CHORD_IMAGE_SAMPLES,
                f"{zero_count}/{CHORD_IMAGE_SAMPLES} chord images on the determinant "

@@ -39,11 +39,13 @@ MOORE_241_SHA256 = "928858f251e888e9bf77baf88c22599a30ee001a58640aec4fad47212fae
 
 # the same hash for the four curve suites (perfbench's `curve-scan`
 # workload), which draw from the run seed: at the default primes per seed,
-# and at --prime 241, the largest supported prime, for seed 42
+# and for seed 42 at --prime 241, the largest supported prime, and at the
+# other three supported primes
 CURVE_SHA256 = {
     (42, (31, 61)): "1c237ee1ff78787315166971276ea29cbe1ff2aa7e1a1ac5b2260bd28c081f91",
     (7, (31, 61)): "bd54d1100371b30fe71a9c5313d891612fe244dcf212e73fe4f659cc503ce2cf",
     (42, (241,)): "734846f7200f18c2c91eac2b7bf4b79dc01ef749628b9a5aa6c7eedd7c183763",
+    (42, (151, 181, 211)): "13b18497083bee9e3d75baeb8378ecc52a559e71d948e822906329df8f17f104",
 }
 CURVE_SUITES = ("scan", "secants", "incidence", "cremona")
 
@@ -231,7 +233,7 @@ def test_moore_claims_at_the_largest_prime_are_frozen():
 
 
 @pytest.mark.parametrize("seed, primes, claims", [(42, (31, 61), 88), (7, (31, 61), 88),
-                                                  (42, (241,), 42)])
+                                                  (42, (241,), 42), (42, (151, 181, 211), 126)])
 def test_curve_claims_are_frozen(seed, primes, claims):
     result = rp.run(rp.make_config(seed=seed, primes=primes, suites=CURVE_SUITES))
     key = [(c["id"], c["status"], c["witness"]) for c in result["claims"]]

@@ -375,8 +375,8 @@ def test_nullspace_vectors_annihilate():
             fp_rank = len(probe._rref_mod_p(rows, p)[1])
             exact_rows = [[Fp(v, p) for v in row] for row in rows]
             assert fp_rank == scalar_matrix_rank(exact_rows, one)
-            assert kernel == tuple(tuple(c.v for c in vec)
-                                   for vec in scalar_matrix_nullspace(exact_rows, one))
+            assert kernel.tolist() == [[c.v for c in vec]
+                                       for vec in scalar_matrix_nullspace(exact_rows, one)]
             assert len(kernel) == len(rows[0]) - fp_rank
             for vec in kernel:
                 for row in rows:
@@ -587,6 +587,43 @@ def test_secant_certification_deterministic(scan31):
     second = probe.certify_secant_variety(scan31, seed=7)
     assert first == second
     assert first != probe.certify_secant_variety(scan31, seed=8)
+
+
+class _CountingRandom(random.Random):
+    """A generator that counts its block reads, getrandbits of over 32 bits."""
+
+    def __init__(self, seed):
+        self.blocks = 0
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.blocks += k > 32
+        return super().getrandbits(k)
+
+
+def _assert_block_replays_sequential_draws(rng, p, n):
+    sequential = random.Random()
+    sequential.setstate(rng.getstate())
+    block = probe._random_points(rng, p, n)
+    expected = [probe._random_point(sequential, p) for _ in range(n)]
+    assert block.dtype == np.int64 and block.shape == (5, n)
+    assert block.T.tolist() == [list(x) for x in expected]
+    assert rng.getstate() == sequential.getstate()
+    assert rng.random() == sequential.random()
+
+
+@pytest.mark.parametrize("p", probe.SUPPORTED_PRIMES + (2, 3, 5, 7))
+def test_block_draws_replay_sequential_draws(p):
+    for n in (0, 1, 17):
+        _assert_block_replays_sequential_draws(random.Random(SEED), p, n)
+    # a thousand points at the first seed whose first block falls short:
+    # one read per block, and one to advance past the outputs used
+    for seed in range(40):
+        rng = _CountingRandom(seed)
+        _assert_block_replays_sequential_draws(rng, p, 1000)
+        if rng.blocks > 2:
+            break
+    assert rng.blocks > 2
 
 
 def test_chord_samples_off_the_curve(scan31):
@@ -828,8 +865,7 @@ def test_chordal_quintic_equals_symbolic_dual_determinant(dual_det31):
 
 def test_quadric_products_equal_symbolic_powers():
     p, a = 31, 2
-    values = probe._monomial_matrix(probe._quadric_values(probe._lattice(6), p, a), 3, p)
-    products = probe._coefficients(values, 6, p)
+    products = probe._quadric_products(p, a)
     quadrics = QuadricSystem(Fp(a, p)).quadrics
     for column, alpha in enumerate(monomials(3, 5)[::-1]):
         power = MultiPoly.constant(VARS_X, Fp(1, p), Fp(1, p))
@@ -837,6 +873,69 @@ def test_quadric_products_equal_symbolic_powers():
             for _ in range(e):
                 power = power * q
         assert products[:, column].tolist() == _vector(power, 6)
+
+
+DEFAULT_PAIRS = [(p, a) for p in probe.SUPPORTED_PRIMES for a in probe.admissible_moduli(p)]
+
+
+def _interpolated_products(p, a):
+    """The products q**alpha read off their values on the sextic lattice."""
+    values = probe._monomial_matrix(probe._quadric_values(probe._lattice(6), p, a), 3, p)
+    return probe._coefficients(values, 6, p)
+
+
+@pytest.mark.parametrize("p,a", DEFAULT_PAIRS)
+def test_multiplied_products_equal_lattice_interpolation(p, a):
+    assert np.array_equal(probe._quadric_products(p, a), _interpolated_products(p, a))
+
+
+def test_multiply_matches_symbolic_products():
+    # an output coefficient sums at most 15 products of residues; checked
+    # at p=241, the largest supported prime, with the worst-case residue p-1
+    p = 241
+    rng = random.Random(SEED)
+    for d1, d2 in ((1, 1), (2, 2), (4, 2), (5, 1)):
+        n1, n2 = len(monomials(d1, 5)), len(monomials(d2, 5))
+        left = np.array([[p - 1] * n1] + [[rng.randrange(p) for _ in range(n1)]
+                                          for _ in range(3)], dtype=np.int64).T
+        right = np.array([[p - 1] * n2] + [[rng.randrange(p) for _ in range(n2)]
+                                           for _ in range(3)], dtype=np.int64).T
+        out = probe._multiply(left, right, probe._product_table(d1, d2), p)
+        for k in range(4):
+            product = _form(left[:, k], d1, p) * _form(right[:, k], d2, p)
+            assert out[:, k].tolist() == _vector(product, d1 + d2)
+
+
+def _dense_system(products, p):
+    """The interpolation system as one matrix: row block j holds the sextic
+    coefficients of sum_k c_jk q**alpha_k - x_j * g."""
+    nsextic, ncubic = products.shape
+    sextic_index = {m: i for i, m in enumerate(monomials(6, 5)[::-1])}
+    quintics = monomials(5, 5)[::-1]
+    system = np.zeros((5 * nsextic, 5 * ncubic + len(quintics)), dtype=np.int64)
+    for j in range(5):
+        system[j * nsextic:(j + 1) * nsextic, j * ncubic:(j + 1) * ncubic] = products
+        for column, beta in enumerate(quintics):
+            shifted = list(beta)
+            shifted[j] += 1
+            system[j * nsextic + sextic_index[tuple(shifted)], 5 * ncubic + column] = p - 1
+    return system
+
+
+@pytest.mark.parametrize("p,a", [(31, a) for a in probe.admissible_moduli(31, 31)]
+                         + [pair for pair in DEFAULT_PAIRS if pair[0] != 31])
+def test_block_kernel_equals_dense_nullspace(p, a):
+    products = probe._quadric_products(p, a)
+    kernel = probe._cremona_kernel(products, p)
+    assert kernel.shape == (1, 5 * 35 + 126)
+    assert kernel.tolist() == probe._nullspace_mod_p(_dense_system(products, p), p).tolist()
+
+
+def test_rank_guard_raises_on_dependent_products():
+    products = probe._quadric_products(31, 2)
+    products[:, 7] = products[:, 3]
+    with pytest.raises(RuntimeError, match="rank 34 over F_31"):
+        probe._cremona_kernel(products, 31)
 
 
 def test_coefficients_invert_random_forms():
@@ -890,6 +989,22 @@ def _every_fiftieth_on_curve(random_point, points):
     return draw
 
 
+def _every_fiftieth_column_on_curve(random_points, points):
+    """Block draws that put every fiftieth point on the curve as
+    _every_fiftieth_on_curve does, one column at a time; the rng
+    consumption stays as it was."""
+    calls = itertools.count(1)
+
+    def draw(rng, p, n):
+        xs = random_points(rng, p, n)
+        for column in range(n):
+            if next(calls) % 50 == 0:
+                xs[:, column] = points[xs[0, column] % len(points)]
+        return xs
+
+    return draw
+
+
 @pytest.mark.parametrize("p,a,on_curve", [(31, 2, False), (61, 1, False), (31, 2, True)])
 def test_batched_round_trip_matches_sequential_loop(monkeypatch, p, a, on_curve):
     scan = probe.scan_curve(p, a)
@@ -902,14 +1017,13 @@ def test_batched_round_trip_matches_sequential_loop(monkeypatch, p, a, on_curve)
         return chord_sample(rng, points, q)
 
     monkeypatch.setattr(probe, "_chord_sample", spy)
-    random_point = probe._random_point
     if on_curve:
-        monkeypatch.setattr(probe, "_random_point",
-                            _every_fiftieth_on_curve(random_point, scan.points))
+        monkeypatch.setattr(probe, "_random_points",
+                            _every_fiftieth_column_on_curve(probe._random_points, scan.points))
     witness = probe.interpolate_cremona_inverse(scan)
     if on_curve:
         monkeypatch.setattr(probe, "_random_point",
-                            _every_fiftieth_on_curve(random_point, scan.points))
+                            _every_fiftieth_on_curve(probe._random_point, scan.points))
     rng = random.Random(SEED)
     passes, skips, valid = _sequential_round_trip(witness, rng)
     assert (passes, valid) == (probe.ROUNDTRIP_SAMPLES, probe.ROUNDTRIP_SAMPLES)
@@ -933,13 +1047,14 @@ def _corrupt_chordal_quintic(monkeypatch):
 
 
 def _corrupt_kernel_vector(monkeypatch):
-    nullspace = probe._nullspace_mod_p
+    kernel = probe._cremona_kernel
 
-    def bumped_first_entry(rows, p):
-        first, *rest = nullspace(rows, p)
-        return ((first[0] + 1) % p,) + first[1:], *rest
+    def bumped_first_entry(products, p):
+        basis = kernel(products, p)
+        basis[0, 0] = (basis[0, 0] + 1) % p
+        return basis
 
-    monkeypatch.setattr(probe, "_nullspace_mod_p", bumped_first_entry)
+    monkeypatch.setattr(probe, "_cremona_kernel", bumped_first_entry)
 
 
 @pytest.mark.parametrize("corrupt,failing", [
