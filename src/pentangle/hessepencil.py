@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import Sequence
 
 import numpy as np
@@ -322,17 +322,21 @@ def _rows(points) -> np.ndarray:
     return np.asarray(points, dtype=np.int64).reshape(-1, 3)
 
 
+def _fp_cubic(lam: int, p: int, pts: np.ndarray) -> np.ndarray:
+    """The member's cubic at every row; zero exactly on its points."""
+    x, y, z = pts.T
+    return (x ** 3 + y ** 3 + z ** 3 + lam * x * y * z) % p
+
+
 def _fp_restrict(lam: int, p: int, a: np.ndarray, r: np.ndarray) -> tuple:
     """Coefficients of the cubic on the lines s*a + t*r, one per row."""
     a0, a1, a2 = a.T
     r0, r1, r2 = r.T
-    c30 = (a0 ** 3 + a1 ** 3 + a2 ** 3 + lam * a0 * a1 * a2) % p
-    c03 = (r0 ** 3 + r1 ** 3 + r2 ** 3 + lam * r0 * r1 * r2) % p
     c21 = (3 * (a0 * a0 * r0 + a1 * a1 * r1 + a2 * a2 * r2)
            + lam * (a0 * a1 * r2 + a0 * r1 * a2 + r0 * a1 * a2)) % p
     c12 = (3 * (a0 * r0 * r0 + a1 * r1 * r1 + a2 * r2 * r2)
            + lam * (a0 * r1 * r2 + r0 * a1 * r2 + r0 * r1 * a2)) % p
-    return c30, c21, c12, c03
+    return _fp_cubic(lam, p, a), c21, c12, _fp_cubic(lam, p, r)
 
 
 def _fp_gradient(lam: int, p: int, pts: np.ndarray) -> np.ndarray:
@@ -357,10 +361,27 @@ def _fp_normalize(v: np.ndarray, p: int) -> np.ndarray:
     return v * _inverse_table(p)[lead][:, None] % p
 
 
+def _fp_tangent_companions(lam: int, p: int, pts: np.ndarray) -> np.ndarray:
+    """A second point of the tangent line at every row: grad x e_k, with
+    k = 0 where x0 != 0 and k = 1 elsewhere, read off the gradient's
+    columns.  Its k-th coordinate is zero and the row's is not, so at a
+    smooth point of the member it is never a multiple of the row; at a
+    singular point it is zero, and this raises ArithmeticError.  int64
+    bound: the gradient's entries stay under 4*p**2 before reduction."""
+    grad = _fp_gradient(lam, p, pts)
+    # columns g0, g1, g2, -g0, -g1, -g2, 0
+    cols = np.concatenate([grad, -grad % p, np.zeros_like(grad[:, :1])], axis=1)
+    companion = np.where(pts[:, :1] != 0, cols[:, [6, 2, 4]], cols[:, [5, 6, 0]])
+    if not companion.any(axis=1).all():
+        raise ArithmeticError("singular point in fast route")
+    return companion
+
+
 def _fp_third(lam: int, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Third intersection of the member with the line through a and b,
     row by row (the tangent line where the rows coincide).  Raises
-    ArithmeticError if any row fails.
+    ArithmeticError if any row fails.  When b is a, every row is a
+    doubling and the row mask is a single True.
 
     int64 bound: lam and every coordinate are residues below p, so the
     largest intermediate is in c21/c12 of _fp_restrict, under
@@ -368,25 +389,15 @@ def _fp_third(lam: int, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     2791, far inside int64 (9.2*10**18).  Every other product stays
     under p**4.
     """
-    a, b = np.broadcast_arrays(a, b)
-    same = ~_fp_cross(a, b, p).any(axis=1)
-    r = b.copy()
-    if same.any():
-        at = a[same]
-        grad = _fp_gradient(lam, p, at)
-        if not grad.any(axis=1).all():
-            raise ArithmeticError("singular point in fast route")
-        companion = np.zeros_like(at)
-        found = np.zeros(len(at), dtype=bool)
-        for e in np.eye(3, dtype=np.int64):
-            cand = _fp_cross(grad, e, p)
-            take = (~found & cand.any(axis=1)
-                    & _fp_cross(cand, at, p).any(axis=1))
-            companion[take] = cand[take]
-            found |= take
-        if not found.all():
-            raise ArithmeticError("no tangent companion found")
-        r[same] = companion
+    if b is a:
+        same = np.True_
+        r = _fp_tangent_companions(lam, p, a)
+    else:
+        a, b = np.broadcast_arrays(a, b)
+        same = ~_fp_cross(a, b, p).any(axis=1)
+        r = b.copy()
+        if same.any():
+            r[same] = _fp_tangent_companions(lam, p, a[same])
     c30, c21, c12, c03 = _fp_restrict(lam, p, a, r)
     if c30.any():
         raise ArithmeticError("base point not on curve")
@@ -414,7 +425,14 @@ def _fp_neg(pts: np.ndarray, p: int) -> np.ndarray:
 
 
 def _fp_add(lam: int, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _fp_third(lam, p, _fp_third(lam, p, a, b), _fp_origin(p))
+    """P + Q for every row pair, from one chord: the origin (0:1:-1) is
+    a flex of every member, so P + Q = -(P*Q), the x1 <-> x2 swap of the
+    third point.  Raises ArithmeticError if a third point is off the
+    member (the rows of _fp_cubic stay under p**4)."""
+    third = _fp_third(lam, p, a, b)
+    if _fp_cubic(lam, p, third).any():
+        raise ArithmeticError("third point not on curve")
+    return _fp_neg(third, p)
 
 
 def _fp_scalar(lam: int, p: int, k: int, pts: np.ndarray) -> np.ndarray:
@@ -443,58 +461,86 @@ def _fp_multiples_235(lam: int, p: int, pts: np.ndarray) -> tuple:
 # -- enumeration over F_p ----------------------------------------------
 
 #: rows per lambda-grid slab; each int64 temporary of a slab has at most
-#: _CHUNK * (p - 1) entries, 0.7 MB at the largest witness prime 2791
+#: _CHUNK * (p - 1) / d entries, d = gcd(3, p - 1) (the slab width is the
+#: number of classes of F_p^* modulo the cube roots of unity), 0.24 MB at
+#: the largest witness prime 2791, where d = 3
 _CHUNK = 32
 
 
-def _lambda_blocks(p: int):
-    """Yield (y0, block) with block[i, j] the lam whose member holds
-    (1, y0 + i, y0 + j), over y in 1..p-1 a slab of rows at a time and,
-    in each slab, only the columns z >= y0.
+def _orbit_classes(p: int) -> tuple:
+    """(w, r): w the d = gcd(3, p - 1) cube roots of unity of F_p, as
+    powers of omega = g**m (1 when d = 1), and r[j] = g**j for
+    j < m = (p - 1)/d, one representative of each class of F_p^* modulo
+    them; g is the least generator of F_p^*.  Products stay under p**2."""
+    d = gcd(3, p - 1)
+    m = (p - 1) // d
+    g = find_root_of_unity(p, p - 1).v
+    r = np.ones(1, dtype=np.int64)
+    while len(r) < m:
+        r = np.concatenate([r, r * pow(g, len(r), p) % p])
+    return [pow(g, m * s, p) for s in range(d)], r[:m]
 
-    On that chart lam = -(1 + y^3 + z^3) / (y*z), which is symmetric in
-    y and z, so half the grid covers all of it, for every p: the square
-    block[:, :len(block)] on the diagonal holds each (y, z) of the slab
-    once (weight 1), and each entry of the rectangle block[:, len(block):]
-    to its right stands for both (1, y, z) and (1, z, y) (weight 2).
+
+def _lambda_blocks(p: int, r: np.ndarray):
+    """Yield (i0, block) with block[i, j] = L(r[i0 + i], r[i0 + j]), where
+    L(y, z) = -(1 + y^3 + z^3) / (y*z) is the lam whose member holds
+    (1, y, z), over the class indices a slab of rows at a time and, in
+    each slab, only the columns j >= i0.
+
+    The level-3 Heisenberg group fixes every member: L is symmetric,
+    and L(w^a y, w^b z) = w^-(a+b) L(y, z) for w in _orbit_classes.  So
+    each entry stands for d points on each sheet s = a + b mod d, all
+    on the member at w^-s L: on the diagonal square block[:, :len(block)]
+    the d points (1, w^a r_i, w^(s-a) r_j) (weight d), and on the
+    rectangle block[:, len(block):] these and their d mirrors
+    (weight 2d).  For p = 2 mod 3, d = 1: the swap half of the grid.
 
     int64 bound: the factors are below 2p+1, p and p, so the product
     stays under 2*p**3, about 4.4*10**10 at the largest witness prime.
     """
-    ar = np.arange(1, p, dtype=np.int64)
-    cubes = (ar * ar % p) * ar % p
-    inv = _inverse_table(p)[1:]
-    for start in range(0, p - 1, _CHUNK):
+    cubes = (r * r % p) * r % p
+    inv = _inverse_table(p)[r]
+    for start in range(0, len(r), _CHUNK):
         c = cubes[start:start + _CHUNK, None] + 1
         i = inv[start:start + _CHUNK, None]
-        yield start + 1, -(c + cubes[None, start:]) * i * inv[None, start:] % p
+        yield start, -(c + cubes[None, start:]) * i * inv[None, start:] % p
 
 
 def _member_points(p: int, lams: Sequence[int]) -> dict[int, np.ndarray]:
     """The points of the members at each lam in lams, in no set order:
-    the points with all coordinates nonzero from one pass over the lambda
-    blocks, each hit of a block's off-diagonal rectangle giving its
-    mirror too, plus the points with a zero coordinate, which satisfy
-    1 + t^3 = 0 for their other free coordinate t whatever lam is."""
+    each hit of one pass over the lambda blocks expanded to its points
+    on each sheet whose member is wanted, plus the points with a zero
+    coordinate, which satisfy 1 + t^3 = 0 for their other free
+    coordinate t whatever lam is.  Products stay under p**2."""
+    w, r = _orbit_classes(p)
+    d = len(w)
     wanted = np.zeros(p, dtype=bool)
     wanted[list(lams)] = True
+    seen = np.zeros(p, dtype=bool)          # block values w^s * lam
+    seen[np.outer(np.flatnonzero(wanted), w) % p] = True
     found = []
-    for y0, block in _lambda_blocks(p):
-        iy, iz = np.nonzero(wanted[block])
+    for i0, block in _lambda_blocks(p, r):
+        iy, iz = np.nonzero(seen[block])
+        value = block[iy, iz]
+        ry, rz = r[iy + i0], r[iz + i0]
         off = iz >= len(block)
-        lam = block[iy, iz]
-        y = np.concatenate([iy, iz[off]]) + y0
-        z = np.concatenate([iz, iy[off]]) + y0
-        found.append(np.stack([np.concatenate([lam, lam[off]]),
-                               np.ones_like(y), y, z], axis=1))
+        for s in range(d):
+            lam = value * w[-s] % p
+            hit = wanted[lam]
+            lam, y0, z0, mirror = lam[hit], ry[hit], rz[hit], off[hit]
+            for a in range(d):
+                y, z = w[a] * y0 % p, w[(s - a) % d] * z0 % p
+                found.append(np.stack([lam, y, z], axis=1))
+                found.append(np.stack([lam, z, y], axis=1)[mirror])
     found = np.concatenate(found)
     roots = np.nonzero((np.arange(p) ** 3 + 1) % p == 0)[0]
     zero, one = np.zeros_like(roots), np.ones_like(roots)
     shared = np.concatenate([np.stack(cols, axis=1) for cols in
                              ((zero, one, roots), (one, zero, roots),
                               (one, roots, zero))])
-    return {lam: np.concatenate([shared, found[found[:, 0] == lam, 1:]])
-            for lam in lams}
+    return {lam: np.concatenate([
+        shared, np.insert(found[found[:, 0] == lam, 1:], 0, 1, axis=1)])
+        for lam in lams}
 
 
 def _fp_enumerate_hesse(lam: int, p: int) -> np.ndarray:
@@ -537,17 +583,42 @@ def torsion_points(curve: PlaneCubic, n: int) -> list[CubicCurvePoint]:
 def _orders(lam: int, p: int, pts: np.ndarray, group_order: int) -> np.ndarray:
     """The order of every row.  For each prime power q^e exactly dividing
     the group order, the q-part of a row's order is the least q^j with
-    q^j * (group_order / q^e) * P at the origin."""
-    orders = np.ones(len(pts), dtype=np.int64)
+    q^j * (group_order / q^e) * P at the origin.
+
+    The cofactor multiples (group_order / q^e) * P come from one product
+    tree over the prime powers: a node's multiple goes to each half
+    times the product of the other half.  At a leaf only the rows not
+    yet at the origin are multiplied by q again, and the last multiply,
+    which would give group_order * P = origin, is skipped.  The points
+    stay residues (see _fp_third), and an order, a product of the q
+    dividing group_order, stays at most group_order.
+    """
+    powers = []
     for q in _prime_factors(group_order):
-        cofactor = group_order
-        while cofactor % q == 0:
-            cofactor //= q
-        acc = _fp_scalar(lam, p, cofactor, pts)
-        while cofactor * q <= group_order:
-            orders[~_is_origin(acc, p)] *= q
-            acc = _fp_scalar(lam, p, q, acc)
-            cofactor *= q
+        e = 1
+        while group_order % q ** (e + 1) == 0:
+            e += 1
+        powers.append((q, e))
+    orders = np.ones(len(pts), dtype=np.int64)
+
+    def descend(acc, leaves):
+        if len(leaves) > 1:
+            half = len(leaves) // 2
+            left, right = leaves[:half], leaves[half:]
+            descend(_fp_scalar(lam, p, prod(q ** e for q, e in right), acc), left)
+            descend(_fp_scalar(lam, p, prod(q ** e for q, e in left), acc), right)
+            return
+        [(q, e)] = leaves
+        live = np.arange(len(acc))
+        for j in range(e):
+            if j:
+                acc = _fp_scalar(lam, p, q, acc)
+            out = ~_is_origin(acc, p)
+            live, acc = live[out], acc[out]
+            orders[live] *= q
+
+    if powers:
+        descend(pts, powers)
     return orders
 
 
@@ -589,6 +660,21 @@ def _sorted_member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     return sorted_keys[pos] == keys
 
 
+def _cyclic_span(lam: int, p: int, gen: np.ndarray, n: int) -> np.ndarray:
+    """The rows k * gen for k < n, in order, by doubling: with span_k the
+    first k rows and m = min(k, n - k), span_(k+m) is span_k followed by
+    the first m rows of span_k plus k * gen, and the same _fp_add call
+    gives 2k * gen in one more row."""
+    span = _fp_origin(p)[None, :]
+    step = gen
+    while len(span) < n:
+        k = len(span)
+        m = min(k, n - k)
+        sums = _fp_add(lam, p, np.concatenate([span[:m], step]), step)
+        span, step = np.concatenate([span, sums[:m]]), sums[m:]
+    return span
+
+
 def group_generators(curve: PlaneCubic) -> list[CubicCurvePoint]:
     """One or two points generating E(F_p), invariants order (n1, n2):
     the first point of order n2, then the first point P whose least
@@ -599,10 +685,7 @@ def group_generators(curve: PlaneCubic) -> list[CubicCurvePoint]:
     gen2 = pts[np.nonzero(_point_orders(curve) == n2)[0][:1]]
     if n1 == 1:
         return [CubicCurvePoint(curve, gen2[0].tolist())]
-    cyclic = [_fp_origin(p)[None, :]]
-    for _ in range(n2 - 1):
-        cyclic.append(_fp_add(lam, p, cyclic[-1], gen2))
-    cyclic = np.sort(_keys(np.concatenate(cyclic), p))
+    cyclic = np.sort(_keys(_cyclic_span(lam, p, gen2, n2), p))
     k = np.ones(len(pts), dtype=np.int64)
     acc = pts.copy()
     outside = ~_sorted_member(_keys(acc, p), cyclic)
@@ -956,17 +1039,22 @@ def verify_translation_action() -> dict:
 def _lambda_histogram(p: int) -> np.ndarray:
     """hist[lam] = number of affine points with all coordinates nonzero.
 
-    A block's diagonal square counts once and its off-diagonal rectangle
-    twice, for the mirrored points.  Every member carries the same 9
-    coordinate-plane points (p = 1 mod 3 here), so the member at lam has
-    hist[lam] + 9 rational points.
+    base[L] counts the class pairs at block value L of _lambda_blocks
+    (diagonal squares once, rectangles twice), and the d points of a
+    pair on sheet s lie on the member at w^-s L, so hist[lam] is d
+    times the sum of base[w^s lam] over the sheets.  Every member
+    carries the same 9 coordinate-plane points (p = 1 mod 3 here), so
+    the member at lam has hist[lam] + 9 rational points.  Products stay
+    under p**2.
     """
-    hist = np.zeros(p, dtype=np.int64)
-    for _, block in _lambda_blocks(p):
+    w, r = _orbit_classes(p)
+    base = np.zeros(p, dtype=np.int64)
+    for _, block in _lambda_blocks(p, r):
         rows = len(block)
-        hist += np.bincount(block[:, :rows].ravel(), minlength=p)
-        hist += 2 * np.bincount(block[:, rows:].ravel(), minlength=p)
-    return hist
+        base += np.bincount(block[:, :rows].ravel(), minlength=p)
+        base += 2 * np.bincount(block[:, rows:].ravel(), minlength=p)
+    lam = np.arange(p, dtype=np.int64)
+    return len(w) * sum(base[lam * ws % p] for ws in w)
 
 
 def _two_torsion_roots(lam: int, p: int) -> list[int]:
@@ -981,6 +1069,14 @@ def _two_torsion_roots(lam: int, p: int) -> list[int]:
 MAX_CANDIDATES = 40
 
 
+class _WitnessSearch(dict):
+    """The report of find_torsion_witness, a plain dict to its readers;
+    `member` holds a found witness's sorted read-only points and their
+    (2P, 3P, 5P), which the criterion reuses."""
+
+    member = None
+
+
 def find_torsion_witness() -> dict:
     """First (p, lambda) whose member has full rational 2-, 3- and
     5-torsion, over DEFAULT_PRIMES then WITNESS_PRIMES, with the search
@@ -991,7 +1087,9 @@ def find_torsion_witness() -> dict:
     enumeration, and the points of the survivors at one prime come from
     a single pass over the lambda grid.  At most MAX_CANDIDATES are
     tried per prime; the trace gives each searched prime's candidate
-    total and says when the cap cut a search short.
+    total and says when the cap cut a search short.  The report also
+    carries the witness member's points and their multiples, see
+    _WitnessSearch.
     """
     trace = []
     for p in DEFAULT_PRIMES + WITNESS_PRIMES:
@@ -1021,16 +1119,21 @@ def find_torsion_witness() -> dict:
                 continue
             pts = members[lam]
             n = len(pts)
-            _, three, five = _fp_multiples_235(lam, p, pts)
+            two, three, five = _fp_multiples_235(lam, p, pts)
             c3 = int(_is_origin(three, p).sum())
             c5 = int(_is_origin(five, p).sum())
             entry = {"lam": lam, "order": n, "two_torsion": 4,
                      "three_torsion": c3, "five_torsion": c5}
             tried.append(entry)
             if c3 == 9 and c5 == 25:
-                return {"witness": {"p": p, "lam": lam, "order": n},
-                        "trace": trace + [{"p": p, "candidates": tried,
-                                           "candidate_total": len(cands)}]}
+                found = _WitnessSearch(
+                    witness={"p": p, "lam": lam, "order": n},
+                    trace=trace + [{"p": p, "candidates": tried,
+                                    "candidate_total": len(cands)}])
+                order = np.lexsort(pts.T[::-1])
+                found.member = tuple(rows[order] for rows in (pts, two, three, five))
+                found.member[0].flags.writeable = False
+                return found
         if len(cands) > MAX_CANDIDATES:
             reason = ("search cut short at MAX_CANDIDATES: %d of %d candidate"
                       " lambdas tried, none passed the torsion counts"
@@ -1039,7 +1142,7 @@ def find_torsion_witness() -> dict:
             reason = "no candidate lambda passed the torsion counts"
         trace.append({"p": p, "candidates": tried,
                       "candidate_total": len(cands), "skipped": reason})
-    return {"witness": None, "trace": trace}
+    return _WitnessSearch(witness=None, trace=trace)
 
 
 def verify_six_secant_criterion(seed: int = 20260824) -> dict:
@@ -1061,10 +1164,10 @@ def verify_six_secant_criterion(seed: int = 20260824) -> dict:
     p = search["witness"]["p"]
     lam = search["witness"]["lam"]
     curve = PlaneCubic.hesse_member(lam, Fp(1, p))
-    pts = curve.point_array()
+    pts, two, three, five = search.member
+    curve._points = pts
 
     nonzero = ~_is_origin(pts, p)
-    two, three, five = _fp_multiples_235(lam, p, pts)
     two = pts[_is_origin(two, p) & nonzero]
     three = pts[_is_origin(three, p) & nonzero]
     five = pts[_is_origin(five, p)]

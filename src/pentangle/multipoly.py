@@ -36,12 +36,13 @@ def monomials(degree: int, nvars: int) -> list[tuple[int, ...]]:
 class MultiPoly:
     """Immutable sparse polynomial over a duck-typed exact field."""
 
-    __slots__ = ("vars", "terms", "one")
+    __slots__ = ("vars", "terms", "one", "zero_coeff")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, object] | None = None,
                  one=_F1):
         self.vars = tuple(vars)
         self.one = one
+        self.zero_coeff = one * 0
         clean = {}
         if terms:
             for mono, c in terms.items():
@@ -81,10 +82,6 @@ class MultiPoly:
         return [cls.variable(v, vars, one) for v in vars]
 
     # -- inspection ----------------------------------------------------
-
-    @property
-    def zero_coeff(self):
-        return self.one * 0
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -132,12 +129,13 @@ class MultiPoly:
                 out.pop(mono, None)
             else:
                 out[mono] = acc
-        return _mk(self.vars, out, self.one)
+        return _mk(self.vars, out, self.one, zero)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return _mk(self.vars, {m: -c for m, c in self.terms.items()}, self.one)
+        return _mk(self.vars, {m: -c for m, c in self.terms.items()}, self.one,
+                   self.zero_coeff)
 
     def __sub__(self, other: object) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -153,7 +151,8 @@ class MultiPoly:
                 other = self.one * other
             if not other:
                 return MultiPoly.zero(self.vars, self.one)
-            return _mk(self.vars, {m: c * other for m, c in self.terms.items()}, self.one)
+            return _mk(self.vars, {m: c * other for m, c in self.terms.items()},
+                       self.one, self.zero_coeff)
         self._check_compatible(other)
         zero = self.zero_coeff
         out: dict[tuple, object] = {}
@@ -165,7 +164,7 @@ class MultiPoly:
                     out.pop(mono, None)
                 else:
                     out[mono] = acc
-        return _mk(self.vars, out, self.one)
+        return _mk(self.vars, out, self.one, zero)
 
     __rmul__ = __mul__
 
@@ -197,7 +196,7 @@ class MultiPoly:
                     rem.pop(tm, None)
                 else:
                     rem[tm] = acc
-        return _mk(self.vars, quot, self.one)
+        return _mk(self.vars, quot, self.one, zero)
 
     # -- calculus and substitution -------------------------------------
 
@@ -224,7 +223,7 @@ class MultiPoly:
                 out.pop(m2, None)
             else:
                 out[m2] = acc
-        return _mk(self.vars, out, self.one)
+        return _mk(self.vars, out, self.one, zero)
 
     def substitute(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Simultaneous substitution var -> polynomial (same ring)."""
@@ -271,7 +270,8 @@ class MultiPoly:
             key = tuple(mono[i] for i in idxs)
             rest = tuple(0 if i in idxset else e for i, e in enumerate(mono))
             groups.setdefault(key, {})[rest] = c
-        return {k: _mk(self.vars, t, self.one) for k, t in groups.items()}
+        return {k: _mk(self.vars, t, self.one, self.zero_coeff)
+                for k, t in groups.items()}
 
     # -- identity ------------------------------------------------------
 
@@ -316,11 +316,14 @@ class MultiPoly:
         return out
 
 
-def _mk(vars: tuple, terms: dict, one) -> MultiPoly:
+def _mk(vars: tuple, terms: dict, one, zero) -> MultiPoly:
+    """A polynomial from already clean terms, with its ring's one and zero
+    passed down instead of recomputed."""
     obj = MultiPoly.__new__(MultiPoly)
     object.__setattr__(obj, "vars", vars)
     object.__setattr__(obj, "terms", terms)
     object.__setattr__(obj, "one", one)
+    object.__setattr__(obj, "zero_coeff", zero)
     return obj
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -35,20 +37,29 @@ from pentangle.hessepencil import (
     verify_translation_action,
     verify_triangle_members,
     _character_representatives,
+    _cyclic_span,
     _fp_add,
+    _fp_cross,
     _fp_enumerate_hesse,
+    _fp_gradient,
+    _fp_origin,
     _fp_scalar,
     _fp_singular_lambda_scan,
+    _fp_tangent_companions,
     _fp_third,
     _generic_third,
+    _is_origin,
+    _lambda_histogram,
     _member_points,
+    _orbit_classes,
+    _orders,
     _point_orders,
     _sorted_member,
 )
 from pentangle import hessepencil
 from pentangle.multipoly import MultiPoly
 from pentangle.scalars import (DEFAULT_PRIMES, EPS3, Cyclo, Fp, _normalize_mod_p,
-                               find_root_of_unity, hasse_admits)
+                               _prime_factors, find_root_of_unity, hasse_admits)
 
 SEED = 20260824
 ROOT = Path(__file__).resolve().parent.parent
@@ -363,6 +374,79 @@ def test_batch_with_one_off_curve_point_raises(curve31):
         _fp_scalar(lam, p, 2, bad)          # tangent rows
 
 
+def _add_by_two_chords(lam: int, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Test oracle: P + Q as the third point of the line through the
+    origin and P*Q, the two-chord form of the group law."""
+    return _fp_third(lam, p, _fp_third(lam, p, a, b), _fp_origin(p))
+
+
+def _member_with_two_torsion(p: int) -> tuple:
+    """(lam, points) of the first smooth member at p with a nonzero
+    rational 2-torsion point, (1, t, t)."""
+    for lam in range(p):
+        if (lam ** 3 + 27) % p:
+            pts = _fp_enumerate_hesse(lam, p)
+            if (pts[:, 1] == pts[:, 2]).any():
+                return lam, pts
+    raise AssertionError("no member with rational 2-torsion at %d" % p)
+
+
+@pytest.mark.parametrize("p", (29, 31, 61, 1801, 2791))
+def test_flex_negation_add_matches_two_chords(p):
+    lam, pts = _member_with_two_torsion(p)
+    rng = random.Random(SEED)
+    left, right = _mixed_pairs(pts.tolist(), p, rng, 120)
+    # nonzero 2-torsion rows doubled, added to random points and to the
+    # origin
+    two = pts[pts[:, 1] == pts[:, 2]]
+    n = len(two)
+    others = pts[[rng.randrange(len(pts)) for _ in range(n)]]
+    left = np.concatenate([left, two, two, two])
+    right = np.concatenate([right, two, others, np.tile(_fp_origin(p), (n, 1))])
+    assert np.array_equal(_fp_add(lam, p, left, right),
+                          _add_by_two_chords(lam, p, left, right))
+    # a batch of doublings only, the 2-torsion and the origin among them
+    doubled = np.concatenate([left, _fp_origin(p)[None, :]])
+    assert np.array_equal(_fp_add(lam, p, doubled, doubled),
+                          _add_by_two_chords(lam, p, doubled, doubled.copy()))
+    assert _is_origin(_fp_add(lam, p, two, two), p).all()
+
+
+def test_add_rejects_an_off_curve_third_point(curve31, monkeypatch):
+    lam, p = curve31.fp_params()
+    pts = curve31.point_array()
+    chord = hessepencil._fp_third
+
+    def one_row_off_curve(lam, p, a, b):
+        third = chord(lam, p, a, b).copy()
+        third[5] = (1, 1, 1)            # 3 + lam != 0: not on the member
+        return third
+
+    monkeypatch.setattr(hessepencil, "_fp_third", one_row_off_curve)
+    with pytest.raises(ArithmeticError, match="third point not on curve"):
+        _fp_add(lam, p, pts, np.roll(pts, 3, axis=0))
+    with pytest.raises(ArithmeticError, match="third point not on curve"):
+        _fp_add(lam, p, pts, pts)
+
+
+@pytest.mark.parametrize("p", (31, 1801, 2791))
+def test_tangent_companions_span_the_tangent_lines(p):
+    # at every point: nonzero, on the tangent line, and not the point
+    lam, pts = _member_with_two_torsion(p)
+    companion = _fp_tangent_companions(lam, p, pts)
+    assert companion.any(axis=1).all()
+    assert ((companion * _fp_gradient(lam, p, pts)).sum(axis=1) % p == 0).all()
+    assert _fp_cross(companion, pts, p).any(axis=1).all()
+    # (1, 1, 1) is the singular point of the member at lam = -3
+    with pytest.raises(ArithmeticError, match="singular"):
+        _fp_tangent_companions(p - 3, p, np.ones((1, 3), dtype=np.int64))
+
+
+def test_every_doubling_matches_generic_route(curve31):
+    for pt in curve31.points():
+        assert add_points(pt, pt) == add_points_generic(pt, pt)
+
+
 def _chart_scan(lam: int, p: int) -> list:
     """Test oracle: every normalised triple on the member, by brute force
     over the charts x0 = 1 and (0, 1, z) (no point has x0 = x1 = 0)."""
@@ -387,12 +471,12 @@ def test_enumeration_matches_chart_scan(p, lams):
 
 
 @pytest.mark.parametrize("chunk", (hessepencil._CHUNK, 64, 7))
-@pytest.mark.parametrize("p", (29, 31, 61))
+@pytest.mark.parametrize("p", (7, 13, 29, 31, 61))
 def test_lambda_histogram_matches_chart_scan(p, chunk, monkeypatch):
-    # every lam, with 29 = 2 mod 3 among the primes; a chunk of 64 rows
-    # takes each grid in one slab, and a chunk of 7 rows gives several
-    # slabs, a ragged last one, and off-diagonal rectangles whose entries
-    # count twice
+    # every lam, with 29 = 2 mod 3 (one sheet) among the primes; a chunk
+    # of 64 rows takes each grid in one slab, and a chunk of 7 rows gives
+    # several slabs (at 7 and 13 a slab is 2 and 4 classes wide), a ragged
+    # last one, and off-diagonal rectangles whose entries count twice
     monkeypatch.setattr(hessepencil, "_CHUNK", chunk)
     expected = [sum(1 for x, y, z in _chart_scan(lam, p) if x and y and z)
                 for lam in range(p)]
@@ -400,6 +484,39 @@ def test_lambda_histogram_matches_chart_scan(p, chunk, monkeypatch):
     members = _member_points(p, range(p))
     assert all(sorted(map(tuple, members[lam].tolist())) == _chart_scan(lam, p)
                for lam in range(p))
+
+
+def _full_grid_histogram(p: int) -> np.ndarray:
+    """Test oracle: hist[lam] over every (y, z) of (F_p^*)^2, 256 rows of
+    the grid at a time, with no symmetry used."""
+    ar = np.arange(1, p, dtype=np.int64)
+    inv = np.array([pow(v, p - 2, p) for v in range(1, p)], dtype=np.int64)
+    hist = np.zeros(p, dtype=np.int64)
+    for start in range(0, p - 1, 256):
+        y = ar[start:start + 256, None]
+        lam = (-(1 + y ** 3 + ar[None, :] ** 3) % p
+               * inv[start:start + 256, None] % p * inv[None, :] % p)
+        hist += np.bincount(lam.ravel(), minlength=p)
+    return hist
+
+
+@pytest.mark.parametrize("p", (1741, 1801))
+def test_orbit_histogram_matches_full_grid(p):
+    assert np.array_equal(_lambda_histogram(p), _full_grid_histogram(p))
+
+
+@pytest.mark.parametrize("p", (7, 13, 29, 31, 1741, 2791))
+def test_orbit_classes_split_the_units(p):
+    w, r = _orbit_classes(p)
+    d = len(w)
+    assert d == (3 if p % 3 == 1 else 1)
+    # the d distinct cube roots of unity, 1 first
+    assert w[0] == 1 and len(set(w)) == d
+    assert all(pow(ws, 3, p) == 1 for ws in w)
+    assert len(r) == (p - 1) // d and r[0] == 1
+    # y and y' share a class modulo the cube roots of unity exactly when
+    # y^d = y'^d, so the d-th powers of r are distinct
+    assert len(set((r ** d % p).tolist())) == len(r)
 
 
 def test_six_secant_criterion_peak_memory_growth():
@@ -467,6 +584,51 @@ def test_point_orders_are_exact(curve31):
         for q in (2, 3):
             if order % q == 0:
                 assert scalar_multiple(order // q, pt) != origin
+
+
+def _orders_by_prime(lam: int, p: int, pts: np.ndarray, group_order: int) -> np.ndarray:
+    """Test oracle: per prime q, (group_order / q^e) * P by its own
+    scalar multiple, then multiplied by q until group_order * P."""
+    orders = np.ones(len(pts), dtype=np.int64)
+    for q in _prime_factors(group_order):
+        cofactor = group_order
+        while cofactor % q == 0:
+            cofactor //= q
+        acc = _fp_scalar(lam, p, cofactor, pts)
+        while cofactor * q <= group_order:
+            orders[~_is_origin(acc, p)] *= q
+            acc = _fp_scalar(lam, p, q, acc)
+            cofactor *= q
+    return orders
+
+
+def test_product_tree_orders_match_per_prime_loop(witness):
+    # every smooth member at 31 (orders 27 and 36: trees of one and two
+    # leaves), also against multiples 5n and 35n of its order n, which
+    # any row's order divides too (trees of three and four leaves), then
+    # the witness curve of order 2^3 * 3^2 * 5^2
+    p = 31
+    cases = [(lam, p, pts, k * len(pts))
+             for lam in range(p) if (lam ** 3 + 27) % p
+             for pts in [_fp_enumerate_hesse(lam, p)] for k in (1, 5, 35)]
+    lam, p = witness.fp_params()
+    cases.append((lam, p, witness.point_array(), len(witness.point_array())))
+    for lam, p, pts, n in cases:
+        assert np.array_equal(_orders(lam, p, pts, n),
+                              _orders_by_prime(lam, p, pts, n))
+
+
+def test_doubled_span_matches_sequential_span(curve31, witness):
+    for curve in (curve31, witness):
+        lam, p = curve.fp_params()
+        n2 = group_structure(curve)["exponent"]
+        gen = curve.point_array()[np.nonzero(_point_orders(curve) == n2)[0][:1]]
+        sequential = [_fp_origin(p)[None, :]]
+        for _ in range(n2 - 1):
+            sequential.append(_fp_add(lam, p, sequential[-1], gen))
+        sequential = np.concatenate(sequential)
+        for n in sorted({1, 2, 3, 5, 8, n2 - 1, n2}):
+            assert np.array_equal(_cyclic_span(lam, p, gen, n), sequential[:n])
 
 
 def test_group_generators_span(curve31):
@@ -585,6 +747,45 @@ def test_witness_search_result_frozen(witness_search):
     assert capped["candidate_total"] == 90
     assert "cut short" in capped["skipped"]
     assert "40 of 90" in capped["skipped"]
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+# SHA-256 of the sorted-key JSON of outputs the claims hash of
+# test_acceptance does not cover: the full witness search result with
+# every candidate's counts; the six-secant report with its generators,
+# invariants, checks and search trace; the point orders of the witness
+# curve, in the order of its sorted points
+WITNESS_SEARCH_SHA256 = "558ed4493b06985bd697421887ed6c57ed4b59999170c887726f4b16cf8e0450"
+SIX_SECANT_SHA256 = "db44e8039f04f423fd8f46fb08880067e836990a9d9facc388afdeb78d733656"
+WITNESS_ORDERS_SHA256 = "dae54af6c28b29cdd8e15260e0f4fb00f48e96328b0dce182f6dbb710a81b74a"
+
+
+def test_witness_outputs_are_frozen(witness_search, witness):
+    digest = _digest(witness_search)
+    assert digest == WITNESS_SEARCH_SHA256, "witness search hash is now " + digest
+    digest = _digest(verify_six_secant_criterion())
+    assert digest == SIX_SECANT_SHA256, "six-secant hash is now " + digest
+    digest = _digest(_point_orders(witness).tolist())
+    assert digest == WITNESS_ORDERS_SHA256, "witness orders hash is now " + digest
+
+
+def test_six_secant_criterion_reuses_the_search_member(monkeypatch):
+    # the criterion takes the witness's points and (2P, 3P, 5P) from the
+    # search instead of enumerating and multiplying the member again
+    search = find_torsion_witness()
+    pts = search.member[0]
+    assert not pts.flags.writeable
+    w = search["witness"]
+    assert np.array_equal(pts, _fp_enumerate_hesse(w["lam"], w["p"]))
+    for k, multiple in zip((2, 3, 5), search.member[1:]):
+        assert np.array_equal(multiple, _fp_scalar(w["lam"], w["p"], k, pts))
+    for name in ("_fp_enumerate_hesse", "_member_points", "_fp_multiples_235"):
+        monkeypatch.setattr(hessepencil, name, None)
+    monkeypatch.setattr(hessepencil, "find_torsion_witness", lambda: search)
+    assert verify_six_secant_criterion()["passed"]
 
 
 def test_witness_primes_satisfy_necessary_congruences():
