@@ -551,18 +551,17 @@ def _fp_enumerate_hesse(lam: int, p: int) -> np.ndarray:
     return pts
 
 
-def _fp_singular_points_general(curve: PlaneCubic) -> list:
+def _fp_singular_point(curve: PlaneCubic) -> tuple | None:
+    """The first point of the charts of P^2(F_p) where every partial of
+    the curve vanishes, or None when the curve is smooth over F_p."""
     p = curve.one.p
     partials = [curve.f.partial_derivative(v) for v in VARS3]
-    out = []
     charts = ([(1, y, z) for y in range(p) for z in range(p)]
               + [(0, 1, z) for z in range(p)] + [(0, 0, 1)])
     zero = curve.f.zero_coeff
-    for pt in charts:
-        fp_pt = tuple(Fp(c, p) for c in pt)
-        if all(g.eval_at(fp_pt) == zero for g in partials):
-            out.append(pt)
-    return out
+    return next((pt for pt in charts
+                 if all(g.eval_at(tuple(Fp(c, p) for c in pt)) == zero for g in partials)),
+                None)
 
 
 # -- torsion and group structure ---------------------------------------
@@ -882,7 +881,7 @@ def verify_triangle_members() -> dict:
                    0 not in found)
         inf = PlaneCubic.infinity_member(Fp(1, p))
         checks.add("infinity member is singular over F_%d" % p,
-                   bool(_fp_singular_points_general(inf)))
+                   _fp_singular_point(inf) is not None)
     return {
         "passed": checks.passed,
         "checks": checks.records,

@@ -7,10 +7,10 @@ field with numpy, by solving two of the quadrics on the fibres over
 (x0:x1:x2) in O(p**2) work; checks the rank and vanishing statements by
 exhaustive counting and seeded sampling, in batches; and interpolates the
 inverse of the Cremona transformation defined by the five quadrics.  The
-exhaustive count over the whole dual space at p=31 slices it along the last
-coordinate: on each slice the structure determinant is a quintic in that
-coordinate, expanded once and evaluated at all p values by one product
-with a table of powers.
+exhaustive count over the whole dual space at p=31 evaluates the structure
+quintic from its coefficients, expanded once from the matrix of linear
+forms: on slabs of points (y0:y1:y2), two products with a table of powers
+give its values at every (y3, y4).
 
 Every sampling operation takes an explicit seed and reports it, so repeated
 runs with the same configuration produce identical reports.  Point sets can
@@ -103,87 +103,58 @@ def _times(rows, vec, p: int) -> tuple:
     return tuple(sum(r * v for r, v in zip(row, vec)) % p for row in rows)
 
 
-def _lift(x) -> list:
-    return x.coeffs if isinstance(x, _Poly) else [x]
-
-
-def _plus(a: list, b: list, sign: int) -> list:
-    """Coefficient lists: a + sign*b, for sign 1 or -1."""
-    if sign > 0:
-        return [x + y for x, y in zip(a, b)] + a[len(b):] + b[len(a):]
-    return [x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]]
-
-
-class _Poly:
-    """A polynomial in one variable: coefficients lowest degree first.
-
-    The coefficients are ints or numpy arrays of residues.  The class
-    carries exactly the arithmetic ``_det_staged`` applies to its entries
-    (sums, differences and products, with a constant on either side, and
-    reduction mod p), so the staged expansion runs over coefficient lists
-    unchanged.  numpy defers to the reflected operators.
-    """
-
-    __slots__ = ("coeffs",)
-    __array_ufunc__ = None
-
-    def __init__(self, coeffs):
-        self.coeffs = coeffs
-
-    def __add__(self, other):
-        return _Poly(_plus(self.coeffs, _lift(other), 1))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _Poly(_plus(self.coeffs, _lift(other), -1))
-
-    def __rsub__(self, other):
-        return _Poly(_plus(_lift(other), self.coeffs, -1))
-
-    def __mul__(self, other):
-        if not isinstance(other, _Poly):
-            return _Poly([c * other for c in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            for j, y in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + x * y
-        return _Poly(out)
-
-    __rmul__ = __mul__
-
-    def __mod__(self, p: int) -> "_Poly":
-        return _Poly([c % p for c in self.coeffs])
-
-
-def _det_staged(rows, p: int):
+def _laplace(rows, p: int, products):
     """Determinant by Laplace expansion along successive rows.
 
     Stage ``d`` holds the minors of rows ``0..d`` for every column subset,
-    so each minor is computed once.  Entries may be ints or numpy arrays
-    of residues below p, the degree-0 case: each stage sums at most five
-    products of residues below p and then reduces, so every sum stays
-    below 5*p**2 in magnitude.  Entries may also be ``_Poly`` polynomials
-    with such residues as coefficients, and the determinant is then a
-    ``_Poly``.  In the sliced full scan each row has one entry of degree
-    one and four constants, so a coefficient of a term sums at most two
-    products and a coefficient of a stage at most ten, of residues below
-    p, before it is reduced: it stays below 10*p**2, under 6*10**5 at
-    p=241, the largest supported prime, far inside int64.
+    so each minor is computed once.  ``products(d, pairs)`` yields the
+    product of each (entry of row d, minor of stage d - 1) pair, in order;
+    a minor sums its terms with alternating signs and is reduced mod p.
     """
     n = len(rows)
     cols = tuple(range(n))
     minors = {(c,): rows[0][c] for c in cols}
     for depth in range(1, n):
+        subs = list(combinations(cols, depth + 1))
+        terms = iter(products(depth, [(rows[depth][c], minors[sub[:pos] + sub[pos + 1:]])
+                                      for sub in subs for pos, c in enumerate(sub)]))
         staged = {}
-        for sub in combinations(cols, depth + 1):
+        for sub in subs:
             acc = 0
-            for pos, c in enumerate(sub):
-                term = rows[depth][c] * minors[sub[:pos] + sub[pos + 1:]]
+            for pos in range(depth + 1):
+                term = next(terms)
                 acc = acc + term if (depth + pos) % 2 == 0 else acc - term
             staged[sub] = acc % p
         minors = staged
     return minors[cols]
+
+
+def _det_staged(rows, p: int):
+    """Determinant of a matrix of ints or of numpy arrays of residues below
+    p, by ``_laplace``, one product at a time.  Each stage sums at most
+    five products of residues below p and then reduces, so every sum stays
+    below 5*p**2 in magnitude."""
+    return _laplace(rows, p, lambda depth, pairs: (entry * minor for entry, minor in pairs))
+
+
+def _det_forms(rows, p: int) -> np.ndarray:
+    """Determinant of a 5x5 matrix of linear forms, as its coefficient
+    vector over ``monomials(5, 5)[::-1]``.
+
+    An entry is a coefficient vector over ``monomials(1, 5)[::-1]``, so the
+    rows at ``_lattice(1)`` of ``_structure_rows`` or ``_dual_rows`` are the
+    matrix.  Each stage of ``_laplace`` is one ``_multiply`` of its minors,
+    of degree d, by their entries over ``_product_table(d, 1)``: a
+    coefficient sums at most 5 products of residues before it is reduced,
+    under 3*10**5 at p=241, the largest supported prime, and a minor at
+    most five reduced terms.
+    """
+    def products(depth, pairs):
+        entries, minors = zip(*pairs)
+        return _multiply(np.stack(minors, axis=1), np.stack(entries, axis=1),
+                         _product_table(depth, 1), p).T
+
+    return _laplace(rows, p, products)
 
 
 def _rref_mod_p(rows, p: int) -> tuple[np.ndarray, list]:
@@ -353,28 +324,43 @@ def _determinant_slabs(p: int, z):
 
     Yields ``(base, dets)``, ``dets[s, t]`` the value at ``base[:, s] + t*e4``:
     first e4 = (0:0:0:0:1), then each chart point (y0:y1:y2:y3:0) of
-    projective three-space with every t.  Only the entry z[(2i-4) mod 5]*y4
-    of structure row i depends on y4, so on a slice of fixed (y0, .., y3)
-    the determinant is a quintic in y4.  ``_det_staged`` expands it on
-    ``_CHUNK // 16`` slices at once; one product with the (6, p) table of
-    t**d mod p evaluates ``_CHUNK // p`` slices at every t.  A value sums
-    six products of residues, below 6*p**2; the table holds t**5 < 10**12
-    at p=241, the largest supported prime, before its reduction.
+    projective three-space with every t.  The determinant is the structure
+    quintic, expanded once by ``_det_forms``.  On a slab of
+    ``_CHUNK // 16 // p`` chart points (y0:y1:y2) of projective two-space,
+    its terms in y3**l * y4**k have 36 coefficients, forms in (y0, y1, y2)
+    evaluated at every slab point.  One product with the (6, p) table of
+    t**d mod p expands them over every y3, a second over every y4; the
+    point (0:0:0:1) of projective three-space is read off the slab
+    (0, 0, 0) with the apex, and comes last.  A coefficient sums at most
+    21 products of residues below p, a value at most 6, and a monomial
+    takes a product of three residues before its reduction; the table
+    holds t**5 < 10**12 at p=241, the largest supported prime.
     """
-    apex = np.array([[0], [0], [0], [0], [1]], dtype=np.int64)
-    yield apex, _det_staged(_structure_rows(apex, z, p), p)[:, None]
+    quintic = _det_forms(_structure_rows(_lattice(1), z, p), p)
+    exponents = _lattice(5)
+    # tails[m, l, k]: the coefficient of monomial m if it ends in y3**l * y4**k
+    tails = np.zeros((len(quintic), 6, 6), dtype=np.int64)
+    tails[np.arange(len(quintic)), exponents[3], exponents[4]] = quintic
     powers = np.arange(p, dtype=np.int64) ** np.arange(6)[:, None] % p
-    for chart in _chart_blocks(p, 4):
-        for start in range(0, chart.shape[1], _CHUNK // 16):
-            fixed = chart[:, start:start + _CHUNK // 16]
-            rows = [[_Poly([0, z[(i - j) % 5]]) if (i + j) % 5 == 4
-                     else fixed[(i + j) % 5] * z[(i - j) % 5] % p
-                     for j in range(5)] for i in range(5)]
-            coeffs = np.column_stack(np.broadcast_arrays(*_det_staged(rows, p).coeffs))
-            base = np.concatenate([fixed, np.zeros_like(fixed[:1])])
-            for lo in range(0, fixed.shape[1], _CHUNK // p):
-                yield (base[:, lo:lo + _CHUNK // p],
-                       coeffs[lo:lo + _CHUNK // p] @ powers[:coeffs.shape[1]] % p)
+
+    def values(heads):
+        """The quintic at (heads[:, s] : y3 : y4), as an (n, p, p) array."""
+        heads_powers = powers[exponents[:3, :, None], heads[:, None]].prod(axis=0) % p
+        coeffs = np.tensordot(heads_powers, tails, axes=(0, 0)) % p
+        return powers.T @ coeffs % p @ powers % p
+
+    corner = values(np.zeros((3, 1), dtype=np.int64))[0]
+    yield np.array([[0], [0], [0], [0], [1]], dtype=np.int64), corner[:1, 1:2]
+    for chart in _chart_blocks(p, 3):
+        for start in range(0, chart.shape[1], _CHUNK // 16 // p):
+            heads = chart[:, start:start + _CHUNK // 16 // p]
+            dets = values(heads).reshape(-1, p)
+            base = np.zeros((5, len(dets)), dtype=np.int64)
+            base[:3] = np.repeat(heads, p, axis=1)
+            base[3] = np.tile(np.arange(p), heads.shape[1])
+            for lo in range(0, len(dets), _CHUNK // p):
+                yield base[:, lo:lo + _CHUNK // p], dets[lo:lo + _CHUNK // p]
+    yield np.array([[0], [0], [0], [1], [0]], dtype=np.int64), corner[1:2]
 
 
 # ---------------------------------------------------------------------------
@@ -907,9 +893,9 @@ def _coefficients(values, d: int, p: int) -> np.ndarray:
     a single vector).  The lattice is the principal lattice of the simplex
     (Nicolaides, SIAM J. Numer. Anal. 9, 1972): over F_p it determines the
     forms exactly when p > d, and the solve raises unless its pivots are
-    the monomial columns.  It serves forms known only by their values: the
-    quadrics (d = 2) and the chordal quintic (d = 5); products of known
-    forms are multiplied out by ``_multiply`` instead.
+    the monomial columns.  It serves the quadrics (d = 2), known only by
+    their values; products of known forms are multiplied out by
+    ``_multiply``, and determinants of linear forms by ``_det_forms``.
     """
     square = _monomial_matrix(_lattice(d), d, p)
     n = square.shape[1]
@@ -1036,9 +1022,9 @@ def interpolate_cremona_inverse(scan: CurveScan, seed: int = SEED) -> CremonaWit
     out from the quadrics', and that linear condition, five row blocks on
     one shared matrix of products, is solved exactly over F_p by
     ``_cremona_kernel``.  The solution is then re-checked against each
-    block, compared with the chordal quintic (the dual determinant, read
-    off its values on the quintic lattice), and exercised on random round
-    trips and chord images, evaluated in batches.
+    block, compared with the chordal quintic (the dual determinant,
+    expanded by ``_det_forms``), and exercised on random round trips and
+    chord images, evaluated in batches.
     """
     p, a = scan.p, scan.a
     z = _z_residues(p, a)
@@ -1068,7 +1054,7 @@ def interpolate_cremona_inverse(scan: CurveScan, seed: int = SEED) -> CremonaWit
     checks.add("composition identity holds coefficient-wise", not np.any(residual % p),
                "cubics composed with the quadrics equal the factor times each coordinate")
 
-    chordal = _coefficients(_det_staged(_dual_rows(_lattice(5), z, p), p), 5, p)
+    chordal = _det_forms(_dual_rows(_lattice(1), z, p), p)
     lead = support[0]
     ratio = int(factor[lead]) * pow(int(chordal[lead]), p - 2, p) % p
     proportional = np.array_equal(factor, ratio * chordal % p)

@@ -1,8 +1,11 @@
 """Independent reference computations that several test modules compare
 the package against.  Plain exact arithmetic over the coefficient field,
 one scalar operation at a time, with none of the package's batching or
-staging; the exception is the rank mask, which tests every 4x4 minor with
-the package's staged determinant, a route independent of row reduction."""
+staging.  There are two exceptions.  The rank mask tests every 4x4 minor
+with the package's staged determinant, a route independent of row
+reduction.  The lattice quintic reads a determinant's coefficients off its
+values by the package's row reduction, a route independent of expanding
+the determinant over coefficient vectors."""
 
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from pentangle.probe import _det_staged
+from pentangle.probe import _coefficients, _det_staged, _lattice
 
 
 def scalar_matrix_det(rows: Sequence[Sequence], one):
@@ -77,3 +80,10 @@ def rank_at_most_three_mask(rows, p: int):
     mask = np.zeros(n, dtype=bool)
     mask[live] = True
     return mask
+
+
+def lattice_quintic(rows, z, p: int) -> np.ndarray:
+    """The coefficient vector over monomials(5, 5)[::-1] of the determinant
+    of ``rows(x, z, p)``, the structure or the dual rows, read off its
+    values on the quintic lattice by one solve."""
+    return _coefficients(_det_staged(rows(_lattice(5), z, p), p), 5, p)

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,34 @@ def test_triangle_products_are_pencil_members():
     one = Cyclo(1)
     assert triangle_product((0, 1)) == infinity_member_polynomial(one)
     assert triangle_product((1, 0)) == hesse_polynomial(Cyclo(-3), one)
+
+
+def _singular_points(curve):
+    """Every point of the charts of P^2(F_p) where the three partials of
+    the curve vanish: a full scan in plain ints, from its coefficients."""
+    p = curve.one.p
+    terms = [(mono, coeff.v) for mono, coeff in curve.f.terms.items()]
+
+    def partial(k, pt):
+        return sum(c * mono[k] * prod(x ** (e - (i == k))
+                                      for i, (x, e) in enumerate(zip(pt, mono)))
+                   for mono, c in terms if mono[k]) % p
+
+    charts = ([(1, y, z) for y in range(p) for z in range(p)]
+              + [(0, 1, z) for z in range(p)] + [(0, 0, 1)])
+    return [pt for pt in charts if not any(partial(k, pt) for k in range(3))]
+
+
+@pytest.mark.parametrize("p", hessepencil.SINGULAR_SCAN_PRIMES)
+def test_singular_point_search_stops_at_the_first(p):
+    # the infinity member x0*x1*x2 is singular exactly at the coordinate
+    # vertices, and the lambda = 0 member is smooth
+    infinity = PlaneCubic.infinity_member(Fp(1, p))
+    assert _singular_points(infinity) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert hessepencil._fp_singular_point(infinity) == (1, 0, 0)
+    fermat = PlaneCubic.hesse_member(0, Fp(1, p))
+    assert _singular_points(fermat) == []
+    assert hessepencil._fp_singular_point(fermat) is None
 
 
 def test_singular_lambda_scan_matches_cube_roots(curve31):
@@ -521,13 +550,18 @@ def test_orbit_classes_split_the_units(p):
 
 def test_six_secant_criterion_peak_memory_growth():
     """The witness search and the criterion raise the peak resident set
-    by under 8 MB over its value after import."""
+    by under 8 MB over its value after import.  The child reads its peak
+    from VmHWM, which exec resets: ru_maxrss keeps the high-water mark of
+    the spawning pytest process across exec on Linux."""
     script = (
-        "import resource\n"
         "from pentangle import hessepencil\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "def peak_kb():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) for line in status\n"
+        "                    if line.startswith('VmHWM:'))\n"
+        "before = peak_kb()\n"
         "assert hessepencil.verify_six_secant_criterion()['passed']\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        "print(peak_kb() - before)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

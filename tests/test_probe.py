@@ -31,7 +31,7 @@ from pentangle.multipoly import MultiPoly, monomials, scalar_matrix_nullspace, s
 from pentangle.report import suite_seed
 from pentangle.scalars import Fp, _normalize_mod_p
 
-from oracles import incidence_residual, rank_at_most_three_mask
+from oracles import incidence_residual, lattice_quintic, rank_at_most_three_mask
 
 SEED = 20260824
 ROOT = Path(__file__).resolve().parent.parent
@@ -292,32 +292,55 @@ def test_staged_determinant_matches_gaussian_oracle():
     assert probe._det_staged(stack, p).tolist() == [_det_gauss(m, p) for m in matrices]
 
 
-def test_polynomial_determinant_matches_gaussian_oracle():
-    # one entry of degree one per row and four constants, the shape of the
-    # sliced full scan, where a coefficient sums at most ten products of
-    # residues per stage; checked at p=241 with the worst-case residue p-1
-    rng = random.Random(SEED)
+def _python_int_determinant(rows):
+    """The determinant of a 5x5 matrix of linear forms, each a list of five
+    ints over monomials(1, 5)[::-1], expanded over all permutations in
+    Python ints without reduction, over monomials(5, 5)[::-1]."""
+    variables = monomials(1, 5)[::-1]
+    total = {}
+    for perm in itertools.permutations(range(5)):
+        inversions = sum(perm[i] > perm[j] for i in range(5) for j in range(i + 1, 5))
+        terms = {(0,) * 5: (-1) ** inversions}
+        for r, c in enumerate(perm):
+            product = {}
+            for mono, coeff in terms.items():
+                for var, a in zip(variables, rows[r][c]):
+                    key = tuple(m + v for m, v in zip(mono, var))
+                    product[key] = product.get(key, 0) + coeff * a
+            terms = product
+        for mono, coeff in terms.items():
+            total[mono] = total.get(mono, 0) + coeff
+    return [total.get(mono, 0) for mono in monomials(5, 5)[::-1]]
+
+
+def test_form_determinant_matches_python_int_expansion():
+    # a coefficient sums at most 5 products of residues per stage; checked
+    # at p=241, the largest supported prime, with all-(p-1) linear forms
     p = 241
-    width = 40
+    rng = random.Random(SEED)
+    z = probe._z_residues(p, 1)
+    matrices = [[[[p - 1] * 5] * 5] * 5,
+                [[[p - 1] * 5 if r == 0 else [rng.randrange(p) for _ in range(5)]
+                  for _ in range(5)] for r in range(5)],
+                [[[p - 1 if (r + c + k) % 3 else rng.randrange(p) for k in range(5)]
+                  for c in range(5)] for r in range(5)]]
+    matrices += [[[entry.tolist() for entry in row] for row in rows(probe._lattice(1), z, p)]
+                 for rows in (probe._structure_rows, probe._dual_rows)]
+    for matrix in matrices:
+        rows = [[np.array(entry, dtype=np.int64) for entry in row] for row in matrix]
+        expected = [c % p for c in _python_int_determinant(matrix)]
+        assert probe._det_forms(rows, p).tolist() == expected
 
-    def residues():
-        return np.array([p - 1] + [rng.randrange(p) for _ in range(width - 1)],
-                        dtype=np.int64)
 
-    for _ in range(3):
-        linear = [rng.randrange(5) for _ in range(5)]
-        consts = [[residues() for _ in range(5)] for _ in range(5)]
-        slopes = [residues() for _ in range(5)]
-        rows = [[probe._Poly([consts[r][c], slopes[r]]) if c == linear[r] else consts[r][c]
-                 for c in range(5)] for r in range(5)]
-        coeffs = [np.broadcast_to(c, (width,)) for c in probe._det_staged(rows, p).coeffs]
-        assert len(coeffs) <= 6
-        for t in (0, 1, 2, p - 1):
-            for k in range(width):
-                matrix = [[int(consts[r][c][k] + t * slopes[r][k] * (c == linear[r])) % p
-                           for c in range(5)] for r in range(5)]
-                value = sum(int(c[k]) * t ** d for d, c in enumerate(coeffs)) % p
-                assert value == _det_gauss(matrix, p), (t, k)
+@pytest.mark.parametrize("p", probe.SUPPORTED_PRIMES)
+def test_form_determinant_matches_lattice_solve(p):
+    # both quintics, the structure and the chordal one, at every admissible
+    # modulus the default run uses
+    for a in probe.admissible_moduli(p):
+        z = probe._z_residues(p, a)
+        for rows in (probe._structure_rows, probe._dual_rows):
+            assert np.array_equal(probe._det_forms(rows(probe._lattice(1), z, p), p),
+                                  lattice_quintic(rows, z, p))
 
 
 def test_monomial_matrix_matches_python_ints():
@@ -858,8 +881,7 @@ def test_witness_on_second_prime(scan61):
 
 def test_chordal_quintic_equals_symbolic_dual_determinant(dual_det31):
     z = probe._z_residues(31, 2)
-    chordal = probe._coefficients(
-        probe._det_staged(probe._dual_rows(probe._lattice(5), z, 31), 31), 5, 31)
+    chordal = probe._det_forms(probe._dual_rows(probe._lattice(1), z, 31), 31)
     assert chordal.tolist() == _vector(dual_det31, 5)
 
 
@@ -1034,16 +1056,15 @@ def test_batched_round_trip_matches_sequential_loop(monkeypatch, p, a, on_curve)
 
 
 def _corrupt_chordal_quintic(monkeypatch):
-    coefficients = probe._coefficients
+    det_forms = probe._det_forms
 
-    def doubled_lead(values, d, p):
-        out = coefficients(values, d, p)
-        if d == 5:
-            lead = np.flatnonzero(out)[0]
-            out[lead] = 2 * out[lead] % p
+    def doubled_lead(rows, p):
+        out = det_forms(rows, p)
+        lead = np.flatnonzero(out)[0]
+        out[lead] = 2 * out[lead] % p
         return out
 
-    monkeypatch.setattr(probe, "_coefficients", doubled_lead)
+    monkeypatch.setattr(probe, "_det_forms", doubled_lead)
 
 
 def _corrupt_kernel_vector(monkeypatch):
@@ -1085,17 +1106,22 @@ def test_scan_budgets():
 def test_incidence_full_scan_memory_stays_modest():
     """One process scans p=31, runs the full incidence scan, then scans
     p=61; chart slabs bound its peak resident set, which grows by about
-    9 MB over its value after import."""
+    9 MB over its value after import.  The child reads its peak from
+    VmHWM, which exec resets: ru_maxrss keeps the high-water mark of the
+    spawning pytest process across exec on Linux."""
     script = (
-        "import resource\n"
         "from pentangle import probe\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "def peak_kb():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) for line in status\n"
+        "                    if line.startswith('VmHWM:'))\n"
+        "before = peak_kb()\n"
         "report = probe.certify_incidence(probe.scan_curve(31, 2))\n"
         "probe.scan_curve(61, 1)\n"
         "for check in report['checks'][-2:]:\n"
         "    print(check['detail'])\n"
         "print(before)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print(peak_kb())\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -1103,11 +1129,11 @@ def test_incidence_full_scan_memory_stays_modest():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, env=env, timeout=300)
     assert result.returncode == 0, result.stderr
-    density, census, before_kb, maxrss_kb = result.stdout.splitlines()
+    density, census, before_kb, peak_kb = result.stdout.splitlines()
     assert "25000 singular directions among 954305" in density
     assert "25 rank-three directions" in census
-    assert int(maxrss_kb) < 150 * 1024
-    assert int(maxrss_kb) - int(before_kb) < 18 * 1024
+    assert int(peak_kb) < 150 * 1024
+    assert int(peak_kb) - int(before_kb) < 18 * 1024
 
 
 # ---------------------------------------------------------------------------
