@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 import numpy as np
@@ -579,45 +579,56 @@ def torsion_points(curve: PlaneCubic, n: int) -> list[CubicCurvePoint]:
     return [CubicCurvePoint(curve, pt) for pt in hits.tolist()]
 
 
-def _orders(lam: int, p: int, pts: np.ndarray, group_order: int) -> np.ndarray:
-    """The order of every row.  For each prime power q^e exactly dividing
-    the group order, the q-part of a row's order is the least q^j with
-    q^j * (group_order / q^e) * P at the origin.
+def _multiplication_maps(lam: int, p: int, pts: np.ndarray, primes) -> dict:
+    """{q: m} with pts[m] = q * pts for each q in primes, pts a member's
+    sorted points: one _fp_scalar call per q, its images looked up by
+    key.  An image that is not a row raises ArithmeticError."""
+    keys = _keys(pts, p)
+    maps = {}
+    for q in primes:
+        images = _keys(_fp_scalar(lam, p, q, pts), p)
+        pos = np.searchsorted(keys, images).clip(max=len(keys) - 1)
+        if not (keys[pos] == images).all():
+            raise ArithmeticError("a multiple by %d is not among the points" % q)
+        maps[q] = pos
+    return maps
 
-    The cofactor multiples (group_order / q^e) * P come from one product
-    tree over the prime powers: a node's multiple goes to each half
-    times the product of the other half.  At a leaf only the rows not
-    yet at the origin are multiplied by q again, and the last multiply,
-    which would give group_order * P = origin, is skipped.  The points
-    stay residues (see _fp_third), and an order, a product of the q
-    dividing group_order, stays at most group_order.
-    """
+
+def _least_multiples(maps: dict, n: int, inside: np.ndarray) -> np.ndarray:
+    """For every point P, the least k dividing n with k * P in the
+    subgroup marked by `inside`, or 0 where n * P is outside it; maps[q]
+    sends P to q * P for each prime q dividing n.  With q^e exactly
+    dividing n, the q-part of k is the least q^j with q^j * (n / q^e) * P
+    inside."""
     powers = []
-    for q in _prime_factors(group_order):
+    for q in _prime_factors(n):
         e = 1
-        while group_order % q ** (e + 1) == 0:
+        while n % q ** (e + 1) == 0:
             e += 1
         powers.append((q, e))
-    orders = np.ones(len(pts), dtype=np.int64)
+    everything = acc = np.arange(len(inside))
+    k = np.ones(len(inside), dtype=np.int64)
+    for q, e in powers:
+        acc = everything
+        for other, f in powers:
+            if other != q:
+                for _ in range(f):
+                    acc = maps[other][acc]
+        for _ in range(e):
+            k[~inside[acc]] *= q
+            acc = maps[q][acc]
+    # acc now holds n * P
+    k[~inside[acc]] = 0
+    return k
 
-    def descend(acc, leaves):
-        if len(leaves) > 1:
-            half = len(leaves) // 2
-            left, right = leaves[:half], leaves[half:]
-            descend(_fp_scalar(lam, p, prod(q ** e for q, e in right), acc), left)
-            descend(_fp_scalar(lam, p, prod(q ** e for q, e in left), acc), right)
-            return
-        [(q, e)] = leaves
-        live = np.arange(len(acc))
-        for j in range(e):
-            if j:
-                acc = _fp_scalar(lam, p, q, acc)
-            out = ~_is_origin(acc, p)
-            live, acc = live[out], acc[out]
-            orders[live] *= q
 
-    if powers:
-        descend(pts, powers)
+def _orders(lam: int, p: int, pts: np.ndarray, group_order: int) -> np.ndarray:
+    """The order of every row of pts, a member's sorted points: the least
+    k dividing group_order with k * P at the origin."""
+    maps = _multiplication_maps(lam, p, pts, _prime_factors(group_order))
+    orders = _least_multiples(maps, group_order, _is_origin(pts, p))
+    if not orders.all():
+        raise ArithmeticError("%d * P is not the origin for every row" % group_order)
     return orders
 
 
@@ -685,19 +696,11 @@ def group_generators(curve: PlaneCubic) -> list[CubicCurvePoint]:
     if n1 == 1:
         return [CubicCurvePoint(curve, gen2[0].tolist())]
     cyclic = np.sort(_keys(_cyclic_span(lam, p, gen2, n2), p))
-    k = np.ones(len(pts), dtype=np.int64)
-    acc = pts.copy()
-    outside = ~_sorted_member(_keys(acc, p), cyclic)
+    maps = _multiplication_maps(lam, p, pts, _prime_factors(n1))
+    k = _least_multiples(maps, n1, _sorted_member(_keys(pts, p), cyclic))
     # the quotient by the order-n2 span has exponent dividing n1, so
-    # n1*P lies in the span for every P and n1 steps always suffice
-    for _ in range(n1):
-        if not outside.any():
-            break
-        idx = np.nonzero(outside)[0]
-        acc[idx] = _fp_add(lam, p, acc[idx], pts[idx])
-        k[idx] += 1
-        outside[idx] = ~_sorted_member(_keys(acc[idx], p), cyclic)
-    else:
+    # n1*P lies in the span for every P
+    if not k.all():
         raise AssertionError("%d steps left points outside the span of "
                              "the order-%d generator" % (n1, n2))
     first = np.nonzero(k == n1)[0]

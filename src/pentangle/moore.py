@@ -30,6 +30,7 @@ from .checks import Checks
 from .multipoly import (
     MultiPoly,
     PolyMatrix,
+    _mk,
     det_bareiss,
     det_cofactor,
     determinant,
@@ -300,23 +301,24 @@ def _fifth_root_scalar(one):
 
 
 def _shift_substitution(poly: MultiPoly, step: int = 1) -> MultiPoly:
-    """Index shift var_i -> var_{i-step} on a 5-variable polynomial."""
-    vars_ = poly.vars
-    images = {vars_[i]: MultiPoly.variable(vars_[(i - step) % 5], vars_, poly.one)
-              for i in range(5)}
-    return poly.substitute(images)
+    """Index shift var_i -> var_{i-step} on a 5-variable polynomial: a
+    rotation of each exponent tuple."""
+    s = step % 5
+    return _mk(poly.vars, {m[s:] + m[:s]: c for m, c in poly.terms.items()},
+               poly.one, poly.zero_coeff)
 
 
 def _character_substitution(poly: MultiPoly, power: int = 1) -> MultiPoly:
-    """Diagonal twist var_i -> eps^(-i power) var_i with eps of order five."""
-    eps = _fifth_root_scalar(poly.one)
-    inv = poly.one / eps
-    vars_ = poly.vars
-    images = {}
-    for i in range(5):
-        images[vars_[i]] = (MultiPoly.variable(vars_[i], vars_, poly.one)
-                            * inv ** ((i * power) % 5))
-    return poly.substitute(images)
+    """Diagonal twist var_i -> eps^(-i power) var_i with eps of order five:
+    the term of x^e gains the scalar eps^(-power * sum_i i e_i)."""
+    one = poly.one
+    inv = one / _fifth_root_scalar(one)
+    scales = [inv ** k for k in range(5)]
+    terms = {}
+    for m, c in poly.terms.items():
+        k = power * (m[1] + 2 * m[2] + 3 * m[3] + 4 * m[4]) % 5
+        terms[m] = c * scales[k] if k else c
+    return _mk(poly.vars, terms, one, poly.zero_coeff)
 
 
 # -- denominator clearing ---------------------------------------------
@@ -468,15 +470,15 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
 
     product = mm.syzygy @ mm.m_prime.transpose()
 
+    entries = [(i, j) for i in range(5) for j in range(5)]
+    vectors = in_linear_span([product[i, j] for i, j in entries], qs.quadrics)
     failures = []
     span_vectors = {}
-    for i in range(5):
-        for j in range(5):
-            vec = in_linear_span(product[i, j], qs.quadrics)
-            if vec is None:
-                failures.append((i, j))
-            elif (i, j) in ((0, 0), (0, 1)):
-                span_vectors["(%d, %d)" % (i, j)] = [str(c) for c in vec]
+    for (i, j), vec in zip(entries, vectors):
+        if vec is None:
+            failures.append((i, j))
+        elif (i, j) in ((0, 0), (0, 1)):
+            span_vectors["(%d, %d)" % (i, j)] = [str(c) for c in vec]
     checks.add("all 25 pairing entries lie in the quadric span", not failures,
                "failing entries %r" % (failures,) if failures else "25 of 25 resolved")
 

@@ -198,7 +198,7 @@ class MultiPoly:
                     rem[tm] = acc
         return _mk(self.vars, quot, self.one, zero)
 
-    # -- calculus and substitution -------------------------------------
+    # -- calculus and evaluation ---------------------------------------
 
     def partial_derivative(self, var: str) -> "MultiPoly":
         """Formal d/d var; guards against small positive characteristic."""
@@ -224,29 +224,6 @@ class MultiPoly:
             else:
                 out[m2] = acc
         return _mk(self.vars, out, self.one, zero)
-
-    def substitute(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Simultaneous substitution var -> polynomial (same ring)."""
-        gens = {}
-        for v in self.vars:
-            img = images.get(v)
-            gens[v] = img if img is not None else MultiPoly.variable(v, self.vars, self.one)
-        power_cache: dict[tuple[str, int], MultiPoly] = {}
-
-        def vpow(v: str, e: int) -> MultiPoly:
-            key = (v, e)
-            if key not in power_cache:
-                power_cache[key] = gens[v] ** e
-            return power_cache[key]
-
-        acc = MultiPoly.zero(self.vars, self.one)
-        for mono, c in self.terms.items():
-            piece = MultiPoly.constant(self.vars, c, self.one)
-            for i, e in enumerate(mono):
-                if e:
-                    piece = piece * vpow(self.vars[i], e)
-            acc = acc + piece
-        return acc
 
     def eval_at(self, point: Sequence) -> object:
         """Value at a full point; coordinates live in the coefficient field."""
@@ -385,23 +362,32 @@ def scalar_matrix_nullspace(rows: Sequence[Sequence], one) -> list[list]:
     return basis
 
 
-def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence, one):
-    """One exact solution of A x = b, or None when inconsistent.
+def solve_linear_system(rows: Sequence[Sequence], targets: Sequence[Sequence],
+                        one, ncols: int) -> list:
+    """For each right-hand side b in `targets`, one exact solution of
+    A x = b, or None when b is inconsistent; A is `rows`, with `ncols`
+    columns (given, since A may have no rows).
 
-    Free variables are set to zero, so the answer is deterministic.
+    Every target rides along as an extra column of one augmented matrix,
+    so A is reduced once.  The reduced row echelon form is unique, so
+    each answer is the one a solve of its target alone gives.  Free
+    variables are set to zero, so the answers are deterministic.
     """
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if not a:
-        return []
-    ncols = len(a[0]) - 1
+    if any(len(b) != len(rows) for b in targets):
+        raise ValueError("every target needs one entry per row")
+    a = [list(r) + [b[i] for b in targets] for i, r in enumerate(rows)]
     pivots = _rref(a, one, ncols)
     zero = one * 0
-    if any(r[ncols] != zero for r in a[len(pivots):]):
-        return None
-    x = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r][ncols]
-    return x
+    out = []
+    for col in range(ncols, ncols + len(targets)):
+        if any(r[col] != zero for r in a[len(pivots):]):
+            out.append(None)
+            continue
+        x = [zero] * ncols
+        for r, pc in enumerate(pivots):
+            x[pc] = a[r][col]
+        out.append(x)
+    return out
 
 
 # -- polynomial matrices ----------------------------------------------
@@ -591,17 +577,19 @@ def rank_at_point(m: PolyMatrix, point: Sequence) -> int:
     return scalar_matrix_rank(m.eval_at(vals), m.one)
 
 
-def in_linear_span(q: MultiPoly, basis: Sequence[MultiPoly]):
-    """Coefficients c with q = sum c_i basis_i, else None.
+def in_linear_span(targets: Sequence[MultiPoly], basis: Sequence[MultiPoly]) -> list:
+    """For each target q, the coefficients c with q = sum c_i basis_i, or
+    None when q is outside the span.
 
-    All inputs must be homogeneous of one common degree.  The solve runs
-    over the coefficient field itself, Q(eps15)(a) included, so the
-    coefficients are scalars of that field.
+    All inputs must be homogeneous of one common degree.  One solve over
+    the coefficient field itself, Q(eps15)(a) included, decides every
+    target, so the coefficients are scalars of that field.
     """
     if not basis:
         raise ValueError("empty basis")
+    inputs = list(targets) + list(basis)
     degs = set()
-    for f in [q] + list(basis):
+    for f in inputs:
         if not f.is_zero():
             d = f.homogeneous_degree()
             if d is None:
@@ -610,11 +598,11 @@ def in_linear_span(q: MultiPoly, basis: Sequence[MultiPoly]):
     if len(degs) > 1:
         raise ValueError("degree mismatch across span inputs: %s" % sorted(degs))
 
-    zero = q.zero_coeff
-    monos = set(q.terms)
-    for f in basis:
+    zero = basis[0].zero_coeff
+    monos = set()
+    for f in inputs:
         monos.update(f.terms)
     monos = sorted(monos, key=grevlex_key)
     rows = [[f.terms.get(m, zero) for f in basis] for m in monos]
-    rhs = [q.terms.get(m, zero) for m in monos]
-    return solve_linear_system(rows, rhs, q.one)
+    rhs = [[q.terms.get(m, zero) for m in monos] for q in targets]
+    return solve_linear_system(rows, rhs, basis[0].one, len(basis))

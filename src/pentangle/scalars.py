@@ -506,13 +506,14 @@ class UniPoly:
 
     The coefficient field is duck typed: Fraction, Fp and Cyclo all work.
     `one` pins the field's multiplicative identity so the zero polynomial
-    still knows its domain.
+    still knows its domain; `zero_coeff`, its zero, is built once.
     """
 
-    __slots__ = ("c", "one")
+    __slots__ = ("c", "one", "zero_coeff")
 
     def __init__(self, coeffs: Iterable = (), one=_F1):
         self.one = one
+        self.zero_coeff = one * 0
         cs = [one * c if isinstance(c, int) else c for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
@@ -525,10 +526,6 @@ class UniPoly:
     @classmethod
     def gen(cls, one=_F1) -> "UniPoly":
         return cls([one * 0, one], one)
-
-    @property
-    def zero_coeff(self):
-        return self.one * 0
 
     def degree(self) -> int:
         return len(self.c) - 1
@@ -639,11 +636,12 @@ class UniPoly:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def _uni(c: tuple, one) -> UniPoly:
+def _uni(c: tuple, one, zero) -> UniPoly:
     """A UniPoly from field coefficients with no trailing zero."""
     out = UniPoly.__new__(UniPoly)
     out.c = c
     out.one = one
+    out.zero_coeff = zero
     return out
 
 
@@ -652,7 +650,7 @@ def _power_of_a(den: UniPoly) -> int | None:
     return None if any(den.c[:-1]) else len(den.c) - 1
 
 
-def _laurent(cs: list, k: int, one) -> "RatFunc":
+def _laurent(cs: list, k: int, one, zero) -> "RatFunc":
     """cs/a^k in lowest terms, cs being field coefficients, low degree
     first, possibly with trailing zeros.  a^k shares only a^min(k, v)
     with the numerator, v its a-adic valuation, so reducing is a shift."""
@@ -664,8 +662,8 @@ def _laurent(cs: list, k: int, one) -> "RatFunc":
     while shift < k and not cs[shift]:
         shift += 1
     out = RatFunc.__new__(RatFunc)
-    out.num = _uni(tuple(cs[shift:]), one)
-    out.den = _uni((one * 0,) * (k - shift) + (one,), one)
+    out.num = _uni(tuple(cs[shift:]), one, zero)
+    out.den = _uni((zero,) * (k - shift) + (one,), one, zero)
     return out
 
 
@@ -697,7 +695,7 @@ class RatFunc:
             if lead != one:
                 inv = one / lead
                 cs = [c * inv for c in cs]
-            reduced = _laurent(cs, den.degree(), one)
+            reduced = _laurent(cs, den.degree(), one, den.zero_coeff)
             num, den = reduced.num, reduced.den
         else:
             g = num.gcd(den)
@@ -762,16 +760,18 @@ class RatFunc:
             a, b, k, l = b, a, l, k
         # with t the parameter: a/t^k + b/t^l = (a + t^(k-l)*b)/t^k
         shift = k - l
-        out = list(a) + [self.num.zero_coeff] * (shift + len(b) - len(a))
+        zero = self.num.zero_coeff
+        out = list(a) + [zero] * (shift + len(b) - len(a))
         for j, c in enumerate(b, shift):
             out[j] = out[j] + c
-        return _laurent(out, k, self.num.one)
+        return _laurent(out, k, self.num.one, zero)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
         out = RatFunc.__new__(RatFunc)
-        out.num = _uni(tuple(-c for c in self.num.c), self.num.one)
+        out.num = _uni(tuple(-c for c in self.num.c), self.num.one,
+                       self.num.zero_coeff)
         out.den = self.den
         return out
 
@@ -799,13 +799,14 @@ class RatFunc:
             return self
         if not b:
             return other
-        out = [self.num.zero_coeff] * (len(a) + len(b) - 1)
+        zero = self.num.zero_coeff
+        out = [zero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     if y:
                         out[j] = out[j] + x * y
-        return _laurent(out, k + l, self.num.one)
+        return _laurent(out, k + l, self.num.one, zero)
 
     __rmul__ = __mul__
 

@@ -5,15 +5,20 @@ staging.  There are two exceptions.  The rank mask tests every 4x4 minor
 with the package's staged determinant, a route independent of row
 reduction.  The lattice quintic reads a determinant's coefficients off its
 values by the package's row reduction, a route independent of expanding
-the determinant over coefficient vectors."""
+the determinant over coefficient vectors.  The complement steps add
+points by the package's chord-tangent law, a route independent of
+composing multiplication maps."""
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from pentangle.hessepencil import (_cyclic_span, _fp_add, _keys, _point_orders,
+                                   _sorted_member, group_structure)
+from pentangle.multipoly import MultiPoly
 from pentangle.probe import _coefficients, _det_staged, _lattice
 
 
@@ -87,3 +92,42 @@ def lattice_quintic(rows, z, p: int) -> np.ndarray:
     of ``rows(x, z, p)``, the structure or the dual rows, read off its
     values on the quintic lattice by one solve."""
     return _coefficients(_det_staged(rows(_lattice(5), z, p), p), 5, p)
+
+
+def substitute(poly: MultiPoly, images: Mapping[str, MultiPoly]) -> MultiPoly:
+    """Simultaneous substitution var -> polynomial in the same ring: every
+    term expanded as its coefficient times powers of the images, the
+    variables without an image kept."""
+    acc = MultiPoly.zero(poly.vars, poly.one)
+    for mono, c in poly.terms.items():
+        piece = MultiPoly.constant(poly.vars, c, poly.one)
+        for v, e in zip(poly.vars, mono):
+            image = images.get(v)
+            if image is None:
+                image = MultiPoly.variable(v, poly.vars, poly.one)
+            piece = piece * image ** e
+        acc = acc + piece
+    return acc
+
+
+def complement_steps(curve) -> np.ndarray:
+    """For every point P of a smooth member over F_p with invariants
+    (n1, n2), n1 > 1, the least k >= 1 with k * P in the span of the
+    member's first point of order n2, found by adding P to k * P one step
+    at a time."""
+    lam, p = curve.fp_params()
+    pts = curve.point_array()
+    n1, n2 = group_structure(curve)["invariants"]
+    gen2 = pts[np.nonzero(_point_orders(curve) == n2)[0][:1]]
+    cyclic = np.sort(_keys(_cyclic_span(lam, p, gen2, n2), p))
+    k = np.ones(len(pts), dtype=np.int64)
+    acc = pts.copy()
+    outside = ~_sorted_member(_keys(acc, p), cyclic)
+    for _ in range(n1):
+        if not outside.any():
+            return k
+        idx = np.nonzero(outside)[0]
+        acc[idx] = _fp_add(lam, p, acc[idx], pts[idx])
+        k[idx] += 1
+        outside[idx] = ~_sorted_member(_keys(acc[idx], p), cyclic)
+    raise AssertionError("%d steps left points outside the span" % n1)

@@ -50,8 +50,11 @@ from pentangle.hessepencil import (
     _fp_third,
     _generic_third,
     _is_origin,
+    _keys,
     _lambda_histogram,
+    _least_multiples,
     _member_points,
+    _multiplication_maps,
     _orbit_classes,
     _orders,
     _point_orders,
@@ -61,6 +64,8 @@ from pentangle import hessepencil
 from pentangle.multipoly import MultiPoly
 from pentangle.scalars import (DEFAULT_PRIMES, EPS3, Cyclo, Fp, _normalize_mod_p,
                                _prime_factors, find_root_of_unity, hasse_admits)
+
+from oracles import complement_steps
 
 SEED = 20260824
 ROOT = Path(__file__).resolve().parent.parent
@@ -637,10 +642,11 @@ def _orders_by_prime(lam: int, p: int, pts: np.ndarray, group_order: int) -> np.
 
 
 def test_product_tree_orders_match_per_prime_loop(witness):
-    # every smooth member at 31 (orders 27 and 36: trees of one and two
-    # leaves), also against multiples 5n and 35n of its order n, which
-    # any row's order divides too (trees of three and four leaves), then
-    # the witness curve of order 2^3 * 3^2 * 5^2
+    # every smooth member at 31 (orders 27 and 36: maps for one and two
+    # primes), also against multiples 5n and 35n of its order n, which
+    # any row's order divides too (maps for primes q not dividing n,
+    # under which P -> q * P is a bijection), then the witness curve of
+    # order 2^3 * 3^2 * 5^2
     p = 31
     cases = [(lam, p, pts, k * len(pts))
              for lam in range(p) if (lam ** 3 + 27) % p
@@ -650,6 +656,51 @@ def test_product_tree_orders_match_per_prime_loop(witness):
     for lam, p, pts, n in cases:
         assert np.array_equal(_orders(lam, p, pts, n),
                               _orders_by_prime(lam, p, pts, n))
+
+
+def test_multiplication_maps_need_every_image(curve31):
+    # without the origin, the images of the points of order 2 and 3 are
+    # not rows: the map builder raises instead of returning orders
+    lam, p = curve31.fp_params()
+    pts = curve31.point_array()
+    rest = pts[~_is_origin(pts, p)]
+    assert len(rest) == len(pts) - 1
+    with pytest.raises(ArithmeticError, match="not among the points"):
+        _multiplication_maps(lam, p, rest, [2, 3])
+    with pytest.raises(ArithmeticError):
+        _orders(lam, p, rest, len(pts))
+    maps = _multiplication_maps(lam, p, pts, [2, 3, 5])
+    for q, image in maps.items():
+        assert np.array_equal(pts[image], _fp_scalar(lam, p, q, pts))
+
+
+def test_least_multiples_match_complement_steps(witness):
+    # the least k dividing n1 with k * P in the order-n2 span, from the
+    # multiplication maps, against adding P one step at a time; and the
+    # generators built on it, for every smooth member at 31 and the
+    # witness curve
+    p = 31
+    curves = [PlaneCubic.hesse_member(lam, Fp(1, p))
+              for lam in range(p) if (lam ** 3 + 27) % p]
+    tested = 0
+    for curve in curves + [witness]:
+        lam, p = curve.fp_params()
+        pts = curve.point_array()
+        n1, n2 = group_structure(curve)["invariants"]
+        gen2 = pts[np.nonzero(_point_orders(curve) == n2)[0][:1]]
+        if n1 == 1:
+            assert group_generators(curve) == [curve.point(gen2[0].tolist())]
+            continue
+        tested += 1
+        cyclic = np.sort(_keys(_cyclic_span(lam, p, gen2, n2), p))
+        maps = _multiplication_maps(lam, p, pts, _prime_factors(n1))
+        k = _least_multiples(maps, n1, _sorted_member(_keys(pts, p), cyclic))
+        steps = complement_steps(curve)
+        assert np.array_equal(k, steps)
+        first = np.nonzero(steps == n1)[0][0]
+        assert group_generators(curve) == [curve.point(pts[first].tolist()),
+                                           curve.point(gen2[0].tolist())]
+    assert tested >= 2
 
 
 def test_doubled_span_matches_sequential_span(curve31, witness):

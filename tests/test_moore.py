@@ -13,6 +13,7 @@ from pentangle.moore import (
     VARS_X,
     VARS_Y,
     _character_substitution,
+    _fifth_root_scalar,
     _lift_to_cleared,
     _shift_substitution,
     build_moore_matrices,
@@ -37,7 +38,7 @@ from pentangle.multipoly import (
 )
 from pentangle.scalars import EPS5, Cyclo, Fp, ONE, RatFunc, find_root_of_unity
 
-from oracles import incidence_residual, scalar_matrix_det
+from oracles import incidence_residual, scalar_matrix_det, substitute
 
 SEED = 20260824
 
@@ -139,6 +140,44 @@ def test_quadrics_character_eigenvalue(fp_bundle):
     for i in range(5):
         expected = qs.quadrics[i] * eps ** (-2 * i)
         assert _character_substitution(qs.quadrics[i]) == expected
+
+
+def _random_forms(rng: random.Random, one, draw) -> list:
+    """Random polynomials in VARS_X of degree up to four, with up to six
+    terms each, coefficients from draw(rng)."""
+    forms = []
+    for _ in range(6):
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            mono = [0] * 5
+            for _ in range(rng.randint(0, 4)):
+                mono[rng.randrange(5)] += 1
+            terms[tuple(mono)] = draw(rng)
+        forms.append(MultiPoly(VARS_X, terms, one))
+    return forms
+
+
+def test_heisenberg_actions_on_exponents_match_substitution():
+    # the shift as a rotation of exponent tuples and the twist as one
+    # scalar per term, against substituting the images of the variables,
+    # at every step and power over Q(eps15), F_31 and Q(eps15)(a)
+    rng = random.Random(SEED + 5)
+    a = symbolic_modulus()
+    fields = [
+        (ONE, lambda r: EPS5 ** r.randrange(5) * r.randint(-3, 3) + r.randint(-2, 2)),
+        (Fp(1, 31), lambda r: Fp(r.randrange(31), 31)),
+        (RatFunc.const(ONE, ONE), lambda r: a ** r.randint(-2, 2) * r.randint(-3, 3)
+         + EPS5 ** r.randrange(5)),
+    ]
+    for one, draw in fields:
+        inv = one / _fifth_root_scalar(one)
+        xs = MultiPoly.gens(VARS_X, one)
+        for form in _random_forms(rng, one, draw):
+            for k in range(5):
+                shift = {VARS_X[i]: xs[(i - k) % 5] for i in range(5)}
+                twist = {VARS_X[i]: xs[i] * inv ** ((i * k) % 5) for i in range(5)}
+                assert _shift_substitution(form, step=k) == substitute(form, shift)
+                assert _character_substitution(form, power=k) == substitute(form, twist)
 
 
 def test_quadric_explicit_form():

@@ -22,9 +22,9 @@ from pentangle.multipoly import (
     scalar_matrix_rank,
     solve_linear_system,
 )
-from pentangle.scalars import Cyclo, EPS3, Fp, RatFunc
+from pentangle.scalars import Cyclo, EPS3, EPS15, Fp, ONE, RatFunc
 
-from oracles import scalar_matrix_det
+from oracles import scalar_matrix_det, substitute
 
 SEED = 20260824
 XVARS = ("x0", "x1", "x2")
@@ -128,8 +128,8 @@ def test_substitute_is_ring_homomorphism():
     images = {"x0": x1 + x2, "x1": x0 - x2 * 2, "x2": x0 + x1 + 1}
     for _ in range(100):
         f, g = _random_poly(rng), _random_poly(rng)
-        assert (f * g).substitute(images) == f.substitute(images) * g.substitute(images)
-        assert (f + g).substitute(images) == f.substitute(images) + g.substitute(images)
+        assert substitute(f * g, images) == substitute(f, images) * substitute(g, images)
+        assert substitute(f + g, images) == substitute(f, images) + substitute(g, images)
 
 
 def test_partial_derivative_basics():
@@ -190,10 +190,13 @@ def test_nullspace_rank_nullity_random():
 def test_solve_linear_system_consistency():
     one = Fraction(1)
     a = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
-    x = solve_linear_system(a, [Fraction(3), Fraction(1)], one)
-    assert x == [Fraction(2), Fraction(1)]
-    assert solve_linear_system([[Fraction(1)], [Fraction(1)]],
-                               [Fraction(0), Fraction(1)], one) is None
+    x = solve_linear_system(a, [[Fraction(3), Fraction(1)]], one, 2)
+    assert x == [[Fraction(2), Fraction(1)]]
+    column = [[Fraction(1)], [Fraction(1)]]
+    assert solve_linear_system(column, [[Fraction(0), Fraction(1)], [Fraction(2), Fraction(2)]],
+                               one, 1) == [None, [Fraction(2)]]
+    with pytest.raises(ValueError):
+        solve_linear_system(column, [[Fraction(1)]], one, 1)
 
 
 # -- polynomial matrices ----------------------------------------------
@@ -291,19 +294,24 @@ def test_determinant_with_ratfunc_scalars_uses_bareiss():
 def test_in_linear_span_trivial_cases():
     x0, x1, x2 = MultiPoly.gens(XVARS)
     basis = [x0 * x0, x1 * x1, x0 * x2]
-    assert in_linear_span(basis[0], basis) == [1, 0, 0]
-    assert in_linear_span(MultiPoly.zero(XVARS), basis) == [0, 0, 0]
-    assert in_linear_span(x0 * x1, basis) is None
     combo = basis[0] * Fraction(2) - basis[2] * Fraction(5, 3)
-    assert in_linear_span(combo, basis) == [Fraction(2), 0, Fraction(-5, 3)]
+    targets = [basis[0], MultiPoly.zero(XVARS), x0 * x1, combo]
+    assert in_linear_span(targets, basis) == [
+        [1, 0, 0], [0, 0, 0], None, [Fraction(2), 0, Fraction(-5, 3)]]
+    assert in_linear_span([], basis) == []
+    # with no monomial at all the solve has no rows, and a target still
+    # gets a vector as long as the basis
+    zero = MultiPoly.zero(XVARS)
+    assert in_linear_span([zero], [zero, zero, zero]) == [[0, 0, 0]]
+    assert in_linear_span([x0, zero], [zero, zero]) == [None, [0, 0]]
 
 
 def test_in_linear_span_degree_mismatch():
     x0, x1, _ = MultiPoly.gens(XVARS)
     with pytest.raises(ValueError):
-        in_linear_span(x0, [x0 * x1])
+        in_linear_span([x0], [x0 * x1])
     with pytest.raises(ValueError):
-        in_linear_span(x0 + x0 * x1, [x0 * x1])
+        in_linear_span([x0 + x0 * x1], [x0 * x1])
 
 
 def test_in_linear_span_over_rational_functions():
@@ -315,6 +323,47 @@ def test_in_linear_span_over_rational_functions():
     basis = [x0 * x0 * a - x1 * x1 * inv, x0 * x1 * inv ** 2]
     coeffs = [inv ** 3, a ** 2 - inv]
     q = basis[0] * coeffs[0] + basis[1] * coeffs[1]
-    assert in_linear_span(q, basis) == coeffs
+    assert in_linear_span([q], basis) == [coeffs]
     # x1^2 is not a combination of the mixed and the x0^2-weighted quadric
-    assert in_linear_span(x1 * x1 * inv, [basis[1], x0 * x0 * a]) is None
+    assert in_linear_span([x1 * x1 * inv], [basis[1], x0 * x0 * a]) == [None]
+
+
+def test_stacked_span_solve_matches_per_target_solves():
+    # a basis whose last member depends on the first two, targets in its
+    # span, zero targets, and targets using x2^2, which no basis member
+    # has: the stacked solve gives each target what its own solve gives,
+    # and the free variable stays zero
+    rng = random.Random(SEED + 9)
+    support = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)]
+    a = RatFunc.gen(ONE)
+    inv = RatFunc.const(ONE, ONE) / a
+    # (one, random scalar, zero now and then) over Q, F_61 and Q(eps15)(a),
+    # the last as c eps15^k a^(+-1), as the moore quadrics have
+    fields = [
+        (Fraction(1), lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))),
+        (Fp(1, 61), lambda: Fp(rng.randrange(61), 61)),
+        (RatFunc.const(ONE, ONE),
+         lambda: EPS15 ** rng.randrange(15) * (a, inv)[rng.randrange(2)] * rng.randint(-2, 2)),
+    ]
+    for one, draw in fields:
+        zero = one * 0
+        x2 = MultiPoly.variable("x2", XVARS, one)
+        for _ in range(3):
+            basis = [MultiPoly(XVARS, {m: draw() for m in support}, one)
+                     for _ in range(3)]
+            basis.append(basis[0] * draw() - basis[1] * draw())
+            combos = [[draw() for _ in basis[:3]] for _ in range(4)]
+            targets = [sum((f * c for f, c in zip(basis, cs)), MultiPoly.zero(XVARS, one))
+                       for cs in combos]
+            targets += [MultiPoly.zero(XVARS, one), x2 * x2, targets[0] + x2 * x2,
+                        MultiPoly(XVARS, {m: draw() for m in support}, one)]
+            stacked = in_linear_span(targets, basis)
+            assert stacked == [in_linear_span([t], basis)[0] for t in targets]
+            for t, vec in zip(targets, stacked):
+                if vec is not None:
+                    assert vec[3] == zero
+                    assert sum((f * c for f, c in zip(basis, vec)),
+                               MultiPoly.zero(XVARS, one)) == t
+            assert stacked[4] == [zero] * 4
+            assert stacked[5] is None and stacked[6] is None
+
