@@ -27,7 +27,7 @@ for check in report["checks"]:
 # -- the two quintics -------------------------------------------------
 
 det_structure, det_dual = moore.quintic_equations(mm)
-degrees = {sum(e) for e in det_structure.terms}
+degrees = {sum(e) for e, _ in det_structure.term_items()}
 print()
 print("det of structure matrix: %d monomials, degrees %s"
       % (len(det_structure.terms), sorted(degrees)))

@@ -127,7 +127,7 @@ class HeisenbergElement:
         s, t, e = self.sigma_power, self.tau_power, self.twist
         out: dict[tuple, object] = {}
         zero = f.zero_coeff
-        for mono, c in f.terms.items():
+        for mono, c in f.term_items():
             deg = sum(mono)
             weight = sum(i * ex for i, ex in enumerate(mono))
             phase = (self.central ** deg) * eps ** ((-e * t * weight) % n)
@@ -165,8 +165,8 @@ def commutator_scalar(level: int, twist: int = 1, sigma_power: int = 1,
         image = g.act(h.act(g.inverse().act(h.inverse().act(xi))))
         if len(image.terms) != 1:
             raise AssertionError("commutator did not act as a scalar")
-        mono, c = next(iter(image.terms.items()))
-        if mono != next(iter(xi.terms)):
+        (mono, c), = image.term_items()
+        if mono != xi.leading_term()[0]:
             raise AssertionError("commutator moved a coordinate")
         if scalar is None:
             scalar = c
@@ -396,7 +396,7 @@ def iota3_on_polynomial(f: MultiPoly) -> MultiPoly:
     if len(f.vars) != 3:
         raise ValueError("the plane involution needs 3 variables")
     out = {}
-    for (e0, e1, e2), c in f.terms.items():
+    for (e0, e1, e2), c in f.term_items():
         out[(e0, e2, e1)] = c
     return MultiPoly(f.vars, out, f.one)
 

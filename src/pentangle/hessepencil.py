@@ -31,7 +31,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -88,7 +89,7 @@ class PlaneCubic:
     member; lam None is the member at infinity, x0*x1*x2."""
 
     __slots__ = ("f", "origin", "one", "lam", "_smooth", "_points",
-                 "_orders")
+                 "_maps", "_orders")
 
     def __init__(self, lam, one):
         self.one = one
@@ -102,6 +103,7 @@ class PlaneCubic:
             self._smooth = lam ** 3 + 27 != self.f.zero_coeff
         self.origin = (one * 0, one, -one)
         self._points = None
+        self._maps = None
         self._orders = None
 
     @classmethod
@@ -183,7 +185,7 @@ def _restrict_to_line(f: MultiPoly, a: tuple, r: tuple) -> list:
     zero = f.zero_coeff
     d = f.total_degree()
     out = [zero] * (d + 1)
-    for mono, c in f.terms.items():
+    for mono, c in f.term_items():
         conv = [f.one]
         for i, e in enumerate(mono):
             for _ in range(e):
@@ -622,14 +624,28 @@ def _least_multiples(maps: dict, n: int, inside: np.ndarray) -> np.ndarray:
     return k
 
 
-def _orders(lam: int, p: int, pts: np.ndarray, group_order: int) -> np.ndarray:
+def _orders(maps: Mapping, pts: np.ndarray, p: int, group_order: int) -> np.ndarray:
     """The order of every row of pts, a member's sorted points: the least
-    k dividing group_order with k * P at the origin."""
-    maps = _multiplication_maps(lam, p, pts, _prime_factors(group_order))
+    k dividing group_order with k * P at the origin, from the maps of pts
+    for the primes of group_order."""
     orders = _least_multiples(maps, group_order, _is_origin(pts, p))
     if not orders.all():
         raise ArithmeticError("%d * P is not the origin for every row" % group_order)
     return orders
+
+
+def _curve_maps(curve: PlaneCubic) -> Mapping:
+    """The multiplication maps of `curve.point_array()` for every prime
+    dividing the point count, as read-only arrays in a read-only mapping
+    kept on the curve."""
+    if curve._maps is None:
+        lam, p = curve.fp_params()
+        pts = curve.point_array()
+        maps = _multiplication_maps(lam, p, pts, _prime_factors(len(pts)))
+        for m in maps.values():
+            m.flags.writeable = False
+        curve._maps = MappingProxyType(maps)
+    return curve._maps
 
 
 def _point_orders(curve: PlaneCubic) -> np.ndarray:
@@ -638,7 +654,7 @@ def _point_orders(curve: PlaneCubic) -> np.ndarray:
     if curve._orders is None:
         lam, p = curve.fp_params()
         pts = curve.point_array()
-        orders = _orders(lam, p, pts, len(pts))
+        orders = _orders(_curve_maps(curve), pts, p, len(pts))
         orders.flags.writeable = False
         curve._orders = orders
     return curve._orders
@@ -696,8 +712,8 @@ def group_generators(curve: PlaneCubic) -> list[CubicCurvePoint]:
     if n1 == 1:
         return [CubicCurvePoint(curve, gen2[0].tolist())]
     cyclic = np.sort(_keys(_cyclic_span(lam, p, gen2, n2), p))
-    maps = _multiplication_maps(lam, p, pts, _prime_factors(n1))
-    k = _least_multiples(maps, n1, _sorted_member(_keys(pts, p), cyclic))
+    # n1 divides the point count, so the curve's maps cover its primes
+    k = _least_multiples(_curve_maps(curve), n1, _sorted_member(_keys(pts, p), cyclic))
     # the quotient by the order-n2 span has exponent dividing n1, so
     # n1*P lies in the span for every P
     if not k.all():

@@ -28,6 +28,8 @@ from fractions import Fraction
 
 from .checks import Checks
 from .multipoly import (
+    FIELD_BITS,
+    FIELD_MASK,
     MultiPoly,
     PolyMatrix,
     _mk,
@@ -191,7 +193,7 @@ def _restrict(poly: MultiPoly, keep: tuple) -> MultiPoly:
     kept = set(idx)
     drop = [k for k in range(len(poly.vars)) if k not in kept]
     terms = {}
-    for mono, c in poly.terms.items():
+    for mono, c in poly.term_items():
         if any(mono[k] for k in drop):
             raise ValueError("term %r involves dropped variables" % (mono,))
         terms[tuple(mono[k] for k in idx)] = c
@@ -302,22 +304,29 @@ def _fifth_root_scalar(one):
 
 def _shift_substitution(poly: MultiPoly, step: int = 1) -> MultiPoly:
     """Index shift var_i -> var_{i-step} on a 5-variable polynomial: a
-    rotation of each exponent tuple."""
-    s = step % 5
-    return _mk(poly.vars, {m[s:] + m[:s]: c for m, c in poly.terms.items()},
-               poly.one, poly.zero_coeff)
+    rotation of the five exponent fields of each packed monomial, field
+    i + step moving to field i; the degree field stays."""
+    low = step % 5 * FIELD_BITS
+    fields = (1 << 5 * FIELD_BITS) - 1
+    terms = {}
+    for key, c in poly.terms.items():
+        x = key & fields
+        terms[key - x + ((x >> low | x << 5 * FIELD_BITS - low) & fields)] = c
+    return _mk(poly.vars, terms, poly.one, poly.zero_coeff)
 
 
 def _character_substitution(poly: MultiPoly, power: int = 1) -> MultiPoly:
     """Diagonal twist var_i -> eps^(-i power) var_i with eps of order five:
-    the term of x^e gains the scalar eps^(-power * sum_i i e_i)."""
+    the term of x^e gains the scalar eps^(-power * sum_i i e_i), its
+    weight read off the exponent fields of the packed monomial."""
     one = poly.one
     inv = one / _fifth_root_scalar(one)
     scales = [inv ** k for k in range(5)]
     terms = {}
-    for m, c in poly.terms.items():
-        k = power * (m[1] + 2 * m[2] + 3 * m[3] + 4 * m[4]) % 5
-        terms[m] = c * scales[k] if k else c
+    for key, c in poly.terms.items():
+        weight = sum(i * ((key >> i * FIELD_BITS) & FIELD_MASK) for i in range(1, 5))
+        k = power * weight % 5
+        terms[key] = c * scales[k] if k else c
     return _mk(poly.vars, terms, one, poly.zero_coeff)
 
 
@@ -337,7 +346,7 @@ def _lift_to_cleared(poly: MultiPoly, avars: tuple, extra_a: int = 0) -> MultiPo
     zero = base * 0
     mult = RatFunc.gen(base) ** extra_a
     terms = {}
-    for mono, c in poly.terms.items():
+    for mono, c in poly.term_items():
         r = c * mult
         if r.den.degree() != 0:
             raise ValueError("coefficient %s still has a pole after clearing "
@@ -354,7 +363,7 @@ def specialize_modulus(poly: MultiPoly, value) -> MultiPoly:
     one = poly.one
     if not isinstance(one, RatFunc):
         raise TypeError("specialization expects rational-function coefficients")
-    terms = {mono: c.eval(value) for mono, c in poly.terms.items()}
+    terms = {mono: c.eval(value) for mono, c in poly.term_items()}
     return MultiPoly(poly.vars, terms, one.one_coeff * 1)
 
 
@@ -458,7 +467,8 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
     """Span membership of the 25 pairing products plus the syzygy pairing.
 
     Every entry of syzygy @ dual^T must be a combination of the five
-    quadrics; the affine index pairing j -> c j + d that makes each
+    quadrics, and each span vector the solve returns is checked to give
+    its entry back; the affine index pairing j -> c j + d that makes each
     syzygy row annihilate the reindexed quadrics is searched over all 20
     candidates and reported, not assumed.
     """
@@ -474,21 +484,19 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
     vectors = in_linear_span([product[i, j] for i, j in entries], qs.quadrics)
     failures = []
     span_vectors = {}
+    ring_zero = MultiPoly.zero(VARS_X, one)
     for (i, j), vec in zip(entries, vectors):
-        if vec is None:
+        if vec is None or sum((q * c for q, c in zip(qs.quadrics, vec)),
+                              ring_zero) != product[i, j]:
             failures.append((i, j))
         elif (i, j) in ((0, 0), (0, 1)):
             span_vectors["(%d, %d)" % (i, j)] = [str(c) for c in vec]
     checks.add("all 25 pairing entries lie in the quadric span", not failures,
                "failing entries %r" % (failures,) if failures else "25 of 25 resolved")
 
-    xg = MultiPoly.gens(VARS_X, one)
-    ring_zero = MultiPoly.zero(VARS_X, one)
-    acc = ring_zero
-    for xi, row_value in zip(xg, mm.syzygy.apply_vector(xg)):
-        acc = acc + xi * row_value
+    column = PolyMatrix([[x] for x in MultiPoly.gens(VARS_X, one)])
     checks.add("the quadratic form of the syzygy matrix vanishes identically",
-               acc.is_zero())
+               (column.transpose() @ mm.syzygy @ column)[0, 0].is_zero())
 
     pairings = []
     for c in range(1, 5):
@@ -514,10 +522,9 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
         for i in range(5):
             cubics = [mm.syzygy[i, j] * qs.quadrics[(c0 * j + d0) % 5]
                       for j in range(5)]
-            monos = set()
-            for g in cubics:
-                monos.update(g.terms)
-            rows = [[g.terms.get(mo, zero) for g in cubics] for mo in sorted(monos)]
+            coeffs = [dict(g.term_items()) for g in cubics]
+            monos = sorted(set().union(*coeffs))
+            rows = [[c.get(mo, zero) for c in coeffs] for mo in monos]
             dims.append(len(scalar_matrix_nullspace(rows, one)))
         checks.add("every syzygy row has a nonzero coefficient kernel",
                    all(d >= 1 for d in dims), "kernel dimensions %s" % (dims,))

@@ -1,6 +1,17 @@
 """Sparse multivariate polynomials over exact scalar fields.
 
-Terms are stored as a map from exponent tuples to nonzero coefficients.
+Terms are stored as a map from packed monomials to nonzero coefficients.
+A packed monomial in n variables is one int of n + 1 fields of
+FIELD_BITS bits: the exponent of variable i in field i and the total
+degree in field n, on top.  The top bit of every field is a guard, so a
+monomial product is one integer add, m divides m' exactly when m' - m
+sets no guard bit, and grevlex is the int order of a linear key.  Every
+exponent and every total degree stays below EXPONENT_BOUND = 128, so no
+field carries into the next: a constructor input or a product that
+would reach it raises ValueError.  The constructor takes exponent
+tuples; `term_items` gives them back, the one way to read terms from
+outside this module.
+
 The monomial order is graded reverse lexicographic everywhere; rendering
 and equality both rely on it being canonical.
 
@@ -12,16 +23,58 @@ elimination, so each can serve as the other's oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Callable, Mapping, Sequence
 
 from .scalars import Fp, RatFunc, _power
 
 _F1 = Fraction(1)
 
+FIELD_BITS = 8
+EXPONENT_BOUND = 1 << (FIELD_BITS - 1)
+FIELD_MASK = (1 << FIELD_BITS) - 1
+
 
 def grevlex_key(mono: Sequence[int]):
-    """Sort key: ascending order lists monomials from grevlex-largest down."""
+    """Sort key of exponent tuples: ascending order lists grevlex-largest first."""
     return (-sum(mono), tuple(reversed(mono)))
+
+
+def _guard(n: int) -> int:
+    """The guard bits of the n variable fields and the degree field."""
+    return ((1 << (n + 1) * FIELD_BITS) - 1) // FIELD_MASK * EXPONENT_BOUND
+
+
+def _grevlex(n: int) -> Callable[[int], int]:
+    """Sort key of packed monomials in n variables, grevlex-largest first:
+    X - D * 2^s for the variable fields X and the degree field D at shift
+    s, so larger degree first, then the smaller exponent of the last
+    variable, and so on back to the first.  The same map takes a key
+    back to its monomial."""
+    s = n * FIELD_BITS
+    return lambda key: key - ((key >> s) << (s + 1))
+
+
+def _pack(mono: Sequence[int], n: int) -> int:
+    """The packed form of an exponent tuple of n nonnegative ints with total
+    degree below EXPONENT_BOUND; anything else raises ValueError."""
+    if len(mono) != n:
+        raise ValueError("exponent width %d does not match %d variables" % (len(mono), n))
+    key = degree = 0
+    for i, e in enumerate(mono):
+        e = int(e)
+        if e < 0:
+            raise ValueError("negative exponent in %r" % (tuple(mono),))
+        key += e << i * FIELD_BITS
+        degree += e
+    if degree >= EXPONENT_BOUND:
+        raise ValueError("total degree %d of %r reaches the exponent bound %d"
+                         % (degree, tuple(mono), EXPONENT_BOUND))
+    return key + (degree << n * FIELD_BITS)
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    return tuple((key >> i * FIELD_BITS) & FIELD_MASK for i in range(n))
 
 
 def monomials(degree: int, nvars: int) -> list[tuple[int, ...]]:
@@ -43,22 +96,20 @@ class MultiPoly:
         self.vars = tuple(vars)
         self.one = one
         self.zero_coeff = one * 0
+        n = len(self.vars)
         clean = {}
         if terms:
             for mono, c in terms.items():
                 if isinstance(c, int):
                     c = one * c
-                if len(mono) != len(self.vars):
-                    raise ValueError("exponent width %d does not match %d variables"
-                                     % (len(mono), len(self.vars)))
+                key = _pack(mono, n)
                 if not c:
                     continue
-                mono = tuple(int(e) for e in mono)
-                if any(e < 0 for e in mono):
-                    raise ValueError("negative exponent in %r" % (mono,))
-                clean[mono] = clean[mono] + c if mono in clean else c
-                if not clean[mono]:
-                    del clean[mono]
+                c = clean[key] + c if key in clean else c
+                if c:
+                    clean[key] = c
+                else:
+                    del clean[key]
         self.terms = clean
 
     # -- constructors --------------------------------------------------
@@ -87,29 +138,39 @@ class MultiPoly:
         return not self.terms
 
     def coeff(self, mono: tuple):
-        return self.terms.get(tuple(mono), self.zero_coeff)
+        return self.terms.get(_pack(mono, len(self.vars)), self.zero_coeff)
+
+    def term_items(self) -> list[tuple[tuple, object]]:
+        """The terms as (exponent tuple, coefficient) pairs, in storage
+        order."""
+        n = len(self.vars)
+        return [(_unpack(key, n), c) for key, c in self.terms.items()]
 
     def total_degree(self) -> int:
         """Degree of the polynomial; the zero polynomial reports -1."""
         if not self.terms:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(self.terms) >> len(self.vars) * FIELD_BITS
 
     def homogeneous_degree(self) -> int | None:
         """Common degree of all terms, else None."""
         if not self.terms:
             return None
-        degs = {sum(m) for m in self.terms}
-        return degs.pop() if len(degs) == 1 else None
+        s = len(self.vars) * FIELD_BITS
+        low = min(self.terms) >> s
+        return low if max(self.terms) >> s == low else None
 
     def sorted_terms(self) -> list[tuple[tuple, object]]:
-        return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]))
+        n = len(self.vars)
+        return [(_unpack(key, n), self.terms[key])
+                for key in sorted(self.terms, key=_grevlex(n))]
 
     def leading_term(self) -> tuple[tuple, object]:
         if not self.terms:
             raise ValueError("leading term of the zero polynomial")
-        mono = min(self.terms, key=grevlex_key)
-        return mono, self.terms[mono]
+        n = len(self.vars)
+        key = min(self.terms, key=_grevlex(n))
+        return _unpack(key, n), self.terms[key]
 
     # -- arithmetic ----------------------------------------------------
 
@@ -123,12 +184,12 @@ class MultiPoly:
         self._check_compatible(other)
         zero = self.zero_coeff
         out = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = out.get(mono, zero) + c
+        for key, c in other.terms.items():
+            acc = out.get(key, zero) + c
             if not acc:
-                out.pop(mono, None)
+                out.pop(key, None)
             else:
-                out[mono] = acc
+                out[key] = acc
         return _mk(self.vars, out, self.one, zero)
 
     __radd__ = __add__
@@ -154,17 +215,25 @@ class MultiPoly:
             return _mk(self.vars, {m: c * other for m, c in self.terms.items()},
                        self.one, self.zero_coeff)
         self._check_compatible(other)
-        zero = self.zero_coeff
-        out: dict[tuple, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                acc = out.get(mono, zero) + c1 * c2
-                if not acc:
-                    out.pop(mono, None)
+        f, g = self.terms, other.terms
+        out: dict[int, object] = {}
+        # the largest keys carry the largest degrees, and no exponent
+        # exceeds its term's degree, so one sum checks every field
+        if f and g and (max(f) + max(g)) & _guard(len(self.vars)):
+            raise ValueError("a product term reaches the exponent bound %d"
+                             % EXPONENT_BOUND)
+        for k1, c1 in f.items():
+            for k2, c2 in g.items():
+                key = k1 + k2
+                if key in out:
+                    acc = out[key] + c1 * c2
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
                 else:
-                    out[mono] = acc
-        return _mk(self.vars, out, self.one, zero)
+                    out[key] = c1 * c2
+        return _mk(self.vars, out, self.one, self.zero_coeff)
 
     __rmul__ = __mul__
 
@@ -174,29 +243,48 @@ class MultiPoly:
         return _power(MultiPoly.constant(self.vars, self.one, self.one), self, n)
 
     def exact_div(self, g: "MultiPoly") -> "MultiPoly":
-        """Quotient self/g when g divides exactly; raises otherwise."""
+        """Quotient self/g when g divides exactly; raises otherwise.
+
+        Heap division (Johnson 1974; Monagan and Pearce 2007): the keys of
+        the remainder wait in a heap in grevlex order, each quotient term
+        cancels the largest, and a key popped after its term cancelled is
+        skipped.  The leading coefficient of g is inverted once.
+        """
         self._check_compatible(g)
         if g.is_zero():
             raise ZeroDivisionError("exact division by the zero polynomial")
-        zero = self.zero_coeff
-        g_mono, g_coeff = g.leading_term()
+        n = len(self.vars)
+        order = _grevlex(n)
+        guard = _guard(n)
+        lead = min(g.terms, key=order)
+        inv = self.one / g.terms[lead]
+        tail = [(k, c) for k, c in g.terms.items() if k != lead]
         rem = dict(self.terms)
-        quot: dict[tuple, object] = {}
-        while rem:
-            mono = min(rem, key=grevlex_key)
-            diff = tuple(a - b for a, b in zip(mono, g_mono))
-            if any(e < 0 for e in diff):
+        heap = [order(key) for key in rem]
+        heapify(heap)
+        quot: dict[int, object] = {}
+        while heap:
+            key = order(heappop(heap))
+            c = rem.pop(key, None)
+            if c is None:
+                continue
+            q = key - lead
+            if q & guard:
                 raise ValueError("not exactly divisible")
-            c = rem[mono] / g_coeff
-            quot[diff] = quot.get(diff, zero) + c
-            for m2, c2 in g.terms.items():
-                tm = tuple(a + b for a, b in zip(diff, m2))
-                acc = rem.get(tm, zero) - c * c2
-                if not acc:
-                    rem.pop(tm, None)
+            c = c * inv
+            quot[q] = c
+            for k2, c2 in tail:
+                key = q + k2
+                if key in rem:
+                    acc = rem[key] - c * c2
+                    if acc:
+                        rem[key] = acc
+                    else:
+                        del rem[key]
                 else:
-                    rem[tm] = acc
-        return _mk(self.vars, quot, self.one, zero)
+                    rem[key] = -(c * c2)
+                    heappush(heap, order(key))
+        return _mk(self.vars, quot, self.one, self.zero_coeff)
 
     # -- calculus and evaluation ---------------------------------------
 
@@ -211,42 +299,40 @@ class MultiPoly:
             if 0 <= self.one.p <= deg:
                 raise ValueError("characteristic %d too small for degree %d"
                                  % (self.one.p, deg))
-        zero = self.zero_coeff
-        out: dict[tuple, object] = {}
-        for mono, c in self.terms.items():
-            e = mono[idx]
-            if e == 0:
-                continue
-            m2 = mono[:idx] + (e - 1,) + mono[idx + 1:]
-            acc = out.get(m2, zero) + c * e
-            if not acc:
-                out.pop(m2, None)
-            else:
-                out[m2] = acc
-        return _mk(self.vars, out, self.one, zero)
+        shift = idx * FIELD_BITS
+        unit = (1 << shift) + (1 << len(self.vars) * FIELD_BITS)
+        out: dict[int, object] = {}
+        for key, c in self.terms.items():
+            e = (key >> shift) & FIELD_MASK
+            if e:
+                c = c * e
+                if c:
+                    out[key - unit] = c
+        return _mk(self.vars, out, self.one, self.zero_coeff)
 
     def eval_at(self, point: Sequence) -> object:
         """Value at a full point; coordinates live in the coefficient field."""
         if len(point) != len(self.vars):
             raise ValueError("point dimension %d != %d" % (len(point), len(self.vars)))
         acc = self.zero_coeff
-        for mono, c in self.terms.items():
-            term = c
-            for v, e in zip(point, mono):
-                for _ in range(e):
+        for key, term in self.terms.items():
+            for v in point:
+                for _ in range(key & FIELD_MASK):
                     term = term * v
+                key >>= FIELD_BITS
             acc = acc + term
         return acc
 
     def split_by(self, subset: Sequence[str]) -> dict[tuple, "MultiPoly"]:
         """Group terms by their exponents in `subset`; values keep all variables."""
-        idxs = [list(self.vars).index(v) for v in subset]
-        idxset = set(idxs)
+        shifts = [self.vars.index(v) * FIELD_BITS for v in subset]
+        fields = sum(FIELD_MASK << shift for shift in shifts)
+        s = len(self.vars) * FIELD_BITS
         groups: dict[tuple, dict] = {}
-        for mono, c in self.terms.items():
-            key = tuple(mono[i] for i in idxs)
-            rest = tuple(0 if i in idxset else e for i, e in enumerate(mono))
-            groups.setdefault(key, {})[rest] = c
+        for key, c in self.terms.items():
+            part = key & fields
+            sub = tuple((part >> shift) & FIELD_MASK for shift in shifts)
+            groups.setdefault(sub, {})[key - part - (sum(sub) << s)] = c
         return {k: _mk(self.vars, t, self.one, self.zero_coeff)
                 for k, t in groups.items()}
 
@@ -434,17 +520,6 @@ class PolyMatrix:
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(list(zip(*self.entries)))
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix([[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix([[-a for a in r] for r in self.entries])
-
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %dx%d @ %dx%d"
@@ -460,16 +535,6 @@ class PolyMatrix:
                 row.append(acc)
             out.append(row)
         return PolyMatrix(out)
-
-    def apply_vector(self, vec: Sequence[MultiPoly]) -> list[MultiPoly]:
-        zero = MultiPoly.zero(self.vars, self.one)
-        out = []
-        for i in range(self.nrows):
-            acc = zero
-            for k in range(self.ncols):
-                acc = acc + self.entries[i][k] * vec[k]
-            out.append(acc)
-        return out
 
     def is_symmetric(self) -> bool:
         return all(self.entries[i][j] == self.entries[j][i]
@@ -494,10 +559,6 @@ class PolyMatrix:
 
     def __hash__(self) -> int:
         return hash(self.entries)
-
-    def render(self) -> str:
-        return "\n".join("[ " + " , ".join(e.render() for e in r) + " ]"
-                         for r in self.entries)
 
 
 def det_cofactor(m: PolyMatrix) -> MultiPoly:
@@ -602,7 +663,7 @@ def in_linear_span(targets: Sequence[MultiPoly], basis: Sequence[MultiPoly]) -> 
     monos = set()
     for f in inputs:
         monos.update(f.terms)
-    monos = sorted(monos, key=grevlex_key)
+    monos = sorted(monos, key=_grevlex(len(basis[0].vars)))
     rows = [[f.terms.get(m, zero) for f in basis] for m in monos]
     rhs = [[q.terms.get(m, zero) for m in monos] for q in targets]
     return solve_linear_system(rows, rhs, basis[0].one, len(basis))

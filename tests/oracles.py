@@ -7,7 +7,9 @@ reduction.  The lattice quintic reads a determinant's coefficients off its
 values by the package's row reduction, a route independent of expanding
 the determinant over coefficient vectors.  The complement steps add
 points by the package's chord-tangent law, a route independent of
-composing multiplication maps."""
+composing multiplication maps.  The tuple-keyed polynomial kernels read
+a polynomial's terms as exponent tuples through `term_items`, a route
+independent of the packed monomials."""
 
 from __future__ import annotations
 
@@ -99,7 +101,7 @@ def substitute(poly: MultiPoly, images: Mapping[str, MultiPoly]) -> MultiPoly:
     term expanded as its coefficient times powers of the images, the
     variables without an image kept."""
     acc = MultiPoly.zero(poly.vars, poly.one)
-    for mono, c in poly.terms.items():
+    for mono, c in poly.term_items():
         piece = MultiPoly.constant(poly.vars, c, poly.one)
         for v, e in zip(poly.vars, mono):
             image = images.get(v)
@@ -108,6 +110,71 @@ def substitute(poly: MultiPoly, images: Mapping[str, MultiPoly]) -> MultiPoly:
             piece = piece * image ** e
         acc = acc + piece
     return acc
+
+
+def _grevlex(mono: tuple):
+    """Sort key: ascending order lists monomials from grevlex-largest down."""
+    return (-sum(mono), tuple(reversed(mono)))
+
+
+def _accumulate(out: dict, mono: tuple, c, zero) -> None:
+    acc = out.get(mono, zero) + c
+    if not acc:
+        out.pop(mono, None)
+    else:
+        out[mono] = acc
+
+
+def multiply(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """f * g over exponent tuples: every pair of terms, exponents added
+    place by place."""
+    out: dict[tuple, object] = {}
+    for m1, c1 in f.term_items():
+        for m2, c2 in g.term_items():
+            _accumulate(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2, f.zero_coeff)
+    return MultiPoly(f.vars, out, f.one)
+
+
+def leading_term(f: MultiPoly) -> tuple:
+    """The grevlex-largest (exponent tuple, coefficient) pair."""
+    return min(f.term_items(), key=lambda t: _grevlex(t[0]))
+
+
+def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """f / g over exponent tuples: the remainder rescanned for its
+    grevlex-largest term, divided by g's leading coefficient each time;
+    a leading term g's leading monomial does not divide raises
+    ValueError."""
+    zero = f.zero_coeff
+    g_mono, g_coeff = leading_term(g)
+    rem = dict(f.term_items())
+    quot: dict[tuple, object] = {}
+    while rem:
+        mono = min(rem, key=_grevlex)
+        diff = tuple(a - b for a, b in zip(mono, g_mono))
+        if any(e < 0 for e in diff):
+            raise ValueError("not exactly divisible")
+        c = rem[mono] / g_coeff
+        _accumulate(quot, diff, c, zero)
+        for m2, c2 in g.term_items():
+            _accumulate(rem, tuple(a + b for a, b in zip(diff, m2)), -(c * c2), zero)
+    return MultiPoly(f.vars, quot, f.one)
+
+
+def partial_derivative(f: MultiPoly, var: str) -> MultiPoly:
+    """d/d var over exponent tuples, with no characteristic guard."""
+    idx = f.vars.index(var)
+    out: dict[tuple, object] = {}
+    for mono, c in f.term_items():
+        e = mono[idx]
+        if e:
+            _accumulate(out, mono[:idx] + (e - 1,) + mono[idx + 1:], c * e, f.zero_coeff)
+    return MultiPoly(f.vars, out, f.one)
+
+
+def grevlex_monomials(f: MultiPoly) -> list[tuple]:
+    """The exponent tuples of f's terms, grevlex-largest first."""
+    return sorted((mono for mono, _ in f.term_items()), key=_grevlex)
 
 
 def complement_steps(curve) -> np.ndarray:

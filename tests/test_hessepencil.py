@@ -38,6 +38,7 @@ from pentangle.hessepencil import (
     verify_translation_action,
     verify_triangle_members,
     _character_representatives,
+    _curve_maps,
     _cyclic_span,
     _fp_add,
     _fp_cross,
@@ -165,7 +166,7 @@ def _singular_points(curve):
     """Every point of the charts of P^2(F_p) where the three partials of
     the curve vanish: a full scan in plain ints, from its coefficients."""
     p = curve.one.p
-    terms = [(mono, coeff.v) for mono, coeff in curve.f.terms.items()]
+    terms = [(mono, coeff.v) for mono, coeff in curve.f.term_items()]
 
     def partial(k, pt):
         return sum(c * mono[k] * prod(x ** (e - (i == k))
@@ -654,8 +655,8 @@ def test_product_tree_orders_match_per_prime_loop(witness):
     lam, p = witness.fp_params()
     cases.append((lam, p, witness.point_array(), len(witness.point_array())))
     for lam, p, pts, n in cases:
-        assert np.array_equal(_orders(lam, p, pts, n),
-                              _orders_by_prime(lam, p, pts, n))
+        maps = _multiplication_maps(lam, p, pts, _prime_factors(n))
+        assert np.array_equal(_orders(maps, pts, p, n), _orders_by_prime(lam, p, pts, n))
 
 
 def test_multiplication_maps_need_every_image(curve31):
@@ -667,8 +668,10 @@ def test_multiplication_maps_need_every_image(curve31):
     assert len(rest) == len(pts) - 1
     with pytest.raises(ArithmeticError, match="not among the points"):
         _multiplication_maps(lam, p, rest, [2, 3])
-    with pytest.raises(ArithmeticError):
-        _orders(lam, p, rest, len(pts))
+    # with 2 in place of the point count, which most rows' orders do not
+    # divide, the orders raise instead of returning zeros
+    with pytest.raises(ArithmeticError, match="is not the origin"):
+        _orders(_multiplication_maps(lam, p, pts, [2]), pts, p, 2)
     maps = _multiplication_maps(lam, p, pts, [2, 3, 5])
     for q, image in maps.items():
         assert np.array_equal(pts[image], _fp_scalar(lam, p, q, pts))
@@ -701,6 +704,29 @@ def test_least_multiples_match_complement_steps(witness):
         assert group_generators(curve) == [curve.point(pts[first].tolist()),
                                            curve.point(gen2[0].tolist())]
     assert tested >= 2
+
+
+def test_multiplication_maps_run_once_per_curve(monkeypatch, witness):
+    # point orders, group structure and both generators share one build
+    # of the maps, kept read-only on the curve; a fresh curve builds its own
+    real = hessepencil._multiplication_maps
+    primes = []
+    monkeypatch.setattr(hessepencil, "_multiplication_maps",
+                        lambda lam, p, pts, qs: primes.append(list(qs)) or real(lam, p, pts, qs))
+    lam, p = witness.fp_params()
+    curve = PlaneCubic.hesse_member(lam, Fp(1, p))
+    gens = group_generators(curve)
+    assert group_structure(curve)["invariants"] == (30, 60)
+    assert len(gens) == 2 and len(_point_orders(curve)) == 1800
+    assert group_generators(curve) == gens
+    assert primes == [[2, 3, 5]]
+    maps = _curve_maps(curve)
+    with pytest.raises(TypeError):
+        maps[7] = maps[2]
+    with pytest.raises(ValueError):
+        maps[2][0] = 0
+    assert group_structure(PlaneCubic.hesse_member(1, Fp(1, 31)))["order"] == 36
+    assert primes == [[2, 3, 5], [2, 3]]
 
 
 def test_doubled_span_matches_sequential_span(curve31, witness):

@@ -28,7 +28,9 @@ from pentangle.moore import (
     verify_span_claims,
     z_vector,
 )
+from pentangle import multipoly
 from pentangle.multipoly import (
+    EXPONENT_BOUND,
     MultiPoly,
     det_bareiss,
     det_cofactor,
@@ -329,11 +331,58 @@ def test_lift_to_cleared_guards(symbolic_bundle, symbolic_dets):
     det_m, _ = symbolic_dets
     lifted = _lift_to_cleared(det_m, ("a",) + VARS_Y, 5)
     # slot 0 carries the a-degree; the x-degree stays five
-    assert {sum(mono[1:]) for mono in lifted.terms} == {5}
+    assert {sum(mono[1:]) for mono, _ in lifted.term_items()} == {5}
     with pytest.raises(ValueError):
         _lift_to_cleared(mm.m_prime[0, 2], AVARS_X, 0)  # 1/a pole remains
     with pytest.raises(TypeError):
         _lift_to_cleared(MultiPoly.gens(VARS_X, ONE)[0], ("a",) + VARS_X, 0)
+
+
+def _unit_power(width: int, i: int, e: int) -> tuple:
+    return tuple(e if k == i else 0 for k in range(width))
+
+
+def test_exponent_bound_in_the_widest_rings(symbolic_dets):
+    # the ten-variable ring of the pairing components: a term of degree
+    # EXPONENT_BOUND - 1 in any one variable keeps every other field zero,
+    # and a constructor input or product of degree EXPONENT_BOUND raises
+    top = EXPONENT_BOUND - 1
+    joint = VARS_X + VARS_Y
+    gens = MultiPoly.gens(joint, ONE)
+    for i in (0, 4, 5, 9):
+        power = _unit_power(10, i, top)
+        high = MultiPoly(joint, {power: 3}, ONE)
+        assert high.term_items() == [(power, Cyclo(3))]
+        assert gens[i] ** 64 * gens[i] ** 63 * 3 == high
+        with pytest.raises(ValueError):
+            MultiPoly(joint, {_unit_power(10, i, top + 1): 1}, ONE)
+        with pytest.raises(ValueError):
+            gens[i] ** 64 * gens[i] ** 64
+        for j in (0, 3, 9):
+            with pytest.raises(ValueError):
+                MultiPoly(joint, {tuple(a + b for a, b in zip(
+                    power, _unit_power(10, j, 1))): 1}, ONE)
+            with pytest.raises(ValueError):
+                high * gens[j]
+            if j != i:
+                with pytest.raises(ValueError, match="not exactly divisible"):
+                    high.exact_div(gens[j])
+    # the cleared ring at the a-degree the lifted determinant reaches,
+    # raised by a power of a to the last degree below the bound
+    det_m, _ = symbolic_dets
+    lifted = _lift_to_cleared(det_m, ("a",) + VARS_Y, 5)
+    a = MultiPoly.variable("a", lifted.vars, lifted.one)
+    lift = top - lifted.total_degree()
+    assert lift > 0
+    raised = lifted * a ** lift
+    assert raised.total_degree() == top
+    assert sorted(raised.term_items()) == sorted(
+        ((m[0] + lift,) + m[1:], c) for m, c in lifted.term_items())
+    for g in MultiPoly.gens(lifted.vars, lifted.one):
+        with pytest.raises(ValueError):
+            raised * g
+    with pytest.raises(ValueError):
+        MultiPoly(lifted.vars, {_unit_power(6, 0, EXPONENT_BOUND): 1}, lifted.one)
 
 
 # -- reference points and incidence -----------------------------------
@@ -444,6 +493,24 @@ def test_span_report_prime_field(fp_bundle):
     assert rep["passed"]
     assert rep["pairings"] == [(3, 0)]
     assert rep["span_vectors"]["(0, 1)"] == ["0", "0", "2", "0", "0"]
+
+
+def test_span_claim_checks_every_vector(monkeypatch, fp_bundle, symbolic_bundle):
+    # a solver that hands each target the answer of the target before it
+    # still resolves all 25 entries; checking each vector against its
+    # entry is what fails the claim
+    name = "all 25 pairing entries lie in the quadric span"
+    for mm, qs in (fp_bundle, symbolic_bundle):
+        claim, = [c for c in verify_span_claims(mm, qs)["checks"] if c["name"] == name]
+        assert claim["passed"] and claim["detail"] == "25 of 25 resolved"
+    real = multipoly.solve_linear_system
+    monkeypatch.setattr(multipoly, "solve_linear_system",
+                        lambda *args: (lambda out: out[:1] + out[:-1])(real(*args)))
+    for mm, qs in (fp_bundle, symbolic_bundle):
+        rep = verify_span_claims(mm, qs)
+        claim, = [c for c in rep["checks"] if c["name"] == name]
+        assert not rep["passed"] and not claim["passed"]
+        assert claim["detail"].startswith("failing entries [")
 
 
 def test_span_report_rejects_mixed_moduli(fp_bundle):

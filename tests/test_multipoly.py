@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pentangle.multipoly import (
@@ -24,6 +24,7 @@ from pentangle.multipoly import (
 )
 from pentangle.scalars import Cyclo, EPS3, EPS15, Fp, ONE, RatFunc
 
+import oracles
 from oracles import scalar_matrix_det, substitute
 
 SEED = 20260824
@@ -87,6 +88,16 @@ def test_product_of_homogeneous_is_homogeneous():
         assert (f * g).homogeneous_degree() == d1 + d2
 
 
+def test_homogeneous_and_total_degree():
+    x0, x1, x2 = MultiPoly.gens(XVARS)
+    assert (x0 * x1 - x2 ** 2).homogeneous_degree() == 2
+    for f, degree in ((x0 + x0 * x1, 2), (x2 ** 3 + 1, 3), (x0 * x1 * x2 - x0, 3)):
+        assert f.homogeneous_degree() is None
+        assert f.total_degree() == degree
+    assert MultiPoly.zero(XVARS).homogeneous_degree() is None
+    assert MultiPoly.zero(XVARS).total_degree() == -1
+
+
 def _random_homogeneous(rng: random.Random, deg: int) -> MultiPoly:
     terms = {}
     for _ in range(rng.randint(1, 4)):
@@ -132,6 +143,20 @@ def test_substitute_is_ring_homomorphism():
         assert substitute(f + g, images) == substitute(f, images) + substitute(g, images)
 
 
+def test_split_by_regroups_terms():
+    # each group is free of the split variables, and its terms times the
+    # group's monomial give the polynomial back
+    rng = random.Random(SEED + 10)
+    for _ in range(100):
+        f = _random_poly(rng)
+        acc = MultiPoly.zero(XVARS)
+        for (e0, e2), part in f.split_by(("x0", "x2")).items():
+            assert all(m[0] == m[2] == 0 for m, _ in part.term_items())
+            assert part.total_degree() == max(m[1] for m, _ in part.term_items())
+            acc = acc + part * MultiPoly(XVARS, {(e0, 0, e2): 1})
+        assert acc == f
+
+
 def test_partial_derivative_basics():
     x0, x1, x2 = MultiPoly.gens(XVARS)
     assert (x0 * x0).partial_derivative("x0") == x0 * 2
@@ -154,6 +179,72 @@ def test_partial_derivative_char_guard():
     x0 = MultiPoly.variable("x0", XVARS, one)
     with pytest.raises(ValueError):
         (x0 ** 5 + x0).partial_derivative("x0")
+
+
+# -- packed kernel against the tuple-keyed oracles --------------------
+
+_A = RatFunc.gen(ONE)
+#: (one, scalar from a small int n and an index k) per coefficient field
+PACKED_FIELDS = {
+    "Q": (Fraction(1), lambda n, k: Fraction(n, 1 + k % 3)),
+    "F_61": (Fp(1, 61), lambda n, k: Fp(7 * n + k, 61)),
+    "Q(eps15)": (ONE, lambda n, k: EPS15 ** k * n),
+    "Q(eps15)(a)": (RatFunc.const(ONE, ONE),
+                    lambda n, k: EPS15 ** k * (_A, _A ** 2, 1 / _A)[k % 3] * n),
+}
+_TERMS = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                         st.tuples(st.integers(-3, 3), st.integers(0, 14)), max_size=5)
+
+
+def _packed_poly(field: str, terms: dict) -> MultiPoly:
+    one, scalar = PACKED_FIELDS[field]
+    return MultiPoly(XVARS, {m: scalar(n, k) for m, (n, k) in terms.items()}, one)
+
+
+@given(st.sampled_from(sorted(PACKED_FIELDS)), _TERMS, _TERMS)
+@settings(max_examples=60, deadline=None)
+def test_packed_product_and_quotient_match_tuple_oracle(field, f_terms, g_terms):
+    f, g = _packed_poly(field, f_terms), _packed_poly(field, g_terms)
+    product = f * g
+    assert product == oracles.multiply(f, g)
+    if not g.is_zero():
+        assert product.exact_div(g) == oracles.exact_divide(product, g) == f
+
+
+@given(st.sampled_from(sorted(PACKED_FIELDS)), _TERMS, _TERMS,
+       st.tuples(*[st.integers(0, 6)] * 3))
+@settings(max_examples=40, deadline=None)
+def test_packed_division_rejects_what_the_oracle_rejects(field, f_terms, g_terms, mono):
+    # with g of two terms or more, a multiple of g plus one monomial is
+    # never a multiple of g
+    f, g = _packed_poly(field, f_terms), _packed_poly(field, g_terms)
+    assume(len(g.terms) >= 2)
+    one = PACKED_FIELDS[field][0]
+    h = f * g + MultiPoly(XVARS, {mono: one}, one)
+    with pytest.raises(ValueError):
+        h.exact_div(g)
+    with pytest.raises(ValueError):
+        oracles.exact_divide(h, g)
+
+
+def _joined(parts: list[str]) -> str:
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+@given(st.sampled_from(sorted(PACKED_FIELDS)), _TERMS, st.sampled_from(XVARS))
+@settings(max_examples=60, deadline=None)
+def test_packed_order_and_derivative_match_tuple_oracle(field, terms, var):
+    f = _packed_poly(field, terms)
+    assert f.partial_derivative(var) == oracles.partial_derivative(f, var)
+    assume(not f.is_zero())
+    assert f.leading_term() == oracles.leading_term(f)
+    monos = oracles.grevlex_monomials(f)
+    assert [m for m, _ in f.sorted_terms()] == monos
+    assert f.render() == _joined([MultiPoly(XVARS, {m: f.coeff(m)}, f.one).render()
+                                  for m in monos])
 
 
 # -- scalar linear algebra --------------------------------------------

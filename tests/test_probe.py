@@ -771,7 +771,7 @@ def _form(coeffs, degree, p):
 
 def _vector(poly, degree):
     """The coefficient vector of a polynomial over monomials(degree, 5)[::-1]."""
-    return [poly.terms[m].v if m in poly.terms else 0 for m in monomials(degree, 5)[::-1]]
+    return [poly.coeff(m).v for m in monomials(degree, 5)[::-1]]
 
 
 def test_witness_shapes(witness31):
