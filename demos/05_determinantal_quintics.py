@@ -1,4 +1,4 @@
-"""The symmetric 5x5 matrix of linear forms, its quadric system, and
+"""The symmetric 5x5 matrix of linear forms, its five quadrics, and
 the two degree-5 determinants, handled fully symbolically.
 
 The modulus a is left as an indeterminate, so every identity below is
@@ -10,10 +10,10 @@ from pentangle import moore
 
 a = moore.symbolic_modulus()
 mm = moore.build_moore_matrices(a)
-qs = moore.QuadricSystem(a)
 
 # -- the structure matrix and its companions --------------------------
 
+print("quadric q0:                   ", mm.quadrics[0].render())
 print("structure matrix entry (0, 0):", mm.m.entries[0][0].render())
 print("structure matrix entry (1, 4):", mm.m.entries[1][4].render())
 print("syzygy matrix entry (0, 1):   ", mm.syzygy.entries[0][1].render())
@@ -35,7 +35,7 @@ print("det of dual matrix:      %d monomials" % len(det_dual.terms))
 
 # -- syzygies: the antisymmetric pairing lands in the quadric span ----
 
-span = moore.verify_span_claims(mm, qs)
+span = moore.verify_span_claims(mm)
 print()
 print("span certificate:")
 for check in span["checks"]:

@@ -118,30 +118,17 @@ class HeisenbergElement:
     # -- action on polynomials -----------------------------------------
 
     def act(self, f: MultiPoly) -> MultiPoly:
-        """Linear substitution action; variable count must equal the level."""
+        """Linear substitution action; variable count must equal the level.
+        A term of degree d and weight w = sum_i i e_i gains the scalar
+        central^d eps^(-e t w)."""
         n = self.level
         if len(f.vars) != n:
             raise ValueError("level-%d element cannot act on %d variables"
                              % (n, len(f.vars)))
         eps = self._eps()
-        s, t, e = self.sigma_power, self.tau_power, self.twist
-        out: dict[tuple, object] = {}
-        zero = f.zero_coeff
-        for mono, c in f.term_items():
-            deg = sum(mono)
-            weight = sum(i * ex for i, ex in enumerate(mono))
-            phase = (self.central ** deg) * eps ** ((-e * t * weight) % n)
-            shifted = [0] * n
-            for i, ex in enumerate(mono):
-                if ex:
-                    shifted[(i - s) % n] = ex
-            key = tuple(shifted)
-            acc = out.get(key, zero) + c * phase
-            if acc == zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return MultiPoly(f.vars, out, f.one)
+        central, k = self.central, -self.twist * self.tau_power
+        return f.cyclic_substitution(
+            self.sigma_power, lambda w, d: central ** d * eps ** (k * w % n))
 
 
 def commutator(g: HeisenbergElement, h: HeisenbergElement) -> HeisenbergElement:
@@ -235,13 +222,6 @@ def character_decomposition(degree: int, level: int, twist: int = 1
     eps = cyclo_root_of_unity(n)
     e = twist % n
 
-    def shift(mono: tuple, s: int) -> tuple:
-        out = [0] * n
-        for i, ex in enumerate(mono):
-            if ex:
-                out[(i - s) % n] = ex
-        return tuple(out)
-
     seen: set[tuple] = set()
     blocks: dict[tuple[int, int], list[MultiPoly]] = {}
     for mono in monomials(degree, n):
@@ -252,7 +232,7 @@ def character_decomposition(degree: int, level: int, twist: int = 1
         while m not in seen:
             seen.add(m)
             orbit.append(m)
-            m = shift(m, 1)
+            m = m[1:] + m[:1]
         size = len(orbit)
         rep = min(orbit, key=grevlex_key)
         weight = sum(i * ex for i, ex in enumerate(rep))
@@ -262,7 +242,7 @@ def character_decomposition(degree: int, level: int, twist: int = 1
                 continue
             terms: dict[tuple, Cyclo] = {}
             for j in range(n):
-                key = shift(rep, j)
+                key = rep[j:] + rep[:j]
                 coeff = eps ** ((-a * j) % n)
                 terms[key] = terms.get(key, Cyclo(0)) + coeff
             v = MultiPoly(vars_, terms, one)

@@ -28,11 +28,8 @@ from fractions import Fraction
 
 from .checks import Checks
 from .multipoly import (
-    FIELD_BITS,
-    FIELD_MASK,
     MultiPoly,
     PolyMatrix,
-    _mk,
     det_bareiss,
     det_cofactor,
     determinant,
@@ -143,34 +140,30 @@ def _mono_x(*indices: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-class QuadricSystem:
-    """The five cyclically linked quadrics of one invertible modulus."""
+def _quadrics(a, one) -> tuple[MultiPoly, ...]:
+    """The five cyclically linked quadrics of an invertible modulus a."""
+    inv_a = one / a
+    qs = []
+    for i in range(5):
+        q = MultiPoly(VARS_X, {
+            _mono_x(i, i): one,
+            _mono_x(i + 2, i + 3): a,
+            _mono_x(i + 1, i + 4): -inv_a,
+        }, one)
+        if q.homogeneous_degree() != 2:
+            raise AssertionError("quadric %d is not homogeneous quadratic" % i)
+        qs.append(q)
+    return tuple(qs)
 
-    __slots__ = ("a", "one", "quadrics")
 
-    def __init__(self, a):
-        a, one = _invertible_modulus(a)
-        inv_a = one / a
-        qs = []
-        for i in range(5):
-            q = MultiPoly(VARS_X, {
-                _mono_x(i, i): one,
-                _mono_x(i + 2, i + 3): a,
-                _mono_x(i + 1, i + 4): -inv_a,
-            }, one)
-            if q.homogeneous_degree() != 2:
-                raise AssertionError("quadric %d is not homogeneous quadratic" % i)
-            qs.append(q)
-        self.a = a
-        self.one = one
-        self.quadrics = tuple(qs)
+def _z(a, one) -> tuple:
+    inv_a = one / a
+    return (one * 2, a, -inv_a, -inv_a, a)
 
 
 def z_vector(a) -> tuple:
     """Entry weights (2, a, -1/a, -1/a, a) shared by both structure matrices."""
-    a, one = _invertible_modulus(a)
-    inv_a = one / a
-    return (one * 2, a, -inv_a, -inv_a, a)
+    return _z(*_invertible_modulus(a))
 
 
 def reference_curve_points(a) -> tuple[tuple, tuple]:
@@ -214,20 +207,24 @@ def _syzygy_matrix(a, one) -> PolyMatrix:
 
 
 class MooreMatrices:
-    """Structure matrix in y, its dual in x, and the syzygy matrix in x."""
+    """The bundle of one modulus: structure matrix in y, its dual in x,
+    the syzygy matrix in x, and the five quadrics."""
 
-    __slots__ = ("a", "one", "m", "m_prime", "syzygy")
+    __slots__ = ("a", "one", "m", "m_prime", "syzygy", "quadrics")
 
-    def __init__(self, a, m: PolyMatrix, m_prime: PolyMatrix, syzygy: PolyMatrix):
+    def __init__(self, a, one, m: PolyMatrix, m_prime: PolyMatrix,
+                 syzygy: PolyMatrix, quadrics: tuple[MultiPoly, ...]):
         self.a = a
-        self.one = _field_one(a)
+        self.one = one
         self.m = m
         self.m_prime = m_prime
         self.syzygy = syzygy
+        self.quadrics = quadrics
 
 
 def build_moore_matrices(a) -> MooreMatrices:
-    """Assemble all three matrices; the dual one by coefficient matching.
+    """Assemble the quadrics and all three matrices; the dual one by
+    coefficient matching.
 
     The i-th component of the structure matrix applied to x is expanded
     in the joint (x, y) ring and sorted by unit y-exponent; the closed
@@ -235,7 +232,7 @@ def build_moore_matrices(a) -> MooreMatrices:
     extraction, so the dual matrix is solved, not postulated.
     """
     a, one = _invertible_modulus(a)
-    z = z_vector(a)
+    z = _z(a, one)
 
     ygens = MultiPoly.gens(VARS_Y, one)
     m = PolyMatrix([[ygens[(i + j) % 5] * z[(i - j) % 5] for j in range(5)]
@@ -269,7 +266,7 @@ def build_moore_matrices(a) -> MooreMatrices:
     syzygy = _syzygy_matrix(a, one)
     if not syzygy.is_antisymmetric():
         raise AssertionError("syzygy matrix failed the antisymmetry check")
-    return MooreMatrices(a, m, m_prime, syzygy)
+    return MooreMatrices(a, one, m, m_prime, syzygy, _quadrics(a, one))
 
 
 def quintic_equations(mm: MooreMatrices) -> tuple[MultiPoly, MultiPoly]:
@@ -300,34 +297,6 @@ def _fifth_root_scalar(one):
         return RatFunc.const(_fifth_root_scalar(one.one_coeff), one.one_coeff)
     raise TypeError("no fifth root of unity for scalars of type %s"
                     % type(one).__name__)
-
-
-def _shift_substitution(poly: MultiPoly, step: int = 1) -> MultiPoly:
-    """Index shift var_i -> var_{i-step} on a 5-variable polynomial: a
-    rotation of the five exponent fields of each packed monomial, field
-    i + step moving to field i; the degree field stays."""
-    low = step % 5 * FIELD_BITS
-    fields = (1 << 5 * FIELD_BITS) - 1
-    terms = {}
-    for key, c in poly.terms.items():
-        x = key & fields
-        terms[key - x + ((x >> low | x << 5 * FIELD_BITS - low) & fields)] = c
-    return _mk(poly.vars, terms, poly.one, poly.zero_coeff)
-
-
-def _character_substitution(poly: MultiPoly, power: int = 1) -> MultiPoly:
-    """Diagonal twist var_i -> eps^(-i power) var_i with eps of order five:
-    the term of x^e gains the scalar eps^(-power * sum_i i e_i), its
-    weight read off the exponent fields of the packed monomial."""
-    one = poly.one
-    inv = one / _fifth_root_scalar(one)
-    scales = [inv ** k for k in range(5)]
-    terms = {}
-    for key, c in poly.terms.items():
-        weight = sum(i * ((key >> i * FIELD_BITS) & FIELD_MASK) for i in range(1, 5))
-        k = power * weight % 5
-        terms[key] = c * scales[k] if k else c
-    return _mk(poly.vars, terms, one, poly.zero_coeff)
 
 
 # -- denominator clearing ---------------------------------------------
@@ -380,7 +349,6 @@ def verify_matrix_identities(a=None) -> dict:
     if a is None:
         a = symbolic_modulus()
     a = _coerce_modulus(a)
-    qs = QuadricSystem(a)
     mm = build_moore_matrices(a)
     one = mm.one
     zero = one * 0
@@ -405,7 +373,7 @@ def verify_matrix_identities(a=None) -> dict:
                 key = tuple(e)
                 terms[key] = terms.get(key, zero) + c
         form = MultiPoly(VARS_X, terms, one)
-        if form != qs.quadrics[(3 * i) % 5] * 2:
+        if form != mm.quadrics[(3 * i) % 5] * 2:
             bad.append(i)
     checks.add("unit directions recover the doubled quadrics", not bad,
                "failing directions %r" % (bad,) if bad else "all five directions match")
@@ -413,7 +381,7 @@ def verify_matrix_identities(a=None) -> dict:
     bad = []
     for i in range(5):
         for j in range(5):
-            if mm.m_prime[i, j] != qs.quadrics[(3 * j) % 5].partial_derivative(VARS_X[i]):
+            if mm.m_prime[i, j] != mm.quadrics[(3 * j) % 5].partial_derivative(VARS_X[i]):
                 bad.append((i, j))
     checks.add("dual matrix equals the gradient matrix in 3j column order", not bad,
                "failing slots %r" % (bad,) if bad else "all 25 entries match")
@@ -425,11 +393,11 @@ def verify_matrix_identities(a=None) -> dict:
         checks.add("both determinants are nonzero at an admissible modulus",
                    not det_m.is_zero() and not det_mp.is_zero())
     checks.add("cyclic index shift fixes both determinants",
-               _shift_substitution(det_m) == det_m
-               and _shift_substitution(det_mp) == det_mp)
+               all(det.cyclic_substitution(1) == det for det in (det_m, det_mp)))
+    inv = one / _fifth_root_scalar(one)
     checks.add("diagonal character twist fixes both determinants",
-               _character_substitution(det_m) == det_m
-               and _character_substitution(det_mp) == det_mp)
+               all(det.cyclic_substitution(0, lambda w, d: inv ** w) == det
+                   for det in (det_m, det_mp)))
 
     if isinstance(one, RatFunc):
         cm = mm.m.map_entries(lambda e: _lift_to_cleared(e, AVARS_Y, 1))
@@ -442,7 +410,7 @@ def verify_matrix_identities(a=None) -> dict:
                    det_bareiss(mm.m) == det_m and det_bareiss(mm.m_prime) == det_mp)
 
     p0, p1 = reference_curve_points(a)
-    values = [q.eval_at(pt) for q in qs.quadrics for pt in (p0, p1)]
+    values = [q.eval_at(pt) for q in mm.quadrics for pt in (p0, p1)]
     checks.add("reference points satisfy every quadric",
                all(v == zero for v in values))
     checks.add("dual matrix has rank three at the reference points",
@@ -463,7 +431,7 @@ def verify_matrix_identities(a=None) -> dict:
     }
 
 
-def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
+def verify_span_claims(mm: MooreMatrices) -> dict:
     """Span membership of the 25 pairing products plus the syzygy pairing.
 
     Every entry of syzygy @ dual^T must be a combination of the five
@@ -472,8 +440,6 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
     syzygy row annihilate the reindexed quadrics is searched over all 20
     candidates and reported, not assumed.
     """
-    if not (mm.a == qs.a):
-        raise ValueError("matrix bundle and quadric system use different moduli")
     one = mm.one
     zero = one * 0
     checks = Checks()
@@ -481,12 +447,12 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
     product = mm.syzygy @ mm.m_prime.transpose()
 
     entries = [(i, j) for i in range(5) for j in range(5)]
-    vectors = in_linear_span([product[i, j] for i, j in entries], qs.quadrics)
+    vectors = in_linear_span([product[i, j] for i, j in entries], mm.quadrics)
     failures = []
     span_vectors = {}
     ring_zero = MultiPoly.zero(VARS_X, one)
     for (i, j), vec in zip(entries, vectors):
-        if vec is None or sum((q * c for q, c in zip(qs.quadrics, vec)),
+        if vec is None or sum((q * c for q, c in zip(mm.quadrics, vec)),
                               ring_zero) != product[i, j]:
             failures.append((i, j))
         elif (i, j) in ((0, 0), (0, 1)):
@@ -501,7 +467,7 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
     pairings = []
     for c in range(1, 5):
         for d in range(5):
-            if all(sum((mm.syzygy[i, j] * qs.quadrics[(c * j + d) % 5] for j in range(5)),
+            if all(sum((mm.syzygy[i, j] * mm.quadrics[(c * j + d) % 5] for j in range(5)),
                        ring_zero).is_zero() for i in range(5)):
                 pairings.append((c, d))
     pairings.sort()
@@ -513,14 +479,14 @@ def verify_span_claims(mm: MooreMatrices, qs: QuadricSystem) -> dict:
         cmat = PolyMatrix([[MultiPoly.constant(VARS_X, one if (c0 * j + d0) % 5 == k
                                                else zero, one)
                             for k in range(5)] for j in range(5)])
-        qcol = PolyMatrix([[q] for q in qs.quadrics])
+        qcol = PolyMatrix([[q] for q in mm.quadrics])
         cert = mm.syzygy @ (cmat @ qcol)
         checks.add("a constant reindexing matrix certifies the pairing",
                    all(cert[i, 0].is_zero() for i in range(5)))
 
         dims = []
         for i in range(5):
-            cubics = [mm.syzygy[i, j] * qs.quadrics[(c0 * j + d0) % 5]
+            cubics = [mm.syzygy[i, j] * mm.quadrics[(c0 * j + d0) % 5]
                       for j in range(5)]
             coeffs = [dict(g.term_items()) for g in cubics]
             monos = sorted(set().union(*coeffs))

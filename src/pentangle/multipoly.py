@@ -336,6 +336,41 @@ class MultiPoly:
         return {k: _mk(self.vars, t, self.one, self.zero_coeff)
                 for k, t in groups.items()}
 
+    def cyclic_substitution(self, step: int, factor=None) -> "MultiPoly":
+        """The substitution x_i -> x_(i-step), indices mod n, with each term
+        also scaled by factor(w, d): d is its degree and w = sum_i i e_i
+        mod n the weight of its exponents e.  Under x_i -> u v^i x_(i-step)
+        a term gains u^d v^w, so one call applies any product of a cyclic
+        shift, a diagonal twist and a central scalar.
+
+        The shift rotates the exponent fields of each packed key; the
+        degree field stays, and so do the guard bits, which are clear.
+        factor (None for the bare shift) is called once per distinct
+        (w, d) and must not return zero; a factor equal to one multiplies
+        nothing.
+        """
+        n = len(self.vars)
+        width = n * FIELD_BITS
+        low = step % n * FIELD_BITS
+        fields = (1 << width) - 1
+        one = self.one
+        scales: dict[tuple[int, int], object] = {}
+        terms = {}
+        for key, c in self.terms.items():
+            x = key & fields
+            if factor is not None:
+                wd = (sum(i * ((x >> i * FIELD_BITS) & FIELD_MASK)
+                          for i in range(1, n)) % n, key >> width)
+                if wd not in scales:
+                    f = factor(*wd)
+                    if not f:
+                        raise ValueError("zero factor at weight %d, degree %d" % wd)
+                    scales[wd] = None if f == one else f
+                if scales[wd] is not None:
+                    c = c * scales[wd]
+            terms[key - x + ((x >> low | x << width - low) & fields)] = c
+        return _mk(self.vars, terms, one, self.zero_coeff)
+
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -208,8 +208,7 @@ def _run_moore(config, pairs, scans):
         claims += _op_claims("moore", "matrix identities",
                              lambda: moore.verify_matrix_identities(a), context=tag)
         claims += _op_claims("moore", "span claims",
-                             lambda: moore.verify_span_claims(
-                                 moore.build_moore_matrices(a), moore.QuadricSystem(a)),
+                             lambda: moore.verify_span_claims(moore.build_moore_matrices(a)),
                              context=tag)
     return claims
 

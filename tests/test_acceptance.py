@@ -114,8 +114,7 @@ def test_05_matrix_identities_symbolic_within_budget():
     start = time.monotonic()
     identities = moore.verify_matrix_identities(None)
     a = moore.symbolic_modulus()
-    span = moore.verify_span_claims(moore.build_moore_matrices(a),
-                                    moore.QuadricSystem(a))
+    span = moore.verify_span_claims(moore.build_moore_matrices(a))
     elapsed = time.monotonic() - start
     assert identities["passed"]
     names = _names(identities)

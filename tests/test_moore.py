@@ -9,13 +9,10 @@ import pytest
 from pentangle.moore import (
     AVARS_X,
     MooreMatrices,
-    QuadricSystem,
     VARS_X,
     VARS_Y,
-    _character_substitution,
     _fifth_root_scalar,
     _lift_to_cleared,
-    _shift_substitution,
     build_moore_matrices,
     excluded_moduli,
     excluded_modulus_residues,
@@ -38,7 +35,9 @@ from pentangle.multipoly import (
     scalar_matrix_nullspace,
     scalar_matrix_rank,
 )
-from pentangle.scalars import EPS5, Cyclo, Fp, ONE, RatFunc, find_root_of_unity
+from pentangle.heisenberg import HeisenbergElement
+from pentangle.scalars import (EPS5, EPS15, Cyclo, Fp, ONE, RatFunc, cyclo_root_of_unity,
+                              find_root_of_unity)
 
 from oracles import incidence_residual, scalar_matrix_det, substitute
 
@@ -47,24 +46,22 @@ SEED = 20260824
 
 @pytest.fixture(scope="module")
 def fp_bundle():
-    a = Fp(2, 31)
-    return build_moore_matrices(a), QuadricSystem(a)
+    return build_moore_matrices(Fp(2, 31))
 
 
 @pytest.fixture(scope="module")
 def symbolic_bundle():
-    a = symbolic_modulus()
-    return build_moore_matrices(a), QuadricSystem(a)
+    return build_moore_matrices(symbolic_modulus())
 
 
 @pytest.fixture(scope="module")
 def fp_dets(fp_bundle):
-    return quintic_equations(fp_bundle[0])
+    return quintic_equations(fp_bundle)
 
 
 @pytest.fixture(scope="module")
 def symbolic_dets(symbolic_bundle):
-    return quintic_equations(symbolic_bundle[0])
+    return quintic_equations(symbolic_bundle)
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +117,7 @@ def test_zero_modulus_rejected():
     with pytest.raises(ValueError):
         build_moore_matrices(Cyclo(0))
     with pytest.raises(ValueError):
-        QuadricSystem(Fp(0, 31))
+        build_moore_matrices(Fp(0, 31))
     with pytest.raises(ValueError):
         z_vector(0)
     with pytest.raises(ValueError):
@@ -130,71 +127,95 @@ def test_zero_modulus_rejected():
 # -- quadrics ----------------------------------------------------------
 
 
+def _twist(poly: MultiPoly, power: int = 1) -> MultiPoly:
+    """The diagonal character x_i -> eps5^(-i power) x_i."""
+    inv = poly.one / _fifth_root_scalar(poly.one)
+    return poly.cyclic_substitution(0, lambda w, d: inv ** (power * w % 5))
+
+
 def test_quadrics_cyclic_shift(fp_bundle):
-    _, qs = fp_bundle
+    qs = fp_bundle.quadrics
     for i in range(5):
-        assert _shift_substitution(qs.quadrics[i]) == qs.quadrics[(i - 1) % 5]
+        assert qs[i].cyclic_substitution(1) == qs[(i - 1) % 5]
 
 
 def test_quadrics_character_eigenvalue(fp_bundle):
-    _, qs = fp_bundle
+    qs = fp_bundle.quadrics
     eps = find_root_of_unity(31, 5)
     for i in range(5):
-        expected = qs.quadrics[i] * eps ** (-2 * i)
-        assert _character_substitution(qs.quadrics[i]) == expected
+        assert _twist(qs[i]) == qs[i] * eps ** (-2 * i)
 
 
-def _random_forms(rng: random.Random, one, draw) -> list:
-    """Random polynomials in VARS_X of degree up to four, with up to six
-    terms each, coefficients from draw(rng)."""
+def _random_forms(rng: random.Random, vars_: tuple, one, draw) -> list:
+    """Random polynomials in vars_ of degree up to four, mostly not
+    homogeneous, with up to six terms each, coefficients from draw(rng)."""
+    n = len(vars_)
     forms = []
     for _ in range(6):
         terms = {}
         for _ in range(rng.randint(0, 6)):
-            mono = [0] * 5
+            mono = [0] * n
             for _ in range(rng.randint(0, 4)):
-                mono[rng.randrange(5)] += 1
+                mono[rng.randrange(n)] += 1
             terms[tuple(mono)] = draw(rng)
-        forms.append(MultiPoly(VARS_X, terms, one))
+        forms.append(MultiPoly(vars_, terms, one))
     return forms
 
 
 def test_heisenberg_actions_on_exponents_match_substitution():
-    # the shift as a rotation of exponent tuples and the twist as one
-    # scalar per term, against substituting the images of the variables,
-    # at every step and power over Q(eps15), F_31 and Q(eps15)(a)
+    # x_i -> u v^(k i) x_(i-s), v a primitive n-th root of unity and u a
+    # nontrivial central one, is cyclic_substitution(s) with the factor
+    # u^d v^(k w): checked at every step against substituting the images
+    # of the variables, at levels 3, 5 and 15 over Q(eps15), F_31 and
+    # Q(eps15)(a), and over Q(eps15) against HeisenbergElement.act.  One
+    # form has a term of degree EXPONENT_BOUND - 1 whose two exponents
+    # the rotation carries across the top variable field.
     rng = random.Random(SEED + 5)
     a = symbolic_modulus()
     fields = [
-        (ONE, lambda r: EPS5 ** r.randrange(5) * r.randint(-3, 3) + r.randint(-2, 2)),
-        (Fp(1, 31), lambda r: Fp(r.randrange(31), 31)),
-        (RatFunc.const(ONE, ONE), lambda r: a ** r.randint(-2, 2) * r.randint(-3, 3)
-         + EPS5 ** r.randrange(5)),
+        (ONE, cyclo_root_of_unity,
+         lambda r: EPS15 ** r.randrange(15) * r.randint(-3, 3) + r.randint(-2, 2)),
+        (Fp(1, 31), lambda n: find_root_of_unity(31, n), lambda r: Fp(r.randrange(31), 31)),
+        (RatFunc.const(ONE, ONE), lambda n: RatFunc.const(cyclo_root_of_unity(n), ONE),
+         lambda r: a ** r.randint(-2, 2) * r.randint(-3, 3) + EPS15 ** r.randrange(15)),
     ]
-    for one, draw in fields:
-        inv = one / _fifth_root_scalar(one)
-        xs = MultiPoly.gens(VARS_X, one)
-        for form in _random_forms(rng, one, draw):
-            for k in range(5):
-                shift = {VARS_X[i]: xs[(i - k) % 5] for i in range(5)}
-                twist = {VARS_X[i]: xs[i] * inv ** ((i * k) % 5) for i in range(5)}
-                assert _shift_substitution(form, step=k) == substitute(form, shift)
-                assert _character_substitution(form, power=k) == substitute(form, twist)
+    top = EXPONENT_BOUND - 1
+    for n in (3, 5, 15):
+        vars_ = tuple("x%d" % i for i in range(n))
+        edge = (top - 27,) + (0,) * (n - 2) + (27,)
+        for one, root, draw in fields:
+            v = root(n)
+            xs = MultiPoly.gens(vars_, one)
+            forms = _random_forms(rng, vars_, one, draw)
+            forms.append(MultiPoly(vars_, {edge: one * 3, (0,) * n: draw(rng)}, one))
+            for form in forms:
+                for s in range(n):
+                    k, c = rng.randrange(n), rng.randrange(1, n)
+                    u = v ** c
+                    images = {vars_[i]: xs[(i - s) % n] * (u * v ** (k * i % n))
+                              for i in range(n)}
+                    image = form.cyclic_substitution(
+                        s, lambda w, d: u ** d * v ** (k * w % n))
+                    assert image == substitute(form, images)
+                    if isinstance(one, Cyclo):
+                        assert image == HeisenbergElement(n, s, -k, u).act(form)
+            rotated = form.cyclic_substitution(1)
+            assert rotated.total_degree() == top
+            assert rotated.coeff(edge[1:] + edge[:1]) == one * 3
 
 
 def test_quadric_explicit_form():
-    qs = QuadricSystem(Cyclo(2))
     x = MultiPoly.gens(VARS_X, ONE)
     half = ONE / Cyclo(2)
     expected = x[0] * x[0] + x[2] * x[3] * Cyclo(2) - x[1] * x[4] * half
-    assert qs.quadrics[0] == expected
+    assert build_moore_matrices(Cyclo(2)).quadrics[0] == expected
 
 
 # -- matrix construction ----------------------------------------------
 
 
 def test_structure_matrix_entries_frozen(fp_bundle):
-    mm, _ = fp_bundle
+    mm = fp_bundle
     y = MultiPoly.gens(VARS_Y, Fp(1, 31))
     z_table = (2, 2, 15, 15, 2)  # (2, a, -1/a, -1/a, a) at a = 2 mod 31
     for i in range(5):
@@ -203,7 +224,7 @@ def test_structure_matrix_entries_frozen(fp_bundle):
 
 
 def test_symmetry_and_antisymmetry(fp_bundle, symbolic_bundle):
-    for mm, _ in (fp_bundle, symbolic_bundle):
+    for mm in (fp_bundle, symbolic_bundle):
         assert mm.m.is_symmetric()
         assert not mm.m.is_antisymmetric()
         assert mm.syzygy.is_antisymmetric()
@@ -211,7 +232,7 @@ def test_symmetry_and_antisymmetry(fp_bundle, symbolic_bundle):
 
 
 def test_syzygy_matrix_rows_frozen(fp_bundle):
-    mm, _ = fp_bundle
+    mm = fp_bundle
     one = Fp(1, 31)
     a = Fp(2, 31)
     x0, x1, x2, x3, x4 = MultiPoly.gens(VARS_X, one)
@@ -229,7 +250,7 @@ def test_syzygy_matrix_rows_frozen(fp_bundle):
 
 
 def test_syzygy_closed_form(symbolic_bundle):
-    mm, _ = symbolic_bundle
+    mm = symbolic_bundle
     a = mm.a
     one = mm.one
     weights = {0: one * 0, 1: a, 2: -one, 3: one, 4: -a}
@@ -240,7 +261,7 @@ def test_syzygy_closed_form(symbolic_bundle):
 
 
 def test_dual_matrix_closed_form(fp_bundle):
-    mm, _ = fp_bundle
+    mm = fp_bundle
     z = z_vector(Fp(2, 31))
     x = MultiPoly.gens(VARS_X, Fp(1, 31))
     for i in range(5):
@@ -249,15 +270,15 @@ def test_dual_matrix_closed_form(fp_bundle):
 
 
 def test_dual_matrix_is_gradient_matrix(symbolic_bundle):
-    mm, qs = symbolic_bundle
+    mm = symbolic_bundle
     for i in range(5):
         for j in range(5):
-            grad = qs.quadrics[(3 * j) % 5].partial_derivative(VARS_X[i])
+            grad = mm.quadrics[(3 * j) % 5].partial_derivative(VARS_X[i])
             assert mm.m_prime[i, j] == grad
 
 
 def test_doubled_quadrics_pointwise_oracle(fp_bundle):
-    mm, qs = fp_bundle
+    mm = fp_bundle
     one = Fp(1, 31)
     zero = Fp(0, 31)
     rng = random.Random(SEED)
@@ -272,7 +293,7 @@ def test_doubled_quadrics_pointwise_oracle(fp_bundle):
             for j in range(5):
                 for k in range(5):
                     form = form + gram[j][k] * pt[j] * pt[k]
-            assert form == qs.quadrics[(3 * i) % 5].eval_at(pt) * 2
+            assert form == mm.quadrics[(3 * i) % 5].eval_at(pt) * 2
 
 
 # -- determinants ------------------------------------------------------
@@ -287,7 +308,7 @@ def test_determinants_homogeneous_quintic(fp_dets, symbolic_dets):
 
 
 def test_determinant_routes_agree_numeric(fp_bundle, fp_dets):
-    mm, _ = fp_bundle
+    mm = fp_bundle
     det_m, det_mp = fp_dets
     assert det_bareiss(mm.m) == det_m == det_cofactor(mm.m)
     assert det_bareiss(mm.m_prime) == det_mp == det_cofactor(mm.m_prime)
@@ -300,7 +321,7 @@ def test_determinant_routes_agree_cyclo():
 
 
 def test_determinant_pointwise_oracle(fp_bundle, fp_dets):
-    mm, _ = fp_bundle
+    mm = fp_bundle
     det_m, det_mp = fp_dets
     one = Fp(1, 31)
     rng = random.Random(SEED)
@@ -312,10 +333,10 @@ def test_determinant_pointwise_oracle(fp_bundle, fp_dets):
 
 def test_substitution_action_fixes_determinants(fp_dets):
     for det in fp_dets:
-        assert _shift_substitution(det) == det
-        assert _character_substitution(det) == det
-        assert _shift_substitution(det, step=2) == det
-        assert _character_substitution(det, power=3) == det
+        assert det.cyclic_substitution(1) == det
+        assert _twist(det) == det
+        assert det.cyclic_substitution(2) == det
+        assert _twist(det, power=3) == det
 
 
 def test_symbolic_determinant_specializes(symbolic_dets):
@@ -327,7 +348,7 @@ def test_symbolic_determinant_specializes(symbolic_dets):
 
 
 def test_lift_to_cleared_guards(symbolic_bundle, symbolic_dets):
-    mm, _ = symbolic_bundle
+    mm = symbolic_bundle
     det_m, _ = symbolic_dets
     lifted = _lift_to_cleared(det_m, ("a",) + VARS_Y, 5)
     # slot 0 carries the a-degree; the x-degree stays five
@@ -389,24 +410,24 @@ def test_exponent_bound_in_the_widest_rings(symbolic_dets):
 
 
 def test_reference_points_satisfy_quadrics(fp_bundle, symbolic_bundle):
-    for mm, qs in (fp_bundle, symbolic_bundle):
+    for mm in (fp_bundle, symbolic_bundle):
         zero = mm.one * 0
         p0, p1 = reference_curve_points(mm.a)
-        for q in qs.quadrics:
+        for q in mm.quadrics:
             assert q.eval_at(p0) == zero
             assert q.eval_at(p1) == zero
         assert p1 == tuple(p0[(i + 1) % 5] for i in range(5))
 
 
 def test_dual_matrix_rank_three_on_curve(fp_bundle, symbolic_bundle):
-    for mm, _ in (fp_bundle, symbolic_bundle):
+    for mm in (fp_bundle, symbolic_bundle):
         p0, p1 = reference_curve_points(mm.a)
         assert rank_at_point(mm.m_prime, p0) == 3
         assert rank_at_point(mm.m_prime, p1) == 3
 
 
 def test_incidence_residual_agreement_and_nonvanishing(fp_bundle):
-    mm, _ = fp_bundle
+    mm = fp_bundle
     rng = random.Random(SEED)
     nonzero = 0
     for _ in range(50):
@@ -421,7 +442,7 @@ def test_incidence_residual_agreement_and_nonvanishing(fp_bundle):
 
 
 def test_incidence_residual_zero_on_incident_pair(fp_bundle):
-    mm, _ = fp_bundle
+    mm = fp_bundle
     one = Fp(1, 31)
     zero = Fp(0, 31)
     p0, _ = reference_curve_points(mm.a)
@@ -432,7 +453,7 @@ def test_incidence_residual_zero_on_incident_pair(fp_bundle):
 
 
 def test_rank_four_vertex_lies_on_dual_quintic(fp_bundle, fp_dets):
-    mm, _ = fp_bundle
+    mm = fp_bundle
     one = Fp(1, 31)
     _, det_mp = fp_dets
     p0, _ = reference_curve_points(mm.a)
@@ -476,8 +497,8 @@ def test_identity_report_prime_field():
 
 
 def test_span_report_symbolic(symbolic_bundle):
-    mm, qs = symbolic_bundle
-    rep = verify_span_claims(mm, qs)
+    mm = symbolic_bundle
+    rep = verify_span_claims(mm)
     assert rep["passed"]
     assert rep["pairings"] == [(3, 0)]
     assert rep["span_vectors"]["(0, 0)"] == ["0"] * 5
@@ -488,8 +509,8 @@ def test_span_report_symbolic(symbolic_bundle):
 
 
 def test_span_report_prime_field(fp_bundle):
-    mm, qs = fp_bundle
-    rep = verify_span_claims(mm, qs)
+    mm = fp_bundle
+    rep = verify_span_claims(mm)
     assert rep["passed"]
     assert rep["pairings"] == [(3, 0)]
     assert rep["span_vectors"]["(0, 1)"] == ["0", "0", "2", "0", "0"]
@@ -500,28 +521,22 @@ def test_span_claim_checks_every_vector(monkeypatch, fp_bundle, symbolic_bundle)
     # still resolves all 25 entries; checking each vector against its
     # entry is what fails the claim
     name = "all 25 pairing entries lie in the quadric span"
-    for mm, qs in (fp_bundle, symbolic_bundle):
-        claim, = [c for c in verify_span_claims(mm, qs)["checks"] if c["name"] == name]
+    for mm in (fp_bundle, symbolic_bundle):
+        claim, = [c for c in verify_span_claims(mm)["checks"] if c["name"] == name]
         assert claim["passed"] and claim["detail"] == "25 of 25 resolved"
     real = multipoly.solve_linear_system
     monkeypatch.setattr(multipoly, "solve_linear_system",
                         lambda *args: (lambda out: out[:1] + out[:-1])(real(*args)))
-    for mm, qs in (fp_bundle, symbolic_bundle):
-        rep = verify_span_claims(mm, qs)
+    for mm in (fp_bundle, symbolic_bundle):
+        rep = verify_span_claims(mm)
         claim, = [c for c in rep["checks"] if c["name"] == name]
         assert not rep["passed"] and not claim["passed"]
         assert claim["detail"].startswith("failing entries [")
 
 
-def test_span_report_rejects_mixed_moduli(fp_bundle):
-    mm, _ = fp_bundle
-    with pytest.raises(ValueError):
-        verify_span_claims(mm, QuadricSystem(Fp(7, 31)))
-
-
 def test_pairing_product_structure(fp_bundle):
-    mm, qs = fp_bundle
+    mm = fp_bundle
     product = mm.syzygy @ mm.m_prime.transpose()
     assert product[0, 0].is_zero()
-    assert product[1, 1] == qs.quadrics[4]
-    assert product[0, 1] == qs.quadrics[2] * Fp(2, 31)
+    assert product[1, 1] == mm.quadrics[4]
+    assert product[0, 1] == mm.quadrics[2] * Fp(2, 31)

@@ -458,3 +458,24 @@ def test_stacked_span_solve_matches_per_target_solves():
             assert stacked[4] == [zero] * 4
             assert stacked[5] is None and stacked[6] is None
 
+
+
+def test_cyclic_substitution_factor_per_weight_and_degree():
+    # the factor is asked once for each (weight, degree) of the terms, a
+    # factor equal to one leaves the coefficients as they are, and a
+    # zero factor is refused
+    x0, x1, x2 = MultiPoly.gens(XVARS, ONE)
+    f = x0 * x0 + x1 * x2 * 3 + x2 - 5 + x0 * x2 * x2 * 2
+    asked = []
+
+    def factor(w, d):
+        asked.append((w, d))
+        return EPS3 ** (w + d)
+
+    image = f.cyclic_substitution(2, factor)
+    assert sorted(asked) == [(0, 0), (0, 2), (1, 3), (2, 1)]
+    # x0 -> x1 -> x2 -> x0; 3 x1 x2 has weight 0 and x2 weight 2
+    assert image == (x1 * x1 + x2 * x0 * 3) * EPS3 ** 2 + x0 - 5 + x1 * x0 * x0 * 2 * EPS3
+    assert f.cyclic_substitution(3, lambda w, d: ONE) == f
+    with pytest.raises(ValueError, match="zero factor"):
+        f.cyclic_substitution(1, lambda w, d: ONE * 0)

@@ -22,7 +22,6 @@ import pytest
 from pentangle import probe
 from pentangle.moore import (
     VARS_X,
-    QuadricSystem,
     build_moore_matrices,
     quintic_equations,
     reference_curve_points,
@@ -154,10 +153,10 @@ def test_points_normalized_sorted_unique(scan31):
 
 
 def test_points_satisfy_symbolic_quadrics(scan31):
-    qs = QuadricSystem(Fp(2, 31))
+    quadrics = build_moore_matrices(Fp(2, 31)).quadrics
     for pt in scan31.points[:10]:
         coords = [Fp(c, 31) for c in pt]
-        for q in qs.quadrics:
+        for q in quadrics:
             assert q.eval_at(coords).v == 0
 
 
@@ -888,7 +887,7 @@ def test_chordal_quintic_equals_symbolic_dual_determinant(dual_det31):
 def test_quadric_products_equal_symbolic_powers():
     p, a = 31, 2
     products = probe._quadric_products(p, a)
-    quadrics = QuadricSystem(Fp(a, p)).quadrics
+    quadrics = build_moore_matrices(Fp(a, p)).quadrics
     for column, alpha in enumerate(monomials(3, 5)[::-1]):
         power = MultiPoly.constant(VARS_X, Fp(1, p), Fp(1, p))
         for q, e in zip(quadrics, alpha):
@@ -979,7 +978,7 @@ def test_coefficients_invert_random_forms():
 def _sequential_round_trip(witness, rng):
     """The round trip one draw at a time, with the symbolic route evaluating."""
     p = witness.p
-    quadrics = QuadricSystem(Fp(witness.a, p)).quadrics
+    quadrics = build_moore_matrices(Fp(witness.a, p)).quadrics
     factor = _form(witness.factor, 5, p)
     cubics = [_form(row, 3, p) for row in witness.cubics]
     passes = skips = draws = valid = 0

@@ -6,8 +6,8 @@ set but no run does is a knob with a single value; it belongs in one
 named module constant next to its verifier.  Every top-level public
 function of the package named verify_*, certify_*, validate_*, find_*
 or interpolate_* is parsed with ast and rejected if it takes a parameter
-other than scan or seed.  Exempt are moore's modulus inputs (a, mm,
-qs), which a run does vary per (p, a) pair, and
+other than scan or seed.  Exempt are moore's modulus inputs (a, mm),
+which a run does vary per (p, a) pair, and
 scalars.find_root_of_unity(p, n), a field lookup and not a verifier.
 """
 
@@ -23,7 +23,7 @@ ALLOWED = {"scan", "seed"}
 #: further parameters one function may take: "module.function" -> names
 EXEMPT = {
     "moore.verify_matrix_identities": {"a"},
-    "moore.verify_span_claims": {"mm", "qs"},
+    "moore.verify_span_claims": {"mm"},
     "scalars.find_root_of_unity": {"p", "n"},
 }
 
@@ -57,7 +57,7 @@ def test_verifiers_take_only_scan_and_seed():
     # the lint sees the verifiers the run calls
     assert found["probe.certify_incidence"] == ["scan", "seed"]
     assert found["hessepencil.find_torsion_witness"] == []
-    assert found["moore.verify_span_claims"] == ["mm", "qs"]
+    assert found["moore.verify_span_claims"] == ["mm"]
     assert [knob for path in paths for knob in _knobs(path)] == []
 
 
@@ -74,7 +74,7 @@ def test_lint_catches_each_knob(tmp_path):
         "    pass\n"
         "def validate_e(a):\n"
         "    pass\n"
-        "def verify_span_claims(mm, qs, p):\n"
+        "def verify_span_claims(mm, p):\n"
         "    pass\n"
         "def _verify_private(samples):\n"
         "    pass\n"
