@@ -277,21 +277,24 @@ def _random_points(rng: random.Random, p: int, n: int) -> np.ndarray:
     return vectors[kept[:n]].T.astype(np.int64)
 
 
-def _chord_sample(rng: random.Random, points, p: int) -> tuple:
-    """A point on the chord through two distinct curve points, off the curve.
+def _chord_samples(rng: random.Random, points, p: int, n: int) -> np.ndarray:
+    """n points on chords through two distinct curve points, off the curve,
+    as a (5, n) stack.
 
-    Both scalars are nonzero, so the sample differs from either endpoint;
-    the curve has no trisecant lines, so the sample misses the curve.
+    A sample draws two indices by ``randrange(len(points))``, again while
+    they are equal, and two scalars by ``randrange(1, p)``.  Both scalars
+    are nonzero, so the sample differs from either endpoint; the curve has
+    no trisecant lines, so the sample misses the curve.
     """
-    while True:
-        first = rng.randrange(len(points))
-        second = rng.randrange(len(points))
-        if first != second:
-            break
-    lam = rng.randrange(1, p)
-    mu = rng.randrange(1, p)
-    left, right = points[first], points[second]
-    return tuple((lam * left[i] + mu * right[i]) % p for i in range(5))
+    draws = []
+    for _ in range(n):
+        first = second = 0
+        while first == second:
+            first, second = rng.randrange(len(points)), rng.randrange(len(points))
+        draws.append((first, second, rng.randrange(1, p), rng.randrange(1, p)))
+    first, second, lam, mu = np.array(draws, dtype=np.int64).reshape(n, 4).T
+    ends = np.array(points, dtype=np.int64).T
+    return (lam * ends[:, first] + mu * ends[:, second]) % p
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +645,7 @@ def certify_secant_variety(scan: CurveScan, seed: int = SEED) -> dict:
     checks.add("jacobian rank three at every curve point", rank_three == len(scan),
                f"rank three at {rank_three} of {len(scan)} points")
 
-    chords = np.array([_chord_sample(rng, scan.points, p)
-                       for _ in range(SECANT_SAMPLES)], dtype=np.int64).T
+    chords = _chord_samples(rng, scan.points, p, SECANT_SAMPLES)
     dets = _det_staged(_dual_rows(chords, z, p), p)
     vanished = int(np.count_nonzero(dets == 0))
     checks.add("dual determinant vanishes on chord samples", vanished == SECANT_SAMPLES,
@@ -955,11 +957,19 @@ def _cremona_kernel(products, p: int) -> np.ndarray:
 
     Block j reads P c_j = x_j * g in sextic coefficients, P = ``products``.
     With N the left kernel of P (a 35-pivot solve), g runs through the
-    kernel of N's columns at the rows of x_j * beta, stacked over j, and
-    the c_j are read off one solve of [P | x_j * g].  The g-system has the
-    full system's free columns, so this is ``_nullspace_mod_p`` of the full
-    system.  Each solve is ``_rref_mod_p``, within its int64 bound; the
-    stacking only moves residues.
+    kernel of N's columns at the rows of x_j * beta, for every j.  That
+    g-system is solved one block at a time: K, the kernel of block 0, is
+    cut down by the kernel of block j times K for j = 1..4, and stops once
+    it is empty.  The free columns of a system are the last nonzero
+    entries of its kernel vectors, here all in g, and a
+    ``_nullspace_mod_p`` vector is one at its own free column and zero at
+    the other free columns and after its own.  A product of two bases of
+    that form has it too, so K stays the full system's free-column basis.
+    The c_j are read off one solve of [P | x_j * g], so this is
+    ``_nullspace_mod_p`` of the full system.  Each solve is
+    ``_rref_mod_p``, within its int64 bound.  A block times K, and the
+    next kernel times K, sum at most 126 products of residues below
+    240**2, under 7.3*10**6 at p=241, the largest supported prime.
     """
     nsextic, ncubic = products.shape
     left = _nullspace_mod_p(products.T, p)
@@ -968,7 +978,11 @@ def _cremona_kernel(products, p: int) -> np.ndarray:
                            f"{nsextic - len(left)} over F_{p}")
     # shift[beta, j]: the sextic coefficient of x_j * x**beta
     shift = _product_table(5, 1)[:, ::-1]
-    factors = _nullspace_mod_p(left[:, shift.T].reshape(-1, len(shift)), p)
+    factors = _nullspace_mod_p(left[:, shift[:, 0]], p)
+    for j in range(1, 5):
+        if not len(factors):
+            break
+        factors = _nullspace_mod_p(left[:, shift[:, j]] @ factors.T % p, p) @ factors % p
     multiples = _coordinate_multiples(factors.T).reshape(nsextic, -1)
     reduced = _rref_mod_p(np.column_stack([products, multiples]), p)[0]
     cubics = reduced[:ncubic, ncubic:].reshape(ncubic, 5, -1).transpose(2, 1, 0)
@@ -1085,8 +1099,7 @@ def interpolate_cremona_inverse(scan: CurveScan, seed: int = SEED) -> CremonaWit
                f"{passes}/{valid} round trips exact; {skips} draws skipped on the "
                "vanishing factor (base locus)")
 
-    chords = np.array([_chord_sample(rng, scan.points, p) for _ in range(CHORD_IMAGE_SAMPLES)],
-                      dtype=np.int64).T
+    chords = _chord_samples(rng, scan.points, p, CHORD_IMAGE_SAMPLES)
     stack = np.array(_quadric_values(chords, p, a))
     # every index map's permuted images side by side, (1, 0) the identity first
     maps = [(c, d) for c in range(1, 5) for d in range(5)]

@@ -89,6 +89,21 @@ def rank_at_most_three_mask(rows, p: int):
     return mask
 
 
+def chord_sample(rng, points, p: int) -> tuple:
+    """A point on the chord through two distinct curve points, one
+    ``randrange`` call per draw: two indices, again while they are equal,
+    then two nonzero scalars."""
+    while True:
+        first = rng.randrange(len(points))
+        second = rng.randrange(len(points))
+        if first != second:
+            break
+    lam = rng.randrange(1, p)
+    mu = rng.randrange(1, p)
+    left, right = points[first], points[second]
+    return tuple((lam * left[i] + mu * right[i]) % p for i in range(5))
+
+
 def lattice_quintic(rows, z, p: int) -> np.ndarray:
     """The coefficient vector over monomials(5, 5)[::-1] of the determinant
     of ``rows(x, z, p)``, the structure or the dual rows, read off its

@@ -30,7 +30,8 @@ from pentangle.multipoly import MultiPoly, monomials, scalar_matrix_nullspace, s
 from pentangle.report import suite_seed
 from pentangle.scalars import Fp, _normalize_mod_p
 
-from oracles import incidence_residual, lattice_quintic, rank_at_most_three_mask
+from oracles import (chord_sample, incidence_residual, lattice_quintic,
+                     rank_at_most_three_mask)
 
 SEED = 20260824
 ROOT = Path(__file__).resolve().parent.parent
@@ -648,10 +649,21 @@ def test_block_draws_replay_sequential_draws(p):
     assert rng.blocks > 2
 
 
+@pytest.mark.parametrize("p", probe.SUPPORTED_PRIMES)
+def test_chord_samples_match_sequential_draws(p):
+    points = probe.scan_curve(p, probe.admissible_moduli(p)[0]).points
+    for n in (1, 200, 1000):
+        rng, sequential = random.Random(SEED), random.Random(SEED)
+        samples = probe._chord_samples(rng, points, p, n)
+        expected = [chord_sample(sequential, points, p) for _ in range(n)]
+        assert samples.dtype == np.int64 and samples.shape == (5, n)
+        assert samples.T.tolist() == [list(x) for x in expected]
+        assert rng.getstate() == sequential.getstate()
+
+
 def test_chord_samples_off_the_curve(scan31):
-    rng = random.Random(SEED)
-    for _ in range(200):
-        sample = probe._chord_sample(rng, scan31.points, 31)
+    samples = probe._chord_samples(random.Random(SEED), scan31.points, 31, 200)
+    for sample in samples.T.tolist():
         assert not scan31.contains(sample)
 
 
@@ -845,9 +857,7 @@ def test_forward_and_inverse_maps_compose(witness31):
 
 def test_forward_map_contracts_chords_to_singular_directions(witness31, scan31):
     z = probe._z_residues(31, 2)
-    rng = random.Random(SEED)
-    for _ in range(50):
-        chord = probe._chord_sample(rng, scan31.points, 31)
+    for chord in probe._chord_samples(random.Random(SEED), scan31.points, 31, 50).T:
         image = witness31.apply_forward(chord)
         assert any(image)
         assert probe._det_staged(probe._structure_rows(image, z, 31), 31) == 0
@@ -952,6 +962,57 @@ def test_block_kernel_equals_dense_nullspace(p, a):
     assert kernel.tolist() == probe._nullspace_mod_p(_dense_system(products, p), p).tolist()
 
 
+def _kernel_solves(monkeypatch, products, p):
+    """``_cremona_kernel`` of the products, and the shape of every
+    system it row-reduces, in order."""
+    solved = []
+    rref = probe._rref_mod_p
+
+    def spy(rows, q):
+        solved.append(np.shape(rows))
+        return rref(rows, q)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(probe, "_rref_mod_p", spy)
+        return probe._cremona_kernel(products, p), solved
+
+
+def test_block_kernel_solves_one_block_at_a_time(monkeypatch):
+    kernel, solved = _kernel_solves(monkeypatch, probe._quadric_products(31, 2), 31)
+    # the left kernel, block 0, whose kernel has dimension 1, blocks 1-4
+    # times it, and the cubics: no solve is larger than one block
+    assert solved == [(35, 210), (175, 126)] + [(175, 1)] * 4 + [(210, 40)]
+    assert kernel.shape == (1, 5 * 35 + 126)
+
+
+@pytest.mark.parametrize("p", [31, 241])
+def test_block_kernel_cuts_a_staircase_one_block_at_a_time(monkeypatch, p):
+    # random quintics g_0 .. g_5, with x_j * g_k among the products for
+    # j <= min(k, 4), beside random sextics: block j cuts g_j from the
+    # kernel, which keeps a two-dimensional span of g_4 and g_5
+    rng = np.random.default_rng(SEED)
+    quintics = rng.integers(0, p, size=(126, 6))
+    multiples = probe._coordinate_multiples(quintics)
+    columns = [multiples[:, j, k] for k in range(6) for j in range(min(k, 4) + 1)]
+    products = np.column_stack(columns + [rng.integers(0, p, size=210) for _ in range(15)])
+    kernel, solved = _kernel_solves(monkeypatch, products, p)
+    assert solved == [(35, 210), (175, 126), (175, 6), (175, 5), (175, 4), (175, 3), (210, 45)]
+    assert kernel.shape == (2, 5 * 35 + 126)
+    assert kernel.tolist() == probe._nullspace_mod_p(_dense_system(products, p), p).tolist()
+    span = np.column_stack([quintics[:, 4:], kernel[:, 5 * 35:].T])
+    assert len(probe._rref_mod_p(span, p)[1]) == 2
+
+
+@pytest.mark.parametrize("p", [31, 241])
+def test_block_kernel_of_full_rank_random_products_is_empty(monkeypatch, p):
+    products = np.random.default_rng(SEED).integers(0, p, size=(210, 35))
+    kernel, solved = _kernel_solves(monkeypatch, products, p)
+    # block 0's kernel is already trivial, so blocks 1-4 are never solved
+    assert solved == [(35, 210), (175, 126), (210, 35)]
+    assert kernel.shape == (0, 5 * 35 + 126)
+    assert kernel.tolist() == probe._nullspace_mod_p(_dense_system(products, p), p).tolist()
+
+
 def test_rank_guard_raises_on_dependent_products():
     products = probe._quadric_products(31, 2)
     products[:, 7] = products[:, 3]
@@ -1030,14 +1091,14 @@ def _every_fiftieth_column_on_curve(random_points, points):
 def test_batched_round_trip_matches_sequential_loop(monkeypatch, p, a, on_curve):
     scan = probe.scan_curve(p, a)
     after_round_trip = []
-    chord_sample = probe._chord_sample
+    chord_samples = probe._chord_samples
 
-    def spy(rng, points, q):
+    def spy(rng, points, q, n):
         if not after_round_trip:
             after_round_trip.append(rng.getstate())
-        return chord_sample(rng, points, q)
+        return chord_samples(rng, points, q, n)
 
-    monkeypatch.setattr(probe, "_chord_sample", spy)
+    monkeypatch.setattr(probe, "_chord_samples", spy)
     if on_curve:
         monkeypatch.setattr(probe, "_random_points",
                             _every_fiftieth_column_on_curve(probe._random_points, scan.points))

@@ -11,8 +11,10 @@ For every claim id the sweep prints how many seeds gave `fail` and
 it also prints the range of that value over the seeds, the envelope the
 claim holds it to (from the same probe function the claim uses) and the
 margin: how close the value came to the nearer end of the envelope (for
-the kernel rank band, the ranks seen).  The exit status is 1 when any
-claim failed.
+the kernel rank band, the ranks seen).  After the table it prints one
+SHA-256 over the (seed, claim id, status, witness) of every claim, seed
+by seed, so two versions of the package can be compared claim for claim
+over a whole seed range.  The exit status is 1 when any claim failed.
 
 Standard library only, apart from the package, imported from ./src of
 the checkout this file sits in.
@@ -21,6 +23,8 @@ the checkout this file sits in.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import multiprocessing
 import re
 import sys
@@ -86,13 +90,17 @@ def _seed_range(text: str) -> range:
     return range(int(low), int(high or low) + 1)
 
 
-def sweep(seeds, suites) -> dict:
-    """Per claim id: [fails, soft-fails, measured values, envelope]."""
+def sweep(seeds, suites) -> tuple[dict, str]:
+    """Per claim id: [fails, soft-fails, measured values, envelope]; and
+    the SHA-256 of the claims, one JSON line [seed, id, status, witness]
+    per claim, in seed order."""
     specs = [(seed, suites) for seed in seeds]
     table: dict[str, list] = {}
+    digest = hashlib.sha256()
     with multiprocessing.get_context("spawn").Pool(2) as pool:
-        for claims in pool.imap(_claims_at, specs):
+        for seed, claims in zip(seeds, pool.imap(_claims_at, specs)):
             for claim_id, status, witness in claims:
+                digest.update(json.dumps([seed, claim_id, status, witness]).encode() + b"\n")
                 row = table.setdefault(claim_id, [0, 0, [], None])
                 row[0] += status == "fail"
                 row[1] += status == "soft-fail"
@@ -100,7 +108,7 @@ def sweep(seeds, suites) -> dict:
                 if measured is not None:
                     row[2].append(measured[0])
                     row[3] = measured[1]
-    return table
+    return table, digest.hexdigest()
 
 
 def describe(table: dict, count: int) -> list:
@@ -130,8 +138,9 @@ def main(argv=None) -> int:
                                     else args.suites.split(",")).suites
     except ValueError as exc:
         parser.error(str(exc))
-    table = sweep(seeds, suites)
+    table, digest = sweep(seeds, suites)
     print("\n".join(describe(table, len(seeds))))
+    print(f"claims sha256 {digest}")
     return 1 if any(row[0] for row in table.values()) else 0
 
 
