@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Sequence
 
 from .scalars import Fp, RatFunc, _power
@@ -79,11 +80,20 @@ def _unpack(key: int, n: int) -> tuple[int, ...]:
 
 def monomials(degree: int, nvars: int) -> list[tuple[int, ...]]:
     """Every exponent tuple of total degree `degree` in `nvars` variables,
-    in lexicographically descending order."""
-    if nvars == 1:
-        return [(degree,)]
-    return [(lead,) + rest for lead in range(degree, -1, -1)
-            for rest in monomials(degree - lead, nvars - 1)]
+    in lexicographically descending order.
+
+    A multiset of `degree` variable indices, sorted, is one monomial, and
+    ``combinations_with_replacement`` lists them in increasing order: the
+    first index where two differ is smaller in the first, which holds
+    that variable more often and the ones before it as often, so its
+    exponent tuple is the larger."""
+    out = []
+    for combo in combinations_with_replacement(range(nvars), degree):
+        exponents = [0] * nvars
+        for i in combo:
+            exponents[i] += 1
+        out.append(tuple(exponents))
+    return out
 
 
 class MultiPoly:

@@ -238,7 +238,8 @@ def _nullspace_mod_p(rows, p: int) -> np.ndarray:
     """Deterministic kernel basis, one vector per row: each free column set
     to one in turn."""
     reduced, pivots = _rref_mod_p(rows, p)
-    mask = np.isin(np.arange(reduced.shape[1]), pivots)
+    mask = np.zeros(reduced.shape[1], dtype=bool)
+    mask[pivots] = True
     return _kernel_stack(reduced[None], mask[None], p)[0]
 
 
@@ -771,7 +772,7 @@ def certify_incidence(scan: CurveScan, seed: int = SEED) -> dict:
     reduced, pivots = _rref_stack(_structure_rows(ys, z, p), p)
     xs, owners = _kernel_stack(reduced, pivots, p)
     rank_census = Counter(pivots.sum(axis=1).tolist())
-    kernel_ok = np.unique(owners).size
+    kernel_ok = np.count_nonzero(np.bincount(owners))
     kernel_vectors = len(xs)
     rows = _dual_rows(xs.T, z, p)
     dual_ok = np.count_nonzero(~np.any(_times(rows, ys[:, owners], p), axis=0))
@@ -869,23 +870,20 @@ def _monomial_matrix(stack, d: int, p: int) -> np.ndarray:
     """Values of every degree-d monomial at a (5, n) stack of points.
 
     Row k holds the monomials at point k, so a form's values are
-    ``M @ coeffs % p``.  Every step multiplies two residues below p.  A
-    form of degree at most 6 has at most 210 monomials, so each entry of
-    ``M @ coeffs`` sums at most 210 such products and stays below
-    210*p**2: under 1.3*10**7 at p=241, far inside int64.
+    ``M @ coeffs % p``.  One (d + 1, 5, n) table holds every power of
+    every coordinate, reduced mod p, and a monomial is the product of the
+    five entries its exponents, the columns of ``_lattice(d)``, pick:
+    below p**5 before its reduction, under 8.2*10**11 at p=241, the
+    largest supported prime.  A form of degree at most 6 has at most 210
+    monomials, so each entry of ``M @ coeffs`` sums at most 210 products
+    of residues below p and stays below 210*p**2: under 1.3*10**7 at
+    p=241, far inside int64.
     """
     stack = np.asarray(stack, dtype=np.int64) % p
-    powers = [[np.ones_like(row)] for row in stack]
-    for row, column in zip(stack, powers):
-        for _ in range(d):
-            column.append(column[-1] * row % p)
-    values = []
-    for exponent in monomials(d, 5)[::-1]:
-        value = powers[0][exponent[0]]
-        for column, e in zip(powers[1:], exponent[1:]):
-            value = value * column[e] % p
-        values.append(value)
-    return np.stack(values, axis=1)
+    powers = np.ones((d + 1,) + stack.shape, dtype=np.int64)
+    for e in range(d):
+        powers[e + 1] = powers[e] * stack % p
+    return powers[_lattice(d), np.arange(5)[:, None]].prod(axis=0).T % p
 
 
 def _coefficients(values, d: int, p: int) -> np.ndarray:
@@ -956,20 +954,23 @@ def _cremona_kernel(products, p: int) -> np.ndarray:
     and g (the quintic factor), one vector per row.
 
     Block j reads P c_j = x_j * g in sextic coefficients, P = ``products``.
-    With N the left kernel of P (a 35-pivot solve), g runs through the
-    kernel of N's columns at the rows of x_j * beta, for every j.  That
-    g-system is solved one block at a time: K, the kernel of block 0, is
-    cut down by the kernel of block j times K for j = 1..4, and stops once
-    it is empty.  The free columns of a system are the last nonzero
+    P has full column rank (its left kernel N, a 35-pivot solve, is
+    checked), so g fixes every c_j and the kernel is the g-system's.
+    Block 0 is solved from the column side: x_0 * g = P c_0 holds exactly
+    when P c_0 is zero at the 84 sextics free of x_0, and g is then P c_0
+    at the rows of x_0 * beta.  For j = 1..4, g runs through the kernel of
+    N's columns at the rows of x_j * beta: the kernel K of block 0 is cut
+    down by the kernel of block j times K, and the loop stops once it is
+    empty.  The free columns of the full system are the last nonzero
     entries of its kernel vectors, here all in g, and a
     ``_nullspace_mod_p`` vector is one at its own free column and zero at
-    the other free columns and after its own.  A product of two bases of
-    that form has it too, so K stays the full system's free-column basis.
-    The c_j are read off one solve of [P | x_j * g], so this is
+    the other free columns and after its own.  One row reduction of K with
+    its columns reversed, rows read back in reverse, is that basis.  The
+    c_j are read off one solve of [P | x_j * g], so this is
     ``_nullspace_mod_p`` of the full system.  Each solve is
-    ``_rref_mod_p``, within its int64 bound.  A block times K, and the
-    next kernel times K, sum at most 126 products of residues below
-    240**2, under 7.3*10**6 at p=241, the largest supported prime.
+    ``_rref_mod_p``, within its int64 bound.  P c_0 sums 35 products of
+    residues below p, a block times K and the next kernel times K at most
+    126: under 7.3*10**6 at p=241, the largest supported prime.
     """
     nsextic, ncubic = products.shape
     left = _nullspace_mod_p(products.T, p)
@@ -978,11 +979,12 @@ def _cremona_kernel(products, p: int) -> np.ndarray:
                            f"{nsextic - len(left)} over F_{p}")
     # shift[beta, j]: the sextic coefficient of x_j * x**beta
     shift = _product_table(5, 1)[:, ::-1]
-    factors = _nullspace_mod_p(left[:, shift[:, 0]], p)
+    factors = _nullspace_mod_p(products[_lattice(6)[0] == 0], p) @ products[shift[:, 0]].T % p
     for j in range(1, 5):
         if not len(factors):
             break
         factors = _nullspace_mod_p(left[:, shift[:, j]] @ factors.T % p, p) @ factors % p
+    factors = _rref_mod_p(factors[:, ::-1], p)[0][::-1, ::-1]
     multiples = _coordinate_multiples(factors.T).reshape(nsextic, -1)
     reduced = _rref_mod_p(np.column_stack([products, multiples]), p)[0]
     cubics = reduced[:ncubic, ncubic:].reshape(ncubic, 5, -1).transpose(2, 1, 0)

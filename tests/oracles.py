@@ -187,6 +187,16 @@ def partial_derivative(f: MultiPoly, var: str) -> MultiPoly:
     return MultiPoly(f.vars, out, f.one)
 
 
+def monomials(degree: int, nvars: int) -> list[tuple]:
+    """Every exponent tuple of total degree ``degree`` in ``nvars``
+    variables, lexicographically descending: each leading exponent from
+    ``degree`` down, followed by the tuples of the rest."""
+    if nvars == 1:
+        return [(degree,)]
+    return [(lead,) + rest for lead in range(degree, -1, -1)
+            for rest in monomials(degree - lead, nvars - 1)]
+
+
 def grevlex_monomials(f: MultiPoly) -> list[tuple]:
     """The exponent tuples of f's terms, grevlex-largest first."""
     return sorted((mono for mono, _ in f.term_items()), key=_grevlex)

@@ -29,9 +29,35 @@ def test_summary_counts_wins_by_direction():
     assert (run_s["wins"], run_s["pairs"]) == (3, 4)
     assert run_s["before"] == pytest.approx({"median": 0.295, "q1": 0.2875, "q3": 0.3025})
     assert run_s["after"]["median"] == pytest.approx(0.235)
+    # per-pair ratios 2/3, 1, 25/29 and 22/31, whose median is not the
+    # ratio of the medians
+    assert run_s["ratio"] == pytest.approx({"median": (22 / 31 + 25 / 29) / 2,
+                                            "q1": (22 / 31 * 3 + 2 / 3) / 4,
+                                            "q3": (25 / 29 * 3 + 1) / 4})
     ratio = by_name["claim_pass_ratio"]
     assert ratio["wins"] == 0
     assert ratio["after"]["q1"] == pytest.approx(0.875)
+    assert ratio["ratio"]["median"] == pytest.approx(1.0)
+
+
+def test_paired_ratio_cancels_load_shared_by_a_pair():
+    # host load doubles both runs of the last two pairs: the sides' spreads
+    # grow, while every pair's ratio stays 0.8
+    before = [{"run_s": v} for v in (0.25, 0.25, 0.50, 0.50)]
+    after = [{"run_s": v} for v in (0.20, 0.20, 0.40, 0.40)]
+    row = ab_bench.summarize(before, after, {"run_s": "lower"})[0]
+    assert row["before"]["q3"] - row["before"]["q1"] == pytest.approx(0.25)
+    assert row["ratio"] == pytest.approx({"median": 0.8, "q1": 0.8, "q3": 0.8})
+    assert "after/before 0.8 [0.8, 0.8]" in ab_bench.render([row])[0]
+
+
+def test_ratio_skips_pairs_with_a_zero_before_value():
+    rows = ab_bench.summarize([{"m": 0.0}, {"m": 2.0}], [{"m": 1.0}, {"m": 3.0}],
+                              {"m": "lower"})
+    assert rows[0]["ratio"] == {"median": 1.5, "q1": 1.5, "q3": 1.5}
+    rows = ab_bench.summarize([{"m": 0.0}], [{"m": 1.0}], {"m": "lower"})
+    assert rows[0]["ratio"] is None
+    assert ab_bench.render(rows)[0].endswith("after/before n/a")
 
 
 def test_summary_of_one_pair():

@@ -17,6 +17,7 @@ from pentangle.multipoly import (
     determinant,
     grevlex_key,
     in_linear_span,
+    monomials,
     rank_at_point,
     scalar_matrix_nullspace,
     scalar_matrix_rank,
@@ -49,6 +50,12 @@ def _random_point(rng: random.Random, n=3):
 def test_grevlex_order_of_degree_two_monomials():
     monos = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
     assert sorted(monos, key=grevlex_key) == monos
+
+
+def test_monomials_match_the_recursive_listing():
+    for nvars in range(1, 11):
+        for degree in range(9):
+            assert monomials(degree, nvars) == oracles.monomials(degree, nvars)
 
 
 def test_render_canonical():

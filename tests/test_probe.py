@@ -344,7 +344,7 @@ def test_form_determinant_matches_lattice_solve(p):
 
 
 def test_monomial_matrix_matches_python_ints():
-    # each step multiplies two residues and a form sums at most 210
+    # a monomial multiplies five residues and a form sums at most 210
     # products; checked at p=241 with the worst-case residue p-1
     p = 241
     rng = random.Random(SEED)
@@ -979,9 +979,10 @@ def _kernel_solves(monkeypatch, products, p):
 
 def test_block_kernel_solves_one_block_at_a_time(monkeypatch):
     kernel, solved = _kernel_solves(monkeypatch, probe._quadric_products(31, 2), 31)
-    # the left kernel, block 0, whose kernel has dimension 1, blocks 1-4
-    # times it, and the cubics: no solve is larger than one block
-    assert solved == [(35, 210), (175, 126)] + [(175, 1)] * 4 + [(210, 40)]
+    # the left kernel, block 0 from the column side (34 pivots, so its
+    # kernel has dimension 1), blocks 1-4 times it, the reduction of the
+    # factor, and the cubics: no solve is larger than one block
+    assert solved == [(35, 210), (84, 35)] + [(175, 1)] * 4 + [(1, 126), (210, 40)]
     assert kernel.shape == (1, 5 * 35 + 126)
 
 
@@ -996,7 +997,8 @@ def test_block_kernel_cuts_a_staircase_one_block_at_a_time(monkeypatch, p):
     columns = [multiples[:, j, k] for k in range(6) for j in range(min(k, 4) + 1)]
     products = np.column_stack(columns + [rng.integers(0, p, size=210) for _ in range(15)])
     kernel, solved = _kernel_solves(monkeypatch, products, p)
-    assert solved == [(35, 210), (175, 126), (175, 6), (175, 5), (175, 4), (175, 3), (210, 45)]
+    assert solved == [(35, 210), (84, 35), (175, 6), (175, 5), (175, 4), (175, 3), (2, 126),
+                      (210, 45)]
     assert kernel.shape == (2, 5 * 35 + 126)
     assert kernel.tolist() == probe._nullspace_mod_p(_dense_system(products, p), p).tolist()
     span = np.column_stack([quintics[:, 4:], kernel[:, 5 * 35:].T])
@@ -1008,7 +1010,7 @@ def test_block_kernel_of_full_rank_random_products_is_empty(monkeypatch, p):
     products = np.random.default_rng(SEED).integers(0, p, size=(210, 35))
     kernel, solved = _kernel_solves(monkeypatch, products, p)
     # block 0's kernel is already trivial, so blocks 1-4 are never solved
-    assert solved == [(35, 210), (175, 126), (210, 35)]
+    assert solved == [(35, 210), (84, 35), (0, 126), (210, 35)]
     assert kernel.shape == (0, 5 * 35 + 126)
     assert kernel.tolist() == probe._nullspace_mod_p(_dense_system(products, p), p).tolist()
 

@@ -10,7 +10,11 @@ elapsed_ms, render formats, and the three subcommands.
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -18,6 +22,8 @@ from click.testing import CliRunner
 from pentangle import cli
 from pentangle import probe
 from pentangle import report as rp
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FAST = ("heisenberg", "sections", "lattice", "scan")
 
@@ -430,3 +436,24 @@ def test_cli_strict_promotes_soft_failures(runner, monkeypatch):
     strict = runner.invoke(cli.main, ["run", "--suites", "lattice",
                                       "--strict"])
     assert strict.exit_code == 1, strict.output
+
+
+@pytest.mark.parametrize("suites", [rp.SUITE_ORDER[:5], rp.SUITE_ORDER[5:]],
+                         ids=["identities", "curves"])
+def test_runs_never_import_numpy_ma(suites):
+    # np.unique of a plain array and np.isin check for masked arrays, which
+    # imports numpy.ma, 11-32 ms in a fresh process, on first use
+    script = (
+        "import sys\n"
+        "from pentangle import report\n"
+        f"result = report.run(report.make_config(suites={list(suites)!r}))\n"
+        "assert result['summary']['fail'] == 0, result['summary']\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]

@@ -13,8 +13,9 @@ length, since perfbench's `peak_rss_mb` moves with the length of the
 checkout path.  The tool then runs `perfbench/run.py --workload W
 --seconds S --trace 0` of both sides in N pairs, one process at a time,
 alternating which side runs first.  It prints every run's metrics and,
-for each end-to-end metric, each side's median and quartiles and how many
-pairs the AFTER side won (ties count for neither).  The temporary
+for each end-to-end metric, each side's median and quartiles, how many
+pairs the AFTER side won (ties count for neither), and the median and
+quartiles of the per-pair AFTER/BEFORE ratio.  The temporary
 directories are removed at the end.
 
 Standard library only; the package is imported by perfbench's children.
@@ -42,40 +43,49 @@ def better_directions() -> dict:
     return {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
 
 
+def quartiles(values: list) -> dict:
+    """Median and quartiles (inclusive method, as numpy's default
+    percentiles) of one or more values."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def summarize(before: list, after: list, better: dict) -> list:
     """One row per metric of ``better`` that every run reports.
 
     ``before`` and ``after`` hold one {metric: value} dict per run, pair by
-    pair.  A row gives each side's median and quartiles (inclusive
-    method, as numpy's default percentiles) and the pairs the after side
-    won, ties counting for neither side.
+    pair.  A row gives each side's median and quartiles, the pairs the
+    after side won, ties counting for neither side, and the median and
+    quartiles of the per-pair after/before ratio, over the pairs whose
+    before value is nonzero (None if there are none).  Load on the host
+    moves both runs of a pair together, and the ratio cancels it.
     """
     rows = []
     for name, direction in better.items():
         if not all(name in run for run in before + after):
             continue
-        sides = {}
-        for side, runs in (("before", before), ("after", after)):
-            values = [run[name] for run in runs]
-            q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                              if len(values) > 1 else values * 3)
-            sides[side] = {"median": median, "q1": q1, "q3": q3}
         sign = 1 if direction == "lower" else -1
         wins = sum(1 for old, new in zip(before, after)
                    if sign * (new[name] - old[name]) < 0)
+        ratios = [new[name] / old[name] for old, new in zip(before, after) if old[name]]
         rows.append({"metric": name, "better": direction, "pairs": len(after),
-                     "wins": wins, **sides})
+                     "wins": wins, "before": quartiles([run[name] for run in before]),
+                     "after": quartiles([run[name] for run in after]),
+                     "ratio": quartiles(ratios) if ratios else None})
     return rows
 
 
 def render(rows: list) -> list:
     lines = []
     for row in rows:
-        b, a = row["before"], row["after"]
+        b, a, r = row["before"], row["after"], row["ratio"]
         lines.append("%-18s before %.4g [%.4g, %.4g]  after %.4g [%.4g, %.4g]  "
-                     "after wins %d/%d (%s is better)"
+                     "after wins %d/%d (%s is better)  after/before %s"
                      % (row["metric"], b["median"], b["q1"], b["q3"], a["median"],
-                        a["q1"], a["q3"], row["wins"], row["pairs"], row["better"]))
+                        a["q1"], a["q3"], row["wins"], row["pairs"], row["better"],
+                        "n/a" if r is None
+                        else "%.4g [%.4g, %.4g]" % (r["median"], r["q1"], r["q3"])))
     return lines
 
 
