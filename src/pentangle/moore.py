@@ -306,21 +306,24 @@ def _lift_to_cleared(poly: MultiPoly, avars: tuple, extra_a: int = 0) -> MultiPo
     """Rewrite rational-function coefficients as terms in the variable a.
 
     The coefficient is multiplied by a^extra_a first and must then be a
-    polynomial; the a-degree moves into slot 0 of the exponent tuple.
+    polynomial; the a-degree moves into slot 0 of the exponent tuple.  A
+    coefficient n(a)/a^k in lowest terms times a^extra_a is the
+    polynomial n(a)*a^(extra_a - k) exactly when k <= extra_a, so the
+    product is a shift of n's degrees; any other denominator keeps a
+    pole.
     """
     one = poly.one
     if not isinstance(one, RatFunc):
         raise TypeError("clearing expects rational-function coefficients")
     base = one.one_coeff
     zero = base * 0
-    mult = RatFunc.gen(base) ** extra_a
     terms = {}
     for mono, c in poly.term_items():
-        r = c * mult
-        if r.den.degree() != 0:
+        k = c.den_power
+        if k is None or k > extra_a:
             raise ValueError("coefficient %s still has a pole after clearing "
                              "a^%d" % (c, extra_a))
-        for d, cc in enumerate(r.num.c):
+        for d, cc in enumerate(c.num.c, extra_a - k):
             if cc == zero:
                 continue
             terms[(d,) + mono] = cc
@@ -328,28 +331,70 @@ def _lift_to_cleared(poly: MultiPoly, avars: tuple, extra_a: int = 0) -> MultiPo
 
 
 def specialize_modulus(poly: MultiPoly, value) -> MultiPoly:
-    """Evaluate rational-function coefficients at a concrete modulus value."""
+    """Evaluate rational-function coefficients at a concrete modulus value.
+
+    A coefficient n(a)/a^k, the form every coefficient of the Moore
+    bundle takes, is the sum of n_j * value^(j - k).  The powers of value
+    that these sums need, negative ones included, are built once for the
+    whole polynomial, so value is inverted at most once and each term is
+    a scalar times a power; coefficients at a pole raise
+    ZeroDivisionError as `RatFunc.eval` does.  A coefficient with any
+    other denominator goes through `RatFunc.eval`.
+    """
     one = poly.one
     if not isinstance(one, RatFunc):
         raise TypeError("specialization expects rational-function coefficients")
-    terms = {mono: c.eval(value) for mono, c in poly.term_items()}
-    return MultiPoly(poly.vars, terms, one.one_coeff * 1)
+    base = one.one_coeff
+    zero = base * 0
+    items = list(poly.term_items())
+    laurent = [c for _, c in items if c.den_power is not None]
+    low = max((c.den_power for c in laurent), default=0)
+    high = max((len(c.num.c) - 1 - c.den_power for c in laurent), default=0)
+    powers = {0: base}
+    acc = base
+    for i in range(1, high + 1):
+        acc = acc * value
+        powers[i] = acc
+    if low:
+        inv = base / value
+        acc = base
+        for i in range(1, low + 1):
+            acc = acc * inv
+            powers[-i] = acc
+    terms = {}
+    for mono, c in items:
+        k = c.den_power
+        if k is None:
+            terms[mono] = c.eval(value)
+            continue
+        acc = zero
+        for j, cj in enumerate(c.num.c, -k):
+            if cj:
+                acc = acc + cj * powers[j]
+        terms[mono] = acc
+    return MultiPoly(poly.vars, terms, base * 1)
 
 
 # -- verification reports ----------------------------------------------
 
 
-def verify_matrix_identities(a=None) -> dict:
+def verify_matrix_identities(a=None, mm: MooreMatrices | None = None) -> dict:
     """Certify symmetry, duality, invariance and determinant structure.
 
     With no argument the modulus is the transcendental parameter, so all
     identities hold as rational-function statements; any nonzero field
-    scalar selects a numeric run instead.
+    scalar selects a numeric run instead.  mm, when given, is the bundle
+    `build_moore_matrices(a)` already built, so a caller that also runs
+    `verify_span_claims` builds it once; otherwise it is built here.
     """
     if a is None:
         a = symbolic_modulus()
     a = _coerce_modulus(a)
-    mm = build_moore_matrices(a)
+    if mm is None:
+        mm = build_moore_matrices(a)
+    elif mm.a != a:
+        raise ValueError("the bundle of modulus %s does not belong to %s"
+                         % (mm.a, a))
     one = mm.one
     zero = one * 0
     checks = Checks()

@@ -200,16 +200,28 @@ def _run_sections(config, pairs, scans):
                       sections_mod.verify_section_symmetries)
 
 
+def _built(bundle):
+    """A built Moore bundle, or the exception its build raised, raised
+    again, so that each op that needs the bundle fails with it."""
+    if isinstance(bundle, Exception):
+        raise bundle
+    return bundle
+
+
 def _run_moore(config, pairs, scans):
     moduli = [("symbolic", moore.symbolic_modulus())] if config.symbolic_a else []
     moduli += [(_pair_tag(p, a), Fp(a, p)) for p, a in pairs]
     claims = []
     for tag, a in moduli:
+        try:
+            mm = moore.build_moore_matrices(a)
+        except Exception as exc:
+            mm = exc
         claims += _op_claims("moore", "matrix identities",
-                             lambda: moore.verify_matrix_identities(a), context=tag)
-        claims += _op_claims("moore", "span claims",
-                             lambda: moore.verify_span_claims(moore.build_moore_matrices(a)),
+                             lambda: moore.verify_matrix_identities(a, _built(mm)),
                              context=tag)
+        claims += _op_claims("moore", "span claims",
+                             lambda: moore.verify_span_claims(_built(mm)), context=tag)
     return claims
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, neg, sub
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -54,6 +55,7 @@ def _reduction_table() -> tuple[tuple[int, ...], ...]:
 
 _REDUCE = _reduction_table()
 _TAIL0 = (0,) * (_DEG - 1)
+_ZERO_N = (0,) * _DEG
 #: exponents k > 1 prime to 15: t -> t^k are the nontrivial automorphisms
 _CONJUGATES = (2, 4, 7, 8, 11, 13, 14)
 
@@ -91,6 +93,12 @@ class Cyclo:
     (n, d) pairs are.  Coefficient vectors longer than 8 (up to degree
     14, the largest a product can reach) are folded down on
     construction.  `coeffs` gives the coefficients as Fractions.
+
+    Most values met by the symbolic routes are small rationals with
+    d = 1, so `+`, `-`, `*` and unary `-` take an operand that is exactly
+    a Cyclo without coercing it, and build a rational result with d = 1
+    as `(n,) + _TAIL0` directly; every path returns the same canonical
+    (n, d) the constructor would.
     """
 
     __slots__ = ("_n", "_d")
@@ -117,7 +125,7 @@ class Cyclo:
         return tuple(Fraction(c, d) for c in self._n)
 
     def is_zero(self) -> bool:
-        return not any(self._n)
+        return self._n == _ZERO_N
 
     def is_rational(self) -> bool:
         return self._n[1:] == _TAIL0
@@ -125,57 +133,59 @@ class Cyclo:
     # -- ring structure ------------------------------------------------
 
     def __add__(self, other: object) -> "Cyclo":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._d, other._d
-        if a == b:
-            return _make(tuple(x + y for x, y in zip(self._n, other._n)), a)
-        g = gcd(a, b)
-        sa, sb = b // g, a // g
-        return _make(tuple(x * sa + y * sb for x, y in zip(self._n, other._n)),
-                     a * sa)
+        if type(other) is not Cyclo:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _combine(self._n, self._d, other._n, other._d, add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclo":
-        return _raw(tuple(-x for x in self._n), self._d)
+        n = self._n
+        if n[1:] == _TAIL0:
+            return _raw((-n[0],) + _TAIL0, self._d)
+        return _raw(tuple(map(neg, n)), self._d)
 
     def __sub__(self, other: object) -> "Cyclo":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not Cyclo:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _combine(self._n, self._d, other._n, other._d, sub)
 
     def __rsub__(self, other: object) -> "Cyclo":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other: object) -> "Cyclo":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Cyclo:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self._n, other._n
         d = self._d * other._d
         if a[1:] == _TAIL0:
             q = a[0]
             if b[1:] == _TAIL0:
                 n = q * b[0]
+                if d == 1:
+                    return _raw((n,) + _TAIL0, 1)
                 g = gcd(n, d)
                 return _raw((n // g,) + _TAIL0, d // g)
-            return _make(tuple(q * c for c in b), d)
+            return _make([q * c for c in b], d)
         if b[1:] == _TAIL0:
             q = b[0]
-            return _make(tuple(q * c for c in a), d)
+            return _make([q * c for c in a], d)
         prod = [0] * (2 * _DEG - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
-        return _make(tuple(_fold(prod)), d)
+        return _make(_fold(prod), d)
 
     __rmul__ = __mul__
 
@@ -219,16 +229,17 @@ class Cyclo:
         return _power(ONE, self, n)
 
     def __eq__(self, other: object) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Cyclo:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
         return hash((self._n, self._d))
 
     def __bool__(self) -> bool:
-        return any(self._n)
+        return self._n != _ZERO_N
 
     def __repr__(self) -> str:
         return "Cyclo(%s)" % (list(self.coeffs),)
@@ -278,6 +289,22 @@ def _make(n: Sequence[int], d: int) -> Cyclo:
     return _raw(*_lowest(n, d)) if d != 1 else _raw(tuple(n), 1)
 
 
+def _combine(a: tuple[int, ...], da: int, b: tuple[int, ...], db: int,
+             op) -> Cyclo:
+    """a/da op b/db for op in (operator.add, operator.sub): two rationals
+    over d = 1 give a rational directly, equal denominators add
+    numerators, and others go over their least common multiple."""
+    if da == db:
+        if da == 1:
+            if a[1:] == _TAIL0 and b[1:] == _TAIL0:
+                return _raw((op(a[0], b[0]),) + _TAIL0, 1)
+            return _raw(tuple(map(op, a, b)), 1)
+        return _make(tuple(map(op, a, b)), da)
+    g = gcd(da, db)
+    sa, sb = db // g, da // g
+    return _make([op(x * sa, y * sb) for x, y in zip(a, b)], da * sa)
+
+
 def _coerce(x: object) -> "Cyclo":
     if isinstance(x, Cyclo):
         return x
@@ -318,7 +345,11 @@ def cyclo_root_of_unity(order: int, power: int = 1) -> Cyclo:
 
 
 class Fp:
-    """Residue in [0, p) for a prime p; exact field arithmetic mod p."""
+    """Residue in [0, p) for a prime p; exact field arithmetic mod p.
+
+    `+`, `-`, `*` and unary `-` reduce once and build their result with
+    `_fp`, skipping the constructor's modulus check, which the operands
+    already passed."""
 
     __slots__ = ("v", "p")
 
@@ -330,29 +361,32 @@ class Fp:
 
     def _same(self, other: object) -> "Fp":
         if isinstance(other, Fp):
-            if other.p != self.p:
-                raise ValueError("mixed moduli %d and %d" % (self.p, other.p))
-            return other
+            if other.p == self.p:
+                return other
+            raise ValueError("mixed moduli %d and %d" % (self.p, other.p))
         if isinstance(other, int):
-            return Fp(other, self.p)
+            return _fp(other % self.p, self.p)
         return NotImplemented
 
     def __add__(self, other: object) -> "Fp":
         other = self._same(other)
         if other is NotImplemented:
             return NotImplemented
-        return Fp(self.v + other.v, self.p)
+        p = self.p
+        return _fp((self.v + other.v) % p, p)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Fp":
-        return Fp(-self.v, self.p)
+        p = self.p
+        return _fp(-self.v % p, p)
 
     def __sub__(self, other: object) -> "Fp":
         other = self._same(other)
         if other is NotImplemented:
             return NotImplemented
-        return Fp(self.v - other.v, self.p)
+        p = self.p
+        return _fp((self.v - other.v) % p, p)
 
     def __rsub__(self, other: object) -> "Fp":
         other = self._same(other)
@@ -364,7 +398,8 @@ class Fp:
         other = self._same(other)
         if other is NotImplemented:
             return NotImplemented
-        return Fp(self.v * other.v, self.p)
+        p = self.p
+        return _fp(self.v * other.v % p, p)
 
     __rmul__ = __mul__
 
@@ -410,6 +445,14 @@ class Fp:
 
     def __str__(self) -> str:
         return str(self.v)
+
+
+def _fp(v: int, p: int) -> Fp:
+    """An Fp from a residue already in [0, p)."""
+    obj = Fp.__new__(Fp)
+    obj.v = v
+    obj.p = p
+    return obj
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -646,24 +689,39 @@ def _uni(c: tuple, one, zero) -> UniPoly:
 
 
 def _power_of_a(den: UniPoly) -> int | None:
-    """k when the denominator den is c*a^k, else None."""
+    """k when the denominator den is c*a^k, else None.
+
+    Only the constructor asks: every RatFunc keeps the answer in its `_k`
+    slot, so arithmetic reads it there instead of testing each
+    coefficient below den's leading one."""
     return None if any(den.c[:-1]) else len(den.c) - 1
 
 
-def _laurent(cs: list, k: int, one, zero) -> "RatFunc":
+def _laurent(cs: list, k: int, one, zero, top: bool = True,
+             low: bool = True) -> "RatFunc":
     """cs/a^k in lowest terms, cs being field coefficients, low degree
     first, possibly with trailing zeros.  a^k shares only a^min(k, v)
-    with the numerator, v its a-adic valuation, so reducing is a shift."""
-    while cs and not cs[-1]:
-        cs.pop()
-    shift = 0
-    if not cs:
-        k = 0
-    while shift < k and not cs[shift]:
-        shift += 1
+    with the numerator, v its a-adic valuation, so reducing is a shift.
+
+    A caller that knows cs[-1] is nonzero passes top=False, and one that
+    knows cs[0] is nonzero or k == 0 passes low=False; each skips the
+    trim that would only test that coefficient."""
+    if top:
+        while cs and not cs[-1]:
+            cs.pop()
+        if not cs:
+            k = 0
+    if low:
+        shift = 0
+        while shift < k and not cs[shift]:
+            shift += 1
+        if shift:
+            k -= shift
+            cs = cs[shift:]
     out = RatFunc.__new__(RatFunc)
-    out.num = _uni(tuple(cs[shift:]), one, zero)
-    out.den = _uni((zero,) * (k - shift) + (one,), one, zero)
+    out.num = _uni(tuple(cs), one, zero)
+    out.den = _uni((zero,) * k + (one,), one, zero)
+    out._k = k
     return out
 
 
@@ -674,12 +732,13 @@ class RatFunc:
     powers of the parameter) shares only a^min(k, v) with the numerator,
     v being the numerator's a-adic valuation, so it is reduced by a
     scaling and the shift of `_laurent`; any other denominator goes
-    through Euclid.  When both operands have denominators a^k, `+`, `-`
+    through Euclid.  The slot `_k` holds k for a denominator a^k and
+    None otherwise.  When both operands have denominators a^k, `+`, `-`
     and `*` work on the coefficient tuples and `_laurent` reduces the
     result, so no intermediate UniPoly is built.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_k")
 
     def __init__(self, num: UniPoly, den: UniPoly | None = None):
         if den is None:
@@ -688,6 +747,7 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             den = UniPoly.const(num.one, num.one)
+            k = 0
         elif _power_of_a(den) is not None:
             one = den.one
             cs = list(num.c)
@@ -696,7 +756,7 @@ class RatFunc:
                 inv = one / lead
                 cs = [c * inv for c in cs]
             reduced = _laurent(cs, den.degree(), one, den.zero_coeff)
-            num, den = reduced.num, reduced.den
+            num, den, k = reduced.num, reduced.den, reduced._k
         else:
             g = num.gcd(den)
             if g.degree() > 0:
@@ -707,8 +767,10 @@ class RatFunc:
                 inv = den.one / lead
                 num = num.scale(inv)
                 den = den.scale(inv)
+            k = _power_of_a(den)
         self.num = num
         self.den = den
+        self._k = k
 
     @classmethod
     def const(cls, value, one=_F1) -> "RatFunc":
@@ -724,6 +786,11 @@ class RatFunc:
     @property
     def one_coeff(self):
         return self.num.one
+
+    @property
+    def den_power(self) -> int | None:
+        """k when the denominator is a^k, else None."""
+        return self._k
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -743,43 +810,54 @@ class RatFunc:
             return RatFunc.const(other, self.one_coeff)
         return NotImplemented
 
-    def __add__(self, other: object) -> "RatFunc":
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
-        k, l = _power_of_a(self.den), _power_of_a(other.den)
+    def _sum(self, other: "RatFunc", op) -> "RatFunc":
+        """self op other for op in (operator.add, operator.sub)."""
+        k, l = self._k, other._k
         if k is None or l is None:
-            return RatFunc(self.num * other.den + other.num * self.den,
+            return RatFunc(op(self.num * other.den, other.num * self.den),
                            self.den * other.den)
         a, b = self.num.c, other.num.c
         if not b:
             return self
         if not a:
-            return other
-        if k < l:
-            a, b, k, l = b, a, l, k
-        # with t the parameter: a/t^k + b/t^l = (a + t^(k-l)*b)/t^k
-        shift = k - l
+            return other if op is add else -other
+        # with t the parameter and m = max(k, l):
+        # a/t^k +- b/t^l = (t^(m-k)*a +- t^(m-l)*b)/t^m
+        m = max(k, l)
+        sa, sb = m - k, m - l
         zero = self.num.zero_coeff
-        out = list(a) + [zero] * (shift + len(b) - len(a))
-        for j, c in enumerate(b, shift):
-            out[j] = out[j] + c
-        return _laurent(out, k, self.num.one, zero)
+        out = [zero] * sa + list(a)
+        out += [zero] * (sb + len(b) - len(out))
+        for j, c in enumerate(b, sb):
+            out[j] = op(out[j], c)
+        # an end coefficient that only one operand reaches is nonzero, and
+        # so is the low one of a numerator over a positive power of t
+        return _laurent(out, m, self.num.one, zero,
+                        top=sa + len(a) == sb + len(b), low=k == l)
+
+    def __add__(self, other: object) -> "RatFunc":
+        if type(other) is not RatFunc:
+            other = self._wrap(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._sum(other, add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
         out = RatFunc.__new__(RatFunc)
-        out.num = _uni(tuple(-c for c in self.num.c), self.num.one,
+        out.num = _uni(tuple(map(neg, self.num.c)), self.num.one,
                        self.num.zero_coeff)
         out.den = self.den
+        out._k = self._k
         return out
 
     def __sub__(self, other: object) -> "RatFunc":
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not RatFunc:
+            other = self._wrap(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._sum(other, sub)
 
     def __rsub__(self, other: object) -> "RatFunc":
         other = self._wrap(other)
@@ -788,10 +866,11 @@ class RatFunc:
         return other - self
 
     def __mul__(self, other: object) -> "RatFunc":
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
-        k, l = _power_of_a(self.den), _power_of_a(other.den)
+        if type(other) is not RatFunc:
+            other = self._wrap(other)
+            if other is NotImplemented:
+                return NotImplemented
+        k, l = self._k, other._k
         if k is None or l is None:
             return RatFunc(self.num * other.num, self.den * other.den)
         a, b = self.num.c, other.num.c
@@ -800,13 +879,19 @@ class RatFunc:
         if not b:
             return other
         zero = self.num.zero_coeff
+        xs = [(i, x) for i, x in enumerate(a) if x]
         out = [zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    if y:
-                        out[j] = out[j] + x * y
-        return _laurent(out, k + l, self.num.one, zero)
+        for j, y in enumerate(b):
+            if y:
+                for i, x in xs:
+                    # a slot still holding `zero` itself takes the product
+                    v = out[i + j]
+                    out[i + j] = x * y if v is zero else v + x * y
+        # the product of the two leading coefficients is nonzero, and so is
+        # that of the two low ones when both denominators are positive
+        # powers of a
+        return _laurent(out, k + l, self.num.one, zero,
+                        top=False, low=not (k and l))
 
     __rmul__ = __mul__
 
@@ -847,7 +932,7 @@ class RatFunc:
         return hash((self.num.c, self.den.c))
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.num.c)
 
     def __repr__(self) -> str:
         return "RatFunc(%r, %r)" % (list(self.num.c), list(self.den.c))

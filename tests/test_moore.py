@@ -8,6 +8,7 @@ import pytest
 
 from pentangle.moore import (
     AVARS_X,
+    AVARS_Y,
     MooreMatrices,
     VARS_X,
     VARS_Y,
@@ -540,3 +541,78 @@ def test_pairing_product_structure(fp_bundle):
     assert product[0, 0].is_zero()
     assert product[1, 1] == mm.quadrics[4]
     assert product[0, 1] == mm.quadrics[2] * Fp(2, 31)
+
+
+def _eval_coefficientwise(poly: MultiPoly, value) -> MultiPoly:
+    """specialize_modulus's oracle: `RatFunc.eval` on every coefficient."""
+    return MultiPoly(poly.vars, {m: c.eval(value) for m, c in poly.term_items()},
+                     poly.one.one_coeff * 1)
+
+
+def test_specialize_modulus_matches_coefficientwise_eval(symbolic_dets):
+    generic = Cyclo([3, -1, 0, 2, 0, 0, 5, -2]) / 7
+    for value in (EPS5 ** 2 + EPS5 ** 3, generic, Cyclo(-3)):
+        for det in symbolic_dets:
+            got = specialize_modulus(det, value)
+            want = _eval_coefficientwise(det, value)
+            assert dict(got.term_items()) == dict(want.term_items())
+    # denominators other than powers of a go through RatFunc.eval
+    a = RatFunc.gen(ONE)
+    x0, x1 = MultiPoly.gens(VARS_X, a * 0 + 1)[:2]
+    poly = (x0 * (1 / (a + 1)) + x1 * (a ** 2 / (a * a - 2)) + x0 * x1 * (3 / a ** 2)
+            + x1 * x1 * (a ** 3 - 2 * a) + x0 * x0 * (EPS5 / (a * (a + 2))))
+    assert {c.den_power for _, c in poly.term_items()} == {None, 0, 2}
+    for value in (generic, EPS5 ** 2 + EPS5 ** 3, Cyclo(5)):
+        got = specialize_modulus(poly, value)
+        assert dict(got.term_items()) == dict(_eval_coefficientwise(poly, value).term_items())
+
+
+def test_specialize_modulus_raises_at_the_pole(symbolic_dets):
+    assert any(c.den_power for det in symbolic_dets for _, c in det.term_items())
+    for det in symbolic_dets:
+        with pytest.raises(ZeroDivisionError):
+            specialize_modulus(det, Cyclo(0))
+    a = RatFunc.gen(ONE)
+    x0 = MultiPoly.gens(VARS_X, a * 0 + 1)[0]
+    polynomial = x0 * (a * a + 2) + x0 * x0 * a
+    got = specialize_modulus(polynomial, Cyclo(0))
+    assert dict(got.term_items()) == dict(_eval_coefficientwise(polynomial, Cyclo(0)).term_items())
+
+
+def test_matrix_identities_reuse_a_given_bundle(monkeypatch, fp_bundle):
+    plain = verify_matrix_identities(Fp(2, 31))
+
+    def refuse(a):
+        raise AssertionError("the given bundle was rebuilt")
+
+    with monkeypatch.context() as m:
+        m.setattr("pentangle.moore.build_moore_matrices", refuse)
+        assert verify_matrix_identities(Fp(2, 31), fp_bundle) == plain
+        with pytest.raises(ValueError):
+            verify_matrix_identities(Fp(3, 31), fp_bundle)
+
+
+def test_lift_to_cleared_matches_multiplying_by_a_power(symbolic_bundle, symbolic_dets):
+    """The degree shift against c * a^extra read off coefficient by
+    coefficient, on the bundle's entries and both determinants."""
+    def by_multiplication(poly, avars, extra):
+        a = RatFunc.gen(ONE)
+        terms = {}
+        for mono, c in poly.term_items():
+            r = c * a ** extra
+            assert r.den.degree() == 0
+            for d, cc in enumerate(r.num.c):
+                if cc:
+                    terms[(d,) + mono] = cc
+        return MultiPoly(avars, terms, ONE)
+
+    det_m, det_mp = symbolic_dets
+    cases = [(det_m, AVARS_Y, 5), (det_mp, AVARS_X, 5), (det_m, AVARS_Y, 7)]
+    cases += [(symbolic_bundle.m[i, j], AVARS_Y, 1) for i in range(5) for j in range(5)]
+    cases += [(symbolic_bundle.m_prime[i, j], AVARS_X, 1) for i in range(5) for j in range(5)]
+    for poly, avars, extra in cases:
+        assert _lift_to_cleared(poly, avars, extra) == by_multiplication(poly, avars, extra)
+    a = RatFunc.gen(ONE)
+    x0 = MultiPoly.gens(VARS_X, a * 0 + 1)[0]
+    with pytest.raises(ValueError):
+        _lift_to_cleared(x0 * (a / (a + 1)), AVARS_X, 3)

@@ -457,3 +457,37 @@ def test_runs_never_import_numpy_ma(suites):
                             text=True, env=env, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False"]
+
+
+def test_moore_builds_each_bundle_once(monkeypatch):
+    from pentangle import moore
+
+    built = []
+    real = moore.build_moore_matrices
+
+    def counting(a):
+        built.append(a)
+        return real(a)
+
+    monkeypatch.setattr(moore, "build_moore_matrices", counting)
+    report = rp.run(rp.make_config(suites=("moore",)))
+    # the symbolic modulus and two per prime at 31 and 61
+    assert len(built) == 5
+    assert report["summary"]["fail"] == report["summary"]["soft-fail"] == 0
+
+
+def test_failed_moore_bundle_fails_both_ops(monkeypatch):
+    from pentangle import moore
+
+    def refuse(a):
+        raise RuntimeError("no bundle")
+
+    monkeypatch.setattr(moore, "build_moore_matrices", refuse)
+    config = rp.make_config(suites=("moore",))
+    report = rp.run(config)
+    tags = ["symbolic"] + ["p%d-a%d" % pair for pair in rp.resolve_pairs(config)]
+    assert [c["id"] for c in report["claims"]] == [
+        "moore:%s-completes@%s" % (op, tag)
+        for tag in tags for op in ("matrix-identities", "span-claims")]
+    assert all(c["status"] == "fail" and c["witness"] == "RuntimeError: no bundle"
+               for c in report["claims"])

@@ -419,3 +419,136 @@ def test_ratfunc_laurent_arithmetic_matches_generic_path(base, monkeypatch):
                 list(num.c), list(den.c), one), (name, x, y)
     assert laurent([1, 1], 2) + laurent([-1], 2) == laurent([1], 1)
     assert (laurent([2, 1], 2) - laurent([2, 1], 2)).den.c == (one,)
+
+
+def _reference_cyclo(coeffs) -> Cyclo:
+    """The constructor's canonical element of a Fraction coefficient list
+    of degree <= 14."""
+    return Cyclo([Fraction(c) for c in coeffs])
+
+
+def _cyclo_operand(rng: random.Random) -> list:
+    """Fraction coefficients of a rational or an irrational element, with
+    denominator 1 or not, zero included."""
+    den = rng.choice((1, 1, 2, 3, 6))
+    size = rng.choice((1, 1, 8))
+    cs = [Fraction(rng.randint(-6, 6), den) for _ in range(size)]
+    if size == 8 and rng.random() < 0.3:
+        cs[0] = Fraction(rng.randint(-6, 6))
+    return cs + [Fraction(0)] * (8 - size)
+
+
+def test_cyclo_fast_paths_match_the_constructor():
+    """+ - * neg bool == hash against the constructor, on every mix of
+    rational and irrational operands with d = 1 and d != 1."""
+    rng = random.Random(SEED + 8)
+    seen = set()
+    for _ in range(600):
+        xs, ys = _cyclo_operand(rng), _cyclo_operand(rng)
+        x, y = _reference_cyclo(xs), _reference_cyclo(ys)
+        seen.add((x.is_rational(), x._d == 1, y.is_rational(), y._d == 1))
+        prod = [Fraction(0)] * 15
+        for i, a in enumerate(xs):
+            for j, b in enumerate(ys):
+                prod[i + j] += a * b
+        cases = [(x + y, [a + b for a, b in zip(xs, ys)]),
+                 (x - y, [a - b for a, b in zip(xs, ys)]),
+                 (x * y, prod),
+                 (-x, [-a for a in xs]),
+                 (x + x * -1, [0]),
+                 (x - x, [0])]
+        for got, coeffs in cases:
+            want = _reference_cyclo(coeffs)
+            assert (got._n, got._d) == (want._n, want._d), (xs, ys)
+            assert got == want and hash(got) == hash(want)
+            assert bool(got) == any(coeffs) == (not got.is_zero())
+        assert (x == y) == (xs == ys)
+        # int and Fraction operands still go through the coercion
+        q = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        for got, coeffs in ((x + q, [xs[0] + q] + xs[1:]),
+                            (q - x, [q - xs[0]] + [-c for c in xs[1:]]),
+                            (x * 3, [3 * c for c in xs])):
+            want = _reference_cyclo(coeffs)
+            assert (got._n, got._d) == (want._n, want._d)
+    assert len(seen) == 16
+
+
+def test_fp_raw_results_match_the_constructor():
+    rng = random.Random(SEED + 9)
+    for p in (31, 241):
+        for _ in range(200):
+            x, y = Fp(rng.randrange(p), p), Fp(rng.randrange(p), p)
+            k = rng.randint(-3 * p, 3 * p)
+            for got, want in ((x + y, Fp(x.v + y.v, p)), (x - y, Fp(x.v - y.v, p)),
+                              (x * y, Fp(x.v * y.v, p)), (-x, Fp(-x.v, p)),
+                              (x + k, Fp(x.v + k, p)), (k - x, Fp(k - x.v, p)),
+                              (x * k, Fp(x.v * k, p)), (k * x, Fp(k * x.v, p))):
+                assert type(got) is Fp
+                assert (got.v, got.p) == (want.v, want.p)
+                assert got == want and hash(got) == hash(want)
+                assert 0 <= got.v < p
+            # an int operand is reduced before it is used
+            if k % p:
+                assert (x / k).v == x.v * pow(k, p - 2, p) % p
+            with pytest.raises(ZeroDivisionError):
+                x / (k - k % p)
+
+
+@pytest.mark.parametrize("base", ["fraction", "cyclo", "fp"])
+def test_ratfunc_laurent_arithmetic_cancels_end_coefficients(base, monkeypatch):
+    """+ - * of operands with denominators a^k whose results lose their
+    lowest or highest coefficient, or both, against the Euclid oracle:
+    the trims `_laurent` keeps must catch every cancellation."""
+    rng = random.Random(SEED + 10)
+    one = {"fraction": Fraction(1), "cyclo": Cyclo(1), "fp": Fp(1, 61)}[base]
+    zero = one * 0
+
+    def laurent(num, k):
+        return RatFunc(UniPoly([one * c for c in num], one),
+                       UniPoly([zero] * k + [one], one))
+
+    def random_laurent():
+        num = [rng.choice((0, 1, -1, 2, 3, -7)) for _ in range(rng.randint(1, 5))]
+        num[-1] = num[-1] or 1
+        if base == "cyclo" and rng.random() < 0.5:
+            num[rng.randrange(len(num))] = _random_cyclo(rng)
+        return laurent(num, rng.randint(0, 4))
+
+    pairs = [(laurent([1, 1], 1), laurent([-1], 0)),       # top cancels, k > l
+             (laurent([-1], 0), laurent([1, 1], 1)),       # top cancels, k < l
+             (laurent([1, 2, 3], 2), laurent([-1, 5, -3], 2)),   # both ends
+             (laurent([2, 0, 1], 3), laurent([-2, 4], 3)),       # low cancels
+             (laurent([0, 1], 0), laurent([1], 1)),              # a * 1/a
+             (laurent([0, 0, 3], 0), laurent([1, 1], 2))]
+    for _ in range(150):
+        x, w = random_laurent(), random_laurent()
+        pairs += [(x, w - x), (w - x, x), (x, x + w)]
+    ops = {"+": (lambda x, y: x + y,
+                 lambda x, y: (x.num * y.den + y.num * x.den, x.den * y.den)),
+           "-": (lambda x, y: x - y,
+                 lambda x, y: (x.num * y.den - y.num * x.den, x.den * y.den)),
+           "*": (lambda x, y: x * y,
+                 lambda x, y: (x.num * y.num, x.den * y.den))}
+    for name, (op, cross) in ops.items():
+        for x, y in pairs:
+            with monkeypatch.context() as m:
+                m.setattr(UniPoly, "gcd", None)
+                got = op(x, y)
+            num, den = cross(x, y)
+            assert (got.num.c, got.den.c) == _euclid_lowest_terms(
+                list(num.c), list(den.c), one), (name, x, y)
+            assert not got.num.c or (got.num.c[-1] and (got.den_power == 0
+                                                         or got.num.c[0]))
+            assert got.den_power == len(got.den.c) - 1
+    assert laurent([1, 1], 1) - laurent([1], 0) == laurent([1], 1)
+    assert laurent([-1], 0) + laurent([1, 1], 1) == laurent([1], 1)
+
+
+def test_ratfunc_den_power():
+    a = RatFunc.gen(Cyclo(1))
+    assert (1 / a ** 3).den_power == 3
+    assert (a ** 2).den_power == 0
+    assert RatFunc.const(0, Cyclo(1)).den_power == 0
+    assert (1 / (a + 1)).den_power is None
+    assert ((a * a + a) / (a + 1)).den_power == 0
+    assert (-(1 / (a ** 2 - 2))).den_power is None

@@ -22,7 +22,7 @@ PREFIXES = ("verify_", "certify_", "validate_", "find_", "interpolate_")
 ALLOWED = {"scan", "seed"}
 #: further parameters one function may take: "module.function" -> names
 EXEMPT = {
-    "moore.verify_matrix_identities": {"a"},
+    "moore.verify_matrix_identities": {"a", "mm"},
     "moore.verify_span_claims": {"mm"},
     "scalars.find_root_of_unity": {"p", "n"},
 }
