@@ -1,20 +1,22 @@
-"""The five invariant sections of the formal tensor space.
+"""The five invariant sections of the tensor space y_i (x) x_j.
 
-Sections live in the span of symbols y_i (x) x_j with cyclotomic
-coefficients.  The five combinations s_0 .. s_4 are fixed by the
-diagonal level-15 action and permuted or scaled by the level-5
-generators; every identity here is checked symbol by symbol, never
-numerically.
+A tensor sum c_ij y_i (x) x_j with cyclotomic coefficients is stored as
+three linear forms in y0..y14, the coefficients f_0, f_1, f_2 of x0, x1
+and x2.  The five combinations s_0 .. s_4 are fixed by the diagonal
+level-15 action and permuted or scaled by the level-5 generators; every
+identity here is checked term by term, never numerically.
 """
 
 from pentangle.sections import (delta_sigma, delta_tau, h5_sigma, h5_tau,
-                                involution, sections,
+                                involution, render, sections,
                                 verify_section_symmetries)
 
 secs = sections()
 print("number of sections:", len(secs))
-print("s0 =", secs[0].render())
-print("s1 =", secs[1].render())
+print("s0 =", render(secs[0]))
+print("s1 =", render(secs[1]))
+print("s1 as forms in y: x0 ->", secs[1][0].render(), " x1 ->",
+      secs[1][1].render(), " x2 ->", secs[1][2].render())
 
 # -- invariance under the diagonal action -----------------------------
 

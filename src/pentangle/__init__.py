@@ -6,7 +6,7 @@ Subpackage map:
   scalars      exact coefficient fields: Q(eps15), F_p, rational functions
   multipoly    sparse multivariate polynomials and polynomial matrices
   heisenberg   Schroedinger-type group actions and character decompositions
-  sections     formal tensor space y_i (x) x_j and its five invariant sections
+  sections     tensors y_i (x) x_j as three y-forms; the five invariant sections
   hessepencil  plane cubics, chord-tangent arithmetic, torsion bookkeeping
   moore        the symmetric 5x5 quadric machinery and its syzygies
   probe        finite-field scans, secant/incidence sampling, Cremona inverse

@@ -66,9 +66,6 @@ class HeisenbergElement:
     def tau(cls, level: int, twist: int = 1) -> "HeisenbergElement":
         return cls(level, 0, 1, 1, twist)
 
-    def _eps(self) -> Cyclo:
-        return cyclo_root_of_unity(self.level)
-
     # -- group structure -----------------------------------------------
 
     def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
@@ -77,7 +74,7 @@ class HeisenbergElement:
         if (self.level, self.twist) != (other.level, other.twist):
             raise ValueError("cannot compose across levels or twists")
         n = self.level
-        phase = self._eps() ** ((self.twist * self.tau_power * other.sigma_power) % n)
+        phase = cyclo_root_of_unity(n, self.twist * self.tau_power * other.sigma_power)
         return HeisenbergElement(
             n,
             self.sigma_power + other.sigma_power,
@@ -88,7 +85,7 @@ class HeisenbergElement:
 
     def inverse(self) -> "HeisenbergElement":
         n = self.level
-        phase = self._eps() ** ((self.twist * self.tau_power * self.sigma_power) % n)
+        phase = cyclo_root_of_unity(n, self.twist * self.tau_power * self.sigma_power)
         return HeisenbergElement(n, -self.sigma_power, -self.tau_power,
                                  phase / self.central, self.twist)
 
@@ -125,10 +122,9 @@ class HeisenbergElement:
         if len(f.vars) != n:
             raise ValueError("level-%d element cannot act on %d variables"
                              % (n, len(f.vars)))
-        eps = self._eps()
         central, k = self.central, -self.twist * self.tau_power
         return f.cyclic_substitution(
-            self.sigma_power, lambda w, d: central ** d * eps ** (k * w % n))
+            self.sigma_power, lambda w, d: central ** d * cyclo_root_of_unity(n, k * w))
 
 
 def commutator(g: HeisenbergElement, h: HeisenbergElement) -> HeisenbergElement:

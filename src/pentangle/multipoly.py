@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
+from operator import add, sub
 from typing import Callable, Mapping, Sequence
 
 from .scalars import Fp, RatFunc, _power
@@ -188,19 +189,24 @@ class MultiPoly:
         if self.vars != other.vars:
             raise ValueError("variable sets differ: %r vs %r" % (self.vars, other.vars))
 
-    def __add__(self, other: object) -> "MultiPoly":
+    def _merge(self, other: object, op) -> "MultiPoly":
+        """self op other for op in (operator.add, operator.sub), in one
+        walk over the terms of other."""
         if not isinstance(other, MultiPoly):
-            return self + MultiPoly.constant(self.vars, other, self.one)
+            other = MultiPoly.constant(self.vars, other, self.one)
         self._check_compatible(other)
         zero = self.zero_coeff
         out = dict(self.terms)
         for key, c in other.terms.items():
-            acc = out.get(key, zero) + c
+            acc = op(out.get(key, zero), c)
             if not acc:
                 out.pop(key, None)
             else:
                 out[key] = acc
         return _mk(self.vars, out, self.one, zero)
+
+    def __add__(self, other: object) -> "MultiPoly":
+        return self._merge(other, add)
 
     __radd__ = __add__
 
@@ -209,12 +215,10 @@ class MultiPoly:
                    self.zero_coeff)
 
     def __sub__(self, other: object) -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.vars, other, self.one)
-        return self + (-other)
+        return self._merge(other, sub)
 
     def __rsub__(self, other: object) -> "MultiPoly":
-        return (-self) + other
+        return MultiPoly.constant(self.vars, other, self.one)._merge(self, sub)
 
     def __mul__(self, other: object) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -341,8 +345,8 @@ class MultiPoly:
         groups: dict[tuple, dict] = {}
         for key, c in self.terms.items():
             part = key & fields
-            sub = tuple((part >> shift) & FIELD_MASK for shift in shifts)
-            groups.setdefault(sub, {})[key - part - (sum(sub) << s)] = c
+            exps = tuple((part >> shift) & FIELD_MASK for shift in shifts)
+            groups.setdefault(exps, {})[key - part - (sum(exps) << s)] = c
         return {k: _mk(self.vars, t, self.one, self.zero_coeff)
                 for k, t in groups.items()}
 

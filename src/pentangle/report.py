@@ -200,12 +200,13 @@ def _run_sections(config, pairs, scans):
                       sections_mod.verify_section_symmetries)
 
 
-def _built(bundle):
-    """A built Moore bundle, or the exception its build raised, raised
-    again, so that each op that needs the bundle fails with it."""
-    if isinstance(bundle, Exception):
-        raise bundle
-    return bundle
+def _built(shared):
+    """A shared build (a Moore bundle or a curve scan), or the exception
+    its build raised, raised again, so that each op that needs it fails
+    with it."""
+    if isinstance(shared, Exception):
+        raise shared
+    return shared
 
 
 def _run_moore(config, pairs, scans):
@@ -249,15 +250,11 @@ def _ensure_scan(scans, p, a, cache_dir):
 
 
 def _run_scan(config, pairs, scans):
-    def certify(p, a):
-        scan = _ensure_scan(scans, p, a, config.cache_dir)
-        if isinstance(scan, Exception):
-            raise scan
-        return probe.certify_scan(scan)
-
     claims = []
     for p, a in pairs:
-        claims += _op_claims("scan", "curve scan", lambda: certify(p, a),
+        claims += _op_claims("scan", "curve scan",
+                             lambda: probe.certify_scan(
+                                 _built(_ensure_scan(scans, p, a, config.cache_dir))),
                              context=_pair_tag(p, a))
     return claims
 

@@ -1,7 +1,14 @@
-"""The 45-dimensional formal tensor space spanned by y_i (x) x_j,
-i mod 15, j mod 3, and the five distinguished invariant combinations
+"""The 45-dimensional tensor space spanned by y_i (x) x_j, i mod 15,
+j mod 3, and the five distinguished invariant combinations
 
     s_k = sum_j y_(3k+5j) (x) x_j,        k = 0..4.
+
+A tensor sum_ij c_ij y_i (x) x_j is stored as the triple (f_0, f_1, f_2)
+of its x_j coefficients: f_j = sum_i c_ij y_i, a linear MultiPoly over
+y0..y14 with Cyclo coefficients.  Both factors are acted on through
+HeisenbergElement.act alone.  A level-15 element acts on each form, and
+a level-3 element sends x_j to the single term c x_(j-s), which moves
+f_j to slot j - s scaled by c.
 
 Three commuting layers of symmetry act here:
 
@@ -21,176 +28,103 @@ records both readings instead of hiding the choice.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
-
 from .checks import Checks
 from .heisenberg import HeisenbergElement
-from .scalars import Cyclo, EPS5, cyclo_root_of_unity
+from .multipoly import MultiPoly
+from .scalars import Cyclo, EPS5
 
-EPS15_ROOT = cyclo_root_of_unity(15)
+_ONE = Cyclo(1)
+_Y = tuple("y%d" % i for i in range(15))
+#: the generators x0, x1, x2 of the x factor
+_XS = tuple(MultiPoly.gens(("x0", "x1", "x2"), _ONE))
+#: the 45 products y_i (x) x_j as variable names, in (i, j) order
+_PRODUCTS = tuple("y%d*x%d" % (i, j) for i in range(15) for j in range(3))
+
+#: sum_j f_j (x) x_j, as the linear forms (f_0, f_1, f_2) in y0..y14
+Tensor = tuple[MultiPoly, MultiPoly, MultiPoly]
 
 
-class FormalTensor:
-    """Exact linear combination of basis symbols y_i (x) x_j."""
+def _unit(k: int, n: int) -> tuple[int, ...]:
+    return tuple(int(i == k) for i in range(n))
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], Cyclo | int] | None = None):
-        clean: dict[tuple[int, int], Cyclo] = {}
-        if terms:
-            for (i, j), c in terms.items():
-                c = Cyclo(c)
-                if c.is_zero():
-                    continue
-                key = (i % 15, j % 3)
-                acc = clean.get(key, Cyclo(0)) + c
-                if acc.is_zero():
-                    clean.pop(key, None)
-                else:
-                    clean[key] = acc
-        self.terms = clean
+def tensor(coeffs: dict[tuple[int, int], Cyclo | int]) -> Tensor:
+    """sum c y_i (x) x_j over the items ((i, j), c) of coeffs, with i
+    reduced mod 15 and j mod 3; keys equal after reduction add up."""
+    forms: list[dict[int, Cyclo | int]] = [{}, {}, {}]
+    for (i, j), c in coeffs.items():
+        terms = forms[j % 3]
+        terms[i % 15] = terms.get(i % 15, 0) + c
+    return tuple(MultiPoly(_Y, {_unit(i, 15): c for i, c in terms.items()}, _ONE)
+                 for terms in forms)
 
-    @classmethod
-    def basis(cls, i: int, j: int) -> "FormalTensor":
-        return cls({(i, j): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "FormalTensor") -> "FormalTensor":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key, Cyclo(0)) + c
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return FormalTensor(out)
-
-    def __neg__(self) -> "FormalTensor":
-        return FormalTensor({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "FormalTensor") -> "FormalTensor":
-        return self + (-other)
-
-    def scale(self, c: Cyclo | int) -> "FormalTensor":
-        c = Cyclo(c)
-        return FormalTensor({k: v * c for k, v in self.terms.items()})
-
-    def map_terms(self, fn: Callable[[int, int, Cyclo], tuple[int, int, Cyclo]]
-                  ) -> "FormalTensor":
-        out: dict[tuple[int, int], Cyclo] = {}
-        for (i, j), c in self.terms.items():
-            ni, nj, nc = fn(i, j, c)
-            key = (ni % 15, nj % 3)
-            acc = out.get(key, Cyclo(0)) + nc
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return FormalTensor(out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FormalTensor):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.terms):
-            c = self.terms[(i, j)]
-            sym = "y%d*x%d" % (i, j)
-            cs = str(c)
-            if cs == "1":
-                parts.append(sym)
-            elif cs == "-1":
-                parts.append("-" + sym)
-            elif any(tok in cs for tok in (" + ", " - ", "/")):
-                parts.append("(%s)*%s" % (cs, sym))
-            else:
-                parts.append("%s*%s" % (cs, sym))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
-
-    def __repr__(self) -> str:
-        return "FormalTensor(%s)" % self.render()
+def render(t: Tensor) -> str:
+    """Text form of a tensor: its terms c*yi*xj in (i, j) order, written
+    as a linear form in the 45 products (grevlex lists the terms of a
+    linear form in the order of its variables)."""
+    terms = {_unit(3 * mono.index(1) + j, 45): c
+             for j, f in enumerate(t) for mono, c in f.term_items()}
+    return MultiPoly(_PRODUCTS, terms, _ONE).render()
 
 
 # -- actions -----------------------------------------------------------
 
 
-def act_on_y(g: HeisenbergElement, t: FormalTensor) -> FormalTensor:
+def act_on_y(g: HeisenbergElement, t: Tensor) -> Tensor:
     """Level-15 element acting on the y factor only."""
-    if g.level != 15:
-        raise ValueError("the y factor carries the level-15 action")
-    eps = EPS15_ROOT
-    s, tp, e = g.sigma_power, g.tau_power, g.twist
-
-    def fn(i: int, j: int, c: Cyclo):
-        return i - s, j, c * g.central * eps ** ((-e * tp * i) % 15)
-
-    return t.map_terms(fn)
+    return tuple(g.act(f) for f in t)
 
 
-def act_on_x(g: HeisenbergElement, t: FormalTensor) -> FormalTensor:
-    """Level-3 element acting on the x factor only."""
-    if g.level != 3:
-        raise ValueError("the x factor carries the level-3 action")
-    eps3 = cyclo_root_of_unity(3)
-    s, tp, e = g.sigma_power, g.tau_power, g.twist
-
-    def fn(i: int, j: int, c: Cyclo):
-        return i, j - s, c * g.central * eps3 ** ((-e * tp * j) % 3)
-
-    return t.map_terms(fn)
+def act_on_x(g: HeisenbergElement, t: Tensor) -> Tensor:
+    """Level-3 element acting on the x factor only: the image c x_(j-s)
+    of x_j carries f_j to slot j - s, scaled by c."""
+    out = [None] * 3
+    for f, x in zip(t, _XS):
+        (mono, c), = g.act(x).term_items()
+        out[mono.index(1)] = f * c
+    return tuple(out)
 
 
-def delta_sigma(t: FormalTensor) -> FormalTensor:
+def delta_sigma(t: Tensor) -> Tensor:
     """y_i (x) x_j -> y_(i-5) (x) x_(j-1): the diagonal shift pair."""
     return act_on_x(HeisenbergElement.sigma(3),
                     act_on_y(HeisenbergElement.sigma(15) ** 5, t))
 
 
-def delta_tau(t: FormalTensor) -> FormalTensor:
+def delta_tau(t: Tensor) -> Tensor:
     """Scales y_i (x) x_j by eps3^(-i-j): the diagonal character pair."""
     return act_on_x(HeisenbergElement.tau(3),
                     act_on_y(HeisenbergElement.tau(15) ** 5, t))
 
 
-def h5_sigma(t: FormalTensor) -> FormalTensor:
+def h5_sigma(t: Tensor) -> Tensor:
     """y_i -> y_(i-3), the level-5 shift on sections."""
     return act_on_y(HeisenbergElement.sigma(15) ** 3, t)
 
 
-def h5_tau(t: FormalTensor) -> FormalTensor:
+def h5_tau(t: Tensor) -> Tensor:
     """Inverse of the cubed level-15 character: y_i -> eps5^i y_i."""
     return act_on_y((HeisenbergElement.tau(15) ** 3).inverse(), t)
 
 
-def h5_tau_uninverted(t: FormalTensor) -> FormalTensor:
+def h5_tau_uninverted(t: Tensor) -> Tensor:
     """The raw cube y_i -> eps5^(-i) y_i: the inverse of h5_tau, and the
     map of the identification note."""
     return act_on_y(HeisenbergElement.tau(15) ** 3, t)
 
 
-def involution(t: FormalTensor) -> FormalTensor:
-    """y_i (x) x_j -> y_(-i) (x) x_(-j)."""
-    return t.map_terms(lambda i, j, c: (-i, -j, c))
+def involution(t: Tensor) -> Tensor:
+    """y_i (x) x_j -> y_(-i) (x) x_(-j): the exponent of y_i in each form
+    moves to y_(-i), and f_1 and f_2 change places."""
+    f0, f1, f2 = (MultiPoly(_Y, {m[:1] + m[:0:-1]: c for m, c in f.term_items()}, _ONE)
+                  for f in t)
+    return f0, f2, f1
 
 
-def sections() -> list[FormalTensor]:
+def sections() -> list[Tensor]:
     """The five invariant combinations s_k = sum_j y_(3k+5j) (x) x_j."""
-    return [
-        FormalTensor({((3 * k + 5 * j) % 15, j): 1 for j in range(3)})
-        for k in range(5)
-    ]
+    return [tensor({(3 * k + 5 * j, j): 1 for j in range(3)}) for k in range(5)]
 
 
 def verify_section_symmetries() -> dict:
@@ -208,12 +142,12 @@ def verify_section_symmetries() -> dict:
         checks.add("level-5 shift sends s%d to s%d" % (k, (k - 1) % 5),
                    h5_sigma(s[k]) == s[(k - 1) % 5])
     for k in range(5):
-        expected = s[k].scale(EPS5 ** ((-2 * k) % 5))
+        expected = tuple(f * EPS5 ** ((-2 * k) % 5) for f in s[k])
         checks.add("level-5 character scales s%d by eps5^%d" % (k, (-2 * k) % 5),
                    h5_tau(s[k]) == expected)
     # identification note: the uninverted cube scales by the opposite sign
     uninverted_ok = all(
-        h5_tau_uninverted(s[k]) == s[k].scale(EPS5 ** ((2 * k) % 5))
+        h5_tau_uninverted(s[k]) == tuple(f * EPS5 ** ((2 * k) % 5) for f in s[k])
         for k in range(5))
     checks.add("uninverted cube scales s_k by eps5^(+2k) (identification note)",
                uninverted_ok)
@@ -224,7 +158,7 @@ def verify_section_symmetries() -> dict:
     comm_ok = True
     for k in range(5):
         lhs = h5_sigma(h5_tau(_h5_sigma_inv(h5_tau_uninverted(s[k]))))
-        if lhs != s[k].scale(EPS5 ** 3):
+        if lhs != tuple(f * EPS5 ** 3 for f in s[k]):
             comm_ok = False
     law = HeisenbergElement.sigma(5, twist=2) * HeisenbergElement.tau(5, twist=2)
     law = law * (HeisenbergElement.sigma(5, twist=2).inverse()
@@ -234,9 +168,9 @@ def verify_section_symmetries() -> dict:
     return {
         "passed": checks.passed,
         "checks": checks.records,
-        "sections": [t.render() for t in s],
+        "sections": [render(t) for t in s],
     }
 
 
-def _h5_sigma_inv(t: FormalTensor) -> FormalTensor:
+def _h5_sigma_inv(t: Tensor) -> Tensor:
     return act_on_y((HeisenbergElement.sigma(15) ** 3).inverse(), t)

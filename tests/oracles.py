@@ -22,6 +22,7 @@ from pentangle.hessepencil import (_cyclic_span, _fp_add, _keys, _point_orders,
                                    _sorted_member, group_structure)
 from pentangle.multipoly import MultiPoly
 from pentangle.probe import _coefficients, _det_staged, _lattice
+from pentangle.scalars import cyclo_root_of_unity
 
 
 def scalar_matrix_det(rows: Sequence[Sequence], one):
@@ -200,6 +201,25 @@ def monomials(degree: int, nvars: int) -> list[tuple]:
 def grevlex_monomials(f: MultiPoly) -> list[tuple]:
     """The exponent tuples of f's terms, grevlex-largest first."""
     return sorted((mono for mono, _ in f.term_items()), key=_grevlex)
+
+
+def tensor_action(g, terms: Mapping[tuple[int, int], object], axis: int) -> dict:
+    """A Heisenberg element acting on one factor of sum c y_i (x) x_j,
+    term by term from the element's fields: on the y factor (axis 0,
+    level 15) (i, j, c) -> (i - s, j, c * central * eps15^(-e*t*i)), and on
+    the x factor (axis 1, level 3) the same rule in j with eps3.  Terms
+    are {(i, j): c} and come back reduced mod (15, 3), zeros dropped."""
+    n = (15, 3)[axis]
+    if g.level != n:
+        raise ValueError("factor %d carries the level-%d action" % (axis, n))
+    eps = cyclo_root_of_unity(n)
+    out: dict[tuple[int, int], object] = {}
+    for (i, j), c in terms.items():
+        k = (i, j)[axis]
+        c = c * g.central * eps ** (-g.twist * g.tau_power * k % n)
+        key = (i - g.sigma_power, j) if axis == 0 else (i, j - g.sigma_power)
+        _accumulate(out, (key[0] % 15, key[1] % 3), c, c * 0)
+    return out
 
 
 def complement_steps(curve) -> np.ndarray:

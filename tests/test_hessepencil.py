@@ -818,6 +818,17 @@ def test_diagonal_identity_compares_two_routes(name, broken, monkeypatch):
     assert not checks["diagonal of 3r+2q = -tau matches 5q = -tau for all 8 taus"]
 
 
+def test_five_torsion_count_is_checked_against_the_group(monkeypatch):
+    """The count of points with 5q = 0 is compared with gcd(5, n1) * gcd(5, n2)
+    from the invariant factors, so a wrong 5q fails the check: here 4q,
+    which vanishes on the 4 points of E[4] of the group (3, 12)."""
+    monkeypatch.setattr(hessepencil, "_fp_scalar", _five_q_as_four_q)
+    report = verify_intersection_arithmetic()
+    checks = {c["name"]: c["passed"] for c in report["checks"]}
+    assert report["group"]["invariants"] == (3, 12)
+    assert not checks["5-torsion count matches the extracted subgroup"]
+
+
 def test_translation_action_report():
     report = verify_translation_action()
     assert report["passed"]

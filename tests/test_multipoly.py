@@ -218,6 +218,17 @@ def test_packed_product_and_quotient_match_tuple_oracle(field, f_terms, g_terms)
         assert product.exact_div(g) == oracles.exact_divide(product, g) == f
 
 
+@given(st.sampled_from(sorted(PACKED_FIELDS)), _TERMS, _TERMS, st.integers(-3, 3))
+@settings(max_examples=60, deadline=None)
+def test_subtraction_matches_adding_the_negation(field, f_terms, g_terms, c):
+    f, g = _packed_poly(field, f_terms), _packed_poly(field, g_terms)
+    one = PACKED_FIELDS[field][0]
+    assert f - g == f + (-g)
+    assert (f - f).is_zero()
+    assert f - c == f + MultiPoly.constant(XVARS, -one * c, one)
+    assert c - f == (-f) + c
+
+
 @given(st.sampled_from(sorted(PACKED_FIELDS)), _TERMS, _TERMS,
        st.tuples(*[st.integers(0, 6)] * 3))
 @settings(max_examples=40, deadline=None)
