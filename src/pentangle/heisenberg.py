@@ -46,11 +46,7 @@ class HeisenbergElement:
         central = Cyclo(central)
         if central ** level != 1:
             raise ValueError("central scalar must be a level-th root of unity")
-        self.level = level
-        self.sigma_power = sigma_power % level
-        self.tau_power = tau_power % level
-        self.central = central
-        self.twist = twist % level
+        _fill(self, level, sigma_power, tau_power, central, twist)
 
     # -- constructors --------------------------------------------------
 
@@ -75,7 +71,7 @@ class HeisenbergElement:
             raise ValueError("cannot compose across levels or twists")
         n = self.level
         phase = cyclo_root_of_unity(n, self.twist * self.tau_power * other.sigma_power)
-        return HeisenbergElement(
+        return _element(
             n,
             self.sigma_power + other.sigma_power,
             self.tau_power + other.tau_power,
@@ -86,8 +82,7 @@ class HeisenbergElement:
     def inverse(self) -> "HeisenbergElement":
         n = self.level
         phase = cyclo_root_of_unity(n, self.twist * self.tau_power * self.sigma_power)
-        return HeisenbergElement(n, -self.sigma_power, -self.tau_power,
-                                 phase / self.central, self.twist)
+        return _element(n, -self.sigma_power, -self.tau_power, phase / self.central, self.twist)
 
     def __pow__(self, k: int) -> "HeisenbergElement":
         if not isinstance(k, int):
@@ -125,6 +120,25 @@ class HeisenbergElement:
         central, k = self.central, -self.twist * self.tau_power
         return f.cyclic_substitution(
             self.sigma_power, lambda w, d: central ** d * cyclo_root_of_unity(n, k * w))
+
+
+def _fill(g: HeisenbergElement, level: int, sigma_power: int, tau_power: int,
+          central: Cyclo, twist: int) -> HeisenbergElement:
+    g.level = level
+    g.sigma_power = sigma_power % level
+    g.tau_power = tau_power % level
+    g.central = central
+    g.twist = twist % level
+    return g
+
+
+def _element(level: int, sigma_power: int, tau_power: int, central: Cyclo,
+             twist: int) -> HeisenbergElement:
+    """An element from the parts of a product or an inverse of valid
+    elements, which the group law keeps valid: the constructor's checks
+    are skipped."""
+    return _fill(HeisenbergElement.__new__(HeisenbergElement), level, sigma_power,
+                 tau_power, central, twist)
 
 
 def commutator(g: HeisenbergElement, h: HeisenbergElement) -> HeisenbergElement:

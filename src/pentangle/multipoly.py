@@ -373,8 +373,13 @@ class MultiPoly:
         for key, c in self.terms.items():
             x = key & fields
             if factor is not None:
-                wd = (sum(i * ((x >> i * FIELD_BITS) & FIELD_MASK)
-                          for i in range(1, n)) % n, key >> width)
+                # the fields from 1 on, up to the last nonzero one
+                w, i, rest = 0, 1, x >> FIELD_BITS
+                while rest:
+                    w += i * (rest & FIELD_MASK)
+                    i += 1
+                    rest >>= FIELD_BITS
+                wd = (w % n, key >> width)
                 if wd not in scales:
                     f = factor(*wd)
                     if not f:

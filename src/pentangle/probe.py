@@ -9,8 +9,9 @@ exhaustive counting and seeded sampling, in batches; and interpolates the
 inverse of the Cremona transformation defined by the five quadrics.  The
 exhaustive count over the whole dual space at p=31 evaluates the structure
 quintic from its coefficients, expanded once from the matrix of linear
-forms: on slabs of points (y0:y1:y2), two products with a table of powers
-give its values at every (y3, y4).
+forms, on one point of each orbit of the diagonal fifth-root twist: on
+slabs of points (y0:y1:y2), two products with a table of powers give its
+values at every (y3, y4).
 
 Every sampling operation takes an explicit seed and reports it, so repeated
 runs with the same configuration produce identical reports.  Point sets can
@@ -324,24 +325,35 @@ def _chart_blocks(p: int, coords: int = 5):
 
 
 def _determinant_slabs(p: int, z):
-    """The structure determinant at every point of projective four-space.
+    """The structure determinant on one point of each twist orbit of
+    projective four-space.
 
-    Yields ``(base, dets)``, ``dets[s, t]`` the value at ``base[:, s] + t*e4``:
-    first e4 = (0:0:0:0:1), then each chart point (y0:y1:y2:y3:0) of
-    projective three-space with every t.  The determinant is the structure
-    quintic, expanded once by ``_det_forms``.  On a slab of
-    ``_CHUNK // 16 // p`` chart points (y0:y1:y2) of projective two-space,
-    its terms in y3**l * y4**k have 36 coefficients, forms in (y0, y1, y2)
-    evaluated at every slab point.  One product with the (6, p) table of
-    t**d mod p expands them over every y3, a second over every y4; the
-    point (0:0:0:1) of projective three-space is read off the slab
-    (0, 0, 0) with the apex, and comes last.  A coefficient sums at most
-    21 products of residues below p, a value at most 6, and a monomial
-    takes a product of three residues before its reduction; the table
-    holds t**5 < 10**12 at p=241, the largest supported prime.
+    The twist y_i -> eps**i * y_i, eps of order five, gives M(twisted y) =
+    D M(y) D with D = diag(eps**i), det(D)**2 = 1, so the determinant and
+    the rank are constant on each orbit.  The structure quintic, expanded
+    once by ``_det_forms``, must show it: a nonzero coefficient at a
+    monomial of weight sum(i*e_i) not 0 mod 5 raises ArithmeticError.
+
+    Yields ``(base, dets, weights)``, ``dets[s, t]`` the value at
+    ``base[:, s] + t*e4``, which stands for ``weights[s]`` points: first
+    e4 = (0:0:0:0:1), then chart points (y0:y1:y2) of projective two-space
+    with every (y3, y4), last (0:0:0:1:t) with every t.  The twist scales a
+    head's first nonzero coordinate after its leading one by a fifth root
+    of unity, so a head is kept, with weight 5, only where that coordinate
+    is least in its class; the heads it fixes, (1:0:0), (0:1:0) and
+    (0:0:1), and the points off the chart keep weight 1.  On a slab of
+    ``_CHUNK // 16 // p`` heads, the quintic's terms in y3**l * y4**k have
+    36 coefficients, forms in (y0, y1, y2) evaluated at every slab head.
+    One product with the (6, p) table of t**d mod p expands them over every
+    y3, a second over every y4.  A coefficient sums at most 21 products of
+    residues below p, a value at most 6, and a monomial takes a product of
+    three residues before its reduction; the table holds t**5 < 10**12 at
+    p=241, the largest supported prime.
     """
     quintic = _det_forms(_structure_rows(_lattice(1), z, p), p)
     exponents = _lattice(5)
+    if np.any(quintic[np.arange(5) @ exponents % 5 != 0]):
+        raise ArithmeticError(f"the structure quintic over F_{p} is not twist invariant")
     # tails[m, l, k]: the coefficient of monomial m if it ends in y3**l * y4**k
     tails = np.zeros((len(quintic), 6, 6), dtype=np.int64)
     tails[np.arange(len(quintic)), exponents[3], exponents[4]] = quintic
@@ -353,18 +365,29 @@ def _determinant_slabs(p: int, z):
         coeffs = np.tensordot(heads_powers, tails, axes=(0, 0)) % p
         return powers.T @ coeffs % p @ powers % p
 
+    # least[v]: v is the least of its class v * eps**j; least[0] keeps the fixed heads
+    eps = find_root_of_unity(p, 5).v
+    least = (powers[1, :, None] * [pow(eps, j, p) for j in range(5)] % p).min(axis=1) == powers[1]
+    heads = np.concatenate(list(_chart_blocks(p, 3)), axis=1)
+    nonzero = heads != 0
+    moved = np.where(nonzero & (nonzero.cumsum(axis=0) == 2), heads, 0).sum(axis=0)
+    heads, weights = heads[:, least[moved]], np.where(moved[least[moved]], 5, 1)
+
+    one = np.ones(1, dtype=np.int64)
     corner = values(np.zeros((3, 1), dtype=np.int64))[0]
-    yield np.array([[0], [0], [0], [0], [1]], dtype=np.int64), corner[:1, 1:2]
-    for chart in _chart_blocks(p, 3):
-        for start in range(0, chart.shape[1], _CHUNK // 16 // p):
-            heads = chart[:, start:start + _CHUNK // 16 // p]
-            dets = values(heads).reshape(-1, p)
-            base = np.zeros((5, len(dets)), dtype=np.int64)
-            base[:3] = np.repeat(heads, p, axis=1)
-            base[3] = np.tile(np.arange(p), heads.shape[1])
-            for lo in range(0, len(dets), _CHUNK // p):
-                yield base[:, lo:lo + _CHUNK // p], dets[lo:lo + _CHUNK // p]
-    yield np.array([[0], [0], [0], [1], [0]], dtype=np.int64), corner[1:2]
+    yield np.array([[0], [0], [0], [0], [1]], dtype=np.int64), corner[:1, 1:2], one
+    step = _CHUNK // 16 // p
+    for start in range(0, heads.shape[1], step):
+        slab = heads[:, start:start + step]
+        dets = values(slab).reshape(-1, p)
+        base = np.zeros((5, len(dets)), dtype=np.int64)
+        base[:3] = np.repeat(slab, p, axis=1)
+        base[3] = np.tile(np.arange(p), slab.shape[1])
+        rows = np.repeat(weights[start:start + step], p)
+        for lo in range(0, len(dets), _CHUNK // p):
+            hi = lo + _CHUNK // p
+            yield base[:, lo:hi], dets[lo:hi], rows[lo:hi]
+    yield np.array([[0], [0], [0], [1], [0]], dtype=np.int64), corner[1:2], one
 
 
 # ---------------------------------------------------------------------------
@@ -717,15 +740,17 @@ def _independent_pairs(rng: random.Random, p: int, count: int) -> np.ndarray:
     return pairs
 
 
-def _low_rank_census(points, z, p: int) -> dict:
-    """How many structure matrices at a (5, n) stack have each rank below
-    four.  Those have every 4x4 minor zero, so the one off row and column
-    zero, from its 16 entries, prunes the stack before it is reduced."""
+def _low_rank_census(points, weights, z, p: int) -> dict:
+    """The total weight of the structure matrices at a (5, n) stack with
+    each rank below four, ``weights[k]`` that of point k.  Those have every
+    4x4 minor zero, so the one off row and column zero, from its 16
+    entries, prunes the stack before it is reduced."""
     minor = [[points[(i + j) % 5] * z[(i - j) % 5] % p for j in range(1, 5)]
              for i in range(1, 5)]
-    kept = points[:, _det_staged(minor, p) == 0]
-    ranks = _rref_stack(_structure_rows(kept, z, p), p)[1].sum(axis=1)
-    return Counter(ranks[ranks < 4].tolist())
+    kept = _det_staged(minor, p) == 0
+    ranks = _rref_stack(_structure_rows(points[:, kept], z, p), p)[1].sum(axis=1)
+    low = ranks < 4
+    return Counter(np.repeat(ranks[low], weights[kept][low]).tolist())
 
 
 def _census_text(census) -> str:
@@ -746,7 +771,8 @@ def certify_incidence(scan: CurveScan, seed: int = SEED) -> dict:
     needs a nonzero kernel (one stacked reduction) whose vectors satisfy
     the dual relation and lie on the chordal quintic.  Curve points must
     span pencils of singular directions.  At p=31 the whole dual space is
-    scanned (``_determinant_slabs``) and the rank census recorded.
+    scanned and its rank census recorded, each on one point of every twist
+    orbit counted with the orbit's size (``_determinant_slabs``).
     """
     p, a = scan.p, scan.a
     z = _z_residues(p, a)
@@ -815,16 +841,17 @@ def certify_incidence(scan: CurveScan, seed: int = SEED) -> dict:
 
     if full_scan:
         total = 0
-        singular = []
-        for base, dets in _determinant_slabs(p, z):
-            total += dets.size
+        singular, weights = [], []
+        for base, dets, rows in _determinant_slabs(p, z):
+            total += int(rows.sum()) * dets.shape[1]
             slices, values = np.nonzero(dets == 0)
             found = base[:, slices]
             found[4] += values
             singular.append(found)
-        hits = np.concatenate(singular, axis=1)
-        zero_count = hits.shape[1]
-        census = _low_rank_census(hits, z, p)
+            weights.append(rows[slices])
+        hits, weights = np.concatenate(singular, axis=1), np.concatenate(weights)
+        zero_count = int(weights.sum())
+        census = _low_rank_census(hits, weights, z, p)
         rank_three = census.get(3, 0)
         # exhaustive counts deviate from the heuristic total/p at Weil scale,
         # not binomial scale, so the envelope is a factor of two either way

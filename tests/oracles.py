@@ -1,15 +1,18 @@
 """Independent reference computations that several test modules compare
 the package against.  Plain exact arithmetic over the coefficient field,
 one scalar operation at a time, with none of the package's batching or
-staging.  There are two exceptions.  The rank mask tests every 4x4 minor
+staging, with these exceptions.  The rank mask tests every 4x4 minor
 with the package's staged determinant, a route independent of row
-reduction.  The lattice quintic reads a determinant's coefficients off its
-values by the package's row reduction, a route independent of expanding
-the determinant over coefficient vectors.  The complement steps add
-points by the package's chord-tangent law, a route independent of
-composing multiplication maps.  The tuple-keyed polynomial kernels read
-a polynomial's terms as exponent tuples through `term_items`, a route
-independent of the packed monomials."""
+reduction.  The singular directions evaluate that staged determinant at
+every point of projective space, a route independent of the full scan's
+twist reduction and coefficient expansion.  The lattice quintic reads a
+determinant's coefficients off its values by the package's row
+reduction, a route independent of expanding the determinant over
+coefficient vectors.  The complement steps add points by the package's
+chord-tangent law, a route independent of composing multiplication
+maps.  The tuple-keyed polynomial kernels read a polynomial's terms as
+exponent tuples through `term_items`, a route independent of the packed
+monomials."""
 
 from __future__ import annotations
 
@@ -21,7 +24,8 @@ import numpy as np
 from pentangle.hessepencil import (_cyclic_span, _fp_add, _keys, _point_orders,
                                    _sorted_member, group_structure)
 from pentangle.multipoly import MultiPoly
-from pentangle.probe import _coefficients, _det_staged, _lattice
+from pentangle.probe import (_chart_blocks, _coefficients, _det_staged, _lattice,
+                             _structure_rows)
 from pentangle.scalars import cyclo_root_of_unity
 
 
@@ -88,6 +92,14 @@ def rank_at_most_three_mask(rows, p: int):
     mask = np.zeros(n, dtype=bool)
     mask[live] = True
     return mask
+
+
+def singular_directions(p: int, z) -> np.ndarray:
+    """The unreduced evaluation: the (5, n) stack of every normalised point
+    of projective four-space over F_p at which the structure determinant
+    vanishes, each point evaluated on its own."""
+    return np.concatenate([block[:, _det_staged(_structure_rows(block, z, p), p) == 0]
+                           for block in _chart_blocks(p)], axis=1)
 
 
 def chord_sample(rng, points, p: int) -> tuple:

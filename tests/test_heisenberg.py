@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +115,34 @@ def test_central_scalar_must_be_root_of_unity():
     with pytest.raises(ValueError):
         HeisenbergElement(3, 0, 0, EPS5)  # order 5 is not a cube root
     HeisenbergElement(15, 0, 0, EPS5)      # but it is a 15th root
+
+
+def _checked(g: HeisenbergElement) -> HeisenbergElement:
+    return HeisenbergElement(g.level, g.sigma_power, g.tau_power, g.central, g.twist)
+
+
+def test_products_and_inverses_match_the_checked_constructor():
+    # products, inverses and powers skip the constructor's checks; their
+    # parts must be those the checked constructor gives from the group law
+    rng = random.Random(SEED)
+    for _ in range(200):
+        level = rng.choice((3, 5, 15))
+        twist = rng.choice([e for e in range(1, level) if gcd(e, level) == 1])
+        g, h = _random_element(rng, level, twist), _random_element(rng, level, twist)
+        phase = cyclo_root_of_unity(level, twist * g.tau_power * h.sigma_power)
+        product = g * h
+        assert product == _checked(product) == HeisenbergElement(
+            level, g.sigma_power + h.sigma_power, g.tau_power + h.tau_power,
+            g.central * h.central * phase, twist)
+        inverse = g.inverse()
+        phase = cyclo_root_of_unity(level, twist * g.tau_power * g.sigma_power)
+        assert inverse == _checked(inverse) == HeisenbergElement(
+            level, -g.sigma_power, -g.tau_power, phase / g.central, twist)
+        assert g * inverse == HeisenbergElement.identity(level, twist)
+        k = rng.randrange(-4, 5)
+        assert g ** k == _checked(g ** k)
+    with pytest.raises(ValueError):
+        HeisenbergElement(15, 1, 2, Cyclo(2) * EPS15)
 
 
 def test_twist_must_be_invertible():

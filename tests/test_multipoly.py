@@ -478,6 +478,51 @@ def test_stacked_span_solve_matches_per_target_solves():
 
 
 
+def _substituted_by_terms(f: MultiPoly, step: int, factor) -> MultiPoly:
+    """x_i -> x_(i-step) term by term over exponent tuples, each term times
+    factor(w, d), w = sum_i i e_i mod n summed over every field."""
+    n = len(f.vars)
+    return MultiPoly(f.vars, {
+        tuple(mono[(j + step) % n] for j in range(n)):
+            c * factor(sum(i * e for i, e in enumerate(mono)) % n, sum(mono))
+        for mono, c in f.term_items()}, f.one)
+
+
+def test_cyclic_substitution_weights_match_the_term_rule():
+    # the weight loop stops at the last nonzero exponent field; compared on
+    # random polynomials at the symbolic modulus and over F_31, on the
+    # 15-variable linear forms of the section tensors, and on both Moore
+    # quintics at both moduli
+    from pentangle.moore import build_moore_matrices, quintic_equations, symbolic_modulus
+    from pentangle.sections import tensor
+
+    rng = random.Random(SEED)
+    a = symbolic_modulus()
+    rings = [(a, a ** 0, lambda: a ** rng.randrange(-2, 3) * rng.randint(-4, 4)),
+             (Fp(2, 31), Fp(1, 31), lambda: Fp(rng.randrange(31), 31))]
+    cases = []
+    for modulus, one, draw in rings:
+        for nvars in (1, 3, 5, 15):
+            names = tuple("y%d" % i for i in range(nvars))
+            for _ in range(20):
+                terms = {tuple(rng.choice((0, 0, 0, rng.randint(1, 4))) for _ in names): draw()
+                         for _ in range(rng.randint(0, 6))}
+                cases.append(MultiPoly(names, terms, one))
+        cases += quintic_equations(build_moore_matrices(modulus))
+    for _ in range(60):
+        cases += tensor({(rng.randrange(15), rng.randrange(3)): EPS15 ** rng.randrange(15)
+                         for _ in range(rng.randint(1, 5))})
+    for f in cases:
+        n = len(f.vars)
+        step = rng.randrange(n)
+
+        def factor(w, d):
+            return f.one * (w + 1) ** (d + 1)
+
+        assert f.cyclic_substitution(step, factor) == _substituted_by_terms(f, step, factor)
+        assert f.cyclic_substitution(step) == _substituted_by_terms(f, step, lambda w, d: f.one)
+
+
 def test_cyclic_substitution_factor_per_weight_and_degree():
     # the factor is asked once for each (weight, degree) of the terms, a
     # factor equal to one leaves the coefficients as they are, and a

@@ -27,11 +27,11 @@ from pentangle.moore import (
     reference_curve_points,
 )
 from pentangle.multipoly import MultiPoly, monomials, scalar_matrix_nullspace, scalar_matrix_rank
-from pentangle.report import suite_seed
-from pentangle.scalars import Fp, _normalize_mod_p
+from pentangle.report import make_config, run, suite_seed
+from pentangle.scalars import Fp, _inverse_table, _normalize_mod_p, find_root_of_unity
 
 from oracles import (chord_sample, incidence_residual, lattice_quintic,
-                     rank_at_most_three_mask)
+                     rank_at_most_three_mask, singular_directions)
 
 SEED = 20260824
 ROOT = Path(__file__).resolve().parent.parent
@@ -477,27 +477,40 @@ def test_stacked_reduction_matches_one_matrix_solves(p):
     assert vectors.shape == (0, 5) and owners.shape == (0,)
 
 
-@pytest.mark.parametrize("a", probe.admissible_moduli(31))
-def test_low_rank_census_matches_minor_oracle(a):
-    # on the singular points of the p=31 full scan: about 990 of them pass
-    # the census's one-minor prefilter, and only the rank-three ones count
-    p = 31
-    z = probe._z_residues(p, a)
-    singular = []
-    for base, dets in probe._determinant_slabs(p, z):
+def _representatives(p, z):
+    """The zeros the full scan evaluates, as a (5, n) stack, and their weights."""
+    singular, weights = [], []
+    for base, dets, rows in probe._determinant_slabs(p, z):
         slices, values = np.nonzero(dets == 0)
         found = base[:, slices]
         found[4] += values
         singular.append(found)
-    points = np.concatenate(singular, axis=1)
+        weights.append(rows[slices])
+    return np.concatenate(singular, axis=1), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("a", probe.admissible_moduli(31))
+def test_low_rank_census_matches_minor_oracle(a):
+    # on the singular points of the p=31 full scan: about 990 of them pass
+    # the census's one-minor prefilter, and only the rank-three ones count;
+    # the scan's representatives, weighted, give the census of all of them
+    p = 31
+    z = probe._z_residues(p, a)
+    points = singular_directions(p, z)
+    assert points.shape[1] == 25000
     mask = rank_at_most_three_mask(probe._structure_rows(points, z, p), p)
     expected = {}
     for y in points[:, mask].T.tolist():
         rank = len(probe._rref_mod_p(probe._structure_rows(y, z, p), p)[1])
         expected[rank] = expected.get(rank, 0) + 1
     assert expected == {3: 25}
-    assert probe._low_rank_census(points, z, p) == expected
-    assert probe._low_rank_census(points[:, ~mask], z, p) == {}
+    ones = np.ones(points.shape[1], dtype=np.int64)
+    assert probe._low_rank_census(points, ones, z, p) == expected
+    assert probe._low_rank_census(points[:, ~mask], ones[~mask], z, p) == {}
+    representatives, weights = _representatives(p, z)
+    # 70 zeros of weight one and 4 986 of weight five
+    assert representatives.shape[1] == 5056 and int(weights.sum()) == 25000
+    assert probe._low_rank_census(representatives, weights, z, p) == expected
 
 
 def _slab_points(base, dets):
@@ -508,24 +521,40 @@ def _slab_points(base, dets):
     return block
 
 
+def _twisted(block, j, p):
+    """The normalised images of a (5, n) stack under y_i -> eps**(i*j) y_i."""
+    eps = find_root_of_unity(p, 5).v
+    moved = block * np.array([pow(eps, i * j, p) for i in range(5)])[:, None] % p
+    lead = moved[np.argmax(moved != 0, axis=0), np.arange(moved.shape[1])]
+    return moved * _inverse_table(p)[lead] % p
+
+
 @pytest.mark.parametrize("a", probe.admissible_moduli(31))
 def test_sliced_full_scan_matches_staged_determinant(a):
+    # each point of weight five stands for its orbit under the twist, one of
+    # weight one for itself; together they are every point of P^4(F_31)
+    # once, and the value at each is the staged determinant there
     p = 31
     z = probe._z_residues(p, a)
     keys = []
     zeros = 0
-    for base, dets in probe._determinant_slabs(p, z):
-        assert base.shape[0] == 5
+    for base, dets, weights in probe._determinant_slabs(p, z):
+        assert base.shape[0] == 5 and weights.shape == (base.shape[1],)
         assert dets.shape in ((base.shape[1], p), (1, 1))
         assert 0 < dets.size <= probe._CHUNK
-        block = _slab_points(base, dets)
-        assert np.array_equal(dets.T.ravel(),
-                              probe._det_staged(probe._structure_rows(block, z, p), p))
-        # normalised: the first nonzero coordinate of every point is one
-        lead = block[np.argmax(block != 0, axis=0), np.arange(block.shape[1])]
-        assert np.all(lead == 1)
-        keys.append(sum(block[i] * p ** (4 - i) for i in range(5)))
-        zeros += int(np.count_nonzero(dets == 0))
+        assert set(weights.tolist()) <= {1, 5}
+        block, values = _slab_points(base, dets), dets.T.ravel()
+        orbit = np.tile(weights, dets.shape[1]) == 5
+        for j in range(5):
+            points = _twisted(block[:, orbit], j, p) if j else block
+            expected = values[orbit] if j else values
+            assert np.array_equal(expected,
+                                  probe._det_staged(probe._structure_rows(points, z, p), p))
+            # normalised: the first nonzero coordinate of every point is one
+            lead = points[np.argmax(points != 0, axis=0), np.arange(points.shape[1])]
+            assert np.all(lead == 1)
+            keys.append(sum(points[i] * p ** (4 - i) for i in range(5)))
+            zeros += int(np.count_nonzero(expected == 0))
     keys = np.concatenate(keys)
     assert keys.size == np.unique(keys).size == (p ** 5 - 1) // (p - 1) == 954305
     assert zeros == 25000
@@ -537,11 +566,34 @@ def test_full_scan_slabs_at_largest_prime():
     p = 241
     z = probe._z_residues(p, 1)
     slabs = probe._determinant_slabs(p, z)
-    for base, dets in itertools.islice(slabs, 3):
+    for base, dets, _ in itertools.islice(slabs, 3):
         block = _slab_points(base, dets)
         assert dets.size <= probe._CHUNK
         assert np.array_equal(dets.T.ravel(),
                               probe._det_staged(probe._structure_rows(block, z, p), p))
+
+
+def test_full_scan_rejects_a_quintic_that_is_not_twist_invariant(monkeypatch):
+    # a coefficient at a monomial of weight one breaks the orbit reduction:
+    # the scan raises, and the run reports a failing claim
+    det_forms = probe._det_forms
+    exponents = probe._lattice(5)
+    weight_one = int(np.flatnonzero(np.arange(5) @ exponents % 5 == 1)[0])
+
+    def untwisted(rows, p):
+        out = det_forms(rows, p)
+        out[weight_one] = (out[weight_one] + 1) % p
+        return out
+
+    monkeypatch.setattr(probe, "_det_forms", untwisted)
+    with pytest.raises(ArithmeticError):
+        next(probe._determinant_slabs(31, probe._z_residues(31, 1)))
+    result = run(make_config(suites=["incidence"], primes=[31]))
+    failing = [c for c in result["claims"] if c["status"] == "fail"]
+    assert [c["id"] for c in failing] == [
+        "incidence:incidence-certification-completes@p31-a1",
+        "incidence:incidence-certification-completes@p31-a2"]
+    assert "ArithmeticError" in failing[0]["witness"]
 
 
 def test_chart_blocks_cover_projective_space():
@@ -1168,7 +1220,7 @@ def test_scan_budgets():
 def test_incidence_full_scan_memory_stays_modest():
     """One process scans p=31, runs the full incidence scan, then scans
     p=61; chart slabs bound its peak resident set, which grows by about
-    9 MB over its value after import.  The child reads its peak from
+    2.4 MB over its value after import.  The child reads its peak from
     VmHWM, which exec resets: ru_maxrss keeps the high-water mark of the
     spawning pytest process across exec on Linux."""
     script = (
@@ -1195,7 +1247,7 @@ def test_incidence_full_scan_memory_stays_modest():
     assert "25000 singular directions among 954305" in density
     assert "25 rank-three directions" in census
     assert int(peak_kb) < 150 * 1024
-    assert int(peak_kb) - int(before_kb) < 18 * 1024
+    assert int(peak_kb) - int(before_kb) < 6 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 
 Usage:
   python3 tools/seed_sweep.py [--suites incidence] [--seeds 0-299]
+                              [--expect-sha256 HEX]
 
 Each seed is one `report.run` of the chosen suites at the default primes
 31 and 61, as `verify run --seed N` would do it, in two worker processes.
@@ -14,7 +15,8 @@ margin: how close the value came to the nearer end of the envelope (for
 the kernel rank band, the ranks seen).  After the table it prints one
 SHA-256 over the (seed, claim id, status, witness) of every claim, seed
 by seed, so two versions of the package can be compared claim for claim
-over a whole seed range.  The exit status is 1 when any claim failed.
+over a whole seed range.  The exit status is 1 when any claim failed, or
+when `--expect-sha256` is given and the digest differs from it.
 
 Standard library only, apart from the package, imported from ./src of
 the checkout this file sits in.
@@ -131,6 +133,8 @@ def main(argv=None) -> int:
     parser.add_argument("--suites", default="incidence",
                         help="comma-separated suites, or all (default: incidence)")
     parser.add_argument("--seeds", default="0-299", help="seed range LOW-HIGH")
+    parser.add_argument("--expect-sha256", metavar="HEX",
+                        help="the claims digest the sweep must print")
     args = parser.parse_args(argv)
     seeds = _seed_range(args.seeds)
     try:
@@ -141,7 +145,10 @@ def main(argv=None) -> int:
     table, digest = sweep(seeds, suites)
     print("\n".join(describe(table, len(seeds))))
     print(f"claims sha256 {digest}")
-    return 1 if any(row[0] for row in table.values()) else 0
+    differs = args.expect_sha256 is not None and digest != args.expect_sha256.lower()
+    if differs:
+        print(f"expected sha256 {args.expect_sha256}")
+    return 1 if differs or any(row[0] for row in table.values()) else 0
 
 
 if __name__ == "__main__":
