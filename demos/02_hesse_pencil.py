@@ -1,10 +1,11 @@
-"""Plane cubics in the symmetric pencil and their chord-tangent group
-law over a small prime field.
+"""Plane cubics in the symmetric pencil and their group law over a
+small prime field.
 
 The pencil x0^3 + x1^3 + x2^3 + lam*x0*x1*x2 carries nine shared base
 points; each smooth member is an elliptic curve whose group law the
-package implements twice (a batched modular route and a generic
-line-restriction route) so the two routes can certify one another.
+package implements twice (a batched modular route by the Hessian
+addition law and a generic line-restriction route) so the two routes
+can certify one another.
 """
 
 from pentangle.hessepencil import (PlaneCubic, add_points,
@@ -38,8 +39,8 @@ print("base locus == 3-torsion:",
 a, b = points[2], points[5]
 s1 = add_points(a, b)
 s2 = add_points_generic(a, b)
-print("tangent-formula sum:", s1.int_coords())
-print("generic-chord sum:  ", s2.int_coords())
+print("Hessian-law sum:  ", s1.int_coords())
+print("generic-chord sum:", s2.int_coords())
 print("routes agree:", s1 == s2)
 
 # scalar multiples walk the cyclic pieces

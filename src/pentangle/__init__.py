@@ -7,7 +7,7 @@ Subpackage map:
   multipoly    sparse multivariate polynomials and polynomial matrices
   heisenberg   Schroedinger-type group actions and character decompositions
   sections     tensors y_i (x) x_j as three y-forms; the five invariant sections
-  hessepencil  plane cubics, chord-tangent arithmetic, torsion bookkeeping
+  hessepencil  plane cubics, two group law routes, torsion bookkeeping
   moore        the symmetric 5x5 quadric machinery and its syzygies
   probe        finite-field scans, secant/incidence sampling, Cremona inverse
   nslattice    intersection-number ledgers on named divisor bases

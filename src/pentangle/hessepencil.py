@@ -7,11 +7,11 @@ Four layers live here:
     sum-of-cubes identities behind the Fermat-curve description of the
     eight nontrivial character cubics, the split members as products of
     line triples, and the singular parameter locus lam^3 = -27;
-  * the chord-tangent group law on a smooth member with origin
-    (0,1,-1), implemented twice: a field-generic route that restricts
-    the cubic to a parametrized line and divides out known roots by
-    explicit polynomial division, and a modular fast route that adds
-    and multiplies whole int64 arrays of points row by row, used for
+  * the group law on a smooth member with origin (0,1,-1), implemented
+    twice: a field-generic chord-tangent route that restricts the cubic
+    to a parametrized line and divides out known roots by explicit
+    polynomial division, and a modular fast route that adds whole int64
+    arrays of points row by row by the Hessian addition law, used for
     torsion counting and group structure;
   * torsion arithmetic over small prime fields: point enumeration,
     n-torsion extraction, group invariants, and the set identities
@@ -263,9 +263,9 @@ def _generic_third(curve: PlaneCubic, a: tuple, b: tuple) -> tuple:
 
 
 def add_points(p: CubicCurvePoint, q: CubicCurvePoint) -> CubicCurvePoint:
-    """Chord-tangent sum with the curve origin as identity: the modular
-    fast route on a smooth member over F_p, the generic route otherwise
-    (which also refuses mixed curves and singular members)."""
+    """The sum with the curve origin as identity: the Hessian-law fast
+    route on a smooth member over F_p, the generic chord-tangent route
+    otherwise (which also refuses mixed curves and singular members)."""
     curve = p.curve
     if curve is q.curve and isinstance(curve.one, Fp) and curve.is_smooth():
         lam, pr = curve.fp_params()
@@ -312,11 +312,14 @@ def scalar_multiple(k: int, p: CubicCurvePoint) -> CubicCurvePoint:
     return acc
 
 
-# -- chord-tangent law, modular fast route -----------------------------
+# -- Hessian addition law, modular fast route --------------------------
 #
 # Points are rows of (n, 3) int64 arrays of residues in [0, p), each row
 # normalised so its first nonzero coordinate is 1.  Every operation acts
 # row by row, so a batch gives the same rows as its rows one at a time.
+# The addition law of the Hessian form (Joye and Quisquater, CHES 2001;
+# Bernstein, Chuengsatiansup, Kohel and Lange, LATINCRYPT 2015) does not
+# involve lam, so lam may be one int or one value per row.
 
 
 def _rows(points) -> np.ndarray:
@@ -324,94 +327,42 @@ def _rows(points) -> np.ndarray:
     return np.asarray(points, dtype=np.int64).reshape(-1, 3)
 
 
-def _fp_cubic(lam: int, p: int, pts: np.ndarray) -> np.ndarray:
-    """The member's cubic at every row; zero exactly on its points."""
+def _fp_cubic(lam, p: int, pts: np.ndarray) -> np.ndarray:
+    """The member's cubic at every row; zero exactly on its points.  lam
+    is an int or one value per row."""
     x, y, z = pts.T
     return (x ** 3 + y ** 3 + z ** 3 + lam * x * y * z) % p
 
 
-def _fp_restrict(lam: int, p: int, a: np.ndarray, r: np.ndarray) -> tuple:
-    """Coefficients of the cubic on the lines s*a + t*r, one per row."""
-    a0, a1, a2 = a.T
-    r0, r1, r2 = r.T
-    c21 = (3 * (a0 * a0 * r0 + a1 * a1 * r1 + a2 * a2 * r2)
-           + lam * (a0 * a1 * r2 + a0 * r1 * a2 + r0 * a1 * a2)) % p
-    c12 = (3 * (a0 * r0 * r0 + a1 * r1 * r1 + a2 * r2 * r2)
-           + lam * (a0 * r1 * r2 + r0 * a1 * r2 + r0 * r1 * a2)) % p
-    return _fp_cubic(lam, p, a), c21, c12, _fp_cubic(lam, p, r)
-
-
-def _fp_gradient(lam: int, p: int, pts: np.ndarray) -> np.ndarray:
-    x, y, z = pts.T
-    return np.stack(((3 * x * x + lam * y * z) % p,
-                     (3 * y * y + lam * x * z) % p,
-                     (3 * z * z + lam * x * y) % p), axis=-1)
-
-
-def _fp_cross(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    return np.stack(((u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1]) % p,
-                     (u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2]) % p,
-                     (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]) % p),
-                    axis=-1)
-
-
 def _fp_normalize(v: np.ndarray, p: int) -> np.ndarray:
-    """Rows of residues scaled so the first nonzero one is 1."""
-    lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
+    """Rows of residues scaled so the first nonzero one is 1, worked on
+    as columns, which numpy handles much faster than short rows."""
+    x, y, z = v.T
+    lead = np.where(x != 0, x, np.where(y != 0, y, z))
     if not lead.all():
         raise ValueError("cannot normalise the zero vector")
-    return v * _inverse_table(p)[lead][:, None] % p
+    cols = v.T * _inverse_table(p)[lead]
+    cols %= p
+    return cols.T
 
 
-def _fp_tangent_companions(lam: int, p: int, pts: np.ndarray) -> np.ndarray:
-    """A second point of the tangent line at every row: grad x e_k, with
-    k = 0 where x0 != 0 and k = 1 elsewhere, read off the gradient's
-    columns.  Its k-th coordinate is zero and the row's is not, so at a
-    smooth point of the member it is never a multiple of the row; at a
-    singular point it is zero, and this raises ArithmeticError.  int64
-    bound: the gradient's entries stay under 4*p**2 before reduction."""
-    grad = _fp_gradient(lam, p, pts)
-    # columns g0, g1, g2, -g0, -g1, -g2, 0
-    cols = np.concatenate([grad, -grad % p, np.zeros_like(grad[:, :1])], axis=1)
-    companion = np.where(pts[:, :1] != 0, cols[:, [6, 2, 4]], cols[:, [5, 6, 0]])
-    if not companion.any(axis=1).all():
-        raise ArithmeticError("singular point in fast route")
-    return companion
-
-
-def _fp_third(lam: int, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Third intersection of the member with the line through a and b,
-    row by row (the tangent line where the rows coincide).  Raises
-    ArithmeticError if any row fails.  When b is a, every row is a
-    doubling and the row mask is a single True.
-
-    int64 bound: lam and every coordinate are residues below p, so the
-    largest intermediate is in c21/c12 of _fp_restrict, under
-    3*p**4 + 9*p**3; that is under 2*10**14 at the largest witness prime
-    2791, far inside int64 (9.2*10**18).  Every other product stays
-    under p**4.
-    """
-    if b is a:
-        same = np.True_
-        r = _fp_tangent_companions(lam, p, a)
-    else:
-        a, b = np.broadcast_arrays(a, b)
-        same = ~_fp_cross(a, b, p).any(axis=1)
-        r = b.copy()
-        if same.any():
-            r[same] = _fp_tangent_companions(lam, p, a[same])
-    c30, c21, c12, c03 = _fp_restrict(lam, p, a, r)
-    if c30.any():
-        raise ArithmeticError("base point not on curve")
-    if c21[same].any():
-        raise ArithmeticError("tangency division has a remainder")
-    if c03[~same].any():
-        raise ArithmeticError("second point not on curve")
-    s0 = np.where(same, c03, c12)
-    t0 = np.where(same, -c12, -c21) % p
-    if not (s0.astype(bool) | t0.astype(bool)).all():
-        raise ArithmeticError("line lies in the cubic")
-    return _fp_normalize((s0[:, None] * a + t0[:, None] * r) % p, p)
+def _hessian_law(a: np.ndarray, b: np.ndarray, p: int, rotated: bool = False) -> np.ndarray:
+    """The standard addition law, row by row, reduced mod p:
+    (X1^2 Y2 Z2 - X2^2 Y1 Z1 : Z1^2 X2 Y2 - Z2^2 X1 Y1 : Y1^2 X2 Z2 - Y2^2 X1 Z1),
+    zero on every doubling.  With `rotated`, the same formula at
+    (Y1, Z1, X1) and (Z2, X2, Y2): the negated rotated law
+    (Z2^2 X1 Z1 - Y1^2 X2 Y2 : Y2^2 Y1 Z1 - X1^2 X2 Z2 : X2^2 X1 Y1 - Z1^2 Y2 Z2).
+    Components go into one (3, n) buffer, with few temporaries alive."""
+    x1, y1, z1 = a.T
+    x2, y2, z2 = b.T
+    if rotated:
+        x1, y1, z1, x2, y2, z2 = y1, z1, x1, z2, x2, y2
+    cols = np.empty((3, len(a)), dtype=np.int64)
+    np.subtract(x1 * x1 * y2 * z2, x2 * x2 * y1 * z1, out=cols[0])
+    np.subtract(z1 * z1 * x2 * y2, z2 * z2 * x1 * y1, out=cols[1])
+    np.subtract(y1 * y1 * x2 * z2, y2 * y2 * x1 * z1, out=cols[2])
+    cols %= p
+    return cols.T
 
 
 def _fp_origin(p: int) -> np.ndarray:
@@ -426,18 +377,40 @@ def _fp_neg(pts: np.ndarray, p: int) -> np.ndarray:
     return _fp_normalize(pts[:, [0, 2, 1]], p)
 
 
-def _fp_add(lam: int, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """P + Q for every row pair, from one chord: the origin (0:1:-1) is
-    a flex of every member, so P + Q = -(P*Q), the x1 <-> x2 swap of the
-    third point.  Raises ArithmeticError if a third point is off the
-    member (the rows of _fp_cubic stay under p**4)."""
-    third = _fp_third(lam, p, a, b)
-    if _fp_cubic(lam, p, third).any():
-        raise ArithmeticError("third point not on curve")
-    return _fp_neg(third, p)
+def _fp_add(lam, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """P + Q for every row pair, with origin (0:1:-1) and negation
+    (x:z:y): the standard law, and the rotated law on the rows where the
+    standard one vanishes (every row when b is a, a doubling); on a
+    smooth member the two are never both zero.  Raises ArithmeticError
+    if a row of a or b or a sum is off its member, or if both laws vanish.
+
+    int64 bound: products of four residues, their differences and the
+    cubic's values stay under p**4 + 3*p**3 in absolute value: under
+    6.1*10**13 at the largest witness prime 2791, and inside int64 for
+    every p below 55 000."""
+    if _fp_cubic(lam, p, a).any():
+        raise ArithmeticError("first point not on curve")
+    if b is a:
+        total = _hessian_law(a, a, p, rotated=True)
+        zero = ~total.any(axis=1)
+    else:
+        if _fp_cubic(lam, p, b).any():
+            raise ArithmeticError("second point not on curve")
+        a, b = np.broadcast_arrays(a, b)
+        total = _hessian_law(a, b, p)
+        zero = ~total.any(axis=1)
+        if zero.any():
+            total[zero] = _hessian_law(a[zero], b[zero], p, rotated=True)
+            zero[zero] = ~total[zero].any(axis=1)
+    if zero.any():
+        raise ArithmeticError("both addition laws vanish")
+    total = _fp_normalize(total, p)
+    if _fp_cubic(lam, p, total).any():
+        raise ArithmeticError("sum not on curve")
+    return total
 
 
-def _fp_scalar(lam: int, p: int, k: int, pts: np.ndarray) -> np.ndarray:
+def _fp_scalar(lam, p: int, k: int, pts: np.ndarray) -> np.ndarray:
     """k * P for every row P; k is shared, so double-and-add runs once."""
     if k < 0:
         return _fp_scalar(lam, p, -k, _fp_neg(pts, p))
@@ -510,39 +483,36 @@ def _lambda_blocks(p: int, r: np.ndarray):
 
 def _member_points(p: int, lams: Sequence[int]) -> dict[int, np.ndarray]:
     """The points of the members at each lam in lams, in no set order:
-    each hit of one pass over the lambda blocks expanded to its points
-    on each sheet whose member is wanted, plus the points with a zero
-    coordinate, which satisfy 1 + t^3 = 0 for their other free
-    coordinate t whatever lam is.  Products stay under p**2."""
+    for each lam, the hits of one pass over the lambda blocks whose
+    sheet lies on its member, expanded to their points, and the points
+    with a zero coordinate, which satisfy 1 + t^3 = 0 for their other
+    free coordinate t whatever lam is.  Products stay under p**2."""
     w, r = _orbit_classes(p)
     d = len(w)
-    wanted = np.zeros(p, dtype=bool)
-    wanted[list(lams)] = True
     seen = np.zeros(p, dtype=bool)          # block values w^s * lam
-    seen[np.outer(np.flatnonzero(wanted), w) % p] = True
-    found = []
+    seen[np.outer(np.asarray(lams, dtype=np.int64), w) % p] = True
+    hits = []
     for i0, block in _lambda_blocks(p, r):
         iy, iz = np.nonzero(seen[block])
-        value = block[iy, iz]
-        ry, rz = r[iy + i0], r[iz + i0]
-        off = iz >= len(block)
-        for s in range(d):
-            lam = value * w[-s] % p
-            hit = wanted[lam]
-            lam, y0, z0, mirror = lam[hit], ry[hit], rz[hit], off[hit]
-            for a in range(d):
-                y, z = w[a] * y0 % p, w[(s - a) % d] * z0 % p
-                found.append(np.stack([lam, y, z], axis=1))
-                found.append(np.stack([lam, z, y], axis=1)[mirror])
-    found = np.concatenate(found)
+        hits.append((block[iy, iz], r[iy + i0], r[iz + i0], iz >= len(block)))
+    value, ry, rz, off = map(np.concatenate, zip(*hits))
+    sheets = [value * w[-s] % p for s in range(d)]
     roots = np.nonzero((np.arange(p) ** 3 + 1) % p == 0)[0]
     zero, one = np.zeros_like(roots), np.ones_like(roots)
-    shared = np.concatenate([np.stack(cols, axis=1) for cols in
-                             ((zero, one, roots), (one, zero, roots),
-                              (one, roots, zero))])
-    return {lam: np.concatenate([
-        shared, np.insert(found[found[:, 0] == lam, 1:], 0, 1, axis=1)])
-        for lam in lams}
+    members = {}
+    for lam in lams:
+        ys, zs = [one, zero, roots], [roots, roots, zero]
+        for s, sheet in enumerate(sheets):
+            hit = sheet == lam
+            y0, z0, mirror = ry[hit], rz[hit], off[hit]
+            for a in range(d):
+                y, z = w[a] * y0 % p, w[(s - a) % d] * z0 % p
+                ys += [y, z[mirror]]
+                zs += [z, y[mirror]]
+        ys, zs = np.concatenate(ys), np.concatenate(zs)
+        # x0 is 0 on the first len(roots) points, (0, 1, root), and 1 after
+        members[lam] = np.stack([np.arange(len(ys)) >= len(roots), ys, zs], axis=1)
+    return members
 
 
 def _fp_enumerate_hesse(lam: int, p: int) -> np.ndarray:
@@ -823,13 +793,13 @@ def verify_fermat_identities() -> dict:
     sample = hesse_polynomial(Cyclo(-3) * EPS3, one)
     checks.add("involution fixes a sample member",
                iota3_on_polynomial(sample) == sample)
-    # point evaluation spot checks on the verified identities
+    # point evaluation spot checks, cubing each linear form's value
     for pt in ((one, Cyclo(0), Cyclo(0)), (one, one, one),
                (one, EPS3, EPS3 ** 2)):
         agree = True
         for label, cubes, _ in _fermat_decompositions():
             lhs_v = reps[label].eval_at(pt)
-            rhs_v = sum((( _linear_form(line) ** 3 * scale).eval_at(pt)
+            rhs_v = sum((_linear_form(line).eval_at(pt) ** 3 * scale
                          for scale, line in cubes), Cyclo(0))
             agree = agree and lhs_v == rhs_v
         checks.add("identities agree at point %s" % (tuple(str(c) for c in pt),),
@@ -1077,24 +1047,74 @@ def _lambda_histogram(p: int) -> np.ndarray:
     return len(w) * sum(base[lam * ws % p] for ws in w)
 
 
-def _two_torsion_roots(lam: int, p: int) -> list[int]:
-    """Roots of x^3 + lam*x + 2: the x1 = x2 slice carrying the nonzero
-    2-torsion."""
-    ar = np.arange(p, dtype=np.int64)
-    vals = ((ar * ar % p) * ar + lam * ar + 2) % p
-    return [int(v) for v in np.nonzero(vals == 0)[0]]
+def _two_torsion_counts(p: int, lams: Sequence[int]) -> np.ndarray:
+    """Each member's rational 2-torsion count: 1 plus the number of roots
+    of x^3 + lam*x + 2, the x1 = x2 slice.  A root x (never 0) fixes
+    lam = -(x^3 + 2)/x, so one count over F_p^* serves every lam.
+    Products stay under p**2."""
+    x = np.arange(1, p, dtype=np.int64)
+    lam = -((x * x % p) * x + 2) % p * _inverse_table(p)[1:] % p
+    return 1 + np.bincount(lam, minlength=p)[list(lams)]
+
+
+def _stacked_multiples(p: int, members: Mapping, lams: Sequence[int]) -> dict:
+    """{lam: (points, 2P, 4P)} for each lam in lams, members[lam] holding
+    the member's points: two doublings of all their points stacked, each
+    row checked on its own member."""
+    pts = np.concatenate([members[lam] for lam in lams])
+    sizes = [len(members[lam]) for lam in lams]
+    two = _fp_add(np.repeat(lams, sizes), p, pts, pts)
+    four = _fp_add(np.repeat(lams, sizes), p, two, two)
+    ends = np.cumsum(sizes).tolist()
+    return {lam: tuple(v[end - n:end] for v in (pts, two, four))
+            for lam, n, end in zip(lams, sizes, ends)}
 
 
 #: candidate lambdas tried per prime by find_torsion_witness
 MAX_CANDIDATES = 40
 
+#: most members whose points find_torsion_witness doubles in one stack:
+#: larger stacks save no time and raise the search's peak memory
+_BATCH_MEMBERS = 2
+
 
 class _WitnessSearch(dict):
     """The report of find_torsion_witness, a plain dict to its readers;
     `member` holds a found witness's sorted read-only points and their
-    (2P, 3P, 5P), which the criterion reuses."""
+    2P and 4P, which the criterion reuses."""
 
     member = None
+
+
+def _try_candidates(p: int, lams: Sequence[int]) -> tuple:
+    """(tried, member): the trace entries of the candidate lambdas at p
+    up to the first whose member has full 2-, 3- and 5-torsion, and that
+    member's sorted points with their 2P and 4P (None if none passes).
+    Only members with 4 rational 2-torsion points are enumerated, in one
+    pass over the lambda grid, and doubled twice in stacks of
+    _BATCH_MEMBERS members: 3P = 0 exactly when 2P = -P, and 5P = 0
+    exactly when 4P = -P."""
+    two_torsion = _two_torsion_counts(p, lams).tolist()
+    full = [lam for lam, t in zip(lams, two_torsion) if t == 4]
+    members = _member_points(p, full)
+    batch, done, tried = {}, 0, []
+    for lam, t in zip(lams, two_torsion):
+        if t != 4:
+            tried.append({"lam": lam, "two_torsion": t})
+            continue
+        if lam not in batch:
+            batch = _stacked_multiples(p, members, full[done:done + _BATCH_MEMBERS])
+            done += _BATCH_MEMBERS
+        pts, two, four = batch[lam]
+        neg = _fp_neg(pts, p)
+        c3 = int((two == neg).all(axis=1).sum())
+        c5 = int((four == neg).all(axis=1).sum())
+        tried.append({"lam": lam, "order": len(pts), "two_torsion": 4,
+                      "three_torsion": c3, "five_torsion": c5})
+        if c3 == 9 and c5 == 25:
+            order = np.lexsort(pts.T[::-1])
+            return tried, tuple(v[order] for v in (pts, two, four))
+    return tried, None
 
 
 def find_torsion_witness() -> dict:
@@ -1102,14 +1122,10 @@ def find_torsion_witness() -> dict:
     5-torsion, over DEFAULT_PRIMES then WITNESS_PRIMES, with the search
     trace of every rejected prime.
 
-    Deterministic, and each call searches afresh.  Candidates are
-    prefiltered by the cheap 2-torsion root count before any point
-    enumeration, and the points of the survivors at one prime come from
-    a single pass over the lambda grid.  At most MAX_CANDIDATES are
-    tried per prime; the trace gives each searched prime's candidate
-    total and says when the cap cut a search short.  The report also
-    carries the witness member's points and their multiples, see
-    _WitnessSearch.
+    Deterministic, and each call searches afresh.  At most
+    MAX_CANDIDATES are tried per prime (see _try_candidates); the trace
+    gives each searched prime's candidate total and says when the cap
+    cut a search short.  See _WitnessSearch for the witness's points.
     """
     trace = []
     for p in DEFAULT_PRIMES + WITNESS_PRIMES:
@@ -1123,37 +1139,17 @@ def find_torsion_witness() -> dict:
             trace.append({"p": p, "skipped":
                           "full 30-torsion pairing needs 30 | p-1"})
             continue
-        hist = _lambda_histogram(p)
-        cands = [lam for lam in range(p)
-                 if (int(hist[lam]) + 9) % 900 == 0
-                 and (lam ** 3 + 27) % p != 0]
-        tried = []
-        searched = cands[:MAX_CANDIDATES]
-        two_torsion = {lam: len(_two_torsion_roots(lam, p)) + 1
-                       for lam in searched}
-        members = _member_points(
-            p, [lam for lam in searched if two_torsion[lam] == 4])
-        for lam in searched:
-            if two_torsion[lam] != 4:
-                tried.append({"lam": lam, "two_torsion": two_torsion[lam]})
-                continue
-            pts = members[lam]
-            n = len(pts)
-            two, three, five = _fp_multiples_235(lam, p, pts)
-            c3 = int(_is_origin(three, p).sum())
-            c5 = int(_is_origin(five, p).sum())
-            entry = {"lam": lam, "order": n, "two_torsion": 4,
-                     "three_torsion": c3, "five_torsion": c5}
-            tried.append(entry)
-            if c3 == 9 and c5 == 25:
-                found = _WitnessSearch(
-                    witness={"p": p, "lam": lam, "order": n},
-                    trace=trace + [{"p": p, "candidates": tried,
-                                    "candidate_total": len(cands)}])
-                order = np.lexsort(pts.T[::-1])
-                found.member = tuple(rows[order] for rows in (pts, two, three, five))
-                found.member[0].flags.writeable = False
-                return found
+        lams = np.arange(p, dtype=np.int64)
+        cands = np.flatnonzero(((_lambda_histogram(p) + 9) % 900 == 0)
+                               & ((lams ** 3 + 27) % p != 0)).tolist()
+        tried, member = _try_candidates(p, cands[:MAX_CANDIDATES])
+        if member is not None:
+            found = _WitnessSearch(
+                witness={"p": p, "lam": tried[-1]["lam"], "order": len(member[0])},
+                trace=trace + [{"p": p, "candidates": tried, "candidate_total": len(cands)}])
+            member[0].flags.writeable = False
+            found.member = member
+            return found
         if len(cands) > MAX_CANDIDATES:
             reason = ("search cut short at MAX_CANDIDATES: %d of %d candidate"
                       " lambdas tried, none passed the torsion counts"
@@ -1184,13 +1180,14 @@ def verify_six_secant_criterion(seed: int = 20260824) -> dict:
     p = search["witness"]["p"]
     lam = search["witness"]["lam"]
     curve = PlaneCubic.hesse_member(lam, Fp(1, p))
-    pts, two, three, five = search.member
+    pts, two, four = search.member
     curve._points = pts
 
     nonzero = ~_is_origin(pts, p)
-    two = pts[_is_origin(two, p) & nonzero]
-    three = pts[_is_origin(three, p) & nonzero]
-    five = pts[_is_origin(five, p)]
+    neg = _fp_neg(pts, p)
+    two, three, five = (pts[_is_origin(two, p) & nonzero],
+                        pts[(two == neg).all(axis=1) & nonzero],
+                        pts[(four == neg).all(axis=1)])
     checks.add("witness torsion counts (2,3,5) = (4,9,25)",
                len(two) == 3 and len(three) == 8 and len(five) == 25,
                "order %d" % len(pts))

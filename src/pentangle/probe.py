@@ -857,7 +857,7 @@ def certify_incidence(scan: CurveScan, seed: int = SEED) -> dict:
         # not binomial scale, so the envelope is a factor of two either way
         low, high = _factor_two_envelope(total, p)
         checks.add("full scan vanishing density tracks the hypersurface heuristic",
-                   low <= zero_count <= high,
+                   low <= zero_count <= high and total == (p ** 5 - 1) // (p - 1),
                    f"{zero_count} singular directions among {total}, "
                    f"expected about {_rounded_ratio(total, p)} within a factor of two",
                    soft=True)

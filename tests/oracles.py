@@ -10,7 +10,9 @@ determinant's coefficients off its values by the package's row
 reduction, a route independent of expanding the determinant over
 coefficient vectors.  The complement steps add points by the package's
 chord-tangent law, a route independent of composing multiplication
-maps.  The tuple-keyed polynomial kernels read a polynomial's terms as
+maps.  The two-chord sum adds whole arrays of points over F_p by
+restricting the cubic to chords and tangent lines, a route independent
+of the package's Hessian addition law.  The tuple-keyed polynomial kernels read a polynomial's terms as
 exponent tuples through `term_items`, a route independent of the packed
 monomials."""
 
@@ -21,7 +23,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from pentangle.hessepencil import (_cyclic_span, _fp_add, _keys, _point_orders,
+from pentangle.hessepencil import (_cyclic_span, _fp_add, _fp_cubic, _fp_normalize,
+                                   _fp_origin, _keys, _point_orders,
                                    _sorted_member, group_structure)
 from pentangle.multipoly import MultiPoly
 from pentangle.probe import (_chart_blocks, _coefficients, _det_staged, _lattice,
@@ -255,3 +258,73 @@ def complement_steps(curve) -> np.ndarray:
         k[idx] += 1
         outside[idx] = ~_sorted_member(_keys(acc[idx], p), cyclic)
     raise AssertionError("%d steps left points outside the span" % n1)
+
+
+def gradient(lam: int, p: int, pts: np.ndarray) -> np.ndarray:
+    """The gradient of the member's cubic at every row."""
+    x, y, z = pts.T
+    return np.stack(((3 * x * x + lam * y * z) % p,
+                     (3 * y * y + lam * x * z) % p,
+                     (3 * z * z + lam * x * y) % p), axis=-1)
+
+
+def cross(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise cross products mod p."""
+    return np.stack(((u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1]) % p,
+                     (u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2]) % p,
+                     (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]) % p),
+                    axis=-1)
+
+
+def tangent_companions(lam: int, p: int, pts: np.ndarray) -> np.ndarray:
+    """A second point of the tangent line at every row: grad x e_k, with
+    k = 0 where x0 != 0 and k = 1 elsewhere.  Its k-th coordinate is zero
+    and the row's is not, so at a smooth point it is never a multiple of
+    the row; at a singular point it is zero, and this raises
+    ArithmeticError."""
+    grad = gradient(lam, p, pts)
+    e = np.where(pts[:, :1] != 0, np.array([1, 0, 0]), np.array([0, 1, 0]))
+    companion = cross(grad, e, p)
+    if not companion.any(axis=1).all():
+        raise ArithmeticError("singular point has no tangent line")
+    return companion
+
+
+def _restrict(lam: int, p: int, a: np.ndarray, r: np.ndarray) -> tuple:
+    """Coefficients (c30, c21, c12, c03) of the cubic on the lines
+    s*a + t*r, one per row."""
+    a0, a1, a2 = a.T
+    r0, r1, r2 = r.T
+    c21 = (3 * (a0 * a0 * r0 + a1 * a1 * r1 + a2 * a2 * r2)
+           + lam * (a0 * a1 * r2 + a0 * r1 * a2 + r0 * a1 * a2)) % p
+    c12 = (3 * (a0 * r0 * r0 + a1 * r1 * r1 + a2 * r2 * r2)
+           + lam * (a0 * r1 * r2 + r0 * a1 * r2 + r0 * r1 * a2)) % p
+    return _fp_cubic(lam, p, a), c21, c12, _fp_cubic(lam, p, r)
+
+
+def third_points(lam: int, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The third intersection of the member with the line through a and b,
+    row by row, the tangent line where the rows coincide.  Raises
+    ArithmeticError if a row is off the member or its line lies in it.
+    Intermediates stay under 3*p**4 + 9*p**3."""
+    a, b = np.broadcast_arrays(a, b)
+    same = ~cross(a, b, p).any(axis=1)
+    r = b.copy()
+    if same.any():
+        r[same] = tangent_companions(lam, p, a[same])
+    c30, c21, c12, c03 = _restrict(lam, p, a, r)
+    if c30.any() or c03[~same].any():
+        raise ArithmeticError("point not on curve")
+    if c21[same].any():
+        raise ArithmeticError("tangency division has a remainder")
+    s0 = np.where(same, c03, c12)
+    t0 = np.where(same, -c12, -c21) % p
+    if not (s0.astype(bool) | t0.astype(bool)).all():
+        raise ArithmeticError("line lies in the cubic")
+    return _fp_normalize((s0[:, None] * a + t0[:, None] * r) % p, p)
+
+
+def add_by_two_chords(lam: int, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """P + Q as the third point of the line through the origin and P*Q,
+    the two-chord form of the chord-tangent law, row by row."""
+    return third_points(lam, p, third_points(lam, p, a, b), _fp_origin(p))

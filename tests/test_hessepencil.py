@@ -1,4 +1,5 @@
-"""Pencil identities, chord-tangent law, torsion arithmetic, 6-secants."""
+"""Pencil identities, the group law's two routes, torsion arithmetic,
+6-secants."""
 
 from __future__ import annotations
 
@@ -41,15 +42,14 @@ from pentangle.hessepencil import (
     _curve_maps,
     _cyclic_span,
     _fp_add,
-    _fp_cross,
+    _fp_cubic,
     _fp_enumerate_hesse,
-    _fp_gradient,
+    _fp_neg,
     _fp_origin,
     _fp_scalar,
     _fp_singular_lambda_scan,
-    _fp_tangent_companions,
-    _fp_third,
     _generic_third,
+    _hessian_law,
     _is_origin,
     _keys,
     _lambda_histogram,
@@ -60,13 +60,16 @@ from pentangle.hessepencil import (
     _orders,
     _point_orders,
     _sorted_member,
+    _stacked_multiples,
+    _two_torsion_counts,
 )
 from pentangle import hessepencil
 from pentangle.multipoly import MultiPoly
 from pentangle.scalars import (DEFAULT_PRIMES, EPS3, Cyclo, Fp, _normalize_mod_p,
                                _prime_factors, find_root_of_unity, hasse_admits)
 
-from oracles import complement_steps
+from oracles import (add_by_two_chords, complement_steps, cross, gradient,
+                     tangent_companions)
 
 SEED = 20260824
 ROOT = Path(__file__).resolve().parent.parent
@@ -374,7 +377,8 @@ def _generic_multiple(k: int, pt: CubicCurvePoint) -> CubicCurvePoint:
 
 
 def test_batched_law_int64_bound_at_largest_witness_prime():
-    # intermediates reach about 3*p**4 = 1.8*10**14 at p = 2791
+    # products of four residues and the cubic's values reach about
+    # p**4 = 6.1*10**13 at p = 2791
     p = WITNESS_PRIMES[-1]
     lam = p - 2
     curve = PlaneCubic.hesse_member(lam, Fp(1, p))
@@ -390,6 +394,27 @@ def test_batched_law_int64_bound_at_largest_witness_prime():
         batch = _fp_scalar(lam, p, k, left[:8])
         for a, row in zip(left[:8].tolist(), batch.tolist()):
             assert tuple(row) == _generic_multiple(k, curve.point(a)).int_coords()
+    # the points whose smallest coordinate is largest, paired every way:
+    # both laws and the cubic in Python ints stay under the docstring's
+    # bound p**4 + 3*p**3, and the int64 rows agree with them mod p
+    arr = curve.point_array()
+    big = arr[np.argsort(arr.min(axis=1))[-12:]]
+    a, b = _all_pairs(big)
+    bound = p ** 4 + 3 * p ** 3
+    assert bound < 2 ** 63 and 55_000 ** 4 + 3 * 55_000 ** 3 < 2 ** 63
+    for rotated in (False, True):
+        law = _hessian_law(a, b, p, rotated).tolist()
+        for (x1, y1, z1), (x2, y2, z2), row in zip(a.tolist(), b.tolist(), law):
+            if rotated:
+                x1, y1, z1, x2, y2, z2 = y1, z1, x1, z2, x2, y2
+            exact = (x1 * x1 * y2 * z2 - x2 * x2 * y1 * z1,
+                     z1 * z1 * x2 * y2 - z2 * z2 * x1 * y1,
+                     y1 * y1 * x2 * z2 - y2 * y2 * x1 * z1)
+            assert max(map(abs, exact)) < bound
+            assert row == [c % p for c in exact]
+    corner = np.full((1, 3), p - 1)
+    assert 3 * (p - 1) ** 3 + (p - 1) ** 4 < bound   # lam, x, y, z all p - 1
+    assert _fp_cubic(p - 1, p, corner)[0] == ((p - 1) ** 3 * (p + 2)) % p
 
 
 def test_batch_with_one_off_curve_point_raises(curve31):
@@ -399,20 +424,21 @@ def test_batch_with_one_off_curve_point_raises(curve31):
     bad[7] = (1, 1, 1)          # 3 + lam != 0: not on the member
     partners = np.roll(pts, 3, axis=0)
     _fp_add(lam, p, pts, partners)
-    with pytest.raises(ArithmeticError, match="base point"):
-        _fp_third(lam, p, bad, partners)    # chord rows
-    with pytest.raises(ArithmeticError, match="second point"):
-        _fp_third(lam, p, partners, bad)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="first point not on curve"):
+        _fp_add(lam, p, bad, partners)
+    with pytest.raises(ArithmeticError, match="second point not on curve"):
         _fp_add(lam, p, partners, bad)
-    with pytest.raises(ArithmeticError):
-        _fp_scalar(lam, p, 2, bad)          # tangent rows
-
-
-def _add_by_two_chords(lam: int, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Test oracle: P + Q as the third point of the line through the
-    origin and P*Q, the two-chord form of the group law."""
-    return _fp_third(lam, p, _fp_third(lam, p, a, b), _fp_origin(p))
+    with pytest.raises(ArithmeticError, match="first point not on curve"):
+        _fp_add(lam, p, bad, bad)           # a doubling
+    with pytest.raises(ArithmeticError, match="first point not on curve"):
+        _fp_scalar(lam, p, 2, bad)
+    # with one lam per row, a row checked against another row's member
+    lams = np.full(len(pts), lam)
+    lams[7] = lam + 1
+    with pytest.raises(ArithmeticError, match="first point not on curve"):
+        _fp_add(lams, p, pts, partners)
+    with pytest.raises(ArithmeticError, match="second point not on curve"):
+        _fp_add(lams, p, partners, pts)
 
 
 def _member_with_two_torsion(p: int) -> tuple:
@@ -439,42 +465,136 @@ def test_flex_negation_add_matches_two_chords(p):
     left = np.concatenate([left, two, two, two])
     right = np.concatenate([right, two, others, np.tile(_fp_origin(p), (n, 1))])
     assert np.array_equal(_fp_add(lam, p, left, right),
-                          _add_by_two_chords(lam, p, left, right))
+                          add_by_two_chords(lam, p, left, right))
     # a batch of doublings only, the 2-torsion and the origin among them
     doubled = np.concatenate([left, _fp_origin(p)[None, :]])
     assert np.array_equal(_fp_add(lam, p, doubled, doubled),
-                          _add_by_two_chords(lam, p, doubled, doubled.copy()))
+                          add_by_two_chords(lam, p, doubled, doubled))
     assert _is_origin(_fp_add(lam, p, two, two), p).all()
 
 
-def test_add_rejects_an_off_curve_third_point(curve31, monkeypatch):
+def test_add_rejects_an_off_curve_sum(curve31, monkeypatch):
     lam, p = curve31.fp_params()
     pts = curve31.point_array()
-    chord = hessepencil._fp_third
+    law = hessepencil._hessian_law
 
-    def one_row_off_curve(lam, p, a, b):
-        third = chord(lam, p, a, b).copy()
-        third[5] = (1, 1, 1)            # 3 + lam != 0: not on the member
-        return third
+    def one_row_off_curve(a, b, p, rotated=False):
+        # the whole batch, not the few rows the rotated law mends
+        total = law(a, b, p, rotated)
+        if len(total) == len(pts):
+            total[5] = (1, 1, 1)        # 3 + lam != 0: not on the member
+        return total
 
-    monkeypatch.setattr(hessepencil, "_fp_third", one_row_off_curve)
-    with pytest.raises(ArithmeticError, match="third point not on curve"):
+    monkeypatch.setattr(hessepencil, "_hessian_law", one_row_off_curve)
+    with pytest.raises(ArithmeticError, match="sum not on curve"):
         _fp_add(lam, p, pts, np.roll(pts, 3, axis=0))
-    with pytest.raises(ArithmeticError, match="third point not on curve"):
+    with pytest.raises(ArithmeticError, match="sum not on curve"):
         _fp_add(lam, p, pts, pts)
+
+
+def _all_pairs(pts: np.ndarray) -> tuple:
+    """Every ordered pair of rows, as two stacks."""
+    n = len(pts)
+    return np.repeat(pts, n, axis=0), np.tile(pts, (n, 1))
+
+
+def test_law_matches_generic_route_on_every_pair_at_31():
+    # every ordered pair on every smooth member at 31: the two laws are
+    # never both zero, agree where both are not, and the sum is the
+    # generic route's
+    p = 31
+    for lam in range(p):
+        curve = PlaneCubic.hesse_member(lam, Fp(1, p))
+        if not curve.is_smooth():
+            continue
+        a, b = _all_pairs(curve.point_array())
+        standard = _hessian_law(a, b, p)
+        rotated = _hessian_law(a, b, p, rotated=True)
+        assert (standard.any(axis=1) | rotated.any(axis=1)).all()
+        assert not cross(standard, rotated, p).any()
+        total = _fp_add(lam, p, a, b).tolist()
+        pts = curve.points()
+        n = len(pts)
+        for i, (x, y) in enumerate((x, y) for x in pts for y in pts):
+            assert tuple(total[i]) == add_points_generic(x, y).int_coords()
+        assert n * n == len(total)
+
+
+def test_law_matches_generic_route_on_sampled_pairs_at_61():
+    p = 61
+    rng = random.Random(SEED)
+    for lam in (0, 5, 17, 44):
+        curve = PlaneCubic.hesse_member(lam, Fp(1, p))
+        assert curve.is_smooth()
+        pts = curve.int_points()
+        left, right = _mixed_pairs(pts, p, rng, 40)
+        standard = _hessian_law(left, right, p)
+        rotated = _hessian_law(left, right, p, rotated=True)
+        assert (standard.any(axis=1) | rotated.any(axis=1)).all()
+        total = _fp_add(lam, p, left, right).tolist()
+        for x, y, row in zip(left.tolist(), right.tolist(), total):
+            assert tuple(row) == add_points_generic(curve.point(x),
+                                                    curve.point(y)).int_coords()
+
+
+@pytest.mark.parametrize("p", (29, 31, 61))
+def test_law_raises_on_a_singular_member(p):
+    # at lam = -3 the member is singular at (1, 1, 1), and for p = 1 mod 3
+    # it splits into three lines, singular at (1, w, w^2) and (1, w^2, w)
+    # too: both addition laws vanish exactly on the pairs of singular
+    # points, and each such pair raises, as a doubling too
+    lam = p - 3
+    pts = np.array(_chart_scan(lam, p), dtype=np.int64)
+    nodes = pts[~gradient(lam, p, pts).any(axis=1)]
+    assert len(nodes) == (3 if p % 3 == 1 else 1)
+    a, b = _all_pairs(pts)
+    both = ~(_hessian_law(a, b, p).any(axis=1)
+             | _hessian_law(a, b, p, rotated=True).any(axis=1))
+    node_pairs = _all_pairs(nodes)
+    assert sorted(map(tuple, np.hstack([a[both], b[both]]).tolist())) == sorted(
+        map(tuple, np.hstack(node_pairs).tolist()))
+    for x, y in zip(*node_pairs):
+        with pytest.raises(ArithmeticError, match="both addition laws vanish"):
+            _fp_add(lam, p, x[None, :], y[None, :])
+    for node in nodes:
+        node = node[None, :]
+        with pytest.raises(ArithmeticError, match="both addition laws vanish"):
+            _fp_add(lam, p, node, node)
+
+
+@pytest.mark.parametrize("p, lams", [(31, (0, 1, 2, 5, 7)),
+                                     (1801, (17, 100, 1000))])
+def test_law_with_one_lam_per_row_matches_one_lam_at_a_time(p, lams):
+    rng = random.Random(SEED)
+    stacks = [_mixed_pairs(_fp_enumerate_hesse(lam, p).tolist(), p, rng, 60)
+              for lam in lams]
+    left = np.concatenate([a for a, _ in stacks])
+    right = np.concatenate([b for _, b in stacks])
+    rows = np.repeat(lams, [len(a) for a, _ in stacks])
+    total = _fp_add(rows, p, left, right)
+    doubled = _fp_add(rows, p, left, left)
+    four = _fp_scalar(rows, p, 4, left)
+    start = 0
+    for lam, (a, b) in zip(lams, stacks):
+        block = slice(start, start + len(a))
+        assert np.array_equal(total[block], _fp_add(lam, p, a, b))
+        assert np.array_equal(doubled[block], _fp_add(lam, p, a, a))
+        assert np.array_equal(four[block], _fp_scalar(lam, p, 4, a))
+        start += len(a)
 
 
 @pytest.mark.parametrize("p", (31, 1801, 2791))
 def test_tangent_companions_span_the_tangent_lines(p):
-    # at every point: nonzero, on the tangent line, and not the point
+    # the two-chord oracle's tangent lines: at every point the companion
+    # is nonzero, on the tangent line, and not the point
     lam, pts = _member_with_two_torsion(p)
-    companion = _fp_tangent_companions(lam, p, pts)
+    companion = tangent_companions(lam, p, pts)
     assert companion.any(axis=1).all()
-    assert ((companion * _fp_gradient(lam, p, pts)).sum(axis=1) % p == 0).all()
-    assert _fp_cross(companion, pts, p).any(axis=1).all()
+    assert ((companion * gradient(lam, p, pts)).sum(axis=1) % p == 0).all()
+    assert cross(companion, pts, p).any(axis=1).all()
     # (1, 1, 1) is the singular point of the member at lam = -3
     with pytest.raises(ArithmeticError, match="singular"):
-        _fp_tangent_companions(p - 3, p, np.ones((1, 3), dtype=np.int64))
+        tangent_companions(p - 3, p, np.ones((1, 3), dtype=np.int64))
 
 
 def test_every_doubling_matches_generic_route(curve31):
@@ -895,19 +1015,52 @@ def test_witness_outputs_are_frozen(witness_search, witness):
 
 
 def test_six_secant_criterion_reuses_the_search_member(monkeypatch):
-    # the criterion takes the witness's points and (2P, 3P, 5P) from the
+    # the criterion takes the witness's points and (2P, 4P) from the
     # search instead of enumerating and multiplying the member again
     search = find_torsion_witness()
     pts = search.member[0]
     assert not pts.flags.writeable
     w = search["witness"]
     assert np.array_equal(pts, _fp_enumerate_hesse(w["lam"], w["p"]))
-    for k, multiple in zip((2, 3, 5), search.member[1:]):
+    for k, multiple in zip((2, 4), search.member[1:]):
         assert np.array_equal(multiple, _fp_scalar(w["lam"], w["p"], k, pts))
-    for name in ("_fp_enumerate_hesse", "_member_points", "_fp_multiples_235"):
+    for name in ("_fp_enumerate_hesse", "_member_points", "_stacked_multiples",
+                 "_fp_multiples_235"):
         monkeypatch.setattr(hessepencil, name, None)
     monkeypatch.setattr(hessepencil, "find_torsion_witness", lambda: search)
     assert verify_six_secant_criterion()["passed"]
+
+
+@pytest.mark.parametrize("p", (31, 61, 1741))
+def test_two_torsion_counts_match_one_lam_at_a_time(p):
+    lams = list(range(0, p, max(1, p // 40)))
+    expected = [1 + sum(1 for x in range(p) if (x ** 3 + lam * x + 2) % p == 0)
+                for lam in lams]
+    assert _two_torsion_counts(p, lams).tolist() == expected
+    if p < 100:
+        # the rational 2-torsion of every smooth member, from its points
+        for lam, count in zip(lams, expected):
+            curve = PlaneCubic.hesse_member(lam, Fp(1, p))
+            if curve.is_smooth():
+                assert len(torsion_points(curve, 2)) == count
+
+
+@pytest.mark.parametrize("p, lams", [(31, (1, 2, 7, 30)), (1741, (123, 200, 14))])
+def test_stacked_multiples_match_one_member_at_a_time(p, lams):
+    members = _member_points(p, lams)
+    stacked = _stacked_multiples(p, members, list(lams))
+    assert list(stacked) == list(lams)
+    for lam in lams:
+        pts, two, four = stacked[lam]
+        assert np.array_equal(pts, members[lam])
+        assert np.array_equal(two, _fp_scalar(lam, p, 2, pts))
+        assert np.array_equal(four, _fp_scalar(lam, p, 4, pts))
+        # 3P = 0 exactly where 2P = -P, and 5P = 0 exactly where 4P = -P
+        neg = _fp_neg(pts, p)
+        assert np.array_equal((two == neg).all(axis=1),
+                              _is_origin(_fp_scalar(lam, p, 3, pts), p))
+        assert np.array_equal((four == neg).all(axis=1),
+                              _is_origin(_fp_scalar(lam, p, 5, pts), p))
 
 
 def test_witness_primes_satisfy_necessary_congruences():

@@ -792,6 +792,25 @@ def test_incidence_full_scan_census_frozen(scan31):
     assert census["soft"] is True
 
 
+def test_full_scan_density_needs_all_of_projective_space(scan31, monkeypatch):
+    # representative heads weighted 1 instead of 5 cover a fifth of the
+    # orbits: the counts still sit inside the factor-two envelope, so only
+    # the total against (p**5 - 1)/(p - 1) fails the density claim
+    slabs = probe._determinant_slabs
+
+    def unit_weights(p, z):
+        for base, dets, rows in slabs(p, z):
+            yield base, dets, np.ones_like(rows)
+
+    monkeypatch.setattr(probe, "_determinant_slabs", unit_weights)
+    report = probe.certify_incidence(scan31)
+    density = {c["name"]: c for c in report["checks"]}[
+        "full scan vanishing density tracks the hypersurface heuristic"]
+    assert "5056 singular directions among 193193" in density["detail"]
+    assert not density["passed"]
+    assert not report["soft_passed"]
+
+
 def test_incidence_kernels_at_a_rank_three_point(scan31):
     # at run seed 17 one of the 62 sampled incidence points has rank three,
     # so the stacked kernels give 63 vectors for 62 points
