@@ -1,10 +1,9 @@
 """Command line front end for the verification suites.
 
-Three subcommands: run executes suites and emits a report, scan
-populates the point cache for one prime-field curve, report re-renders
-a saved JSON report.  Exit status of run is 0 only when no claim failed
-(soft failures count under --strict), so the command wires directly
-into CI.
+Two subcommands: run executes suites and emits a report, report
+re-renders a saved JSON report.  Exit status of run is 0 only when no
+claim failed (soft failures count under --strict), so the command wires
+directly into CI.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from pathlib import Path
 
 import click
 
-from . import probe
 from . import report as report_mod
 
 
@@ -91,26 +89,6 @@ def run_command(suites, primes, a_values, seed, symbolic_a, cache_dir,
     else:
         click.echo(text, nl=False)
     sys.exit(report_mod.exit_status(report, strict=strict))
-
-
-@main.command(name="scan")
-@click.option("--prime", "p", type=int, required=True,
-              help="supported prime: " + ", ".join(
-                  str(q) for q in probe.SUPPORTED_PRIMES))
-@click.option("--a", "a", type=int, required=True, help="curve modulus")
-@click.option("--cache-dir", envvar="PENTANGLE_CACHE_DIR", default=None,
-              type=click.Path(file_okay=False),
-              help="directory for curve point caches "
-                   "(env: PENTANGLE_CACHE_DIR)")
-def scan_command(p, a, cache_dir) -> None:
-    """Enumerate the curve over one prime field, filling the cache."""
-    try:
-        scan = probe.scan_curve(p, a, cache_dir=cache_dir)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    source = "cache" if scan.from_cache else "fresh scan"
-    click.echo("p=%d a=%d points=%d source=%s" % (scan.p, scan.a,
-                                                  len(scan.points), source))
 
 
 @main.command(name="report")

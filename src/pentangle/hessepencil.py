@@ -294,14 +294,10 @@ def negate_point(p: CubicCurvePoint) -> CubicCurvePoint:
 
 
 def scalar_multiple(k: int, p: CubicCurvePoint) -> CubicCurvePoint:
-    curve = p.curve
-    if isinstance(curve.one, Fp):
-        lam, pr = curve.fp_params()
-        row = _fp_scalar(lam, pr, k, _rows([p.int_coords()]))
-        return CubicCurvePoint(curve, row[0].tolist())
+    """k * P by double-and-add through add_points, and on its route."""
     if k < 0:
         return scalar_multiple(-k, negate_point(p))
-    acc = CubicCurvePoint(curve, curve.origin)
+    acc = p.curve.point(p.curve.origin)
     base = p
     while k:
         if k & 1:
@@ -319,7 +315,7 @@ def scalar_multiple(k: int, p: CubicCurvePoint) -> CubicCurvePoint:
 # row by row, so a batch gives the same rows as its rows one at a time.
 # The addition law of the Hessian form (Joye and Quisquater, CHES 2001;
 # Bernstein, Chuengsatiansup, Kohel and Lange, LATINCRYPT 2015) does not
-# involve lam, so lam may be one int or one value per row.
+# involve lam, which enters only the on-curve checks.
 
 
 def _rows(points) -> np.ndarray:
@@ -327,9 +323,8 @@ def _rows(points) -> np.ndarray:
     return np.asarray(points, dtype=np.int64).reshape(-1, 3)
 
 
-def _fp_cubic(lam, p: int, pts: np.ndarray) -> np.ndarray:
-    """The member's cubic at every row; zero exactly on its points.  lam
-    is an int or one value per row."""
+def _fp_cubic(lam: int, p: int, pts: np.ndarray) -> np.ndarray:
+    """The member's cubic at every row; zero exactly on its points."""
     x, y, z = pts.T
     return (x ** 3 + y ** 3 + z ** 3 + lam * x * y * z) % p
 
@@ -377,7 +372,7 @@ def _fp_neg(pts: np.ndarray, p: int) -> np.ndarray:
     return _fp_normalize(pts[:, [0, 2, 1]], p)
 
 
-def _fp_add(lam, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _fp_add(lam: int, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """P + Q for every row pair, with origin (0:1:-1) and negation
     (x:z:y): the standard law, and the rotated law on the rows where the
     standard one vanishes (every row when b is a, a doubling); on a
@@ -410,7 +405,7 @@ def _fp_add(lam, p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def _fp_scalar(lam, p: int, k: int, pts: np.ndarray) -> np.ndarray:
+def _fp_scalar(lam: int, p: int, k: int, pts: np.ndarray) -> np.ndarray:
     """k * P for every row P; k is shared, so double-and-add runs once."""
     if k < 0:
         return _fp_scalar(lam, p, -k, _fp_neg(pts, p))
@@ -1057,25 +1052,8 @@ def _two_torsion_counts(p: int, lams: Sequence[int]) -> np.ndarray:
     return 1 + np.bincount(lam, minlength=p)[list(lams)]
 
 
-def _stacked_multiples(p: int, members: Mapping, lams: Sequence[int]) -> dict:
-    """{lam: (points, 2P, 4P)} for each lam in lams, members[lam] holding
-    the member's points: two doublings of all their points stacked, each
-    row checked on its own member."""
-    pts = np.concatenate([members[lam] for lam in lams])
-    sizes = [len(members[lam]) for lam in lams]
-    two = _fp_add(np.repeat(lams, sizes), p, pts, pts)
-    four = _fp_add(np.repeat(lams, sizes), p, two, two)
-    ends = np.cumsum(sizes).tolist()
-    return {lam: tuple(v[end - n:end] for v in (pts, two, four))
-            for lam, n, end in zip(lams, sizes, ends)}
-
-
 #: candidate lambdas tried per prime by find_torsion_witness
 MAX_CANDIDATES = 40
-
-#: most members whose points find_torsion_witness doubles in one stack:
-#: larger stacks save no time and raise the search's peak memory
-_BATCH_MEMBERS = 2
 
 
 class _WitnessSearch(dict):
@@ -1091,21 +1069,18 @@ def _try_candidates(p: int, lams: Sequence[int]) -> tuple:
     up to the first whose member has full 2-, 3- and 5-torsion, and that
     member's sorted points with their 2P and 4P (None if none passes).
     Only members with 4 rational 2-torsion points are enumerated, in one
-    pass over the lambda grid, and doubled twice in stacks of
-    _BATCH_MEMBERS members: 3P = 0 exactly when 2P = -P, and 5P = 0
-    exactly when 4P = -P."""
+    pass over the lambda grid, and each one's points are doubled twice:
+    3P = 0 exactly when 2P = -P, and 5P = 0 exactly when 4P = -P."""
     two_torsion = _two_torsion_counts(p, lams).tolist()
-    full = [lam for lam, t in zip(lams, two_torsion) if t == 4]
-    members = _member_points(p, full)
-    batch, done, tried = {}, 0, []
+    members = _member_points(p, [lam for lam, t in zip(lams, two_torsion) if t == 4])
+    tried = []
     for lam, t in zip(lams, two_torsion):
         if t != 4:
             tried.append({"lam": lam, "two_torsion": t})
             continue
-        if lam not in batch:
-            batch = _stacked_multiples(p, members, full[done:done + _BATCH_MEMBERS])
-            done += _BATCH_MEMBERS
-        pts, two, four = batch[lam]
+        pts = members[lam]
+        two = _fp_add(lam, p, pts, pts)
+        four = _fp_add(lam, p, two, two)
         neg = _fp_neg(pts, p)
         c3 = int((two == neg).all(axis=1).sum())
         c5 = int((four == neg).all(axis=1).sum())

@@ -503,9 +503,14 @@ def fraction_mod_p(x: Rat, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _inverse_table(p: int) -> np.ndarray:
-    """Read-only int64 array with inv[x] * x = 1 mod p, and inv[0] = 0."""
-    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)],
-                   dtype=np.int64)
+    """Read-only int64 array with inv[x] * x = 1 mod p, and inv[0] = 0:
+    x**(p - 2) for all residues x at once, left-to-right square-and-multiply
+    with every product under p**2."""
+    base, inv = np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64)
+    for bit in bin(p - 2)[2:]:
+        inv = inv * inv % p
+        if bit == "1":
+            inv = inv * base % p
     inv.flags.writeable = False
     return inv
 

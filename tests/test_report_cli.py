@@ -4,7 +4,7 @@ The heavy suites (moore symbolic, hesse witness search, cremona) have
 their own test modules; here the runs stick to fast suites over p = 31
 so the orchestration contract itself is what gets exercised: canonical
 suite ordering, claim schema, seed derivation, determinism modulo
-elapsed_ms, render formats, and the three subcommands.
+elapsed_ms, render formats, and the two subcommands.
 """
 
 from __future__ import annotations
@@ -335,22 +335,39 @@ def test_cli_run_at_largest_prime(runner):
     assert all(claim["status"] != "fail" for claim in report["claims"])
 
 
+def _scan_source(output: str) -> str:
+    """The point source that a run's scan witness names."""
+    report = json.loads(output)
+    witness = next(c["witness"] for c in report["claims"]
+                   if c["id"].startswith("scan:curve-scan-completes@"))
+    return re.fullmatch(r"25 points \((.*)\)", witness).group(1)
+
+
 def test_cli_scan_fresh_then_cached(runner, tmp_path):
-    args = ["scan", "--prime", "31", "--a", "2",
+    args = ["run", "--suites", "scan", "--prime", "31", "--a", "2",
             "--cache-dir", str(tmp_path)]
     first = runner.invoke(cli.main, args)
     assert first.exit_code == 0, first.output
-    assert first.output == "p=31 a=2 points=25 source=fresh scan\n"
+    assert _scan_source(first.output) == "fresh scan"
     second = runner.invoke(cli.main, args)
-    assert second.output == "p=31 a=2 points=25 source=cache\n"
+    assert second.exit_code == 0, second.output
+    assert _scan_source(second.output) == "cache"
     assert (tmp_path / "curve-p31-a2.txt").exists()
+    # the cache is filled by run; there is no separate scan command
+    gone = runner.invoke(cli.main, ["scan", "--prime", "31", "--a", "2"])
+    assert gone.exit_code == 2
+    assert "No such command" in gone.output
 
 
 def test_cli_cache_dir_env_var(runner, tmp_path):
-    result = runner.invoke(cli.main, ["scan", "--prime", "31", "--a", "1"],
-                           env={"PENTANGLE_CACHE_DIR": str(tmp_path)})
-    assert result.exit_code == 0, result.output
+    args = ["run", "--suites", "scan", "--prime", "31", "--a", "1"]
+    env = {"PENTANGLE_CACHE_DIR": str(tmp_path)}
+    first = runner.invoke(cli.main, args, env=env)
+    assert first.exit_code == 0, first.output
+    assert _scan_source(first.output) == "fresh scan"
     assert (tmp_path / "curve-p31-a1.txt").exists()
+    second = runner.invoke(cli.main, args, env=env)
+    assert _scan_source(second.output) == "cache"
 
 
 def test_cli_run_explicit_moduli(runner):
@@ -375,8 +392,10 @@ def test_cli_usage_errors(runner, tmp_path):
     not_int = runner.invoke(cli.main, ["run", "--a", "wat"])
     assert not_int.exit_code == 2
 
-    excluded = runner.invoke(cli.main, ["scan", "--prime", "31", "--a", "3"])
+    excluded = runner.invoke(cli.main, ["run", "--suites", "scan", "--prime", "31",
+                                        "--a", "3", "--cache-dir", str(tmp_path)])
     assert excluded.exit_code == 2
+    assert "excluded residues" in excluded.output
 
     plain = tmp_path / "notes.txt"
     plain.write_text("not a report")

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,9 @@ from pentangle.scalars import (
     embed_cyclo_in_prime_field,
     find_root_of_unity,
     fraction_mod_p,
+    _inverse_table,
 )
+from pentangle.hessepencil import WITNESS_PRIMES
 
 SEED = 20260824
 
@@ -492,6 +495,13 @@ def test_fp_raw_results_match_the_constructor():
                 assert (x / k).v == x.v * pow(k, p - 2, p) % p
             with pytest.raises(ZeroDivisionError):
                 x / (k - k % p)
+
+
+@pytest.mark.parametrize("p", DEFAULT_PRIMES + WITNESS_PRIMES)
+def test_inverse_table_matches_pow(p):
+    inv = _inverse_table(p)
+    assert inv.dtype == np.int64 and not inv.flags.writeable
+    assert inv.tolist() == [0] + [pow(x, p - 2, p) for x in range(1, p)]
 
 
 @pytest.mark.parametrize("base", ["fraction", "cyclo", "fp"])
