@@ -363,21 +363,6 @@ TRIANGLE_LINES: dict[tuple[int, int], tuple[tuple[Cyclo, ...], ...]] = {
 }
 
 
-def projective_normalize(vec: Sequence) -> tuple:
-    """Scale so the first nonzero coordinate is 1 (exact fields only)."""
-    for c in vec:
-        if c != c * 0:
-            inv = 1 / c
-            return tuple(inv * x for x in vec)
-    raise ValueError("cannot normalize the zero vector")
-
-
-def _cross(u: Sequence, v: Sequence) -> tuple:
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 # -- the plane involution ----------------------------------------------
 
 
@@ -390,8 +375,3 @@ def iota3_on_polynomial(f: MultiPoly) -> MultiPoly:
         out[(e0, e2, e1)] = c
     return MultiPoly(f.vars, out, f.one)
 
-
-def iota3_on_point(p: Sequence) -> tuple:
-    if len(p) != 3:
-        raise ValueError("the plane involution needs 3 coordinates")
-    return (p[0], p[2], p[1])

@@ -7,15 +7,13 @@ Four layers live here:
     sum-of-cubes identities behind the Fermat-curve description of the
     eight nontrivial character cubics, the split members as products of
     line triples, and the singular parameter locus lam^3 = -27;
-  * the group law on a smooth member with origin (0,1,-1), implemented
-    twice: a field-generic chord-tangent route that restricts the cubic
-    to a parametrized line and divides out known roots by explicit
-    polynomial division, and a modular fast route that adds whole int64
-    arrays of points row by row by the Hessian addition law, used for
-    torsion counting and group structure;
+  * the group law on a smooth member over F_p with origin (0,1,-1): a
+    modular route that adds whole int64 arrays of points row by row by
+    the Hessian addition law (the tests check it against an independent
+    chord-tangent law);
   * torsion arithmetic over small prime fields: point enumeration,
-    n-torsion extraction, group invariants, and the set identities
-    3r+2q = c on the diagonal;
+    point orders, group invariants and generators, and the set
+    identities 3r+2q = c on the diagonal;
   * the 6-secant collinearity criterion, verified on a searched witness
     curve whose 2-, 3- and 5-torsion are all rational.
 
@@ -36,14 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .heisenberg import (
-    TRIANGLE_LINES,
-    _cross,
-    character_decomposition,
-    iota3_on_point,
-    iota3_on_polynomial,
-    projective_normalize,
-)
+from .heisenberg import TRIANGLE_LINES, character_decomposition, iota3_on_polynomial
 from .checks import Checks
 from .multipoly import MultiPoly
 from .scalars import (DEFAULT_PRIMES, EPS3, Cyclo, Fp, _inverse_table,
@@ -81,26 +72,21 @@ def infinity_member_polynomial(one) -> MultiPoly:
     return MultiPoly(VARS3, {(1, 1, 1): one}, one)
 
 
-# -- curves and points -------------------------------------------------
+# -- curves ------------------------------------------------------------
 
 
 class PlaneCubic:
     """A member of the pencil with origin (0,1,-1), which lies on every
-    member; lam None is the member at infinity, x0*x1*x2."""
+    member; lam None is the member at infinity, x0*x1*x2, which is
+    singular and carries only incidence data."""
 
-    __slots__ = ("f", "origin", "one", "lam", "_smooth", "_points",
-                 "_maps", "_orders")
+    __slots__ = ("f", "origin", "one", "lam", "_points", "_maps", "_orders")
 
     def __init__(self, lam, one):
         self.one = one
         self.lam = lam
-        if lam is None:
-            # singular; carries no group law, only incidence data
-            self.f = infinity_member_polynomial(one)
-            self._smooth = False
-        else:
-            self.f = hesse_polynomial(lam, one)
-            self._smooth = lam ** 3 + 27 != self.f.zero_coeff
+        self.f = (infinity_member_polynomial(one) if lam is None
+                  else hesse_polynomial(lam, one))
         self.origin = (one * 0, one, -one)
         self._points = None
         self._maps = None
@@ -114,9 +100,6 @@ class PlaneCubic:
     def infinity_member(cls, one) -> "PlaneCubic":
         return cls(None, one)
 
-    def is_smooth(self) -> bool:
-        return self._smooth
-
     def fp_params(self) -> tuple[int, int]:
         """(lam, p) as plain integers; only for finite members over F_p."""
         if not isinstance(self.one, Fp) or self.lam is None:
@@ -129,183 +112,8 @@ class PlaneCubic:
             self._points = _fp_enumerate_hesse(*self.fp_params())
         return self._points
 
-    def int_points(self) -> list[tuple[int, int, int]]:
-        """Sorted normalized coordinate triples of all F_p points."""
-        return [tuple(row) for row in self.point_array().tolist()]
-
-    def points(self) -> list["CubicCurvePoint"]:
-        return [CubicCurvePoint(self, pt) for pt in self.int_points()]
-
-    def point(self, coords) -> "CubicCurvePoint":
-        return CubicCurvePoint(self, coords)
-
     def __repr__(self) -> str:
         return "PlaneCubic(%s, origin=%r)" % (self.f.render(), self.origin)
-
-
-class CubicCurvePoint:
-    """A projective point stored normalized, pinned to its curve."""
-
-    __slots__ = ("curve", "coords")
-
-    def __init__(self, curve: PlaneCubic, coords: Sequence):
-        one = curve.one
-        coords = tuple(one * c if isinstance(c, int) else c for c in coords)
-        if len(coords) != 3:
-            raise ValueError("a plane point needs 3 coordinates")
-        coords = projective_normalize(coords)
-        if curve.f.eval_at(coords) != curve.f.zero_coeff:
-            raise ValueError("point %r does not satisfy the cubic" % (coords,))
-        self.curve = curve
-        self.coords = coords
-
-    def int_coords(self) -> tuple[int, int, int]:
-        return tuple(c.v for c in self.coords)
-
-    def is_origin(self) -> bool:
-        return self.coords == self.curve.origin
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CubicCurvePoint):
-            return NotImplemented
-        return self.curve is other.curve and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((id(self.curve), self.coords))
-
-    def __repr__(self) -> str:
-        return "CubicCurvePoint(%s)" % (self.coords,)
-
-
-# -- chord-tangent law, generic route ----------------------------------
-
-
-def _restrict_to_line(f: MultiPoly, a: tuple, r: tuple) -> list:
-    """Binary-form coefficients [c_d0, ..., c_0d] of f(s*a + t*r)."""
-    zero = f.zero_coeff
-    d = f.total_degree()
-    out = [zero] * (d + 1)
-    for mono, c in f.term_items():
-        conv = [f.one]
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                nxt = [zero] * (len(conv) + 1)
-                for k, v in enumerate(conv):
-                    nxt[k] = nxt[k] + v * a[i]
-                    nxt[k + 1] = nxt[k + 1] + v * r[i]
-                conv = nxt
-        for k, v in enumerate(conv):
-            out[k] = out[k] + v * c
-    return out
-
-
-def _divide_out_root(coeffs: list, s0, t0, zero) -> list:
-    """Divide the binary form by the line vanishing at (s0, t0).
-
-    Full synthetic division with the remainder asserted to vanish; no
-    case guessing for multiple contact.
-    """
-    d = len(coeffs) - 1
-    if t0 == zero:
-        if coeffs[0] != zero:
-            raise ArithmeticError("claimed root (1,0) is not a root")
-        return coeffs[1:]
-    q = []
-    prev = zero
-    for i in range(d):
-        prev = (coeffs[i] + s0 * prev) / t0
-        q.append(prev)
-    if coeffs[d] + s0 * prev != zero:
-        raise ArithmeticError("nonzero remainder: (%s,%s) is not a root"
-                              % (s0, t0))
-    return q
-
-
-def _is_zero_vec(v: tuple, zero) -> bool:
-    return all(c == zero for c in v)
-
-
-def _tangent_companion(curve: PlaneCubic, a: tuple) -> tuple:
-    """A second point spanning the tangent line at a."""
-    grad = tuple(curve.f.partial_derivative(v).eval_at(a) for v in VARS3)
-    zero = curve.f.zero_coeff
-    if _is_zero_vec(grad, zero):
-        raise ArithmeticError("singular point %r has no tangent line" % (a,))
-    basis = ((curve.one, zero, zero), (zero, curve.one, zero),
-             (zero, zero, curve.one))
-    for e in basis:
-        r = _cross(grad, e)
-        if _is_zero_vec(r, zero):
-            continue
-        if not _is_zero_vec(_cross(r, a), zero):
-            return r
-    raise ArithmeticError("tangent line at %r could not be spanned" % (a,))
-
-
-def _generic_third(curve: PlaneCubic, a: tuple, b: tuple) -> tuple:
-    """Third intersection of the curve with the line through a and b
-    (tangent line when the points coincide)."""
-    zero = curve.f.zero_coeff
-    same = _is_zero_vec(_cross(a, b), zero)
-    r = _tangent_companion(curve, a) if same else b
-    coeffs = _restrict_to_line(curve.f, a, r)
-    one = curve.one
-    coeffs = _divide_out_root(coeffs, one, zero, zero)          # root at a
-    if same:
-        coeffs = _divide_out_root(coeffs, one, zero, zero)      # double contact
-    else:
-        coeffs = _divide_out_root(coeffs, zero, one, zero)      # root at b
-    ls, lt = coeffs  # remaining linear factor ls*s + lt*t
-    if ls == zero and lt == zero:
-        raise ArithmeticError("line lies in the cubic")
-    s0, t0 = lt, -ls
-    return tuple(s0 * ai + t0 * ri for ai, ri in zip(a, r))
-
-
-def add_points(p: CubicCurvePoint, q: CubicCurvePoint) -> CubicCurvePoint:
-    """The sum with the curve origin as identity: the Hessian-law fast
-    route on a smooth member over F_p, the generic chord-tangent route
-    otherwise (which also refuses mixed curves and singular members)."""
-    curve = p.curve
-    if curve is q.curve and isinstance(curve.one, Fp) and curve.is_smooth():
-        lam, pr = curve.fp_params()
-        row = _fp_add(lam, pr, _rows([p.int_coords()]), _rows([q.int_coords()]))
-        return CubicCurvePoint(curve, row[0].tolist())
-    return add_points_generic(p, q)
-
-
-def add_points_generic(p: CubicCurvePoint, q: CubicCurvePoint) -> CubicCurvePoint:
-    """The line-restriction route regardless of field; dual to add_points."""
-    if p.curve is not q.curve:
-        raise ValueError("points live on different curves")
-    curve = p.curve
-    if not curve.is_smooth():
-        raise ValueError("no group law on a singular cubic")
-    t = _generic_third(curve, p.coords, q.coords)
-    return CubicCurvePoint(
-        curve, _generic_third(curve, projective_normalize(t), curve.origin))
-
-
-def negate_point(p: CubicCurvePoint) -> CubicCurvePoint:
-    """Coordinate swap x1 <-> x2; for origin (0,1,-1) on a pencil member
-    this is the group negation (validated against the chord route in the
-    property suite)."""
-    return CubicCurvePoint(p.curve, iota3_on_point(p.coords))
-
-
-def scalar_multiple(k: int, p: CubicCurvePoint) -> CubicCurvePoint:
-    """k * P by double-and-add through add_points, and on its route."""
-    if k < 0:
-        return scalar_multiple(-k, negate_point(p))
-    acc = p.curve.point(p.curve.origin)
-    base = p
-    while k:
-        if k & 1:
-            acc = add_points(acc, base)
-        if k > 1:
-            base = add_points(base, base)
-        k >>= 1
-    return acc
 
 
 # -- Hessian addition law, modular fast route --------------------------
@@ -534,18 +342,6 @@ def _fp_singular_point(curve: PlaneCubic) -> tuple | None:
 # -- torsion and group structure ---------------------------------------
 
 
-def torsion_points(curve: PlaneCubic, n: int) -> list[CubicCurvePoint]:
-    """All points with n*P = origin, from the full enumeration."""
-    if n < 1:
-        raise ValueError("torsion order must be positive")
-    if not curve.is_smooth():
-        raise ValueError("torsion of a singular cubic")
-    lam, p = curve.fp_params()
-    pts = curve.point_array()
-    hits = pts[_is_origin(_fp_scalar(lam, p, n, pts), p)]
-    return [CubicCurvePoint(curve, pt) for pt in hits.tolist()]
-
-
 def _multiplication_maps(lam: int, p: int, pts: np.ndarray, primes) -> dict:
     """{q: m} with pts[m] = q * pts for each q in primes, pts a member's
     sorted points: one _fp_scalar call per q, its images looked up by
@@ -666,38 +462,31 @@ def _cyclic_span(lam: int, p: int, gen: np.ndarray, n: int) -> np.ndarray:
     return span
 
 
-def group_generators(curve: PlaneCubic) -> list[CubicCurvePoint]:
-    """One or two points generating E(F_p), invariants order (n1, n2):
-    the first point of order n2, then the first point P whose least
-    k with k*P in the span of the first is n1."""
+def group_generators(curve: PlaneCubic) -> list[list[int]]:
+    """One or two coordinate rows generating E(F_p), invariants order
+    (n1, n2): the first point of order n2, then the first point P whose
+    least k with k*P in the span of the first is n1.  Raises
+    ArithmeticError if a row is off the member."""
     lam, p = curve.fp_params()
     pts = curve.point_array()
     n1, n2 = group_structure(curve)["invariants"]
-    gen2 = pts[np.nonzero(_point_orders(curve) == n2)[0][:1]]
-    if n1 == 1:
-        return [CubicCurvePoint(curve, gen2[0].tolist())]
-    cyclic = np.sort(_keys(_cyclic_span(lam, p, gen2, n2), p))
-    # n1 divides the point count, so the curve's maps cover its primes
-    k = _least_multiples(_curve_maps(curve), n1, _sorted_member(_keys(pts, p), cyclic))
-    # the quotient by the order-n2 span has exponent dividing n1, so
-    # n1*P lies in the span for every P
-    if not k.all():
-        raise AssertionError("%d steps left points outside the span of "
-                             "the order-%d generator" % (n1, n2))
-    first = np.nonzero(k == n1)[0]
-    if not len(first):
-        raise AssertionError("no complementary generator found")
-    return [CubicCurvePoint(curve, pts[first[0]].tolist()),
-            CubicCurvePoint(curve, gen2[0].tolist())]
-
-
-def base_points(curve: PlaneCubic) -> list[CubicCurvePoint]:
-    """The 9 common points of all members: coordinate-plane sections."""
-    lam, p = curve.fp_params()
-    pts = [pt for pt in curve.int_points() if 0 in pt]
-    if len(pts) != 9:
-        raise AssertionError("expected 9 base points, found %d" % len(pts))
-    return [CubicCurvePoint(curve, pt) for pt in pts]
+    gens = np.nonzero(_point_orders(curve) == n2)[0][:1]
+    if n1 > 1:
+        cyclic = np.sort(_keys(_cyclic_span(lam, p, pts[gens], n2), p))
+        # n1 divides the point count, so the curve's maps cover its primes
+        k = _least_multiples(_curve_maps(curve), n1, _sorted_member(_keys(pts, p), cyclic))
+        # the quotient by the order-n2 span has exponent dividing n1, so
+        # n1*P lies in the span for every P
+        if not k.all():
+            raise AssertionError("%d steps left points outside the span of "
+                                 "the order-%d generator" % (n1, n2))
+        first = np.nonzero(k == n1)[0]
+        if not len(first):
+            raise AssertionError("no complementary generator found")
+        gens = np.concatenate([first[:1], gens])
+    if _fp_cubic(lam, p, pts[gens]).any():
+        raise ArithmeticError("a generator is not on the member")
+    return pts[gens].tolist()
 
 
 # -- symbolic verifiers ------------------------------------------------
@@ -1201,6 +990,6 @@ def verify_six_secant_criterion(seed: int = 20260824) -> dict:
         "checks": checks.records,
         "witness": {"p": p, "lam": lam, "order": st["order"],
                     "invariants": list(st["invariants"]),
-                    "generators": [g.int_coords() for g in gens]},
+                    "generators": [tuple(g) for g in gens]},
         "trace": search["trace"],
     }

@@ -161,11 +161,6 @@ def _z(a, one) -> tuple:
     return (one * 2, a, -inv_a, -inv_a, a)
 
 
-def z_vector(a) -> tuple:
-    """Entry weights (2, a, -1/a, -1/a, a) shared by both structure matrices."""
-    return _z(*_invertible_modulus(a))
-
-
 def reference_curve_points(a) -> tuple[tuple, tuple]:
     """A point satisfying every quadric, plus its cyclic-shift translate.
 

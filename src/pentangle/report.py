@@ -9,9 +9,11 @@ detail produced by the underlying suite.
 
 Determinism contract: two runs with the same configuration produce
 byte-identical JSON reports except for the elapsed_ms fields, which
-record wall time.  Every randomized suite draws its seed from the run
-seed and the suite name, so claim statuses and witnesses never depend
-on timing, suite selection order, or cache state.
+record wall time, and except that with a cache_dir the scan suite's
+witness reads "(fresh scan)" on the run that fills the cache and
+"(cache)" on a repeat run that reads it.  Every randomized suite draws
+its seed from the run seed and the suite name, so claim statuses never
+depend on timing, suite selection order, or cache state.
 """
 
 from __future__ import annotations

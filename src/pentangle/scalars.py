@@ -493,14 +493,6 @@ def find_root_of_unity(p: int, n: int) -> Fp:
     raise ValueError("no order-%d element found in F_%d" % (n, p))
 
 
-def fraction_mod_p(x: Rat, p: int) -> int:
-    """Image of a rational number in F_p; the denominator must be prime to p."""
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        raise ZeroDivisionError("denominator of %s vanishes mod %d" % (x, p))
-    return x.numerator * pow(x.denominator % p, p - 2, p) % p
-
-
 @lru_cache(maxsize=None)
 def _inverse_table(p: int) -> np.ndarray:
     """Read-only int64 array with inv[x] * x = 1 mod p, and inv[0] = 0:
@@ -541,7 +533,9 @@ def embed_cyclo_in_prime_field(x: Cyclo, p: int, witness_root: Fp) -> Fp:
     wk = 1
     for c in x.coeffs:
         if c:
-            acc = (acc + fraction_mod_p(c, p) * wk) % p
+            if c.denominator % p == 0:
+                raise ZeroDivisionError("denominator of %s vanishes mod %d" % (c, p))
+            acc = (acc + c.numerator * pow(c.denominator, -1, p) * wk) % p
         wk = wk * witness_root.v % p
     return Fp(acc, p)
 

@@ -9,7 +9,7 @@ twist reduction and coefficient expansion.  The lattice quintic reads a
 determinant's coefficients off its values by the package's row
 reduction, a route independent of expanding the determinant over
 coefficient vectors.  The complement steps add points by the package's
-chord-tangent law, a route independent of composing multiplication
+Hessian addition law, a route independent of composing multiplication
 maps.  The two-chord sum adds whole arrays of points over F_p by
 restricting the cubic to chords and tangent lines, a route independent
 of the package's Hessian addition law.  The tuple-keyed polynomial kernels read a polynomial's terms as

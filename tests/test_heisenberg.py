@@ -14,13 +14,10 @@ from pentangle.heisenberg import (
     REFERENCE_CHARACTER_TABLE,
     TRIANGLE_LINES,
     HeisenbergElement,
-    _cross,
     character_decomposition,
     commutator,
     commutator_scalar,
-    iota3_on_point,
     iota3_on_polynomial,
-    projective_normalize,
     validate_character_table,
 )
 from pentangle.multipoly import MultiPoly, scalar_matrix_nullspace
@@ -326,6 +323,18 @@ def test_validate_character_table_computed_entries():
 # -- triangles and fixed points ----------------------------------------
 
 
+def projective_normalize(vec) -> tuple:
+    """Scale a nonzero vector so its first nonzero coordinate is 1."""
+    lead = next(c for c in vec if c != Cyclo(0))
+    return tuple(c / lead for c in vec)
+
+
+def _cross(u, v) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
 def _triangle_vertices(key: tuple[int, int]) -> set:
     """Pairwise intersections of the three lines of a triangle."""
     l1, l2, l3 = TRIANGLE_LINES[key]
@@ -404,13 +413,6 @@ def test_triangle_line_products_are_eigenforms():
             assert ratio ** 3 == 1
 
 
-def test_projective_normalize_guards():
-    with pytest.raises(ValueError):
-        projective_normalize((Cyclo(0), Cyclo(0), Cyclo(0)))
-    assert projective_normalize((Cyclo(0), Cyclo(2), Cyclo(4))) == (
-        Cyclo(0), Cyclo(1), Cyclo(2))
-
-
 # -- plane involution --------------------------------------------------
 
 
@@ -419,9 +421,6 @@ def test_iota3_is_an_involution():
     for _ in range(40):
         f = _random_poly(rng, 3)
         assert iota3_on_polynomial(iota3_on_polynomial(f)) == f
-    p = (Cyclo(1), EPS3, EPS3 ** 2)
-    assert iota3_on_point(iota3_on_point(p)) == p
-    assert iota3_on_point(p) == (Cyclo(1), EPS3 ** 2, EPS3)
 
 
 def test_iota3_swaps_last_two_variables():

@@ -24,7 +24,6 @@ from pentangle.scalars import (
     cyclo_root_of_unity,
     embed_cyclo_in_prime_field,
     find_root_of_unity,
-    fraction_mod_p,
     _inverse_table,
 )
 from pentangle.hessepencil import WITNESS_PRIMES
@@ -204,9 +203,12 @@ def test_embed_is_ring_homomorphism_random():
 
 
 def test_fraction_mod_p():
-    assert fraction_mod_p(Fraction(1, 9), 31) == pow(9, 29, 31)
+    # the embedding reduces each rational coefficient n/d to n * d^-1 mod p
+    w = find_root_of_unity(31, 15)
+    assert embed_cyclo_in_prime_field(Cyclo(Fraction(1, 9)), 31, w) == pow(9, 29, 31)
+    assert embed_cyclo_in_prime_field(Cyclo(Fraction(-2, 9)), 31, w) == -2 * pow(9, 29, 31) % 31
     with pytest.raises(ZeroDivisionError):
-        fraction_mod_p(Fraction(1, 31), 31)
+        embed_cyclo_in_prime_field(Cyclo(Fraction(1, 31)), 31, w)
 
 
 # -- rational functions ------------------------------------------------
