@@ -80,14 +80,13 @@ class PlaneCubic:
     member; lam None is the member at infinity, x0*x1*x2, which is
     singular and carries only incidence data."""
 
-    __slots__ = ("f", "origin", "one", "lam", "_points", "_maps", "_orders")
+    __slots__ = ("f", "one", "lam", "_points", "_maps", "_orders")
 
     def __init__(self, lam, one):
         self.one = one
         self.lam = lam
         self.f = (infinity_member_polynomial(one) if lam is None
                   else hesse_polynomial(lam, one))
-        self.origin = (one * 0, one, -one)
         self._points = None
         self._maps = None
         self._orders = None
@@ -113,7 +112,7 @@ class PlaneCubic:
         return self._points
 
     def __repr__(self) -> str:
-        return "PlaneCubic(%s, origin=%r)" % (self.f.render(), self.origin)
+        return "PlaneCubic(%s)" % self.f.render()
 
 
 # -- Hessian addition law, modular fast route --------------------------

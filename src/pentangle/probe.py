@@ -82,20 +82,45 @@ def _z_residues(p: int, a: int) -> tuple[int, int, int, int, int]:
 def _quadric_values(x, p: int, a: int) -> list:
     """Values of the five quadrics; works on int tuples and numpy stacks.
 
-    For coordinates below p every product is of two residues below p, so
-    no intermediate value reaches 2*p**2 in magnitude.
+    For coordinates below p a value is reduced once, from under 3*p**3 in
+    magnitude: 4.2*10**7 at p=241, the largest supported prime.
     """
     inva = pow(a, p - 2, p)
-    return [(x[i] * x[i] + a * x[(i + 2) % 5] % p * x[(i + 3) % 5]
-             - inva * x[(i + 1) % 5] % p * x[(i + 4) % 5]) % p for i in range(5)]
+    return [(x[i] * x[i] + a * x[(i + 2) % 5] * x[(i + 3) % 5]
+             - inva * x[(i + 1) % 5] * x[(i + 4) % 5]) % p for i in range(5)]
+
+
+def _residue_index(values, p: int) -> np.ndarray:
+    """Residues below p as an index array; a value outside [0, p) raises,
+    where numpy would wrap a negative index.  Under the unsigned view a
+    negative value reads as at least 2**63, so one maximum tests both."""
+    index = np.asarray(values, dtype=np.intp)
+    if index.size and index.view(np.uintp).max() >= p:
+        raise ValueError(f"index values must be residues in [0, {p})")
+    return index
+
+
+def _residue_products(v, z, p: int) -> list:
+    """products[t][k] = z[t] * v[k] mod p, ints for five ints and arrays
+    for a (5, ...) stack, gathered from the (5, p) table of z_t * u mod p,
+    each reduced from under p**2 (5.9*10**4 at p=241)."""
+    table = np.array(z, dtype=np.int64)[:, None] * np.arange(p, dtype=np.int64) % p
+    index = _residue_index(v, p)
+    if not isinstance(v, np.ndarray):
+        table, index = table.tolist(), index.tolist()
+    return [[row[k] for k in index] for row in table]
 
 
 def _structure_rows(y, z, p: int) -> list:
-    return [[y[(i + j) % 5] * z[(i - j) % 5] % p for j in range(5)] for i in range(5)]
+    """Entry (i, j) is y[(i+j)%5] * z[(i-j)%5] mod p."""
+    products = _residue_products(y, z, p)
+    return [[products[(i - j) % 5][(i + j) % 5] for j in range(5)] for i in range(5)]
 
 
 def _dual_rows(x, z, p: int) -> list:
-    return [[z[(2 * i - m) % 5] * x[(m - i) % 5] % p for m in range(5)] for i in range(5)]
+    """Entry (i, m) is z[(2i-m)%5] * x[(m-i)%5] mod p."""
+    products = _residue_products(x, z, p)
+    return [[products[(2 * i - m) % 5][(m - i) % 5] for m in range(5)] for i in range(5)]
 
 
 def _times(rows, vec, p: int) -> tuple:
@@ -110,7 +135,9 @@ def _laplace(rows, p: int, products):
     Stage ``d`` holds the minors of rows ``0..d`` for every column subset,
     so each minor is computed once.  ``products(d, pairs)`` yields the
     product of each (entry of row d, minor of stage d - 1) pair, in order;
-    a minor sums its terms with alternating signs and is reduced mod p.
+    a minor sums its terms with alternating signs.  Minors stay unreduced
+    and only the determinant is reduced mod p, the delayed reduction of
+    Dumas, Giorgi and Pernet (ACM TOMS 35(3), 2008).
     """
     n = len(rows)
     cols = tuple(range(n))
@@ -125,16 +152,17 @@ def _laplace(rows, p: int, products):
             for pos in range(depth + 1):
                 term = next(terms)
                 acc = acc + term if (depth + pos) % 2 == 0 else acc - term
-            staged[sub] = acc % p
+            staged[sub] = acc
         minors = staged
-    return minors[cols]
+    return minors[cols] % p
 
 
 def _det_staged(rows, p: int):
     """Determinant of a matrix of ints or of numpy arrays of residues below
-    p, by ``_laplace``, one product at a time.  Each stage sums at most
-    five products of residues below p and then reduces, so every sum stays
-    below 5*p**2 in magnitude."""
+    p, by ``_laplace``, one product at a time.  A stage-d minor is a
+    (d+1)x(d+1) determinant of residues, below (d+1)!*p**(d+1) in
+    magnitude, so the unreduced 5x5 determinant stays below 5!*p**5:
+    under 9.8*10**13 at p=241, the largest supported prime."""
     return _laplace(rows, p, lambda depth, pairs: (entry * minor for entry, minor in pairs))
 
 
@@ -145,10 +173,11 @@ def _det_forms(rows, p: int) -> np.ndarray:
     An entry is a coefficient vector over ``monomials(1, 5)[::-1]``, so the
     rows at ``_lattice(1)`` of ``_structure_rows`` or ``_dual_rows`` are the
     matrix.  Each stage of ``_laplace`` is one ``_multiply`` of its minors,
-    of degree d, by their entries over ``_product_table(d, 1)``: a
-    coefficient sums at most 5 products of residues before it is reduced,
-    under 3*10**5 at p=241, the largest supported prime, and a minor at
-    most five reduced terms.
+    of degree d, by their entries over ``_product_table(d, 1)``, which
+    reduces each product.  A minor sums at most four such terms, so a
+    coefficient of a product sums at most 5 products of a value below
+    4*p in magnitude and a residue: under 1.2*10**6 at p=241, the largest
+    supported prime.
     """
     def products(depth, pairs):
         entries, minors = zip(*pairs)
@@ -345,15 +374,20 @@ def _determinant_slabs(p: int, z):
     ``_CHUNK // 16 // p`` heads, the quintic's terms in y3**l * y4**k have
     36 coefficients, forms in (y0, y1, y2) evaluated at every slab head.
     One product with the (6, p) table of t**d mod p expands them over every
-    y3, a second over every y4.  A coefficient sums at most 21 products of
-    residues below p, a value at most 6, and a monomial takes a product of
-    three residues before its reduction; the table holds t**5 < 10**12 at
-    p=241, the largest supported prime.
+    y3, a second over every y4.  Only the 26 twist-invariant monomials are
+    evaluated, once the check has passed.  A head monomial is a product of
+    three residues, reduced; a coefficient then sums at most 26 products
+    of two residues, a value over y3 six products of that and a residue,
+    and over y4 six more, so the one reduction after them sees under
+    936*p**4: under 3.2*10**12 at p=241, the largest supported prime,
+    where the table holds t**5 < 8.2*10**11 before its reduction.
     """
     quintic = _det_forms(_structure_rows(_lattice(1), z, p), p)
     exponents = _lattice(5)
-    if np.any(quintic[np.arange(5) @ exponents % 5 != 0]):
+    invariant = np.arange(5) @ exponents % 5 == 0
+    if np.any(quintic[~invariant]):
         raise ArithmeticError(f"the structure quintic over F_{p} is not twist invariant")
+    quintic, exponents = quintic[invariant], exponents[:, invariant]
     # tails[m, l, k]: the coefficient of monomial m if it ends in y3**l * y4**k
     tails = np.zeros((len(quintic), 6, 6), dtype=np.int64)
     tails[np.arange(len(quintic)), exponents[3], exponents[4]] = quintic
@@ -361,9 +395,9 @@ def _determinant_slabs(p: int, z):
 
     def values(heads):
         """The quintic at (heads[:, s] : y3 : y4), as an (n, p, p) array."""
-        heads_powers = powers[exponents[:3, :, None], heads[:, None]].prod(axis=0) % p
-        coeffs = np.tensordot(heads_powers, tails, axes=(0, 0)) % p
-        return powers.T @ coeffs % p @ powers % p
+        index = _residue_index(heads, p)
+        heads_powers = powers[exponents[:3, :, None], index[:, None]].prod(axis=0) % p
+        return powers.T @ np.tensordot(heads_powers, tails, axes=(0, 0)) @ powers % p
 
     # least[v]: v is the least of its class v * eps**j; least[0] keeps the fixed heads
     eps = find_root_of_unity(p, 5).v
@@ -371,7 +405,8 @@ def _determinant_slabs(p: int, z):
     heads = np.concatenate(list(_chart_blocks(p, 3)), axis=1)
     nonzero = heads != 0
     moved = np.where(nonzero & (nonzero.cumsum(axis=0) == 2), heads, 0).sum(axis=0)
-    heads, weights = heads[:, least[moved]], np.where(moved[least[moved]], 5, 1)
+    kept = least[_residue_index(moved, p)]
+    heads, weights = heads[:, kept], np.where(moved[kept], 5, 1)
 
     one = np.ones(1, dtype=np.int64)
     corner = values(np.zeros((3, 1), dtype=np.int64))[0]
@@ -743,11 +778,10 @@ def _independent_pairs(rng: random.Random, p: int, count: int) -> np.ndarray:
 def _low_rank_census(points, weights, z, p: int) -> dict:
     """The total weight of the structure matrices at a (5, n) stack with
     each rank below four, ``weights[k]`` that of point k.  Those have every
-    4x4 minor zero, so the one off row and column zero, from its 16
-    entries, prunes the stack before it is reduced."""
-    minor = [[points[(i + j) % 5] * z[(i - j) % 5] % p for j in range(1, 5)]
-             for i in range(1, 5)]
-    kept = _det_staged(minor, p) == 0
+    4x4 minor zero, so the one off row and column zero of the structure
+    rows prunes the stack before it is reduced; unreduced it stays below
+    4!*p**4, under 8.1*10**10 at p=241, the largest supported prime."""
+    kept = _det_staged([row[1:] for row in _structure_rows(points, z, p)[1:]], p) == 0
     ranks = _rref_stack(_structure_rows(points[:, kept], z, p), p)[1].sum(axis=1)
     low = ranks < 4
     return Counter(np.repeat(ranks[low], weights[kept][low]).tolist())

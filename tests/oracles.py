@@ -3,12 +3,14 @@ the package against.  Plain exact arithmetic over the coefficient field,
 one scalar operation at a time, with none of the package's batching or
 staging, with these exceptions.  The rank mask tests every 4x4 minor
 with the package's staged determinant, a route independent of row
-reduction.  The singular directions evaluate that staged determinant at
-every point of projective space, a route independent of the full scan's
-twist reduction and coefficient expansion.  The lattice quintic reads a
-determinant's coefficients off its values by the package's row
-reduction, a route independent of expanding the determinant over
-coefficient vectors.  The complement steps add points by the package's
+reduction.  The structure and dual rows are their closed forms, one
+product and one `% p` per entry, a route independent of the package's
+gather from a table of products.  The singular directions evaluate the
+staged determinant of those rows at every point of projective space, a
+route independent of the full scan's twist reduction and coefficient
+expansion.  The lattice quintic reads a determinant's coefficients off
+its values by the package's row reduction, a route independent of
+expanding the determinant over coefficient vectors.  The complement steps add points by the package's
 Hessian addition law, a route independent of composing multiplication
 maps.  The two-chord sum adds whole arrays of points over F_p by
 restricting the cubic to chords and tangent lines, a route independent
@@ -27,8 +29,7 @@ from pentangle.hessepencil import (_cyclic_span, _fp_add, _fp_cubic, _fp_normali
                                    _fp_origin, _keys, _point_orders,
                                    _sorted_member, group_structure)
 from pentangle.multipoly import MultiPoly
-from pentangle.probe import (_chart_blocks, _coefficients, _det_staged, _lattice,
-                             _structure_rows)
+from pentangle.probe import _chart_blocks, _coefficients, _det_staged, _lattice
 from pentangle.scalars import cyclo_root_of_unity
 
 
@@ -97,11 +98,21 @@ def rank_at_most_three_mask(rows, p: int):
     return mask
 
 
+def structure_rows(y, z, p: int) -> list:
+    """The structure matrix at y, of ints or of stacks, by its closed form."""
+    return [[y[(i + j) % 5] * z[(i - j) % 5] % p for j in range(5)] for i in range(5)]
+
+
+def dual_rows(x, z, p: int) -> list:
+    """The dual matrix at x, of ints or of stacks, by its closed form."""
+    return [[z[(2 * i - m) % 5] * x[(m - i) % 5] % p for m in range(5)] for i in range(5)]
+
+
 def singular_directions(p: int, z) -> np.ndarray:
     """The unreduced evaluation: the (5, n) stack of every normalised point
     of projective four-space over F_p at which the structure determinant
     vanishes, each point evaluated on its own."""
-    return np.concatenate([block[:, _det_staged(_structure_rows(block, z, p), p) == 0]
+    return np.concatenate([block[:, _det_staged(structure_rows(block, z, p), p) == 0]
                            for block in _chart_blocks(p)], axis=1)
 
 
@@ -122,8 +133,8 @@ def chord_sample(rng, points, p: int) -> tuple:
 
 def lattice_quintic(rows, z, p: int) -> np.ndarray:
     """The coefficient vector over monomials(5, 5)[::-1] of the determinant
-    of ``rows(x, z, p)``, the structure or the dual rows, read off its
-    values on the quintic lattice by one solve."""
+    of ``rows(x, z, p)``, ``structure_rows`` or ``dual_rows``, read off
+    its values on the quintic lattice by one solve."""
     return _coefficients(_det_staged(rows(_lattice(5), z, p), p), 5, p)
 
 

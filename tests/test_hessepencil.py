@@ -18,7 +18,6 @@ import pytest
 
 from pentangle.hessepencil import (
     RECORDED_TRIANGLE_LAMBDAS,
-    SINGULAR_LAMBDAS,
     WITNESS_PRIMES,
     PlaneCubic,
     find_torsion_witness,

@@ -9,7 +9,6 @@ import pytest
 from pentangle.moore import (
     AVARS_X,
     AVARS_Y,
-    MooreMatrices,
     VARS_X,
     VARS_Y,
     _fifth_root_scalar,

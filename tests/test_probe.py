@@ -30,8 +30,8 @@ from pentangle.multipoly import MultiPoly, monomials, scalar_matrix_nullspace, s
 from pentangle.report import make_config, run, suite_seed
 from pentangle.scalars import Fp, _inverse_table, _normalize_mod_p, find_root_of_unity
 
-from oracles import (chord_sample, incidence_residual, lattice_quintic,
-                     rank_at_most_three_mask, singular_directions)
+from oracles import (chord_sample, dual_rows, incidence_residual, lattice_quintic,
+                     rank_at_most_three_mask, singular_directions, structure_rows)
 
 SEED = 20260824
 ROOT = Path(__file__).resolve().parent.parent
@@ -280,16 +280,40 @@ def test_staged_determinant_matches_gaussian_oracle():
         for _ in range(10):
             rows = [[rng.randrange(p) for _ in range(4)] for _ in range(4)]
             assert probe._det_staged(rows, p) == _det_gauss(rows, p)
-    # on int64 stacks every stage sums at most five products of residues;
-    # at p=241, the largest supported prime, with all-(p-1) rows among them
+    # on int64 stacks the minors stay unreduced and only the determinant is
+    # reduced, so it reaches its largest magnitude there; at p=241, the
+    # largest supported prime, with all-(p-1) rows among the cases and the
+    # 0/(p-1) matrices of the largest |det|: 5 is the largest determinant
+    # of a 0/1 matrix of order five, so theirs is 5*(p-1)**5 in magnitude
     p = 241
+    extreme = [[[0, 1, 1, 0, 0], [1, 0, 1, 0, 1], [1, 1, 0, 1, 0], [0, 0, 1, 1, 1],
+                [0, 1, 0, 0, 1]],
+               [[1, 1, 1, 1, 0], [1, 0, 1, 0, 1], [1, 0, 0, 1, 1], [1, 1, 0, 0, 1],
+                [0, 1, 1, 1, 1]]]
+    extreme = [[[(p - 1) * v for v in row] for row in m] for m in extreme]
+    extreme += [m[1::-1] + m[2:] for m in extreme]
+    assert sorted(map(_leibniz, extreme)) == [-5 * (p - 1) ** 5] * 2 + [5 * (p - 1) ** 5] * 2
     matrices = [[[p - 1] * 5 for _ in range(5)],
-                [[p - 1 if r != c else 1 for c in range(5)] for r in range(5)]]
+                [[p - 1 if r != c else 1 for c in range(5)] for r in range(5)]] + extreme
     matrices += [[[rng.randrange(p) for _ in range(5)] for _ in range(5)]
                  for _ in range(200)]
     stack = [[np.array([m[r][c] for m in matrices], dtype=np.int64)
               for c in range(5)] for r in range(5)]
-    assert probe._det_staged(stack, p).tolist() == [_det_gauss(m, p) for m in matrices]
+    expected = [_det_gauss(m, p) for m in matrices]
+    # the Python-int route, the exact integer determinant and the int64 stack
+    assert [probe._det_staged(m, p) for m in matrices] == expected
+    assert [_leibniz(m) % p for m in matrices] == expected
+    assert probe._det_staged(stack, p).tolist() == expected
+
+
+def _leibniz(rows):
+    """The determinant over the integers, unreduced, summed over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(row[c] for row, c in zip(rows, perm))
+    return total
 
 
 def _python_int_determinant(rows):
@@ -314,8 +338,9 @@ def _python_int_determinant(rows):
 
 
 def test_form_determinant_matches_python_int_expansion():
-    # a coefficient sums at most 5 products of residues per stage; checked
-    # at p=241, the largest supported prime, with all-(p-1) linear forms
+    # a coefficient sums at most 5 products of a minor's coefficient and a
+    # residue per stage, and minors sum unreduced terms; checked at p=241,
+    # the largest supported prime, with all-(p-1) linear forms
     p = 241
     rng = random.Random(SEED)
     z = probe._z_residues(p, 1)
@@ -338,9 +363,39 @@ def test_form_determinant_matches_lattice_solve(p):
     # modulus the default run uses
     for a in probe.admissible_moduli(p):
         z = probe._z_residues(p, a)
-        for rows in (probe._structure_rows, probe._dual_rows):
+        for rows, oracle in ((probe._structure_rows, structure_rows),
+                             (probe._dual_rows, dual_rows)):
             assert np.array_equal(probe._det_forms(rows(probe._lattice(1), z, p), p),
-                                  lattice_quintic(rows, z, p))
+                                  lattice_quintic(oracle, z, p))
+
+
+@pytest.mark.parametrize("rows, oracle", [(probe._structure_rows, structure_rows),
+                                          (probe._dual_rows, dual_rows)])
+def test_row_builders_match_closed_form(rows, oracle):
+    # the table gather against one product and one reduction per entry, on
+    # ints and on stacks, with coordinates p-1 among the cases; at p=241,
+    # the largest supported prime, the determinants of the gathered stacks
+    # match the closed form's too.  An input outside [0, p) raises.
+    rng = random.Random(SEED)
+    for p in (31, 241):
+        z = probe._z_residues(p, 1)
+        points = [(p - 1,) * 5, (0, 0, 0, 0, p - 1)]
+        points += [probe._random_point(rng, p) for _ in range(60)]
+        for point in points:
+            built = rows(point, z, p)
+            assert built == oracle(point, z, p)
+            assert all(type(entry) is int for row in built for entry in row)
+        stack = np.array(points, dtype=np.int64).T
+        built = rows(stack, z, p)
+        assert all(entry.dtype == np.int64 for row in built for entry in row)
+        assert np.array_equal(np.array(built), np.array(oracle(stack, z, p)))
+        assert np.array_equal(probe._det_staged(built, p),
+                              probe._det_staged(oracle(stack, z, p), p))
+        for bad in ((0, 0, 0, 0, p), (1, 2, -1, 0, 0)):
+            with pytest.raises(ValueError):
+                rows(bad, z, p)
+            with pytest.raises(ValueError):
+                rows(np.array(bad, dtype=np.int64)[:, None], z, p)
 
 
 def test_monomial_matrix_matches_python_ints():
@@ -498,10 +553,10 @@ def test_low_rank_census_matches_minor_oracle(a):
     z = probe._z_residues(p, a)
     points = singular_directions(p, z)
     assert points.shape[1] == 25000
-    mask = rank_at_most_three_mask(probe._structure_rows(points, z, p), p)
+    mask = rank_at_most_three_mask(structure_rows(points, z, p), p)
     expected = {}
     for y in points[:, mask].T.tolist():
-        rank = len(probe._rref_mod_p(probe._structure_rows(y, z, p), p)[1])
+        rank = len(probe._rref_mod_p(structure_rows(y, z, p), p)[1])
         expected[rank] = expected.get(rank, 0) + 1
     assert expected == {3: 25}
     ones = np.ones(points.shape[1], dtype=np.int64)
@@ -548,8 +603,7 @@ def test_sliced_full_scan_matches_staged_determinant(a):
         for j in range(5):
             points = _twisted(block[:, orbit], j, p) if j else block
             expected = values[orbit] if j else values
-            assert np.array_equal(expected,
-                                  probe._det_staged(probe._structure_rows(points, z, p), p))
+            assert np.array_equal(expected, probe._det_staged(structure_rows(points, z, p), p))
             # normalised: the first nonzero coordinate of every point is one
             lead = points[np.argmax(points != 0, axis=0), np.arange(points.shape[1])]
             assert np.all(lead == 1)
@@ -562,15 +616,28 @@ def test_sliced_full_scan_matches_staged_determinant(a):
 
 def test_full_scan_slabs_at_largest_prime():
     # the power table holds t**5 for t < p before its reduction, and a value
-    # sums six products of residues: checked on the first slabs at p=241
+    # is reduced once, below 936*p**4: checked on the first slabs at p=241
     p = 241
     z = probe._z_residues(p, 1)
     slabs = probe._determinant_slabs(p, z)
     for base, dets, _ in itertools.islice(slabs, 3):
         block = _slab_points(base, dets)
         assert dets.size <= probe._CHUNK
-        assert np.array_equal(dets.T.ravel(),
-                              probe._det_staged(probe._structure_rows(block, z, p), p))
+        assert np.array_equal(dets.T.ravel(), probe._det_staged(structure_rows(block, z, p), p))
+
+
+def test_full_scan_values_match_every_monomial():
+    # the slabs evaluate the 26 twist-invariant monomials only; on p=31
+    # slabs their values equal those of all 126 monomials of the quintic
+    p = 31
+    z = probe._z_residues(p, 2)
+    quintic = probe._det_forms(probe._structure_rows(probe._lattice(1), z, p), p)
+    invariant = np.arange(5) @ probe._lattice(5) % 5 == 0
+    assert np.count_nonzero(invariant) == 26
+    assert np.array_equal(np.flatnonzero(quintic), np.flatnonzero(invariant))
+    for base, dets, _ in itertools.islice(probe._determinant_slabs(p, z), 4):
+        block = _slab_points(base, dets)
+        assert np.array_equal(dets.T.ravel(), probe._monomial_matrix(block, 5, p) @ quintic % p)
 
 
 def test_full_scan_rejects_a_quintic_that_is_not_twist_invariant(monkeypatch):
