@@ -397,7 +397,9 @@ def _determinant_slabs(p: int, z):
         """The quintic at (heads[:, s] : y3 : y4), as an (n, p, p) array."""
         index = _residue_index(heads, p)
         heads_powers = powers[exponents[:3, :, None], index[:, None]].prod(axis=0) % p
-        return powers.T @ np.tensordot(heads_powers, tails, axes=(0, 0)) @ powers % p
+        out = powers.T @ np.tensordot(heads_powers, tails, axes=(0, 0)) @ powers
+        out %= p
+        return out
 
     # least[v]: v is the least of its class v * eps**j; least[0] keeps the fixed heads
     eps = find_root_of_unity(p, 5).v
@@ -933,18 +935,25 @@ def _monomial_matrix(stack, d: int, p: int) -> np.ndarray:
     Row k holds the monomials at point k, so a form's values are
     ``M @ coeffs % p``.  One (d + 1, 5, n) table holds every power of
     every coordinate, reduced mod p, and a monomial is the product of the
-    five entries its exponents, the columns of ``_lattice(d)``, pick:
-    below p**5 before its reduction, under 8.2*10**11 at p=241, the
-    largest supported prime.  A form of degree at most 6 has at most 210
-    monomials, so each entry of ``M @ coeffs`` sums at most 210 products
-    of residues below p and stays below 210*p**2: under 1.3*10**7 at
-    p=241, far inside int64.
+    five entries its exponents, the columns of ``_lattice(d)``, pick.
+    The (n_d, n) values of the n_d monomials are multiplied in place, one
+    coordinate's gathered (n_d, n) factor at a time, the largest
+    temporary; a value stays below p**5 before its one reduction, under
+    8.2*10**11 at p=241, the largest supported prime.  A form of degree
+    at most 6 has at most 210 monomials, so each entry of ``M @ coeffs``
+    sums at most 210 products of residues below p and stays below
+    210*p**2: under 1.3*10**7 at p=241, far inside int64.
     """
     stack = np.asarray(stack, dtype=np.int64) % p
     powers = np.ones((d + 1,) + stack.shape, dtype=np.int64)
     for e in range(d):
         powers[e + 1] = powers[e] * stack % p
-    return powers[_lattice(d), np.arange(5)[:, None]].prod(axis=0).T % p
+    exponents = _lattice(d)
+    values = powers[exponents[0], 0]
+    for i in range(1, 5):
+        values *= powers[exponents[i], i]
+    values %= p
+    return values.T
 
 
 def _coefficients(values, d: int, p: int) -> np.ndarray:

@@ -71,3 +71,14 @@ def test_directions_are_the_declared_end_to_end_metrics():
     assert ab_bench.better_directions() == {"run_s": "lower", "setup_s": "lower",
                                             "peak_rss_mb": "lower",
                                             "claim_pass_ratio": "higher"}
+
+
+def test_pairs_rotate_through_three_path_lengths():
+    # perfbench's peak_rss_mb moves with the checkout path's length: both
+    # sides of a pair share one length, and the pairs use three
+    rotation = ab_bench.pair_targets(Path("work"))
+    lengths = [{side: len(str(path)) for side, path in targets.items()}
+               for targets in rotation]
+    assert all(sizes["before"] == sizes["after"] for sizes in lengths)
+    assert len({sizes["before"] for sizes in lengths}) == 3
+    assert len({path for targets in rotation for path in targets.values()}) == 6

@@ -404,12 +404,16 @@ def test_monomial_matrix_matches_python_ints():
     p = 241
     rng = random.Random(SEED)
     points = [(p - 1,) * 5] + [tuple(rng.randrange(p) for _ in range(5)) for _ in range(40)]
-    stack = np.array(points, dtype=np.int64).T
-    for d in (3, 5, 6):
+    # the (5, 1) column is the shape CremonaWitness.apply_inverse passes
+    for chosen, d in itertools.product((points, points[:1]), (0, 1, 2, 3, 5, 6)):
         exponents = monomials(d, 5)[::-1]
-        matrix = probe._monomial_matrix(stack, d, p)
+        # entries shifted by p: the kernel reduces and multiplies in place,
+        # so it must do so on copies and hand the input back unchanged
+        given = np.array(chosen, dtype=np.int64).T + p
+        matrix = probe._monomial_matrix(given, d, p)
+        assert given.tolist() == [[x + p for x in column] for column in zip(*chosen)]
         expected = [[prod(pow(x, e, p) for x, e in zip(pt, mono)) % p for mono in exponents]
-                    for pt in points]
+                    for pt in chosen]
         assert matrix.tolist() == expected
         coeffs = [p - 1] * len(exponents)
         values = (matrix @ np.array(coeffs, dtype=np.int64) % p).tolist()
@@ -1303,23 +1307,20 @@ def test_scan_budgets():
     assert time.monotonic() - start < 60.0
 
 
-def test_incidence_full_scan_memory_stays_modest():
-    """One process scans p=31, runs the full incidence scan, then scans
-    p=61; chart slabs bound its peak resident set, which grows by about
-    2.4 MB over its value after import.  The child reads its peak from
-    VmHWM, which exec resets: ru_maxrss keeps the high-water mark of the
-    spawning pytest process across exec on Linux."""
+def _peak_growth_in_child(body: str) -> tuple:
+    """Run ``body`` in a fresh interpreter after ``from pentangle import
+    probe, report``; return its printed lines and the growth, in KB, of
+    its peak resident set over the value after import.  The child reads
+    its peak from VmHWM, which exec resets: ru_maxrss keeps the
+    high-water mark of the spawning pytest process across exec on Linux."""
     script = (
-        "from pentangle import probe\n"
+        "from pentangle import probe, report\n"
         "def peak_kb():\n"
         "    with open('/proc/self/status') as status:\n"
         "        return next(int(line.split()[1]) for line in status\n"
         "                    if line.startswith('VmHWM:'))\n"
         "before = peak_kb()\n"
-        "report = probe.certify_incidence(probe.scan_curve(31, 2))\n"
-        "probe.scan_curve(61, 1)\n"
-        "for check in report['checks'][-2:]:\n"
-        "    print(check['detail'])\n"
+        + body +
         "print(before)\n"
         "print(peak_kb())\n"
     )
@@ -1329,11 +1330,38 @@ def test_incidence_full_scan_memory_stays_modest():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, env=env, timeout=300)
     assert result.returncode == 0, result.stderr
-    density, census, before_kb, peak_kb = result.stdout.splitlines()
+    *lines, before_kb, peak_kb = result.stdout.splitlines()
+    assert int(peak_kb) < 150 * 1024
+    return lines, int(peak_kb) - int(before_kb)
+
+
+def test_incidence_full_scan_memory_stays_modest():
+    """One process scans p=31, runs the full incidence scan, then scans
+    p=61; chart slabs, reduced in place, bound its peak resident set,
+    which grew by 2 072-2 128 KB over its value after import (2 212-2 276
+    KB when each slab's reduction allocated a second slab)."""
+    (density, census), growth = _peak_growth_in_child(
+        "checks = probe.certify_incidence(probe.scan_curve(31, 2))['checks']\n"
+        "probe.scan_curve(61, 1)\n"
+        "for check in checks[-2:]:\n"
+        "    print(check['detail'])\n")
     assert "25000 singular directions among 954305" in density
     assert "25 rank-three directions" in census
-    assert int(peak_kb) < 150 * 1024
-    assert int(peak_kb) - int(before_kb) < 6 * 1024
+    assert growth < 3 * 1024
+
+
+def test_curve_suites_memory_growth():
+    """The four curve suites at p=31 and 61 grew the peak resident set by
+    2 452-2 628 KB over its value after import.  The Cremona round trip
+    sets the peak: its degree-5 monomial values at 500 points are
+    multiplied in place, one coordinate at a time; gathering their
+    (5, 126, 500) factor cube first grew the peak by 4 504-4 888 KB."""
+    (summary,), growth = _peak_growth_in_child(
+        "config = report.make_config(primes=(31, 61), a_values='auto', seed=42,\n"
+        "                            suites=('scan', 'secants', 'incidence', 'cremona'))\n"
+        "print(report.run(config)['summary']['fail'])\n")
+    assert summary == "0"
+    assert growth < 3.5 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,18 @@ Usage:
 
 BEFORE and AFTER are each a git revision of this repository (read with
 `git archive`) or a directory that holds a `src/` tree.  Each side's
-`src/` is copied into a temporary directory of its own, next to a copy of
-this checkout's `perfbench/`; the two directories have names of equal
-length, since perfbench's `peak_rss_mb` moves with the length of the
-checkout path.  The tool then runs `perfbench/run.py --workload W
---seconds S --trace 0` of both sides in N pairs, one process at a time,
-alternating which side runs first.  It prints every run's metrics and,
-for each end-to-end metric, each side's median and quartiles, how many
-pairs the AFTER side won (ties count for neither), and the median and
-quartiles of the per-pair AFTER/BEFORE ratio.  The temporary
-directories are removed at the end.
+`src/` is copied, next to a copy of this checkout's `perfbench/`, into
+three temporary directories of its own, whose paths have three lengths.
+perfbench's `peak_rss_mb` moves with the length of the checkout path, so
+both sides of a pair run from paths of one length, and the pairs rotate
+through the three, so that no single length decides the win count.  The
+tool then runs `perfbench/run.py --workload W --seconds S --trace 0` of
+both sides in N pairs, one process at a time, alternating which side
+runs first.  It prints every run's metrics and, for each end-to-end
+metric, each side's median and quartiles, how many pairs the AFTER side
+won (ties count for neither), and the median and quartiles of the
+per-pair AFTER/BEFORE ratio.  The temporary directories are removed at
+the end.
 
 Standard library only; the package is imported by perfbench's children.
 """
@@ -89,6 +91,17 @@ def render(rows: list) -> list:
     return lines
 
 
+# the lengths, in characters, that pad the checkout directories' names
+PATH_PADS = (0, 24, 72)
+
+
+def pair_targets(work: Path) -> list:
+    """One {side: checkout directory} per path length; the two sides'
+    paths have the same length, pair i runs from entry i % 3."""
+    return [{"before": work / ("a" + "-" * pad), "after": work / ("b" + "-" * pad)}
+            for pad in PATH_PADS]
+
+
 def place(side: str, target: Path) -> None:
     """Put the side's src/ and this checkout's perfbench/ under target."""
     target.mkdir()
@@ -129,11 +142,13 @@ def main(argv=None) -> int:
 
     work = Path(tempfile.mkdtemp(prefix="ab-bench-"))
     try:
-        targets = {"before": work / "a", "after": work / "b"}
-        for side, target in targets.items():
-            place(getattr(args, side), target)
+        rotation = pair_targets(work)
+        for targets in rotation:
+            for side, target in targets.items():
+                place(getattr(args, side), target)
         runs = {"before": [], "after": []}
         for i in range(args.pairs):
+            targets = rotation[i % len(rotation)]
             order = ("before", "after") if i % 2 == 0 else ("after", "before")
             for side in order:
                 run = bench(targets[side], args)
